@@ -66,7 +66,7 @@ def coh_delta(x: Element) -> Element:
                 out.pop(new, None)
             else:
                 out[new] = acc
-    return Element(x.model, Ring.COH, out)
+    return Element._of(x.model, Ring.COH, out)
 
 
 def is_base(x: Element) -> bool:
@@ -90,7 +90,7 @@ def to_full(x: Element) -> Element:
         return x
     if x.ring is not Ring.BASE:
         raise AlgebraError("to_full: expected a cohomology class, got %s" % x.ring.value)
-    return Element(x.model, Ring.COH, x.terms)
+    return Element._of(x.model, Ring.COH, dict(x.terms))
 
 
 def to_base(x: Element) -> Element:
@@ -100,7 +100,7 @@ def to_base(x: Element) -> Element:
     _require_coh(x, "to_base")
     if not is_base(x):
         raise AlgebraError("to_base: class has v factors, not in the base subring")
-    return Element(x.model, Ring.BASE, x.terms)
+    return Element._of(x.model, Ring.BASE, dict(x.terms))
 
 
 def poincare_dual(x: Element) -> Element:
@@ -113,7 +113,7 @@ def poincare_dual(x: Element) -> Element:
         raise AlgebraError("poincare_dual: expected a loop-homology class, got %s" % x.ring.value)
     if not is_constant_loop_class(x):
         raise AlgebraError("poincare_dual: input is not in the exterior subring (has u factors)")
-    return Element(x.model, Ring.BASE, x.terms)
+    return Element._of(x.model, Ring.BASE, dict(x.terms))
 
 
 def poincare_dual_inverse(w: Element) -> Element:
@@ -124,4 +124,4 @@ def poincare_dual_inverse(w: Element) -> Element:
         raise AlgebraError(
             "poincare_dual_inverse: expected a base-cohomology class, got %s" % w.ring.value
         )
-    return Element(w.model, Ring.LOOP, w.terms)
+    return Element._of(w.model, Ring.LOOP, dict(w.terms))

@@ -1,13 +1,24 @@
 """Cap products and the extended BV algebra H^*(M) (+) H_*(LM).
 
-The cap product of the full cohomology ring on loop homology is computed
-through the bracket calculus: on a monomial w = alpha_T * prod_i v_i^{k_i},
+The cap product of the full cohomology ring on loop homology is defined
+through the bracket calculus (eq. 5.2): on a monomial
+w = alpha_T * prod_i v_i^{k_i},
 
     cap(w, b) = (-1)^{sum_i k_i d_i} * a_T * ({a_i, -} applied k_i times, i ascending)(b)
 
 where a_T is the Poincare dual of alpha_T.  Bracket applications commute
 here ({a_i, a_j} = 0 and the operators have even degree), so the ascending
 order is a convention, not a choice that affects the result.
+
+Bracketing with a_i is -d/du_i, and every d_i is odd, so the sign
+(-1)^{sum_i k_i d_i} cancels against the (-1)^{sum_i k_i} of the derivatives
+and the cap has the closed form
+
+    cap(w, b) = a_T * (prod_i (d/du_i)^{k_i})(b),
+
+which is what `cap` computes.  Passing `bracket=` expands eq. 5.2 with the
+given bracket instead; the catalog identity `eq-5.2-nested-brackets` checks
+the closed form against the nested brackets.
 
 Extended classes are honest pairs (base cohomology part, loop part); a class
 in cohomological degree k counts as homological degree -k, and all signs use
@@ -27,8 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .kernel import AlgebraError, Element, ModelSpec, Ring, sign_pow
-from .loop import bv_delta, loop_bracket, loop_product
+from .kernel import AlgebraError, Element, ModelSpec, Monomial, Ring, sign_pow
+from .loop import bv_delta, loop_bracket, loop_product, partial_u
 from .loop import a as loop_a
 from .cohomology import coh_delta, to_base, to_full
 
@@ -45,10 +56,12 @@ class BVOps:
     coh_delta: Callable[[Element], Element]
 
 
-def cap(omega: Element, b: Element, *, bracket=loop_bracket) -> Element:
+def cap(omega: Element, b: Element, *, bracket=None) -> Element:
     """Cap product of a cohomology class with a loop-homology class.
 
     Bilinear; the homological degree of the result is deg(b) - deg(omega).
+    With `bracket` given, the cap is expanded through that bracket (eq. 5.2)
+    instead of the closed form.
     """
     if omega.ring is Ring.BASE:
         omega = to_full(omega)
@@ -59,24 +72,24 @@ def cap(omega: Element, b: Element, *, bracket=loop_bracket) -> Element:
     if omega.model != b.model:
         raise AlgebraError("cap: model mismatch (%r vs %r)" % (omega.model.name, b.model.name))
     model = omega.model
-    degs = model.generator_degrees
+    if bracket is None:
+        derive = partial_u
+    else:
+        def derive(x, i, k):
+            gen = loop_a(model, i)
+            for _ in range(k):
+                x = bracket(gen, x)
+            return x.scale(sign_pow(k * model.generator_degrees[i - 1]))
+    no_exps = (0,) * model.rank
     result = Element.zero(model, Ring.LOOP)
     for mono, coeff in omega.terms.items():
         acted = b
-        sign_exp = 0
         for i, k in enumerate(mono.exps, start=1):
-            if k == 0:
-                continue
-            sign_exp += k * degs[i - 1]
-            gen = loop_a(model, i)
-            for _ in range(k):
-                acted = bracket(gen, acted)
-            if acted.is_zero():
-                break
-        if acted.is_zero():
-            continue
-        a_t = Element.monomial(model, Ring.LOOP, mono._replace(exps=(0,) * model.rank))
-        result = result + (a_t * acted).scale(coeff * sign_pow(sign_exp))
+            if k and acted:
+                acted = derive(acted, i, k)
+        if acted:
+            a_t = Element._of(model, Ring.LOOP, {Monomial(mono.odds, no_exps): coeff})
+            result = result + a_t * acted
     return result
 
 
@@ -248,6 +261,18 @@ def extended_delta(x: ExtendedClass, *, ops: BVOps = STANDARD_OPS) -> ExtendedCl
     return ExtendedClass(Element.zero(x.model, Ring.BASE), ops.delta(x.loop))
 
 
+def _intersection_class(w: Element, slot: str, pos: int, model: ModelSpec) -> Element:
+    """Check one entry of a loop_intersection list; return it in the full ring."""
+    w = to_full(w) if w.ring is Ring.BASE else w
+    if w.ring is not Ring.COH:
+        raise AlgebraError("loop_intersection: %s[%d] must be a base cohomology class" % (slot, pos))
+    if not all(not any(m.exps) for m in w.terms):
+        raise AlgebraError("loop_intersection: %s[%d] is not in the base subring" % (slot, pos))
+    if w.model != model:
+        raise AlgebraError("loop_intersection: %s[%d] is over a different model" % (slot, pos))
+    return w
+
+
 def loop_intersection(
     at_basepoint: list[Element],
     free_time: list[Element],
@@ -272,29 +297,10 @@ def loop_intersection(
     model = family.model
     omega = Element.unit(model, Ring.COH)
     for pos, w in enumerate(at_basepoint):
-        w = to_full(w) if w.ring is Ring.BASE else w
-        if w.ring is not Ring.COH:
-            raise AlgebraError(
-                "loop_intersection: at_basepoint[%d] must be a base cohomology class" % pos
-            )
-        if not all(not any(m.exps) for m in w.terms):
-            raise AlgebraError(
-                "loop_intersection: at_basepoint[%d] is not in the base subring" % pos
-            )
-        if w.model != model:
-            raise AlgebraError("loop_intersection: at_basepoint[%d] is over a different model" % pos)
-        omega = omega * w
+        omega = omega * _intersection_class(w, "at_basepoint", pos, model)
     sign_exp = -len(free_time)
     for pos, w in enumerate(free_time):
-        w = to_full(w) if w.ring is Ring.BASE else w
-        if w.ring is not Ring.COH:
-            raise AlgebraError(
-                "loop_intersection: free_time[%d] must be a base cohomology class" % pos
-            )
-        if not all(not any(m.exps) for m in w.terms):
-            raise AlgebraError("loop_intersection: free_time[%d] is not in the base subring" % pos)
-        if w.model != model:
-            raise AlgebraError("loop_intersection: free_time[%d] is over a different model" % pos)
+        w = _intersection_class(w, "free_time", pos, model)
         if w.is_zero():
             return Element.zero(model, Ring.LOOP)
         deg = w.degree()

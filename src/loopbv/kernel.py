@@ -155,6 +155,31 @@ def _mono_mul(a: Monomial, b: Monomial):
     return sign, Monomial(odds, exps)
 
 
+def _multiply_into(acc: dict, left: Mapping, right: Mapping) -> dict:
+    """Add the product of two term maps into `acc` and return `acc`.
+
+    Coefficients that cancel to zero are removed, so a clean `acc` stays
+    clean.  Shared by `Element.__mul__` and the closed-form loop bracket,
+    which multiplies derivative terms without building elements for them.
+    """
+    for m1, c1 in left.items():
+        for m2, c2 in right.items():
+            sign, mono = _mono_mul(m1, m2)
+            if sign == 0:
+                continue
+            coeff = c1 * c2 if sign > 0 else -(c1 * c2)
+            prev = acc.get(mono)
+            if prev is None:
+                acc[mono] = coeff
+            else:
+                prev = prev + coeff
+                if prev == 0:
+                    del acc[mono]
+                else:
+                    acc[mono] = prev
+    return acc
+
+
 def _mono_degree(model: ModelSpec, ring: Ring, m: Monomial) -> int:
     degs = model.generator_degrees
     odd_part = sum(degs[i - 1] for i in m.odds)
@@ -252,12 +277,24 @@ class Element:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _of(cls, model: ModelSpec, ring: Ring, terms: dict[Monomial, Fraction]) -> "Element":
+        """Trusted constructor for terms the engine built itself.
+
+        `terms` must already be clean: canonical monomials of this model and
+        ring, nonzero `Fraction` coefficients.  The new element takes
+        ownership of the dict, so the caller must not mutate it afterwards.
+        """
+        out = object.__new__(cls)
+        out.model, out.ring, out.terms = model, ring, terms
+        return out
+
+    @classmethod
     def zero(cls, model: ModelSpec, ring: Ring) -> "Element":
-        return cls(model, ring)
+        return cls._of(model, ring, {})
 
     @classmethod
     def unit(cls, model: ModelSpec, ring: Ring) -> "Element":
-        return cls(model, ring, {_unit_monomial(model): Fraction(1)})
+        return cls._of(model, ring, {_unit_monomial(model): Fraction(1)})
 
     @classmethod
     def generator(cls, model: ModelSpec, ring: Ring, kind: str, index: int) -> "Element":
@@ -276,7 +313,7 @@ class Element:
             mono = Monomial((), tuple(exps))
         else:
             raise AlgebraError("generator kind must be 'odd' or 'even', got %r" % kind)
-        return cls(model, ring, {mono: Fraction(1)})
+        return cls._of(model, ring, {mono: Fraction(1)})
 
     @classmethod
     def monomial(cls, model: ModelSpec, ring: Ring, mono: Monomial, coeff=1) -> "Element":
@@ -307,7 +344,7 @@ class Element:
         for mono, coeff in self.terms.items():
             buckets.setdefault(_mono_degree(self.model, self.ring, mono), {})[mono] = coeff
         return {
-            deg: Element(self.model, self.ring, terms)
+            deg: Element._of(self.model, self.ring, terms)
             for deg, terms in sorted(buckets.items())
         }
 
@@ -341,25 +378,18 @@ class Element:
                     del terms[mono]
                 else:
                     terms[mono] = acc
-        out = Element.__new__(Element)
-        out.model, out.ring, out.terms = self.model, self.ring, terms
-        return out
+        return Element._of(self.model, self.ring, terms)
 
     def __neg__(self) -> "Element":
-        out = Element.__new__(Element)
-        out.model, out.ring = self.model, self.ring
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return Element._of(self.model, self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
 
     def scale(self, q) -> "Element":
         q = _as_fraction(q)
-        out = Element.__new__(Element)
-        out.model, out.ring = self.model, self.ring
-        out.terms = {} if q == 0 else {m: q * c for m, c in self.terms.items()}
-        return out
+        terms = {} if q == 0 else {m: q * c for m, c in self.terms.items()}
+        return Element._of(self.model, self.ring, terms)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -367,25 +397,7 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._check_compatible(other, "multiply")
-        terms: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                sign, mono = _mono_mul(m1, m2)
-                if sign == 0:
-                    continue
-                coeff = c1 * c2 if sign > 0 else -(c1 * c2)
-                acc = terms.get(mono)
-                if acc is None:
-                    terms[mono] = coeff
-                else:
-                    acc = acc + coeff
-                    if acc == 0:
-                        del terms[mono]
-                    else:
-                        terms[mono] = acc
-        out = Element.__new__(Element)
-        out.model, out.ring, out.terms = self.model, self.ring, terms
-        return out
+        return Element._of(self.model, self.ring, _multiply_into({}, self.terms, other.terms))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -549,4 +561,4 @@ def random_element(
     terms = {}
     for mono in chosen:
         terms[mono] = Fraction(rng.choice(_COEFF_NUMERATORS), rng.choice(_COEFF_DENOMINATORS))
-    return Element(model, ring, terms)
+    return Element._of(model, ring, terms)

@@ -2,23 +2,37 @@
 
 The ring is the free graded-commutative algebra on a_i (odd, degree -d_i)
 and u_i (even, degree d_i - 1); the unit is the class of constant loops.
-The BV operator is the second-order odd differential operator
+Every operator here is built from two partial derivatives:
+
+* d/da_i, the left derivation (a factor of -1 for each odd generator
+  standing before a_i), `partial_a`;
+* d/du_i, the plain partial derivative, `partial_u`; applied t times to
+  u_i^k it brings down the falling factorial k(k-1)...(k-t+1).
+
+The BV operator is the second-order odd operator
 
     Delta = sum_i (d/du_i) o (d/da_i),
 
-where d/da_i is a left derivation (a factor of -1 for each odd generator
-standing before a_i) and d/du_i the plain partial derivative.  The bracket
-is not a separate structure: it is defined through the BV identity
+and the bracket is its failure to be a derivation.  For this Delta that
+failure is first order in each argument, so the bracket has the closed form
+
+    {b, c} = sum_i (-1)^{p(b)} (d/da_i b)(d/du_i c) + (d/du_i b)(d/da_i c),
+
+where p(b) is the parity of b (the number of odd generators; since every
+d_i is odd this is also |b| mod 2).  Expanding Delta(b*c) by the Leibniz
+rules of the two derivatives gives Delta(b)*c + (-1)^{|b|} b*Delta(c) plus
+exactly these cross terms, so the closed form equals the BV-identity bracket
 
     {b, c} = (-1)^{|b|} (Delta(b*c) - Delta(b)*c - (-1)^{|b|} b*Delta(c)),
 
-extended bilinearly over the homogeneous components of b.  With these
-conventions {a_i, u_j} = -delta_ij.
+which the verification catalog checks as the `bv-identity` identity.  With
+these conventions {a_i, u_j} = -delta_ij.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import perm
 
 from .kernel import (
     AlgebraError,
@@ -26,6 +40,7 @@ from .kernel import (
     ModelSpec,
     Monomial,
     Ring,
+    _multiply_into,
     sign_pow,
 )
 
@@ -54,8 +69,63 @@ def loop_product(b: Element, c: Element) -> Element:
     return b * c
 
 
+def _check_index(b: Element, index: int, op: str):
+    if not 1 <= index <= b.model.rank:
+        raise AlgebraError(
+            "%s: generator index %d out of range: model %r has generators 1..%d"
+            % (op, index, b.model.name, b.model.rank)
+        )
+
+
+def _partial_a_terms(terms, index: int, parity: bool = False) -> dict:
+    """Terms of d/da_index; with `parity`, each also times (-1)^{p(source)}.
+
+    Removing a_index maps distinct monomials to distinct monomials, so no
+    coefficients collide.
+    """
+    out = {}
+    for mono, coeff in terms.items():
+        odds = mono.odds
+        if index in odds:
+            pos = odds.index(index)
+            flips = pos + len(odds) if parity else pos
+            out[Monomial(odds[:pos] + odds[pos + 1:], mono.exps)] = -coeff if flips % 2 else coeff
+    return out
+
+
+def _partial_u_terms(terms, index: int, times: int = 1) -> dict:
+    """Terms of (d/du_index)^times; injective on the terms it keeps."""
+    out = {}
+    j = index - 1
+    for mono, coeff in terms.items():
+        exps = mono.exps
+        k = exps[j]
+        if k >= times:
+            factor = perm(k, times)
+            new = Monomial(mono.odds, exps[:j] + (k - times,) + exps[j + 1:])
+            out[new] = coeff * factor if factor > 1 else coeff
+    return out
+
+
+def partial_a(b: Element, index: int) -> Element:
+    """Left derivative d/da_index: (-1)^pos for the pos odd generators before a_index."""
+    _require_loop(b, "partial_a")
+    _check_index(b, index, "partial_a")
+    return Element._of(b.model, Ring.LOOP, _partial_a_terms(b.terms, index))
+
+
+def partial_u(b: Element, index: int, times: int = 1) -> Element:
+    """(d/du_index)^times; u_index^k goes to k(k-1)...(k-times+1) u_index^(k-times)."""
+    _require_loop(b, "partial_u")
+    _check_index(b, index, "partial_u")
+    if not isinstance(times, int) or times < 0:
+        raise AlgebraError("partial_u: times must be a nonnegative integer, got %r" % (times,))
+    return Element._of(b.model, Ring.LOOP, _partial_u_terms(b.terms, index, times))
+
+
 def bv_delta(b: Element) -> Element:
     _require_loop(b, "bv_delta")
+    # one pass over the terms: cheaper than composing partial_u o partial_a
     terms = {}
     for mono, coeff in b.terms.items():
         for pos, i in enumerate(mono.odds):
@@ -73,22 +143,28 @@ def bv_delta(b: Element) -> Element:
                 terms.pop(new, None)
             else:
                 terms[new] = acc
-    return Element(b.model, Ring.LOOP, terms)
+    return Element._of(b.model, Ring.LOOP, terms)
 
 
 def loop_bracket(b: Element, c: Element) -> Element:
+    """{b, c} = sum_i (-1)^{p(b)} (d/da_i b)(d/du_i c) + (d/du_i b)(d/da_i c)."""
     _require_loop(b, "loop_bracket")
     _require_loop(c, "loop_bracket")
     if b.model != c.model:
         raise AlgebraError("loop_bracket: model mismatch (%r vs %r)" % (b.model.name, c.model.name))
-    result = Element.zero(b.model, Ring.LOOP)
-    delta_c = bv_delta(c)
-    for deg, part in b.homogeneous_components().items():
-        s = sign_pow(deg)
-        result = result + (
-            bv_delta(part * c) - bv_delta(part) * c - (part * delta_c).scale(s)
-        ).scale(s)
-    return result
+    terms = {}
+    for i in range(1, b.model.rank + 1):
+        left = _partial_a_terms(b.terms, i, parity=True)
+        if left:
+            right = _partial_u_terms(c.terms, i)
+            if right:
+                _multiply_into(terms, left, right)
+        left = _partial_u_terms(b.terms, i)
+        if left:
+            right = _partial_a_terms(c.terms, i)
+            if right:
+                _multiply_into(terms, left, right)
+    return Element._of(b.model, Ring.LOOP, terms)
 
 
 def is_constant_loop_class(b: Element) -> bool:

@@ -17,19 +17,17 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Callable
 
 from .kernel import (
     AlgebraError,
     Element,
     ModelSpec,
-    Monomial,
     Ring,
     random_element,
     sign_pow,
 )
-from .loop import bv_delta, loop_bracket, s_star
+from .loop import bv_delta, loop_bracket, partial_a, partial_u, s_star
 from .loop import a as loop_a
 from .loop import u as loop_u
 from .cohomology import (
@@ -928,42 +926,17 @@ CATALOG: dict[str, IdentityCase] = _build_catalog()
 # mutated primitive bundles
 
 
-def _partial_u(b: Element, index: int) -> Element:
-    terms = {}
-    for mono, coeff in b.terms.items():
-        k = mono.exps[index - 1]
-        if k == 0:
-            continue
-        exps = list(mono.exps)
-        exps[index - 1] = k - 1
-        terms[Monomial(mono.odds, tuple(exps))] = coeff * k
-    return Element(b.model, Ring.LOOP, terms)
-
-
-def _partial_a(b: Element, index: int) -> Element:
-    terms = {}
-    for mono, coeff in b.terms.items():
-        if index not in mono.odds:
-            continue
-        pos = mono.odds.index(index)
-        odds = mono.odds[:pos] + mono.odds[pos + 1 :]
-        new = Monomial(odds, mono.exps)
-        acc = terms.get(new, Fraction(0)) + coeff * sign_pow(pos)
-        if acc == 0:
-            terms.pop(new, None)
-        else:
-            terms[new] = acc
-    return Element(b.model, Ring.LOOP, terms)
-
-
 def _delta_drop_last(b: Element) -> Element:
     last = b.model.rank
     result = bv_delta(b)
     # subtract the contribution of the final generator pair
-    return result - _partial_u(_partial_a(b, last), last)
+    return result - partial_u(partial_a(b, last), last)
 
 
 def _bracket_from_delta(delta):
+    """The bracket a Delta induces through the BV identity; the reference
+    against which the closed-form `loop_bracket` is checked."""
+
     def bracket(b, c):
         result = Element.zero(b.model, Ring.LOOP)
         delta_c = delta(c)
@@ -986,7 +959,7 @@ def _cap_from_bracket(bracket):
 
 def mutations() -> dict[str, BVOps]:
     """Named broken primitive bundles, each one sign flip or one term away."""
-    exterior_delta = lambda b: bv_delta(b) + _partial_a(b, 1)
+    exterior_delta = lambda b: bv_delta(b) + partial_a(b, 1)
     exterior_bracket = _bracket_from_delta(exterior_delta)
     muts = {
         "delta-sign-flip": replace(
@@ -996,7 +969,7 @@ def mutations() -> dict[str, BVOps]:
             STANDARD_OPS, name="delta-drop-term", delta=_delta_drop_last
         ),
         "delta-extra-term": replace(
-            STANDARD_OPS, name="delta-extra-term", delta=lambda b: bv_delta(b) + _partial_u(b, 1)
+            STANDARD_OPS, name="delta-extra-term", delta=lambda b: bv_delta(b) + partial_u(b, 1)
         ),
         "bracket-sign-flip": replace(
             STANDARD_OPS, name="bracket-sign-flip", bracket=lambda b, c: -loop_bracket(b, c)
@@ -1096,7 +1069,7 @@ def _drop_one_term(value):
         for mono in sorted(value.terms):
             smaller = dict(value.terms)
             del smaller[mono]
-            yield Element(value.model, value.ring, smaller)
+            yield Element._of(value.model, value.ring, smaller)
     elif isinstance(value, ExtendedClass):
         for coh in _drop_one_term(value.coh):
             yield ExtendedClass(coh, value.loop)

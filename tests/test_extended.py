@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -80,6 +81,35 @@ def test_cap_matches_differentiation_oracle(model):
         w = _rand(model, Ring.COH, "capw", trial, terms=2, even_cap=4)
         b = _rand(model, Ring.LOOP, "capb", trial, terms=2)
         assert cap(w, b) == cap_oracle(w, b)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_closed_form_cap_matches_bracket_expansion_and_oracle(model):
+    rng = random.Random("capexp|%s" % model.name)
+    r = model.rank
+
+    def odds():
+        return tuple(sorted(rng.sample(range(1, r + 1), rng.randint(0, r))))
+
+    def coeff():
+        return Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3]))
+
+    nonzero = 0
+    for trial in range(25):
+        w_terms, b_terms = {}, {}
+        while len(w_terms) < 3:
+            exps = [rng.randint(0, 3) for _ in range(r)]
+            exps[rng.randrange(r)] = rng.randint(2, 4)
+            w_terms[(odds(), tuple(exps))] = coeff()
+            # a loop term with u exponents at least these keeps the cap nonzero
+            b_terms[(odds(), tuple(k + rng.randint(0, 2) for k in exps))] = coeff()
+        w = Element(model, Ring.COH, w_terms)
+        b = Element(model, Ring.LOOP, b_terms)
+        value = cap(w, b)
+        assert value == cap(w, b, bracket=loop_bracket)
+        assert value == cap_oracle(w, b)
+        nonzero += not value.is_zero()
+    assert nonzero >= 20
 
 
 def test_cap_unit_and_degree():
@@ -285,6 +315,28 @@ def test_loop_intersection_rejects_non_base_classes():
         loop_intersection([], [v(SU3, 1)], u(SU3, 1))
     with pytest.raises(AlgebraError, match="base"):
         loop_intersection([v(SU3, 1)], [], u(SU3, 1))
+
+
+@pytest.mark.parametrize("slot", ["at_basepoint", "free_time"])
+def test_loop_intersection_messages_are_pinned(slot):
+    def call(bad):
+        good = alpha(SU3, 1)
+        ats, frees = ([good, bad], []) if slot == "at_basepoint" else ([], [good, bad])
+        with pytest.raises(AlgebraError) as info:
+            loop_intersection(ats, frees, u(SU3, 1))
+        return str(info.value)
+
+    assert call(u(SU3, 1)) == (
+        "loop_intersection: %s[1] must be a base cohomology class" % slot
+    )
+    assert call(v(SU3, 1)) == "loop_intersection: %s[1] is not in the base subring" % slot
+    assert call(alpha(S3, 1)) == "loop_intersection: %s[1] is over a different model" % slot
+
+
+def test_loop_intersection_family_message_is_pinned():
+    with pytest.raises(AlgebraError) as info:
+        loop_intersection([], [], alpha(SU3, 1))
+    assert str(info.value) == "loop_intersection: family must be a loop-homology class"
 
 
 def test_loop_intersection_matches_signed_cap_formula():

@@ -14,11 +14,15 @@ from loopbv.loop import (
     loop_bracket,
     loop_product,
     loop_unit,
+    partial_a,
+    partial_u,
     s_star,
     u,
 )
+from loopbv.models import resolve_model
+from loopbv.verify import _bracket_from_delta
 
-from oracles import delta_oracle, bracket_of_generator_oracle
+from oracles import delta_oracle, bracket_of_generator_oracle, partial_even, partial_odd
 
 S3 = ModelSpec("s3", (3,))
 SU3 = ModelSpec("su3", (3, 5))
@@ -54,6 +58,58 @@ def test_loop_product_requires_loop_ring():
         loop_product(a(S3, 1), Element.generator(S3, Ring.COH, "odd", 1))
     with pytest.raises(AlgebraError, match="model mismatch"):
         loop_product(a(S3, 1), a(SU3, 1))
+
+
+# -- partial derivatives ---------------------------------------------------------
+
+
+def test_partial_a_position_sign():
+    a1, a2, a3, u1 = (a(E357, 1), a(E357, 2), a(E357, 3), u(E357, 1))
+    assert partial_a(a1 * a2 * a3, 1) == a2 * a3
+    assert partial_a(a1 * a2 * a3, 2) == -(a1 * a3)
+    assert partial_a(a1 * a2 * a3, 3) == a1 * a2
+    assert partial_a(a2 * a3 * u1 ** 2, 3) == -(a2 * u1 ** 2)
+    assert partial_a(a2 * u1, 1).is_zero()
+    assert partial_a(a1 * a2 + 3 * a2 * a3, 2) == -a1 + 3 * a3
+
+
+def test_partial_u_falling_factorial():
+    u1, u2 = u(SU3, 1), u(SU3, 2)
+    b = a(SU3, 2) * u1 ** 5 * u2
+    assert partial_u(b, 1) == 5 * a(SU3, 2) * u1 ** 4 * u2
+    assert partial_u(b, 1, times=3) == 60 * a(SU3, 2) * u1 ** 2 * u2
+    assert partial_u(b, 1, times=5) == 120 * a(SU3, 2) * u2
+    assert partial_u(b, 1, times=0) == b
+    assert partial_u(b, 2, times=1) == a(SU3, 2) * u1 ** 5
+
+
+def test_partial_u_beyond_the_exponent_is_zero():
+    u1 = u(S3, 1)
+    assert partial_u(u1 ** 2, 1, times=3).is_zero()
+    assert partial_u(a(S3, 1), 1).is_zero()
+    # only the terms with a high enough exponent survive
+    assert partial_u(u1 ** 2 + u1 ** 4, 1, times=3) == 24 * u1
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_partials_match_direct_differentiation(model):
+    for trial in range(30):
+        b = _rand_loop(model, "partials", trial, terms=4)
+        for i in range(1, model.rank + 1):
+            assert partial_a(b, i) == partial_odd(b, i)
+            assert partial_u(b, i) == partial_even(b, i)
+            assert partial_u(b, i, times=2) == partial_even(partial_even(b, i), i)
+
+
+def test_partials_reject_bad_arguments():
+    with pytest.raises(AlgebraError, match="out of range"):
+        partial_a(a(S3, 1), 2)
+    with pytest.raises(AlgebraError, match="out of range"):
+        partial_u(u(S3, 1), 0)
+    with pytest.raises(AlgebraError, match="times"):
+        partial_u(u(S3, 1), 1, times=-1)
+    with pytest.raises(AlgebraError, match="loop-homology"):
+        partial_a(Element.generator(S3, Ring.COH, "odd", 1), 1)
 
 
 # -- BV operator ---------------------------------------------------------------
@@ -154,6 +210,21 @@ def test_bv_identity_defines_bracket():
             lhs = bv_delta(b * c)
             rhs = bv_delta(b) * c + (b * bv_delta(c)).scale(s) + loop_bracket(b, c).scale(s)
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("name", ["s3", "s5", "su3", "exterior:3,5,7"])
+def test_closed_form_bracket_matches_bv_identity_bracket(name):
+    model = resolve_model(name)
+    reference = _bracket_from_delta(bv_delta)
+    parities = set()
+    for trial in range(30):
+        # sums of draws from different windows mix degrees and parities
+        b = _rand_loop(model, "mix1", trial) + _rand_loop(model, "mix2", trial)
+        c = _rand_loop(model, "mix3", trial) + _rand_loop(model, "mix4", trial)
+        parities.update({len(m.odds) % 2 for m in b.terms})
+        assert loop_bracket(b, c) == reference(b, c)
+        assert loop_bracket(c, b) == reference(c, b)
+    assert parities == {0, 1}
 
 
 # -- constant-loop classes -------------------------------------------------------
