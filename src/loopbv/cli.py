@@ -7,7 +7,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .kernel import AlgebraError, Element, ModelSpec, Ring, _degree_buckets
+from .kernel import AlgebraError, Element, ModelSpec, Ring, basis_index
 from .models import describe_builtins, resolve_model
 from .expr import ExpressionError, describe_value, evaluate, parse
 from .extended import cap as cap_product
@@ -92,16 +92,43 @@ def _cmd_check(args) -> int:
     return 1 if failed else 0
 
 
+# about five minutes of output at the ~33,000 lines/s of one-term tables
+TABLE_LINE_LIMIT = 10 ** 7
+
+
+def _basis_count(model: ModelSpec, ring: Ring, max_degree: int, even_cap: int) -> int:
+    index = basis_index(model, ring, even_cap)
+    return sum(index.count(deg) for deg in index.degrees_in(-max_degree, max_degree))
+
+
+def _table_line_count(model: ModelSpec, op: str, max_degree: int, max_exp: int) -> int:
+    """Number of lines `loopbv table` prints, counted without listing the basis."""
+    loop = _basis_count(model, Ring.LOOP, max_degree, max_exp)
+    if op == "delta":
+        return loop
+    if op == "cap":
+        return _basis_count(model, Ring.COH, max_degree, max_exp) * loop
+    return loop * loop
+
+
 def _basis_monomials(model: ModelSpec, ring: Ring, max_degree: int, even_cap: int):
-    buckets = _degree_buckets(model, ring, even_cap)
-    for deg in sorted(buckets):
-        if -max_degree <= deg <= max_degree:
-            for mono in buckets[deg]:
-                yield Element.monomial(model, ring, mono)
+    index = basis_index(model, ring, even_cap)
+    for deg in index.degrees_in(-max_degree, max_degree):
+        for k in range(index.count(deg)):
+            yield Element.monomial(model, ring, index.monomial(deg, k))
 
 
 def _cmd_table(args) -> int:
+    for flag, value in (("--max-degree", args.max_degree), ("--max-exp", args.max_exp)):
+        if value < 0:
+            return _fail("%s must be >= 0, got %d" % (flag, value))
     model = resolve_model(args.model)
+    lines = _table_line_count(model, args.op, args.max_degree, args.max_exp)
+    if lines > TABLE_LINE_LIMIT:
+        return _fail(
+            "table would print %d lines, more than the limit of %d; lower --max-degree or --max-exp"
+            % (lines, TABLE_LINE_LIMIT)
+        )
     show = lambda e: e.render(unicode=args.unicode)
     if args.op == "delta":
         for b in _basis_monomials(model, Ring.LOOP, args.max_degree, args.max_exp):

@@ -21,6 +21,8 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -490,12 +492,13 @@ def sign_pow(n: int) -> int:
     return -1 if n % 2 else 1
 
 
-# -- basis enumeration and random elements ----------------------------------
+# -- basis index and random elements ----------------------------------------
 
 DEFAULT_EVEN_CAP = 8
 
 
 def _exponent_vectors(rank: int, cap: int):
+    """Exponent vectors of total <= cap, in ascending tuple order."""
     if rank == 0:
         yield ()
         return
@@ -504,23 +507,72 @@ def _exponent_vectors(rank: int, cap: int):
             yield (head,) + tail
 
 
+class BasisIndex:
+    """The monomials of one ring with total even exponent <= a cap, by degree.
+
+    A monomial's degree is its odd part plus its even part, so the degree-D
+    bucket, in ascending `Monomial` order, is the concatenation over
+    odd-index tuples S (ascending) of S x X(D - odd(S)), where X(E) lists the
+    exponent vectors of even degree E in ascending order.  Only X (C(r + cap,
+    r) vectors) and the 2^r tuples S are stored, never the 2^r * C(r + cap, r)
+    monomials.  The k-th monomial of a bucket is one bisect into the bucket's
+    block offsets, which are built on first use of that degree.
+    """
+
+    def __init__(self, model: ModelSpec, ring: Ring, even_cap: int):
+        degs = model.generator_degrees
+        odd_sign = -1 if ring is Ring.LOOP else 1
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(range(1, model.rank + 1), size) for size in range(model.rank + 1)
+        )
+        self._odds = sorted((S, odd_sign * sum(degs[i - 1] for i in S)) for S in subsets)
+        self._even: dict[int, list[tuple[int, ...]]] = {}
+        cap = 0 if ring is Ring.BASE else even_cap
+        for exps in _exponent_vectors(model.rank, cap):
+            even_deg = sum(k * (d - 1) for k, d in zip(exps, degs))
+            self._even.setdefault(even_deg, []).append(exps)
+        self._counts: Counter[int] = Counter()
+        for odd_deg, times in Counter(odd_deg for _, odd_deg in self._odds).items():
+            for even_deg, vectors in self._even.items():
+                self._counts[odd_deg + even_deg] += times * len(vectors)
+        self.degrees: tuple[int, ...] = tuple(sorted(self._counts))
+        self._blocks: dict[int, tuple[list[int], list]] = {}
+
+    def count(self, deg: int) -> int:
+        """Number of monomials of degree `deg`."""
+        return self._counts.get(deg, 0)
+
+    def degrees_in(self, lo: int, hi: int) -> tuple[int, ...]:
+        """The populated degrees in [lo, hi], ascending."""
+        return self.degrees[bisect_left(self.degrees, lo):bisect_right(self.degrees, hi)]
+
+    def _block_table(self, deg: int):
+        table = self._blocks.get(deg)
+        if table is None:
+            starts, blocks, total = [], [], 0
+            for odds, odd_deg in self._odds:
+                vectors = self._even.get(deg - odd_deg)
+                if vectors:
+                    starts.append(total)
+                    blocks.append((odds, vectors))
+                    total += len(vectors)
+            table = self._blocks[deg] = (starts, blocks)
+        return table
+
+    def monomial(self, deg: int, k: int) -> Monomial:
+        """The k-th monomial of degree `deg`, in ascending order."""
+        if not 0 <= k < self.count(deg):
+            raise IndexError("degree %d has %d monomials, no position %r" % (deg, self.count(deg), k))
+        starts, blocks = self._block_table(deg)
+        pos = bisect_right(starts, k) - 1
+        odds, vectors = blocks[pos]
+        return Monomial(odds, vectors[k - starts[pos]])
+
+
 @lru_cache(maxsize=None)
-def _degree_buckets(model: ModelSpec, ring: Ring, even_cap: int) -> dict[int, tuple[Monomial, ...]]:
-    """All canonical monomials with total even exponent <= even_cap, by degree."""
-    r = model.rank
-    subsets = []
-    for size in range(r + 1):
-        subsets.extend(itertools.combinations(range(1, r + 1), size))
-    if ring is Ring.BASE:
-        exps_list = [(0,) * r]
-    else:
-        exps_list = list(_exponent_vectors(r, even_cap))
-    buckets: dict[int, list[Monomial]] = {}
-    for odds in subsets:
-        for exps in exps_list:
-            mono = Monomial(odds, exps)
-            buckets.setdefault(_mono_degree(model, ring, mono), []).append(mono)
-    return {deg: tuple(sorted(monos)) for deg, monos in buckets.items()}
+def basis_index(model: ModelSpec, ring: Ring, even_cap: int) -> BasisIndex:
+    """The cached `BasisIndex` of `ring` up to `even_cap` (ignored for BASE)."""
+    return BasisIndex(model, ring, even_cap)
 
 
 _COEFF_NUMERATORS = (-3, -2, -1, 1, 2, 3)
@@ -538,11 +590,13 @@ def random_element(
 ) -> Element:
     """Deterministic homogeneous element with degree inside `degree_window`.
 
-    The basis is enumerated up to `even_cap` total even exponent; a degree in
+    Monomials have total even exponent <= `even_cap`.  A populated degree in
     the window is chosen, then up to `max_terms` distinct monomials of that
-    degree with small nonzero rational coefficients.  Returns zero only when
-    the window admits no monomial.  Passing the same seed twice gives
-    identical output; `seed` may also be a `random.Random` to draw from.
+    degree, each with a small nonzero rational coefficient.  Monomials are
+    picked by their position in the degree's ascending order through
+    `basis_index`, so no bucket is ever listed.  Returns zero only when the
+    window admits no monomial.  Passing the same seed twice gives identical
+    output; `seed` may also be a `random.Random` to draw from.
     """
     if max_terms < 1:
         raise AlgebraError("max_terms must be >= 1, got %d" % max_terms)
@@ -550,15 +604,17 @@ def random_element(
     if lo > hi:
         raise AlgebraError("empty degree window (%r, %r)" % (lo, hi))
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    buckets = _degree_buckets(model, ring, even_cap)
-    degrees = sorted(d for d in buckets if lo <= d <= hi)
+    index = basis_index(model, ring, even_cap)
+    degrees = index.degrees_in(lo, hi)
     if not degrees:
         return Element.zero(model, ring)
     deg = rng.choice(degrees)
-    monos = buckets[deg]
-    count = min(max_terms, len(monos))
-    chosen = monos if count == len(monos) else tuple(rng.sample(monos, count))
+    n = index.count(deg)
+    count = min(max_terms, n)
+    # sample positions exactly as sampling the bucket itself would
+    positions = range(n) if count == n else rng.sample(range(n), count)
     terms = {}
-    for mono in chosen:
+    for k in positions:
+        mono = index.monomial(deg, k)
         terms[mono] = Fraction(rng.choice(_COEFF_NUMERATORS), rng.choice(_COEFF_DENOMINATORS))
     return Element._of(model, ring, terms)

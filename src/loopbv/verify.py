@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 from .kernel import (
@@ -24,6 +25,7 @@ from .kernel import (
     Element,
     ModelSpec,
     Ring,
+    basis_index,
     random_element,
     sign_pow,
 )
@@ -139,17 +141,21 @@ def _hdeg(x) -> int:
     return deg if isinstance(deg, int) else 0
 
 
-def _draw_extended(model: ModelSpec, rng: random.Random, max_terms: int) -> ExtendedClass:
+@lru_cache(maxsize=None)
+def _extended_degrees(model: ModelSpec):
+    """Candidate degrees of an `ext` draw, plus the populated loop and base degrees."""
     lo, hi = _default_window(model)
-    # candidate homological degrees where either summand is populated
-    from .kernel import _degree_buckets
-
-    loop_degs = set(_degree_buckets(model, Ring.LOOP, SUITE_EVEN_CAP))
-    base_degs = set(_degree_buckets(model, Ring.BASE, 0))
-    candidates = sorted(
+    loop_degs = frozenset(basis_index(model, Ring.LOOP, SUITE_EVEN_CAP).degrees)
+    base_degs = frozenset(basis_index(model, Ring.BASE, 0).degrees)
+    candidates = tuple(sorted(
         {n for n in loop_degs if lo <= n <= hi}
         | {-k for k in base_degs if lo <= -k <= hi}
-    )
+    ))
+    return candidates, loop_degs, base_degs
+
+
+def _draw_extended(model: ModelSpec, rng: random.Random, max_terms: int) -> ExtendedClass:
+    candidates, loop_degs, base_degs = _extended_degrees(model)
     n = rng.choice(candidates)
     coh = Element.zero(model, Ring.BASE)
     loop = Element.zero(model, Ring.LOOP)

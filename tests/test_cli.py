@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from loopbv.cli import main
+from loopbv.cli import _table_line_count, main
+from loopbv.models import resolve_model
 from loopbv.verify import CheckReport
 
 
@@ -160,6 +161,36 @@ def test_table_cap(capsys):
     assert code == 0
     assert "cap(v1, u1) = 1" in out
     assert "cap(1, u1) = u1" in out
+
+
+@pytest.mark.parametrize("flag, value", [("--max-exp", "-1"), ("--max-degree", "-2")])
+def test_table_rejects_negative_bounds(capsys, flag, value):
+    code, out, err = _run(capsys, "table", "--model", "s3", "--op", "delta", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and flag in err
+
+
+@pytest.mark.parametrize("model, op, argv", [
+    ("su8", "bracket", []),
+    ("su8", "cap", ["--max-degree", "40", "--max-exp", "6"]),
+    ("exterior:3,5,7,9,11,13,15,17,19,21,23,25", "delta", ["--max-degree", "400", "--max-exp", "6"]),
+    ("exterior:3,5,7,9,11,13,15,17,19,21,23,25", "bracket", []),
+])
+def test_table_refuses_oversized_tables(capsys, model, op, argv):
+    code, out, err = _run(capsys, "table", "--model", model, "--op", op, *argv)
+    assert code == 2
+    assert out == ""
+    assert "lines" in err and "--max-degree" in err and "--max-exp" in err
+
+
+def test_table_size_is_counted_before_printing(capsys):
+    model = resolve_model("su3")
+    for op in ("delta", "bracket", "product", "cap"):
+        code, out, _ = _run(capsys, "table", "--model", "su3", "--op", op,
+                            "--max-degree", "8", "--max-exp", "3")
+        assert code == 0
+        assert len(out.splitlines()) == _table_line_count(model, op, 8, 3)
 
 
 # -- intersect ------------------------------------------------------------------

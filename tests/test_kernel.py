@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -16,6 +18,7 @@ from loopbv.kernel import (
     Monomial,
     Ring,
     add,
+    basis_index,
     degree,
     equal,
     multiply,
@@ -238,6 +241,63 @@ def test_random_element_respects_even_cap():
         random_element(S3, Ring.LOOP, (3, -3), 1, 5)
     with pytest.raises(AlgebraError):
         random_element(S3, Ring.LOOP, (0, 0), 0, 5)
+
+
+# -- basis index against brute-force enumeration ----------------------------
+
+RANK12 = ModelSpec("rank12", tuple(range(3, 26, 2)))
+
+
+def _reference_buckets(model, ring, even_cap):
+    """Every monomial with total even exponent <= even_cap, sorted, by degree."""
+    r = model.rank
+    vectors = [
+        exps for exps in itertools.product(range(even_cap + 1), repeat=r)
+        if sum(exps) <= even_cap and (ring is not Ring.BASE or not any(exps))
+    ]
+    buckets = {}
+    for size in range(r + 1):
+        for odds in itertools.combinations(range(1, r + 1), size):
+            for exps in vectors:
+                x = Element.monomial(model, ring, Monomial(odds, exps))
+                buckets.setdefault(x.degree(), []).append(Monomial(odds, exps))
+    return {deg: sorted(monos) for deg, monos in buckets.items()}
+
+
+@pytest.mark.parametrize("degrees", [(1,), (3,), (3, 5), (1, 3), (1, 1, 5), (3, 5, 7)])
+@pytest.mark.parametrize("ring", list(Ring))
+def test_basis_index_matches_enumeration(degrees, ring):
+    model = ModelSpec("m", degrees)
+    for cap in range(7):
+        reference = _reference_buckets(model, ring, cap)
+        index = basis_index(model, ring, cap)
+        assert index.degrees == tuple(sorted(reference))
+        for deg, monos in reference.items():
+            assert index.count(deg) == len(monos)
+            assert [index.monomial(deg, k) for k in range(len(monos))] == monos
+        assert index.count(max(reference) + 1) == 0
+
+
+def test_basis_index_window_is_a_slice_of_degrees():
+    index = basis_index(SU3, Ring.LOOP, 4)
+    assert index.degrees_in(-4, 6) == tuple(d for d in index.degrees if -4 <= d <= 6)
+    assert index.degrees_in(1000, 2000) == ()
+    for k in (-1, index.count(0)):
+        with pytest.raises(IndexError):
+            index.monomial(0, k)
+    with pytest.raises(IndexError):
+        index.monomial(1001, 0)
+
+
+@pytest.mark.parametrize("cap", [0, 3, 6])
+def test_basis_index_counts_rank_12_without_enumerating(cap):
+    index = basis_index(RANK12, Ring.LOOP, cap)
+    total = sum(index.count(deg) for deg in index.degrees)
+    assert total == 2 ** 12 * comb(12 + cap, 12)
+    if cap == 6:
+        assert total == 76_038_144
+    last = index.degrees[-1]
+    assert index.monomial(last, index.count(last) - 1) == Monomial((), (0,) * 11 + (cap,))
 
 
 # -- rendering ----------------------------------------------------------------

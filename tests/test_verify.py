@@ -101,6 +101,12 @@ def test_full_suite_at_200_trials_passes():
     assert all(r.status == "pass" for r in reports)
 
 
+def test_bv_identity_passes_at_rank_12():
+    model = ModelSpec("exterior:3,5,...,25", tuple(range(3, 26, 2)))
+    reports = run_suite(model, 3, 42, ["bv-identity"])
+    assert [(r.identity, r.status) for r in reports] == [("bv-identity", "pass")]
+
+
 def test_selection_returns_single_report_in_catalog_order():
     reports = run_suite(SU3, 200, 42, selection={"eq-4.15-jacobi-extended"})
     assert len(reports) == 1
