@@ -134,20 +134,25 @@ def _cmd_table(args) -> int:
         for b in _basis_monomials(model, Ring.LOOP, args.max_degree, args.max_exp):
             print("Delta(%s) = %s" % (show(b), show(bv_delta(b))))
         return 0
+
+    def shown(ring):
+        """The basis as (element, text) pairs: each argument is rendered once."""
+        return [(x, show(x)) for x in _basis_monomials(model, ring, args.max_degree, args.max_exp)]
+
     if args.op in ("product", "bracket"):
         apply = loop_bracket if args.op == "bracket" else lambda x, y: x * y
         name = args.op
-        basis = list(_basis_monomials(model, Ring.LOOP, args.max_degree, args.max_exp))
-        for b in basis:
-            for c in basis:
-                print("%s(%s, %s) = %s" % (name, show(b), show(c), show(apply(b, c))))
+        basis = shown(Ring.LOOP)
+        for b, b_text in basis:
+            for c, c_text in basis:
+                print("%s(%s, %s) = %s" % (name, b_text, c_text, show(apply(b, c))))
         return 0
     if args.op == "cap":
-        coh_basis = list(_basis_monomials(model, Ring.COH, args.max_degree, args.max_exp))
-        loop_basis = list(_basis_monomials(model, Ring.LOOP, args.max_degree, args.max_exp))
-        for w in coh_basis:
-            for b in loop_basis:
-                print("cap(%s, %s) = %s" % (show(w), show(b), show(cap_product(w, b))))
+        coh_basis = shown(Ring.COH)
+        loop_basis = shown(Ring.LOOP)
+        for w, w_text in coh_basis:
+            for b, b_text in loop_basis:
+                print("cap(%s, %s) = %s" % (w_text, b_text, show(cap_product(w, b))))
         return 0
     return _fail("unknown table op %r" % args.op)
 

@@ -15,9 +15,7 @@ inverse realises base cohomology classes as constant-loop homology classes.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .kernel import AlgebraError, Element, ModelSpec, Monomial, Ring, sign_pow
+from .kernel import AlgebraError, Element, ModelSpec, Monomial, Ring, _tuple_new, sign_pow
 from .loop import is_constant_loop_class
 
 
@@ -57,11 +55,11 @@ def coh_delta(x: Element) -> Element:
             odds = mono.odds[:pos] + mono.odds[pos + 1:]
             exps = list(mono.exps)
             exps[i - 1] += 1
-            new = Monomial(odds, tuple(exps))
+            new = _tuple_new(Monomial, (odds, tuple(exps)))
             # the derivation passes over `pos` odd generators; v_i is even,
             # so sliding it into the exponent block costs nothing
             contrib = coeff * sign_pow(pos)
-            acc = out.get(new, Fraction(0)) + contrib
+            acc = out.get(new, 0) + contrib
             if acc == 0:
                 out.pop(new, None)
             else:

@@ -7,10 +7,17 @@ generators, realised in three gradings ("rings"):
 * cohomology      -- odd generator alpha_i of degree d_i, even v_i of degree d_i - 1,
 * base cohomology -- the exterior subring on the alpha_i alone.
 
-All coefficients are exact `fractions.Fraction`s; equality is exact.  Signs
-are produced by the Koszul rule (-1)^{pq} on parities, where the parity of a
-generator is its kind (odd/even), never its degree: loop-homology degrees are
-negative for the a_i but their parity is odd.
+Coefficients are exact rationals: every entry point (`Element(...)`,
+`scale`, `unit`, `generator`, `Element.monomial`, `random_element`) stores
+an integral value as an `int` and any other as a `fractions.Fraction`, so
+the integer structure constants of the operators stay in `int` arithmetic.
+Arithmetic on non-integral coefficients may leave a `Fraction` with
+denominator 1; it compares, hashes and prints exactly as the `int` does, so
+equality and rendering do not depend on the type.
+
+Signs are produced by the Koszul rule (-1)^{pq} on parities, where the parity
+of a generator is its kind (odd/even), never its degree: loop-homology
+degrees are negative for the a_i but their parity is odd.
 
 Elements are immutable after construction and all operations are pure, so
 models and elements can be shared freely across threads or workers.
@@ -67,6 +74,14 @@ class ModelSpec:
                     % (self.name, pos, deg)
                 )
 
+    def __eq__(self, other):
+        # every Element operation compares models, which are nearly always shared
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.generator_degrees) == (other.name, other.generator_degrees)
+
     @property
     def rank(self) -> int:
         return len(self.generator_degrees)
@@ -113,6 +128,11 @@ class Monomial(NamedTuple):
     exps: tuple[int, ...]
 
 
+# The engine builds its own monomials with _tuple_new(Monomial, (odds, exps)),
+# which skips the NamedTuple's Python-level __new__.
+_tuple_new = tuple.__new__
+
+
 def _unit_monomial(model: ModelSpec) -> Monomial:
     return Monomial((), (0,) * model.rank)
 
@@ -154,7 +174,7 @@ def _mono_mul(a: Monomial, b: Monomial):
     if sign == 0:
         return 0, None
     exps = tuple(x + y for x, y in zip(a.exps, b.exps))
-    return sign, Monomial(odds, exps)
+    return sign, _tuple_new(Monomial, (odds, exps))
 
 
 def _multiply_into(acc: dict, left: Mapping, right: Mapping) -> dict:
@@ -233,11 +253,12 @@ ANY_DEGREE = DegreeMarker("any-degree")
 INHOMOGENEOUS = DegreeMarker("inhomogeneous")
 
 
-def _as_fraction(q) -> Fraction:
-    if isinstance(q, Fraction):
-        return q
+def _as_coefficient(q) -> int | Fraction:
+    """An exact rational as an `int` when integral, else as a `Fraction`."""
     if isinstance(q, int):
-        return Fraction(q)
+        return int(q)
+    if isinstance(q, Fraction):
+        return q.numerator if q.denominator == 1 else q
     raise AlgebraError("coefficients must be exact rationals, got %r" % (q,))
 
 
@@ -245,20 +266,21 @@ class Element:
     """A finite rational linear combination of monomials in one ring.
 
     Stored terms never carry a zero coefficient and every monomial is
-    canonical, so `==` is exact coefficient-wise comparison.  Instances are
+    canonical, so `==` is exact coefficient-wise comparison.  Coefficients
+    are `int` or `Fraction` (see the module docstring).  Instances are
     treated as immutable; arithmetic returns fresh elements.
     """
 
     __slots__ = ("model", "ring", "terms")
 
-    def __init__(self, model: ModelSpec, ring: Ring, terms: Mapping[Monomial, Fraction] | None = None):
+    def __init__(self, model: ModelSpec, ring: Ring, terms: Mapping[Monomial, int | Fraction] | None = None):
         self.model = model
         self.ring = ring
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, int | Fraction] = {}
         if terms:
             r = model.rank
             for mono, coeff in terms.items():
-                coeff = _as_fraction(coeff)
+                coeff = _as_coefficient(coeff)
                 if coeff == 0:
                     continue
                 if not isinstance(mono, Monomial):
@@ -279,12 +301,13 @@ class Element:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _of(cls, model: ModelSpec, ring: Ring, terms: dict[Monomial, Fraction]) -> "Element":
+    def _of(cls, model: ModelSpec, ring: Ring, terms: dict[Monomial, int | Fraction]) -> "Element":
         """Trusted constructor for terms the engine built itself.
 
         `terms` must already be clean: canonical monomials of this model and
-        ring, nonzero `Fraction` coefficients.  The new element takes
-        ownership of the dict, so the caller must not mutate it afterwards.
+        ring, nonzero coefficients (integral ones as `int`).  The new element
+        takes ownership of the dict, so the caller must not mutate it
+        afterwards.
         """
         out = object.__new__(cls)
         out.model, out.ring, out.terms = model, ring, terms
@@ -296,7 +319,7 @@ class Element:
 
     @classmethod
     def unit(cls, model: ModelSpec, ring: Ring) -> "Element":
-        return cls._of(model, ring, {_unit_monomial(model): Fraction(1)})
+        return cls._of(model, ring, {_unit_monomial(model): 1})
 
     @classmethod
     def generator(cls, model: ModelSpec, ring: Ring, kind: str, index: int) -> "Element":
@@ -315,11 +338,11 @@ class Element:
             mono = Monomial((), tuple(exps))
         else:
             raise AlgebraError("generator kind must be 'odd' or 'even', got %r" % kind)
-        return cls._of(model, ring, {mono: Fraction(1)})
+        return cls._of(model, ring, {mono: 1})
 
     @classmethod
     def monomial(cls, model: ModelSpec, ring: Ring, mono: Monomial, coeff=1) -> "Element":
-        return cls(model, ring, {mono: _as_fraction(coeff)})
+        return cls(model, ring, {mono: coeff})
 
     # -- predicates and grading -------------------------------------------
 
@@ -342,7 +365,7 @@ class Element:
         return self.degree() is not INHOMOGENEOUS
 
     def homogeneous_components(self) -> dict[int, "Element"]:
-        buckets: dict[int, dict[Monomial, Fraction]] = {}
+        buckets: dict[int, dict[Monomial, int | Fraction]] = {}
         for mono, coeff in self.terms.items():
             buckets.setdefault(_mono_degree(self.model, self.ring, mono), {})[mono] = coeff
         return {
@@ -350,8 +373,8 @@ class Element:
             for deg, terms in sorted(buckets.items())
         }
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
+    def coefficient(self, mono: Monomial) -> int | Fraction:
+        return self.terms.get(mono, 0)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -389,7 +412,7 @@ class Element:
         return self + (-other)
 
     def scale(self, q) -> "Element":
-        q = _as_fraction(q)
+        q = _as_coefficient(q)
         terms = {} if q == 0 else {m: q * c for m, c in self.terms.items()}
         return Element._of(self.model, self.ring, terms)
 
@@ -430,11 +453,14 @@ class Element:
     def render(self, unicode: bool = False) -> str:
         if not self.terms:
             return "0"
-        def sort_key(item):
-            mono, _ = item
-            return (_mono_degree(self.model, self.ring, mono), mono.odds, mono.exps)
+        items = self.terms.items()
+        if len(items) > 1:
+            def sort_key(item):
+                mono, _ = item
+                return (_mono_degree(self.model, self.ring, mono), mono.odds, mono.exps)
+            items = sorted(items, key=sort_key)
         pieces = []
-        for mono, coeff in sorted(self.terms.items(), key=sort_key):
+        for mono, coeff in items:
             mstr = _mono_str(self.ring, mono, unicode=unicode)
             if mstr == "1":
                 body = str(coeff)
@@ -495,6 +521,9 @@ def sign_pow(n: int) -> int:
 # -- basis index and random elements ----------------------------------------
 
 DEFAULT_EVEN_CAP = 8
+# The index lists all 2^rank odd-index tuples: on a 2-vCPU VM a 1-trial
+# bv-identity check took 2.2 s and 104 MB at rank 18, growing 4x per two ranks.
+MAX_INDEXED_RANK = 20
 
 
 def _exponent_vectors(rank: int, cap: int):
@@ -520,6 +549,12 @@ class BasisIndex:
     """
 
     def __init__(self, model: ModelSpec, ring: Ring, even_cap: int):
+        if model.rank > MAX_INDEXED_RANK:
+            raise AlgebraError(
+                "model %r has rank %d, above the limit of %d for drawing or listing basis "
+                "monomials: the basis index lists all 2^%d odd-generator subsets"
+                % (model.name, model.rank, MAX_INDEXED_RANK, model.rank)
+            )
         degs = model.generator_degrees
         odd_sign = -1 if ring is Ring.LOOP else 1
         subsets = itertools.chain.from_iterable(
@@ -566,7 +601,7 @@ class BasisIndex:
         starts, blocks = self._block_table(deg)
         pos = bisect_right(starts, k) - 1
         odds, vectors = blocks[pos]
-        return Monomial(odds, vectors[k - starts[pos]])
+        return _tuple_new(Monomial, (odds, vectors[k - starts[pos]]))
 
 
 @lru_cache(maxsize=None)
@@ -577,6 +612,10 @@ def basis_index(model: ModelSpec, ring: Ring, even_cap: int) -> BasisIndex:
 
 _COEFF_NUMERATORS = (-3, -2, -1, 1, 2, 3)
 _COEFF_DENOMINATORS = (1, 1, 2, 3)
+# the coefficient of each (numerator, denominator) draw, built once
+_COEFFS = {
+    (n, d): _as_coefficient(Fraction(n, d)) for n in _COEFF_NUMERATORS for d in _COEFF_DENOMINATORS
+}
 
 
 def random_element(
@@ -616,5 +655,5 @@ def random_element(
     terms = {}
     for k in positions:
         mono = index.monomial(deg, k)
-        terms[mono] = Fraction(rng.choice(_COEFF_NUMERATORS), rng.choice(_COEFF_DENOMINATORS))
+        terms[mono] = _COEFFS[rng.choice(_COEFF_NUMERATORS), rng.choice(_COEFF_DENOMINATORS)]
     return Element._of(model, ring, terms)

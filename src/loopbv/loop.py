@@ -31,7 +31,6 @@ these conventions {a_i, u_j} = -delta_ij.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import perm
 
 from .kernel import (
@@ -41,6 +40,7 @@ from .kernel import (
     Monomial,
     Ring,
     _multiply_into,
+    _tuple_new,
     sign_pow,
 )
 
@@ -89,7 +89,8 @@ def _partial_a_terms(terms, index: int, parity: bool = False) -> dict:
         if index in odds:
             pos = odds.index(index)
             flips = pos + len(odds) if parity else pos
-            out[Monomial(odds[:pos] + odds[pos + 1:], mono.exps)] = -coeff if flips % 2 else coeff
+            new = _tuple_new(Monomial, (odds[:pos] + odds[pos + 1:], mono.exps))
+            out[new] = -coeff if flips % 2 else coeff
     return out
 
 
@@ -102,7 +103,7 @@ def _partial_u_terms(terms, index: int, times: int = 1) -> dict:
         k = exps[j]
         if k >= times:
             factor = perm(k, times)
-            new = Monomial(mono.odds, exps[:j] + (k - times,) + exps[j + 1:])
+            new = _tuple_new(Monomial, (mono.odds, exps[:j] + (k - times,) + exps[j + 1:]))
             out[new] = coeff * factor if factor > 1 else coeff
     return out
 
@@ -135,10 +136,10 @@ def bv_delta(b: Element) -> Element:
             odds = mono.odds[:pos] + mono.odds[pos + 1:]
             exps = list(mono.exps)
             exps[i - 1] = k - 1
-            new = Monomial(odds, tuple(exps))
+            new = _tuple_new(Monomial, (odds, tuple(exps)))
             # d/da_i passes over `pos` odd generators; d/du_i brings down k
             contrib = coeff * k * sign_pow(pos)
-            acc = terms.get(new, Fraction(0)) + contrib
+            acc = terms.get(new, 0) + contrib
             if acc == 0:
                 terms.pop(new, None)
             else:

@@ -1159,7 +1159,8 @@ def run_suite(
                 raise AlgebraError(
                     "unknown identity id %r (see the catalog for known ids)" % ident
                 )
-        chosen = [ident for ident in CATALOG if ident in set(chosen)]
+        wanted = set(chosen)
+        chosen = [ident for ident in CATALOG if ident in wanted]
     reports = []
     for ident in chosen:
         case = CATALOG[ident]

@@ -184,6 +184,28 @@ def test_table_refuses_oversized_tables(capsys, model, op, argv):
     assert "lines" in err and "--max-degree" in err and "--max-exp" in err
 
 
+RANK_21 = "exterior:" + ",".join(["1"] * 21)
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--model", RANK_21, "--trials", "1"),
+    ("check", "--model", RANK_21, "--only", "bv-identity", "--trials", "1", "--json"),
+    ("table", "--model", RANK_21, "--op", "delta"),
+    ("table", "--model", RANK_21, "--op", "cap", "--max-degree", "0", "--max-exp", "0"),
+])
+def test_commands_that_index_the_basis_refuse_rank_above_the_limit(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "rank 21" in err and "limit of 20" in err
+
+
+def test_eval_works_above_the_rank_limit(capsys):
+    code, out, err = _run(capsys, "eval", "--model", RANK_21, "bracket(a21, u21^2)")
+    assert code == 0 and err == ""
+    assert out == "-2*u21 : loop-homology, degree 0\n"
+
+
 def test_table_size_is_counted_before_printing(capsys):
     model = resolve_model("su3")
     for op in ("delta", "bracket", "product", "cap"):

@@ -12,6 +12,7 @@ import pytest
 from loopbv.kernel import (
     ANY_DEGREE,
     INHOMOGENEOUS,
+    MAX_INDEXED_RANK,
     AlgebraError,
     Element,
     ModelSpec,
@@ -298,6 +299,102 @@ def test_basis_index_counts_rank_12_without_enumerating(cap):
         assert total == 76_038_144
     last = index.degrees[-1]
     assert index.monomial(last, index.count(last) - 1) == Monomial((), (0,) * 11 + (cap,))
+
+
+@pytest.mark.parametrize("ring", list(Ring))
+def test_basis_index_refuses_rank_above_the_limit_before_listing_subsets(monkeypatch, ring):
+    def listing(*args):
+        raise RuntimeError("listed odd-index subsets")
+
+    monkeypatch.setattr(itertools, "combinations", listing)
+    too_big = ModelSpec("exterior:" + ",".join(["1"] * (MAX_INDEXED_RANK + 1)), (1,) * (MAX_INDEXED_RANK + 1))
+    with pytest.raises(AlgebraError) as info:
+        basis_index(too_big, ring, 2)
+    message = str(info.value)
+    assert "rank %d" % (MAX_INDEXED_RANK + 1) in message
+    assert "limit of %d" % MAX_INDEXED_RANK in message
+    assert "2^%d" % (MAX_INDEXED_RANK + 1) in message
+    with pytest.raises(AlgebraError, match="rank"):
+        random_element(too_big, ring, (-3, 3), 1, 0)
+    # at the limit the index is built: the fake listing is reached
+    at_limit = ModelSpec("at-limit", (1,) * MAX_INDEXED_RANK)
+    with pytest.raises(RuntimeError, match="listed"):
+        basis_index(at_limit, ring, 2)
+
+
+# -- coefficient representation ---------------------------------------------
+
+
+def _assert_int_coefficients(x):
+    assert x.terms and all(type(c) is int for c in x.terms.values()), x.terms
+
+
+def test_entry_points_store_integral_coefficients_as_int():
+    mono = Monomial((1,), (2, 0))
+    half = Fraction(1, 2)
+    _assert_int_coefficients(Element(SU3, Ring.LOOP, {mono: Fraction(4, 2)}))
+    _assert_int_coefficients(Element(SU3, Ring.LOOP, {mono: True}))
+    _assert_int_coefficients(Element.monomial(SU3, Ring.LOOP, mono, Fraction(-6, 3)))
+    _assert_int_coefficients(Element.monomial(SU3, Ring.LOOP, mono))
+    _assert_int_coefficients(Element.unit(SU3, Ring.COH))
+    _assert_int_coefficients(Element.generator(SU3, Ring.LOOP, "even", 2))
+    _assert_int_coefficients(Element.generator(SU3, Ring.BASE, "odd", 1))
+    _assert_int_coefficients(_u(SU3, 1).scale(Fraction(3, 1)))
+    _assert_int_coefficients(Fraction(2) * _a(SU3, 2))
+    assert type(Element.monomial(SU3, Ring.LOOP, mono, half).terms[mono]) is Fraction
+    assert Element.monomial(SU3, Ring.LOOP, mono, half).scale(Fraction(2, 3)).terms[mono] == Fraction(1, 3)
+    assert type(_u(SU3, 1).scale(Fraction(-3, 2)).terms[Monomial((), (1, 0))]) is Fraction
+
+
+def test_random_coefficients_are_int_exactly_when_integral():
+    kinds = set()
+    for trial in range(300):
+        x = random_element(SU3, Ring.LOOP, (-10, 16), 3, "coeff|%d" % trial)
+        for c in x.terms.values():
+            assert type(c) is int or c.denominator != 1, c
+            kinds.add(type(c))
+    assert kinds == {int, Fraction}
+
+
+def test_operators_keep_int_coefficients():
+    from loopbv.cohomology import coh_delta
+    from loopbv.extended import cap
+    from loopbv.loop import bv_delta, loop_bracket
+
+    def integral(ring, seed):
+        """A random element with its coefficients cleared of denominators."""
+        x = random_element(SU3, ring, (-8, 16), 4, seed)
+        return Element(SU3, ring, {m: c * 6 for m, c in x.terms.items()})
+
+    seen = 0
+    for trial in range(40):
+        b, c = integral(Ring.LOOP, "b|%d" % trial), integral(Ring.LOOP, "c|%d" % trial)
+        w = integral(Ring.COH, "w|%d" % trial)
+        for value in (b * c, b + c, -b, b - c, bv_delta(b), loop_bracket(b, c), cap(w, b), coh_delta(w)):
+            if value:
+                _assert_int_coefficients(value)
+                seen += 1
+    assert seen > 200
+
+
+def test_int_and_fraction_coefficients_are_interchangeable():
+    mono = Monomial((1,), (0, 3))
+    as_int = Element(SU3, Ring.LOOP, {mono: 2, Monomial((), (1, 0)): -1})
+    as_fraction = Element(SU3, Ring.LOOP, {mono: Fraction(2), Monomial((), (1, 0)): Fraction(-1)})
+    assert as_int == as_fraction and equal(as_int, as_fraction)
+    assert as_int.render() == as_fraction.render() == "-u1 + 2*a1*u2^3"
+    assert as_int.render(unicode=True) == as_fraction.render(unicode=True)
+    # arithmetic may leave a Fraction with denominator 1; it behaves as the int
+    mixed = Element(SU3, Ring.LOOP, {mono: Fraction(1, 2)}) + Element(SU3, Ring.LOOP, {mono: Fraction(3, 2)})
+    assert mixed == Element.monomial(SU3, Ring.LOOP, mono, 2)
+    assert mixed.render() == "2*a1*u2^3"
+
+
+def test_coefficient_of_a_missing_monomial_is_int_zero():
+    x = _a(SU3, 1) * _u(SU3, 2)
+    assert x.coefficient(Monomial((1,), (0, 1))) == 1
+    missing = x.coefficient(Monomial((2,), (0, 0)))
+    assert missing == 0 and type(missing) is int
 
 
 # -- rendering ----------------------------------------------------------------
