@@ -18,7 +18,9 @@ and the cap has the closed form
 
 which is what `cap` computes.  Passing `bracket=` expands eq. 5.2 with the
 given bracket instead; the catalog identity `eq-5.2-nested-brackets` checks
-the closed form against the nested brackets.
+the closed form against the nested brackets.  The `bracket=` route stays for
+two callers: the `delta-exterior-term` mutation, whose cap must follow its
+own broken bracket, and the benchmark tracer, which counts a cap's brackets.
 
 Extended classes are honest pairs (base cohomology part, loop part); a class
 in cohomological degree k counts as homological degree -k, and all signs use

@@ -52,9 +52,21 @@ def resolve_model(text: str) -> ModelSpec:
     if os.path.exists(text):
         try:
             with open(text, "r", encoding="utf-8") as handle:
-                return ModelSpec.from_json(handle.read())
+                spec = ModelSpec.from_json(handle.read())
         except OSError as exc:
             raise AlgebraError("model file %r is unreadable: %s" % (text, exc)) from exc
+        # reports carry only the model name, and replay resolves a built-in
+        # name to the built-in, so a file may reuse such a name only exactly
+        try:
+            builtin = builtin_model(spec.name)
+        except AlgebraError:  # shaped like a built-in name, such as s4, that none can have
+            builtin = None
+        if builtin is not None and builtin.generator_degrees != spec.generator_degrees:
+            raise AlgebraError(
+                "model file %r is named %r, the built-in model with degrees %s, but lists degrees %s"
+                % (text, spec.name, list(builtin.generator_degrees), list(spec.generator_degrees))
+            )
+        return spec
     raise AlgebraError(
         "unknown model %r (try s3, su3, exterior:3,5,... or a JSON model file)" % text
     )

@@ -6,6 +6,14 @@ Runs are deterministic: the draw for trial t of identity I under seed S
 comes from ``random.Random("S|I|t")``, so a failing report can always be
 replayed bit for bit from (model, seed, identity, trial).
 
+Each algebra law (commutativity, associativity, unit, antisymmetry, the BV
+identity, Poisson, Poisson with a product first, Jacobi, square-zero) is
+written once against a *view*: one algebra's product, bracket, Delta, zero,
+unit and argument lift, bound to an ops bundle.  The views are loop, coh
+(cup and coh_delta) and ext (H^*(M) (+) H_*(LM)).  An identity that is a law
+is one catalog row, ``_law(view, law, *check_labels)``; any other identity
+gets its own ``evaluate(ops, model, args)`` returning (label, lhs, rhs) checks.
+
 A registry of deliberately broken primitive bundles ("mutations": one sign
 flipped or one term dropped in Delta, the bracket, the product, the cap, or
 the cohomology Delta) exists so tests can confirm the suite actually detects
@@ -18,7 +26,8 @@ import json
 import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable
+from operator import mul
+from typing import Callable, NamedTuple
 
 from .kernel import (
     AlgebraError,
@@ -73,10 +82,6 @@ class IdentityCase:
     statement: str
     args: tuple[ArgSpec, ...]
     evaluate: Callable  # (ops, model, args) -> list of (label, lhs, rhs)
-
-    @property
-    def arity(self) -> int:
-        return len(self.args)
 
 
 @dataclass
@@ -202,20 +207,134 @@ def _draw(spec: ArgSpec, model: ModelSpec, rng: random.Random):
 
 
 # ---------------------------------------------------------------------------
+# algebra views and the laws written once against them
+
+_LOOP1 = (ArgSpec("loop"),)
+_LOOP2 = _LOOP1 * 2
+_LOOP3 = _LOOP1 * 3
+_EXT1 = (ArgSpec("ext"),)
+_EXT2 = _EXT1 * 2
+_EXT3 = _EXT1 * 3
+_BASE_LOOP2 = (ArgSpec("base"),) + _LOOP2
+_BASE2_LOOP = (ArgSpec("base"), ArgSpec("base")) + _LOOP1
+
+
+class _View(NamedTuple):
+    """The operations a law uses, bound to one ops bundle and one model."""
+
+    product: Callable
+    bracket: Callable | None
+    delta: Callable
+    zero: Callable  # () -> the zero class, made only when a law asks
+    unit: Callable  # () -> the unit class, likewise
+    lift: Callable  # a drawn argument -> an element of this algebra
+
+
+def _same(x):
+    return x
+
+
+def _loop_view(ops, model) -> _View:
+    return _View(
+        ops.product, ops.bracket, ops.delta,
+        lambda: Element.zero(model, Ring.LOOP), lambda: Element.unit(model, Ring.LOOP), _same,
+    )
+
+
+def _coh_view(ops, model) -> _View:
+    """Cup product and coh_delta; coh_delta is a derivation, so no bracket."""
+    return _View(
+        mul, None, ops.coh_delta,
+        lambda: Element.zero(model, Ring.COH), lambda: Element.unit(model, Ring.COH), _same,
+    )
+
+
+def _ext_lift(x) -> ExtendedClass:
+    """A base class x as (x, 0), a loop class b as (0, b), an extended class as itself."""
+    if isinstance(x, ExtendedClass):
+        return x
+    return ExtendedClass.from_loop(x) if x.ring is Ring.LOOP else ExtendedClass.from_coh(x)
+
+
+def _ext_view(ops, model) -> _View:
+    return _View(
+        lambda x, y: extended_product(x, y, ops=ops),
+        lambda x, y: extended_bracket(x, y, ops=ops),
+        lambda x: extended_delta(x, ops=ops),
+        lambda: ExtendedClass.zero(model), lambda: ExtendedClass.unit(model), _ext_lift,
+    )
+
+
+def _commutativity(v, x, y):
+    return [(v.product(x, y), v.product(y, x).scale(sign_pow(_hdeg(x) * _hdeg(y))))]
+
+
+def _associativity(v, x, y, z):
+    return [(v.product(v.product(x, y), z), v.product(x, v.product(y, z)))]
+
+
+def _unit(v, x):
+    one = v.unit()
+    return [(v.product(one, x), x), (v.product(x, one), x)]
+
+
+def _antisymmetry(v, x, y):
+    return [(v.bracket(x, y), v.bracket(y, x).scale(-sign_pow((_hdeg(x) + 1) * (_hdeg(y) + 1))))]
+
+
+def _bv_identity(v, x, y):
+    s = sign_pow(_hdeg(x))
+    lhs = v.delta(v.product(x, y))
+    rhs = (
+        v.product(v.delta(x), y)
+        + v.product(x, v.delta(y)).scale(s)
+        + v.bracket(x, y).scale(s)
+    )
+    return [(lhs, rhs)]
+
+
+def _poisson(v, x, y, z):
+    lhs = v.bracket(x, v.product(y, z))
+    rhs = v.product(v.bracket(x, y), z) + v.product(y, v.bracket(x, z)).scale(
+        sign_pow(_hdeg(y) * (_hdeg(x) + 1))
+    )
+    return [(lhs, rhs)]
+
+
+def _poisson_product_first(v, x, y, z):
+    """Poisson with the product in the first slot: {x.y,z} = x.{y,z} + (-1)^{|x||y|} y.{x,z}."""
+    lhs = v.bracket(v.product(x, y), z)
+    rhs = v.product(x, v.bracket(y, z)) + v.product(y, v.bracket(x, z)).scale(
+        sign_pow(_hdeg(x) * _hdeg(y))
+    )
+    return [(lhs, rhs)]
+
+
+def _jacobi(v, x, y, z):
+    lhs = v.bracket(x, v.bracket(y, z))
+    rhs = v.bracket(v.bracket(x, y), z) + v.bracket(y, v.bracket(x, z)).scale(
+        sign_pow((_hdeg(x) + 1) * (_hdeg(y) + 1))
+    )
+    return [(lhs, rhs)]
+
+
+def _square_zero(v, x):
+    return [(v.delta(v.delta(x)), v.zero())]
+
+
+def _law(view, law, *labels):
+    """The `evaluate` of a catalog row: `law` on the arguments lifted into `view`, one label per check."""
+
+    def evaluate(ops, model, args):
+        v = view(ops, model)
+        sides = law(v, *map(v.lift, args))
+        return [(label, lhs, rhs) for label, (lhs, rhs) in zip(labels, sides, strict=True)]
+
+    return evaluate
+
+
+# ---------------------------------------------------------------------------
 # identity evaluators
-
-_LOOP2 = (ArgSpec("loop"), ArgSpec("loop"))
-_LOOP3 = (ArgSpec("loop"), ArgSpec("loop"), ArgSpec("loop"))
-_EXT2 = (ArgSpec("ext"), ArgSpec("ext"))
-_EXT3 = (ArgSpec("ext"), ArgSpec("ext"), ArgSpec("ext"))
-
-
-def _xc(w: Element) -> ExtendedClass:
-    return ExtendedClass.from_coh(w)
-
-
-def _xl(b: Element) -> ExtendedClass:
-    return ExtendedClass.from_loop(b)
 
 
 def _ev_model_structure(ops, model, args):
@@ -245,74 +364,6 @@ def _ev_model_structure(ops, model, args):
             checks.append(("v%dv%d = v%dv%d" % (i, j, j, i), vi * vj, vj * vi))
             checks.append(("a%da%d = -a%da%d" % (i, j, j, i), ops.product(ai, aj), -ops.product(aj, ai)))
     return checks
-
-
-def _ev_loop_commutativity(ops, model, args):
-    b, c = args
-    return [
-        (
-            "b*c = (-1)^{|b||c|} c*b",
-            ops.product(b, c),
-            ops.product(c, b).scale(sign_pow(_hdeg(b) * _hdeg(c))),
-        )
-    ]
-
-
-def _ev_loop_associativity(ops, model, args):
-    b, c, e = args
-    return [("(b*c)*e = b*(c*e)", ops.product(ops.product(b, c), e), ops.product(b, ops.product(c, e)))]
-
-
-def _ev_loop_unit(ops, model, args):
-    (b,) = args
-    one = Element.unit(model, Ring.LOOP)
-    return [("1*b = b", ops.product(one, b), b), ("b*1 = b", ops.product(b, one), b)]
-
-
-def _ev_bracket_antisymmetry(ops, model, args):
-    b, c = args
-    return [
-        (
-            "{b,c} = -(-1)^{(|b|+1)(|c|+1)} {c,b}",
-            ops.bracket(b, c),
-            ops.bracket(c, b).scale(-sign_pow((_hdeg(b) + 1) * (_hdeg(c) + 1))),
-        )
-    ]
-
-
-def _ev_bv_identity(ops, model, args):
-    b, c = args
-    s = sign_pow(_hdeg(b))
-    lhs = ops.delta(ops.product(b, c))
-    rhs = (
-        ops.product(ops.delta(b), c)
-        + ops.product(b, ops.delta(c)).scale(s)
-        + ops.bracket(b, c).scale(s)
-    )
-    return [("Delta(b*c) = Delta(b)*c + (-1)^{|b|}(b*Delta(c) + {b,c})", lhs, rhs)]
-
-
-def _ev_poisson(ops, model, args):
-    b, c, e = args
-    lhs = ops.bracket(b, ops.product(c, e))
-    rhs = ops.product(ops.bracket(b, c), e) + ops.product(c, ops.bracket(b, e)).scale(
-        sign_pow(_hdeg(c) * (_hdeg(b) + 1))
-    )
-    return [("{b,c*e} = {b,c}*e + (-1)^{|c|(|b|+1)} c*{b,e}", lhs, rhs)]
-
-
-def _ev_jacobi(ops, model, args):
-    b, c, e = args
-    lhs = ops.bracket(b, ops.bracket(c, e))
-    rhs = ops.bracket(ops.bracket(b, c), e) + ops.bracket(c, ops.bracket(b, e)).scale(
-        sign_pow((_hdeg(b) + 1) * (_hdeg(c) + 1))
-    )
-    return [("{b,{c,e}} = {{b,c},e} + (-1)^{(|b|+1)(|c|+1)} {c,{b,e}}", lhs, rhs)]
-
-
-def _ev_delta_squared(ops, model, args):
-    (b,) = args
-    return [("Delta(Delta(b)) = 0", ops.delta(ops.delta(b)), Element.zero(model, Ring.LOOP))]
 
 
 def _ev_delta_constant(ops, model, args):
@@ -358,19 +409,19 @@ def _ev_dual_multiplicative(ops, model, args):
     ]
 
 
-def _ev_base_cap_commutes(ops, model, args):
-    al, x, y = args
-    alf = to_full(al)
-    k = _hdeg(al)
-    lhs = ops.cap(alf, ops.product(x, y))
-    return [
-        ("alpha cap (x*y) = (alpha cap x)*y", lhs, ops.product(ops.cap(alf, x), y)),
-        (
-            "alpha cap (x*y) = (-1)^{|alpha||x|} x*(alpha cap y)",
-            lhs,
-            ops.product(x, ops.cap(alf, y)).scale(sign_pow(k * _hdeg(x))),
-        ),
-    ]
+def _cap_commutes(first_label, second_label):
+    """`evaluate` for alpha cap (x*y) = (alpha cap x)*y = (-1)^{|alpha||x|} x*(alpha cap y)."""
+
+    def evaluate(ops, model, args):
+        al, x, y = args
+        alf = to_full(al)
+        lhs = ops.cap(alf, ops.product(x, y))
+        return [
+            (first_label, lhs, ops.product(ops.cap(alf, x), y)),
+            (second_label, lhs, ops.product(x, ops.cap(alf, y)).scale(sign_pow(_hdeg(al) * _hdeg(x)))),
+        ]
+
+    return evaluate
 
 
 def _ev_coh_delta_derivation(ops, model, args):
@@ -380,46 +431,22 @@ def _ev_coh_delta_derivation(ops, model, args):
     return [("coh_delta(x cup y) = coh_delta(x) cup y + (-1)^{|x|} x cup coh_delta(y)", lhs, rhs)]
 
 
-def _ev_coh_delta_squared(ops, model, args):
-    (x,) = args
-    return [("coh_delta(coh_delta(x)) = 0", ops.coh_delta(ops.coh_delta(x)), Element.zero(model, Ring.COH))]
+def _cap_derivation(over, shift, label):
+    """`evaluate` for: Dalpha cap - is a derivation of degree |alpha|-1 of the
+    loop operation `over` ("product" or "bracket"), whose operands count with
+    degree shifted by `shift` (0 for the product, 1 for the bracket)."""
 
+    def evaluate(ops, model, args):
+        al, b, c = args
+        op = getattr(ops, over)
+        da = ops.coh_delta(to_full(al))
+        lhs = ops.cap(da, op(b, c))
+        rhs = op(ops.cap(da, b), c) + op(b, ops.cap(da, c)).scale(
+            sign_pow((_hdeg(al) - 1) * (_hdeg(b) + shift))
+        )
+        return [(label, lhs, rhs)]
 
-def _ev_cap_commutes_product(ops, model, args):
-    al, b, c = args
-    alf = to_full(al)
-    k = _hdeg(al)
-    lhs = ops.cap(alf, ops.product(b, c))
-    return [
-        ("alpha cap (b*c) = (alpha cap b)*c", lhs, ops.product(ops.cap(alf, b), c)),
-        (
-            "alpha cap (b*c) = (-1)^{|alpha||b|} b*(alpha cap c)",
-            lhs,
-            ops.product(b, ops.cap(alf, c)).scale(sign_pow(k * _hdeg(b))),
-        ),
-    ]
-
-
-def _ev_cap_derivation(ops, model, args):
-    al, b, c = args
-    da = ops.coh_delta(to_full(al))
-    k = _hdeg(al)
-    lhs = ops.cap(da, ops.product(b, c))
-    rhs = ops.product(ops.cap(da, b), c) + ops.product(b, ops.cap(da, c)).scale(
-        sign_pow((k - 1) * _hdeg(b))
-    )
-    return [("Dalpha cap (b*c) = (Dalpha cap b)*c + (-1)^{(|alpha|-1)|b|} b*(Dalpha cap c)", lhs, rhs)]
-
-
-def _ev_cap_bracket_derivation(ops, model, args):
-    al, b, c = args
-    da = ops.coh_delta(to_full(al))
-    k = _hdeg(al)
-    lhs = ops.cap(da, ops.bracket(b, c))
-    rhs = ops.bracket(ops.cap(da, b), c) + ops.bracket(b, ops.cap(da, c)).scale(
-        sign_pow((k - 1) * (_hdeg(b) + 1))
-    )
-    return [("Dalpha cap {b,c} = {Dalpha cap b,c} + (-1)^{(|alpha|-1)(|b|+1)} {b,Dalpha cap c}", lhs, rhs)]
+    return evaluate
 
 
 def _ev_delta_cap_derivation(ops, model, args):
@@ -493,205 +520,49 @@ def _ev_nested_brackets(ops, model, args):
 
 def _ev_intertwiner(ops, model, args):
     al, b = args
+    ext = _ext_view(ops, model)
+    A, B = map(ext.lift, args)
     a_dual = poincare_dual_inverse(al)
     return [
-        (
-            "{(alpha,0),(0,b)} = (0,{Dinv(alpha),b})",
-            extended_bracket(_xc(al), _xl(b), ops=ops),
-            _xl(ops.bracket(a_dual, b)),
-        ),
-        (
-            "(alpha,0)*(0,b) = (0,Dinv(alpha)*b)",
-            extended_product(_xc(al), _xl(b), ops=ops),
-            _xl(ops.product(a_dual, b)),
-        ),
+        ("{(alpha,0),(0,b)} = (0,{Dinv(alpha),b})", ext.bracket(A, B), ext.lift(ops.bracket(a_dual, b))),
+        ("(alpha,0)*(0,b) = (0,Dinv(alpha)*b)", ext.product(A, B), ext.lift(ops.product(a_dual, b))),
     ]
 
 
 def _ev_def_mixed_conventions(ops, model, args):
     al, b, be = args
-    A, B, C = _xc(al), _xl(b), _xc(be)
+    ext = _ext_view(ops, model)
+    A, B, C = map(ext.lift, args)
     k, n = _hdeg(al), _hdeg(b)
-    ab = extended_product(A, B, ops=ops)
-    br = extended_bracket(A, B, ops=ops)
+    ab = ext.product(A, B)
+    br = ext.bracket(A, B)
     return [
-        ("alpha.b = alpha cap b", ab, _xl(ops.cap(to_full(al), b))),
+        ("alpha.b = alpha cap b", ab, ext.lift(ops.cap(to_full(al), b))),
         (
             "{alpha,b} = (-1)^{|alpha|} Dalpha cap b",
             br,
-            _xl(ops.cap(ops.coh_delta(to_full(al)), b).scale(sign_pow(k))),
+            ext.lift(ops.cap(ops.coh_delta(to_full(al)), b).scale(sign_pow(k))),
         ),
-        ("b.alpha = (-1)^{|alpha||b|} alpha.b", extended_product(B, A, ops=ops), ab.scale(sign_pow(k * n))),
+        ("b.alpha = (-1)^{|alpha||b|} alpha.b", ext.product(B, A), ab.scale(sign_pow(k * n))),
         (
             "{b,alpha} = -(-1)^{(|alpha|+1)(|b|+1)} {alpha,b}",
-            extended_bracket(B, A, ops=ops),
+            ext.bracket(B, A),
             br.scale(-sign_pow((k + 1) * (n + 1))),
         ),
-        ("{alpha,beta} = 0", extended_bracket(A, C, ops=ops), ExtendedClass.zero(model)),
-    ]
-
-
-def _ext_poisson_checks(ops, model, x, y, z, label):
-    lhs = extended_bracket(x, extended_product(y, z, ops=ops), ops=ops)
-    rhs = extended_product(extended_bracket(x, y, ops=ops), z, ops=ops) + extended_product(
-        y, extended_bracket(x, z, ops=ops), ops=ops
-    ).scale(sign_pow(_hdeg(y) * (_hdeg(x) + 1)))
-    return [(label, lhs, rhs)]
-
-
-def _ext_jacobi_checks(ops, model, x, y, z, label):
-    lhs = extended_bracket(x, extended_bracket(y, z, ops=ops), ops=ops)
-    rhs = extended_bracket(extended_bracket(x, y, ops=ops), z, ops=ops) + extended_bracket(
-        y, extended_bracket(x, z, ops=ops), ops=ops
-    ).scale(sign_pow((_hdeg(x) + 1) * (_hdeg(y) + 1)))
-    return [(label, lhs, rhs)]
-
-
-def _ev_eq_4_11(ops, model, args):
-    al, be, c = args
-    return _ext_poisson_checks(
-        ops, model, _xc(al), _xc(be), _xl(c),
-        "{alpha,beta.c} = {alpha,beta}.c + (-1)^{|beta|(|alpha|+1)} beta.{alpha,c}",
-    )
-
-
-def _ev_eq_4_12(ops, model, args):
-    al, be, c = args
-    x, y, z = _xc(al), _xc(be), _xl(c)
-    lhs = extended_bracket(extended_product(x, y, ops=ops), z, ops=ops)
-    rhs = extended_product(x, extended_bracket(y, z, ops=ops), ops=ops) + extended_product(
-        y, extended_bracket(x, z, ops=ops), ops=ops
-    ).scale(sign_pow(_hdeg(x) * _hdeg(y)))
-    return [("{alpha cup beta,c} = alpha.{beta,c} + (-1)^{|alpha||beta|} beta.{alpha,c}", lhs, rhs)]
-
-
-def _ev_eq_4_13(ops, model, args):
-    al, b, c = args
-    return _ext_poisson_checks(
-        ops, model, _xc(al), _xl(b), _xl(c),
-        "{alpha,b*c} = {alpha,b}*c + (-1)^{|b|(|alpha|+1)} b*{alpha,c}",
-    )
-
-
-def _ev_eq_4_14(ops, model, args):
-    al, b, c = args
-    x, y, z = _xc(al), _xl(b), _xl(c)
-    lhs = extended_bracket(extended_product(x, y, ops=ops), z, ops=ops)
-    rhs = extended_product(x, extended_bracket(y, z, ops=ops), ops=ops) + extended_product(
-        y, extended_bracket(x, z, ops=ops), ops=ops
-    ).scale(sign_pow(_hdeg(x) * _hdeg(y)))
-    return [("{alpha.b,c} = alpha.{b,c} + (-1)^{|alpha||b|} b.{alpha,c}", lhs, rhs)]
-
-
-def _ev_eq_4_15(ops, model, args):
-    al, be, c = args
-    return _ext_jacobi_checks(
-        ops, model, _xc(al), _xc(be), _xl(c),
-        "{alpha,{beta,c}} = {{alpha,beta},c} + (-1)^{(|alpha|+1)(|beta|+1)} {beta,{alpha,c}}",
-    )
-
-
-def _ev_eq_4_16(ops, model, args):
-    al, b, c = args
-    return _ext_jacobi_checks(
-        ops, model, _xc(al), _xl(b), _xl(c),
-        "{alpha,{b,c}} = {{alpha,b},c} + (-1)^{(|alpha|+1)(|b|+1)} {b,{alpha,c}}",
-    )
-
-
-def _ev_ext_commutativity(ops, model, args):
-    x, y = args
-    return [
-        (
-            "x.y = (-1)^{|x||y|} y.x",
-            extended_product(x, y, ops=ops),
-            extended_product(y, x, ops=ops).scale(sign_pow(_hdeg(x) * _hdeg(y))),
-        )
-    ]
-
-
-def _ev_ext_associativity(ops, model, args):
-    x, y, z = args
-    return [
-        (
-            "(x.y).z = x.(y.z)",
-            extended_product(extended_product(x, y, ops=ops), z, ops=ops),
-            extended_product(x, extended_product(y, z, ops=ops), ops=ops),
-        )
-    ]
-
-
-def _ev_ext_unit(ops, model, args):
-    (x,) = args
-    one = ExtendedClass.unit(model)
-    return [
-        ("(1,0).x = x", extended_product(one, x, ops=ops), x),
-        ("x.(1,0) = x", extended_product(x, one, ops=ops), x),
-    ]
-
-
-def _ev_ext_bv_identity(ops, model, args):
-    x, y = args
-    s = sign_pow(_hdeg(x))
-    lhs = extended_delta(extended_product(x, y, ops=ops), ops=ops)
-    rhs = (
-        extended_product(extended_delta(x, ops=ops), y, ops=ops)
-        + extended_product(x, extended_delta(y, ops=ops), ops=ops).scale(s)
-        + extended_bracket(x, y, ops=ops).scale(s)
-    )
-    return [("D(x.y) = D(x).y + (-1)^{|x|}(x.D(y) + {x,y})", lhs, rhs)]
-
-
-def _ev_ext_poisson(ops, model, args):
-    x, y, z = args
-    return _ext_poisson_checks(
-        ops, model, x, y, z, "{x,y.z} = {x,y}.z + (-1)^{|y|(|x|+1)} y.{x,z}"
-    )
-
-
-def _ev_ext_jacobi(ops, model, args):
-    x, y, z = args
-    return _ext_jacobi_checks(
-        ops, model, x, y, z, "{x,{y,z}} = {{x,y},z} + (-1)^{(|x|+1)(|y|+1)} {y,{x,z}}"
-    )
-
-
-def _ev_ext_antisymmetry(ops, model, args):
-    x, y = args
-    return [
-        (
-            "{x,y} = -(-1)^{(|x|+1)(|y|+1)} {y,x}",
-            extended_bracket(x, y, ops=ops),
-            extended_bracket(y, x, ops=ops).scale(-sign_pow((_hdeg(x) + 1) * (_hdeg(y) + 1))),
-        )
-    ]
-
-
-def _ev_ext_delta_squared(ops, model, args):
-    (x,) = args
-    return [
-        (
-            "D(D(x)) = 0",
-            extended_delta(extended_delta(x, ops=ops), ops=ops),
-            ExtendedClass.zero(model),
-        )
+        ("{alpha,beta} = 0", ext.bracket(A, C), ext.zero()),
     ]
 
 
 def _ev_curious_identity(ops, model, args):
     al, b, c = args
-    A, B, C = _xc(al), _xl(b), _xl(c)
+    ext = _ext_view(ops, model)
+    A, B, C = map(ext.lift, args)
     k, n = _hdeg(al), _hdeg(b)
     sn = sign_pow(n)
-    t1 = extended_bracket(A, extended_product(B, C, ops=ops), ops=ops) + extended_product(
-        A, extended_bracket(B, C, ops=ops), ops=ops
-    ).scale(sn)
-    t2 = extended_product(extended_bracket(A, B, ops=ops), C, ops=ops) + extended_bracket(
-        extended_product(A, B, ops=ops), C, ops=ops
-    ).scale(sn)
+    t1 = ext.bracket(A, ext.product(B, C)) + ext.product(A, ext.bracket(B, C)).scale(sn)
+    t2 = ext.product(ext.bracket(A, B), C) + ext.bracket(ext.product(A, B), C).scale(sn)
     t3 = (
-        extended_product(B, extended_bracket(A, C, ops=ops), ops=ops)
-        + extended_bracket(B, extended_product(A, C, ops=ops), ops=ops).scale(sign_pow(k))
+        ext.product(B, ext.bracket(A, C)) + ext.bracket(B, ext.product(A, C)).scale(sign_pow(k))
     ).scale(sign_pow((k + 1) * n))
     return [
         ("{alpha,b.c} + (-1)^{|b|}alpha.{b,c} = {alpha,b}.c + (-1)^{|b|}{alpha.b,c}", t1, t2),
@@ -724,34 +595,30 @@ def _build_catalog() -> dict[str, IdentityCase]:
             (),
             _ev_model_structure,
         ),
-        IdentityCase("loop-commutativity", "b*c = (-1)^{|b||c|} c*b", _LOOP2, _ev_loop_commutativity),
-        IdentityCase("loop-associativity", "(b*c)*e = b*(c*e)", _LOOP3, _ev_loop_associativity),
-        IdentityCase("loop-unit", "s_star[M] is a two-sided unit", (ArgSpec("loop"),), _ev_loop_unit),
+        IdentityCase("loop-commutativity", "b*c = (-1)^{|b||c|} c*b", _LOOP2,
+                     _law(_loop_view, _commutativity, "b*c = (-1)^{|b||c|} c*b")),
+        IdentityCase("loop-associativity", "(b*c)*e = b*(c*e)", _LOOP3,
+                     _law(_loop_view, _associativity, "(b*c)*e = b*(c*e)")),
+        IdentityCase("loop-unit", "s_star[M] is a two-sided unit", _LOOP1,
+                     _law(_loop_view, _unit, "1*b = b", "b*1 = b")),
         IdentityCase(
-            "bracket-antisymmetry",
-            "{b,c} = -(-1)^{(|b|+1)(|c|+1)} {c,b}",
-            _LOOP2,
-            _ev_bracket_antisymmetry,
+            "bracket-antisymmetry", "{b,c} = -(-1)^{(|b|+1)(|c|+1)} {c,b}", _LOOP2,
+            _law(_loop_view, _antisymmetry, "{b,c} = -(-1)^{(|b|+1)(|c|+1)} {c,b}"),
         ),
         IdentityCase(
-            "bv-identity",
-            "Delta(b*c) = Delta(b)*c + (-1)^{|b|} b*Delta(c) + (-1)^{|b|} {b,c}",
-            _LOOP2,
-            _ev_bv_identity,
+            "bv-identity", "Delta(b*c) = Delta(b)*c + (-1)^{|b|} b*Delta(c) + (-1)^{|b|} {b,c}", _LOOP2,
+            _law(_loop_view, _bv_identity, "Delta(b*c) = Delta(b)*c + (-1)^{|b|}(b*Delta(c) + {b,c})"),
         ),
         IdentityCase(
-            "poisson-identity",
-            "{b,c*e} = {b,c}*e + (-1)^{|c|(|b|+1)} c*{b,e}",
-            _LOOP3,
-            _ev_poisson,
+            "poisson-identity", "{b,c*e} = {b,c}*e + (-1)^{|c|(|b|+1)} c*{b,e}", _LOOP3,
+            _law(_loop_view, _poisson, "{b,c*e} = {b,c}*e + (-1)^{|c|(|b|+1)} c*{b,e}"),
         ),
         IdentityCase(
-            "jacobi-identity",
-            "{b,{c,e}} = {{b,c},e} + (-1)^{(|b|+1)(|c|+1)} {c,{b,e}}",
-            _LOOP3,
-            _ev_jacobi,
+            "jacobi-identity", "{b,{c,e}} = {{b,c},e} + (-1)^{(|b|+1)(|c|+1)} {c,{b,e}}", _LOOP3,
+            _law(_loop_view, _jacobi, "{b,{c,e}} = {{b,c},e} + (-1)^{(|b|+1)(|c|+1)} {c,{b,e}}"),
         ),
-        IdentityCase("delta-squared-zero", "Delta o Delta = 0", (ArgSpec("loop"),), _ev_delta_squared),
+        IdentityCase("delta-squared-zero", "Delta o Delta = 0", _LOOP1,
+                     _law(_loop_view, _square_zero, "Delta(Delta(b)) = 0")),
         IdentityCase(
             "delta-constant-loops",
             "Delta vanishes on constant-loop classes and on the unit",
@@ -786,7 +653,7 @@ def _build_catalog() -> dict[str, IdentityCase]:
             "eq-1.1-base-cap-commutes",
             "alpha cap (x*y) = (alpha cap x)*y = (-1)^{|alpha||x|} x*(alpha cap y) on constant classes",
             (ArgSpec("base"), ArgSpec("exterior"), ArgSpec("exterior")),
-            _ev_base_cap_commutes,
+            _cap_commutes("alpha cap (x*y) = (alpha cap x)*y", "alpha cap (x*y) = (-1)^{|alpha||x|} x*(alpha cap y)"),
         ),
         IdentityCase(
             "eq-4.4-coh-delta-derivation",
@@ -794,29 +661,29 @@ def _build_catalog() -> dict[str, IdentityCase]:
             (ArgSpec("coh"), ArgSpec("coh")),
             _ev_coh_delta_derivation,
         ),
-        IdentityCase(
-            "coh-delta-squared-zero",
-            "coh_delta o coh_delta = 0",
-            (ArgSpec("coh"),),
-            _ev_coh_delta_squared,
-        ),
+        IdentityCase("coh-delta-squared-zero", "coh_delta o coh_delta = 0", (ArgSpec("coh"),),
+                     _law(_coh_view, _square_zero, "coh_delta(coh_delta(x)) = 0")),
         IdentityCase(
             "eq-4.6-cap-commutes-product",
             "cap with a base class graded-commutes with the loop product",
-            (ArgSpec("base"), ArgSpec("loop"), ArgSpec("loop")),
-            _ev_cap_commutes_product,
+            _BASE_LOOP2,
+            _cap_commutes("alpha cap (b*c) = (alpha cap b)*c", "alpha cap (b*c) = (-1)^{|alpha||b|} b*(alpha cap c)"),
         ),
         IdentityCase(
             "eq-4.7-cap-derivation",
             "cap with coh_delta(alpha) is a derivation of the loop product",
-            (ArgSpec("base"), ArgSpec("loop"), ArgSpec("loop")),
-            _ev_cap_derivation,
+            _BASE_LOOP2,
+            _cap_derivation(
+                "product", 0, "Dalpha cap (b*c) = (Dalpha cap b)*c + (-1)^{(|alpha|-1)|b|} b*(Dalpha cap c)"
+            ),
         ),
         IdentityCase(
             "eq-4.10-cap-bracket-derivation",
             "cap with coh_delta(alpha) is a derivation of the loop bracket",
-            (ArgSpec("base"), ArgSpec("loop"), ArgSpec("loop")),
-            _ev_cap_bracket_derivation,
+            _BASE_LOOP2,
+            _cap_derivation(
+                "bracket", 1, "Dalpha cap {b,c} = {Dalpha cap b,c} + (-1)^{(|alpha|-1)(|b|+1)} {b,Dalpha cap c}"
+            ),
         ),
         IdentityCase(
             "eq-4.24-delta-cap-derivation",
@@ -861,53 +728,55 @@ def _build_catalog() -> dict[str, IdentityCase]:
             _ev_def_mixed_conventions,
         ),
         IdentityCase(
-            "eq-4.11-poisson-extended",
-            "extended Poisson: cohomology, cohomology, loop",
-            (ArgSpec("base"), ArgSpec("base"), ArgSpec("loop")),
-            _ev_eq_4_11,
+            "eq-4.11-poisson-extended", "extended Poisson: cohomology, cohomology, loop", _BASE2_LOOP,
+            _law(_ext_view, _poisson, "{alpha,beta.c} = {alpha,beta}.c + (-1)^{|beta|(|alpha|+1)} beta.{alpha,c}"),
         ),
         IdentityCase(
-            "eq-4.12-poisson-extended",
-            "extended Poisson for a cup product in the first slot",
-            (ArgSpec("base"), ArgSpec("base"), ArgSpec("loop")),
-            _ev_eq_4_12,
+            "eq-4.12-poisson-extended", "extended Poisson for a cup product in the first slot", _BASE2_LOOP,
+            _law(
+                _ext_view, _poisson_product_first,
+                "{alpha cup beta,c} = alpha.{beta,c} + (-1)^{|alpha||beta|} beta.{alpha,c}",
+            ),
         ),
         IdentityCase(
-            "eq-4.13-poisson-extended",
-            "extended Poisson: cohomology, loop, loop",
-            (ArgSpec("base"), ArgSpec("loop"), ArgSpec("loop")),
-            _ev_eq_4_13,
+            "eq-4.13-poisson-extended", "extended Poisson: cohomology, loop, loop", _BASE_LOOP2,
+            _law(_ext_view, _poisson, "{alpha,b*c} = {alpha,b}*c + (-1)^{|b|(|alpha|+1)} b*{alpha,c}"),
         ),
         IdentityCase(
-            "eq-4.14-poisson-extended",
-            "extended Poisson for a mixed product in the first slot",
-            (ArgSpec("base"), ArgSpec("loop"), ArgSpec("loop")),
-            _ev_eq_4_14,
+            "eq-4.14-poisson-extended", "extended Poisson for a mixed product in the first slot", _BASE_LOOP2,
+            _law(_ext_view, _poisson_product_first, "{alpha.b,c} = alpha.{b,c} + (-1)^{|alpha||b|} b.{alpha,c}"),
         ),
         IdentityCase(
-            "eq-4.15-jacobi-extended",
-            "extended Jacobi: cohomology, cohomology, loop",
-            (ArgSpec("base"), ArgSpec("base"), ArgSpec("loop")),
-            _ev_eq_4_15,
+            "eq-4.15-jacobi-extended", "extended Jacobi: cohomology, cohomology, loop", _BASE2_LOOP,
+            _law(
+                _ext_view, _jacobi,
+                "{alpha,{beta,c}} = {{alpha,beta},c} + (-1)^{(|alpha|+1)(|beta|+1)} {beta,{alpha,c}}",
+            ),
         ),
         IdentityCase(
-            "eq-4.16-jacobi-extended",
-            "extended Jacobi: cohomology, loop, loop",
-            (ArgSpec("base"), ArgSpec("loop"), ArgSpec("loop")),
-            _ev_eq_4_16,
+            "eq-4.16-jacobi-extended", "extended Jacobi: cohomology, loop, loop", _BASE_LOOP2,
+            _law(_ext_view, _jacobi, "{alpha,{b,c}} = {{alpha,b},c} + (-1)^{(|alpha|+1)(|b|+1)} {b,{alpha,c}}"),
         ),
-        IdentityCase("ext-commutativity", "extended product graded commutativity", _EXT2, _ev_ext_commutativity),
-        IdentityCase("ext-associativity", "extended product associativity", _EXT3, _ev_ext_associativity),
-        IdentityCase("ext-unit", "(1,0) is the extended unit", (ArgSpec("ext"),), _ev_ext_unit),
-        IdentityCase("ext-bv-identity", "extended BV identity", _EXT2, _ev_ext_bv_identity),
-        IdentityCase("ext-poisson", "extended Poisson identity on general classes", _EXT3, _ev_ext_poisson),
-        IdentityCase("ext-jacobi", "extended Jacobi identity on general classes", _EXT3, _ev_ext_jacobi),
-        IdentityCase("ext-bracket-antisymmetry", "extended bracket antisymmetry", _EXT2, _ev_ext_antisymmetry),
-        IdentityCase("ext-delta-squared-zero", "extended BV operator squares to zero", (ArgSpec("ext"),), _ev_ext_delta_squared),
+        IdentityCase("ext-commutativity", "extended product graded commutativity", _EXT2,
+                     _law(_ext_view, _commutativity, "x.y = (-1)^{|x||y|} y.x")),
+        IdentityCase("ext-associativity", "extended product associativity", _EXT3,
+                     _law(_ext_view, _associativity, "(x.y).z = x.(y.z)")),
+        IdentityCase("ext-unit", "(1,0) is the extended unit", _EXT1,
+                     _law(_ext_view, _unit, "(1,0).x = x", "x.(1,0) = x")),
+        IdentityCase("ext-bv-identity", "extended BV identity", _EXT2,
+                     _law(_ext_view, _bv_identity, "D(x.y) = D(x).y + (-1)^{|x|}(x.D(y) + {x,y})")),
+        IdentityCase("ext-poisson", "extended Poisson identity on general classes", _EXT3,
+                     _law(_ext_view, _poisson, "{x,y.z} = {x,y}.z + (-1)^{|y|(|x|+1)} y.{x,z}")),
+        IdentityCase("ext-jacobi", "extended Jacobi identity on general classes", _EXT3,
+                     _law(_ext_view, _jacobi, "{x,{y,z}} = {{x,y},z} + (-1)^{(|x|+1)(|y|+1)} {y,{x,z}}")),
+        IdentityCase("ext-bracket-antisymmetry", "extended bracket antisymmetry", _EXT2,
+                     _law(_ext_view, _antisymmetry, "{x,y} = -(-1)^{(|x|+1)(|y|+1)} {y,x}")),
+        IdentityCase("ext-delta-squared-zero", "extended BV operator squares to zero", _EXT1,
+                     _law(_ext_view, _square_zero, "D(D(x)) = 0")),
         IdentityCase(
             "eq-4.19-curious-identity",
             "three-way symmetric bracket/product identity in extended arithmetic",
-            (ArgSpec("base"), ArgSpec("loop"), ArgSpec("loop")),
+            _BASE_LOOP2,
             _ev_curious_identity,
         ),
         IdentityCase(
@@ -1057,14 +926,10 @@ def _render_value(value) -> str:
     return repr(value)
 
 
-def _evaluate_checks(case: IdentityCase, ops: BVOps, model: ModelSpec, args):
-    return case.evaluate(ops, model, list(args))
-
-
 def _failing_checks(case, ops, model, args):
     return [
         {"check": label, "lhs": _render_value(lhs), "rhs": _render_value(rhs)}
-        for label, lhs, rhs in _evaluate_checks(case, ops, model, args)
+        for label, lhs, rhs in case.evaluate(ops, model, args)
         if lhs != rhs
     ]
 

@@ -129,6 +129,22 @@ def test_check_unknown_identity(capsys):
     assert "unknown identity id" in err
 
 
+def test_check_refuses_model_file_with_a_builtin_name_and_other_degrees(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text('{"name": "su3", "generator_degrees": [3, 7]}', encoding="utf-8")
+    code, out, err = _run(capsys, "check", "--model", str(path), "--trials", "2", "--only", "bv-identity")
+    assert (code, out) == (2, "")
+    assert "named 'su3', the built-in model with degrees [3, 5], but lists degrees [3, 7]" in err
+
+
+def test_check_accepts_model_file_with_a_builtin_name_and_its_degrees(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text('{"name": "su3", "generator_degrees": [3, 5]}', encoding="utf-8")
+    code, out, _ = _run(capsys, "check", "--model", str(path), "--trials", "2", "--only", "bv-identity")
+    assert code == 0
+    assert "1/1 identities passed (model su3, seed 0)" in out
+
+
 def test_check_rejects_bad_trials(capsys):
     with pytest.raises(SystemExit):
         main(["check", "--model", "s3", "--trials", "many"])

@@ -8,6 +8,7 @@ import pytest
 
 from loopbv.kernel import AlgebraError, ModelSpec
 from loopbv.extended import STANDARD_OPS
+from loopbv.models import resolve_model
 from loopbv.verify import (
     CATALOG,
     CheckReport,
@@ -183,6 +184,22 @@ def test_replay_detects_catalog_mismatch():
     )
     with pytest.raises(AlgebraError, match="model mismatch"):
         replay(wrong_model, model=SU3)
+
+
+def test_model_file_reusing_a_builtin_name_needs_its_degrees(tmp_path):
+    # reports store only the name, so replay would silently run the built-in
+    path = tmp_path / "model.json"
+    path.write_text('{"name": "su3", "generator_degrees": [3, 7]}', encoding="utf-8")
+    with pytest.raises(AlgebraError, match=r"named 'su3', the built-in model with degrees \[3, 5\], but lists degrees \[3, 7\]"):
+        resolve_model(str(path))
+    path.write_text('{"name": "su3", "generator_degrees": [3, 5]}', encoding="utf-8")
+    model = resolve_model(str(path))
+    assert model == SU3
+    report = run_suite(model, 20, 9, ["bv-identity"], ops="delta-sign-flip")[0]
+    assert report.failed() and replay(report) == report
+    # no built-in can be named s4, so such a file keeps its own degrees
+    path.write_text('{"name": "s4", "generator_degrees": [5]}', encoding="utf-8")
+    assert resolve_model(str(path)) == ModelSpec("s4", (5,))
 
 
 # -- report serialization ---------------------------------------------------------
