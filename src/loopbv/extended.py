@@ -14,10 +14,18 @@ Bracketing with a_i is -d/du_i, and every d_i is odd, so the sign
 (-1)^{sum_i k_i d_i} cancels against the (-1)^{sum_i k_i} of the derivatives
 and the cap has the closed form
 
-    cap(w, b) = a_T * (prod_i (d/du_i)^{k_i})(b),
+    cap(w, b) = a_T * (prod_i (d/du_i)^{k_i})(b).
 
-which is what `cap` computes.  Passing `bracket=` expands eq. 5.2 with the
-given bracket instead; the catalog identity `eq-5.2-nested-brackets` checks
+`cap` evaluates it on each pair of terms, visiting only the v_i a term of
+omega contains:
+
+    cap(alpha_T v^K, a_S u^E) = [E >= K] * prod_i E_i!/(E_i - K_i)! * a_T a_S u^{E-K},
+
+with a_T a_S carrying the Koszul sign of merging T and S.  It is the
+closed form applied to one term, as (d/du_i)^{K_i} u_i^{E_i} is the falling
+factorial E_i!/(E_i - K_i)! times u_i^{E_i - K_i}, and zero for K_i > E_i.
+Passing `bracket=` expands eq. 5.2 with the given bracket instead
+(`_cap_by_brackets`); the catalog identity `eq-5.2-nested-brackets` checks
 the closed form against the nested brackets.  The `bracket=` route stays for
 two callers: the `delta-exterior-term` mutation, whose cap must follow its
 own broken bracket, and the benchmark tracer, which counts a cap's brackets.
@@ -38,10 +46,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import perm
 from typing import Callable
 
-from .kernel import AlgebraError, Element, ModelSpec, Monomial, Ring, sign_pow
-from .loop import bv_delta, loop_bracket, loop_product, partial_u
+from .kernel import (
+    AlgebraError,
+    Element,
+    ModelSpec,
+    Monomial,
+    Ring,
+    _add_into,
+    _merge_odds,
+    _tuple_new,
+    sign_pow,
+)
+from .loop import bv_delta, loop_bracket, loop_product
 from .loop import a as loop_a
 from .cohomology import coh_delta, to_base, to_full
 
@@ -73,22 +92,47 @@ def cap(omega: Element, b: Element, *, bracket=None) -> Element:
         raise AlgebraError("cap: second argument must be a loop-homology class, got %s" % b.ring.value)
     if omega.model != b.model:
         raise AlgebraError("cap: model mismatch (%r vs %r)" % (omega.model.name, b.model.name))
+    if bracket is not None:
+        return _cap_by_brackets(omega, b, bracket)
+    terms = {}
+    b_items = b.terms.items()
+    for (odds_w, exps_w), coeff_w in omega.terms.items():
+        powers = [(j, k) for j, k in enumerate(exps_w) if k]
+        for (odds_b, exps_b), coeff_b in b_items:
+            factor = 1
+            for j, k in powers:
+                e = exps_b[j]
+                if e < k:
+                    break
+                factor *= perm(e, k)
+            else:
+                sign, odds = _merge_odds(odds_w, odds_b)
+                if not sign:
+                    continue
+                exps = exps_b
+                if powers:
+                    exps = list(exps_b)
+                    for j, k in powers:
+                        exps[j] -= k
+                    exps = tuple(exps)
+                mono = _tuple_new(Monomial, (odds, exps))
+                _add_into(terms, mono, coeff_w * coeff_b * (factor if sign > 0 else -factor))
+    return Element._of(omega.model, Ring.LOOP, terms)
+
+
+def _cap_by_brackets(omega: Element, b: Element, bracket) -> Element:
+    """The cap expanded through `bracket` by eq. 5.2, term by term of omega."""
     model = omega.model
-    if bracket is None:
-        derive = partial_u
-    else:
-        def derive(x, i, k):
-            gen = loop_a(model, i)
-            for _ in range(k):
-                x = bracket(gen, x)
-            return x.scale(sign_pow(k * model.generator_degrees[i - 1]))
     no_exps = (0,) * model.rank
     result = Element.zero(model, Ring.LOOP)
     for mono, coeff in omega.terms.items():
         acted = b
         for i, k in enumerate(mono.exps, start=1):
             if k and acted:
-                acted = derive(acted, i, k)
+                gen = loop_a(model, i)
+                for _ in range(k):
+                    acted = bracket(gen, acted)
+                acted = acted.scale(sign_pow(k * model.generator_degrees[i - 1]))
         if acted:
             a_t = Element._of(model, Ring.LOOP, {Monomial(mono.odds, no_exps): coeff})
             result = result + a_t * acted

@@ -177,29 +177,18 @@ def _mono_mul(a: Monomial, b: Monomial):
     return sign, _tuple_new(Monomial, (odds, exps))
 
 
-def _multiply_into(acc: dict, left: Mapping, right: Mapping) -> dict:
-    """Add the product of two term maps into `acc` and return `acc`.
-
-    Coefficients that cancel to zero are removed, so a clean `acc` stays
-    clean.  Shared by `Element.__mul__` and the closed-form loop bracket,
-    which multiplies derivative terms without building elements for them.
-    """
-    for m1, c1 in left.items():
-        for m2, c2 in right.items():
-            sign, mono = _mono_mul(m1, m2)
-            if sign == 0:
-                continue
-            coeff = c1 * c2 if sign > 0 else -(c1 * c2)
-            prev = acc.get(mono)
-            if prev is None:
-                acc[mono] = coeff
-            else:
-                prev = prev + coeff
-                if prev == 0:
-                    del acc[mono]
-                else:
-                    acc[mono] = prev
-    return acc
+def _add_into(terms: dict, mono: Monomial, coeff) -> None:
+    """Add `coeff` to `terms[mono]`, dropping the entry when it cancels, so
+    that a clean term dict stays clean (see `Element._of`)."""
+    prev = terms.get(mono)
+    if prev is None:
+        terms[mono] = coeff
+    else:
+        prev = prev + coeff
+        if prev == 0:
+            del terms[mono]
+        else:
+            terms[mono] = prev
 
 
 def _mono_degree(model: ModelSpec, ring: Ring, m: Monomial) -> int:
@@ -422,7 +411,14 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._check_compatible(other, "multiply")
-        return Element._of(self.model, self.ring, _multiply_into({}, self.terms, other.terms))
+        terms = {}
+        right = other.terms.items()
+        for m1, c1 in self.terms.items():
+            for m2, c2 in right:
+                sign, mono = _mono_mul(m1, m2)
+                if sign:
+                    _add_into(terms, mono, c1 * c2 if sign > 0 else -(c1 * c2))
+        return Element._of(self.model, self.ring, terms)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -2,7 +2,7 @@
 
 The ring is the free graded-commutative algebra on a_i (odd, degree -d_i)
 and u_i (even, degree d_i - 1); the unit is the class of constant loops.
-Every operator here is built from two partial derivatives:
+The operators are defined by two partial derivatives:
 
 * d/da_i, the left derivation (a factor of -1 for each odd generator
   standing before a_i), `partial_a`;
@@ -27,6 +27,23 @@ exactly these cross terms, so the closed form equals the BV-identity bracket
 
 which the verification catalog checks as the `bv-identity` identity.  With
 these conventions {a_i, u_j} = -delta_ij.
+
+`bv_delta` and `loop_bracket` do not build the derivatives: they apply the
+structure constants to each term, or pair of terms, and visit only the
+generators a term contains.  With pos_S(i) the 0-based position of i in the
+ascending index tuple S and a_S the product of the a_i, i in S, in order,
+
+    {a_S u^E, a_T u^F} = sum_{i in S, F_i > 0} (-1)^{pos_S(i)+|S|} F_i a_{S-i} a_T u^{E+F-e_i}
+                       + sum_{i in T, E_i > 0} (-1)^{pos_T(i)} E_i a_S a_{T-i} u^{E+F-e_i},
+
+where a product a_A a_B carries the Koszul sign of merging A and B.  This
+is the sum over i above term by term: both products of the i-th summand
+land on u^{E+F-e_i}.  `loop_bracket` merges S and T once.  When they are
+disjoint, a_i at position q of the merged tuple gives both sums the sign
+(-1)^{q+|S|} times the sign of the merge.  When they share one index j,
+only i = j survives, and its two summands add up to
+(-1)^{pos_S(j)+|S|} (F_j - E_j) a_{S-j} a_T u^{E+F-e_j}; two shared indices
+leave nothing.
 """
 
 from __future__ import annotations
@@ -39,7 +56,8 @@ from .kernel import (
     ModelSpec,
     Monomial,
     Ring,
-    _multiply_into,
+    _add_into,
+    _merge_odds,
     _tuple_new,
     sign_pow,
 )
@@ -77,42 +95,19 @@ def _check_index(b: Element, index: int, op: str):
         )
 
 
-def _partial_a_terms(terms, index: int, parity: bool = False) -> dict:
-    """Terms of d/da_index; with `parity`, each also times (-1)^{p(source)}.
-
-    Removing a_index maps distinct monomials to distinct monomials, so no
-    coefficients collide.
-    """
-    out = {}
-    for mono, coeff in terms.items():
-        odds = mono.odds
-        if index in odds:
-            pos = odds.index(index)
-            flips = pos + len(odds) if parity else pos
-            new = _tuple_new(Monomial, (odds[:pos] + odds[pos + 1:], mono.exps))
-            out[new] = -coeff if flips % 2 else coeff
-    return out
-
-
-def _partial_u_terms(terms, index: int, times: int = 1) -> dict:
-    """Terms of (d/du_index)^times; injective on the terms it keeps."""
-    out = {}
-    j = index - 1
-    for mono, coeff in terms.items():
-        exps = mono.exps
-        k = exps[j]
-        if k >= times:
-            factor = perm(k, times)
-            new = _tuple_new(Monomial, (mono.odds, exps[:j] + (k - times,) + exps[j + 1:]))
-            out[new] = coeff * factor if factor > 1 else coeff
-    return out
-
-
 def partial_a(b: Element, index: int) -> Element:
     """Left derivative d/da_index: (-1)^pos for the pos odd generators before a_index."""
     _require_loop(b, "partial_a")
     _check_index(b, index, "partial_a")
-    return Element._of(b.model, Ring.LOOP, _partial_a_terms(b.terms, index))
+    # removing a_index maps distinct monomials to distinct monomials
+    terms = {}
+    for mono, coeff in b.terms.items():
+        odds = mono.odds
+        if index in odds:
+            pos = odds.index(index)
+            new = _tuple_new(Monomial, (odds[:pos] + odds[pos + 1:], mono.exps))
+            terms[new] = -coeff if pos % 2 else coeff
+    return Element._of(b.model, Ring.LOOP, terms)
 
 
 def partial_u(b: Element, index: int, times: int = 1) -> Element:
@@ -121,7 +116,17 @@ def partial_u(b: Element, index: int, times: int = 1) -> Element:
     _check_index(b, index, "partial_u")
     if not isinstance(times, int) or times < 0:
         raise AlgebraError("partial_u: times must be a nonnegative integer, got %r" % (times,))
-    return Element._of(b.model, Ring.LOOP, _partial_u_terms(b.terms, index, times))
+    # injective on the terms it keeps
+    terms = {}
+    j = index - 1
+    for mono, coeff in b.terms.items():
+        exps = mono.exps
+        k = exps[j]
+        if k >= times:
+            factor = perm(k, times)
+            new = _tuple_new(Monomial, (mono.odds, exps[:j] + (k - times,) + exps[j + 1:]))
+            terms[new] = coeff * factor if factor > 1 else coeff
+    return Element._of(b.model, Ring.LOOP, terms)
 
 
 def bv_delta(b: Element) -> Element:
@@ -148,23 +153,47 @@ def bv_delta(b: Element) -> Element:
 
 
 def loop_bracket(b: Element, c: Element) -> Element:
-    """{b, c} = sum_i (-1)^{p(b)} (d/da_i b)(d/du_i c) + (d/du_i b)(d/da_i c)."""
+    """{b, c}, one pass over the pairs of terms (see the module docstring)."""
     _require_loop(b, "loop_bracket")
     _require_loop(c, "loop_bracket")
     if b.model != c.model:
         raise AlgebraError("loop_bracket: model mismatch (%r vs %r)" % (b.model.name, c.model.name))
     terms = {}
-    for i in range(1, b.model.rank + 1):
-        left = _partial_a_terms(b.terms, i, parity=True)
-        if left:
-            right = _partial_u_terms(c.terms, i)
-            if right:
-                _multiply_into(terms, left, right)
-        left = _partial_u_terms(b.terms, i)
-        if left:
-            right = _partial_a_terms(c.terms, i)
-            if right:
-                _multiply_into(terms, left, right)
+    c_items = c.terms.items()
+    for (odds_b, exps_b), coeff_b in b.terms.items():
+        size_b = len(odds_b)
+        for (odds_c, exps_c), coeff_c in c_items:
+            sign, odds = _merge_odds(odds_b, odds_c)
+            if sign:
+                # disjoint: a_i at position q of the merge has sign (-1)^{q+|S|} times the merge's
+                if size_b % 2:
+                    sign = -sign
+                hits = []  # (i, signed factor, odd indices of the result)
+                for q, i in enumerate(odds):
+                    k = exps_c[i - 1] if i in odds_b else exps_b[i - 1]
+                    if k:
+                        hits.append((i, k if q % 2 == (sign < 0) else -k, odds[:q] + odds[q + 1:]))
+                if not hits:
+                    continue
+            else:
+                # one shared a_j: only i = j survives, with the factor F_j - E_j
+                shared = [i for i in odds_b if i in odds_c]
+                if len(shared) > 1:
+                    continue
+                j = shared[0]
+                k = exps_c[j - 1] - exps_b[j - 1]
+                if not k:
+                    continue
+                pos = odds_b.index(j)
+                sign, odds = _merge_odds(odds_b[:pos] + odds_b[pos + 1:], odds_c)
+                hits = [(j, k if (pos + size_b) % 2 == (sign < 0) else -k, odds)]
+            coeff = coeff_b * coeff_c
+            summed = [x + y for x, y in zip(exps_b, exps_c)]
+            for i, k, odds in hits:
+                summed[i - 1] -= 1
+                mono = _tuple_new(Monomial, (odds, tuple(summed)))
+                summed[i - 1] += 1
+                _add_into(terms, mono, coeff * k)
     return Element._of(b.model, Ring.LOOP, terms)
 
 

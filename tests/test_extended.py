@@ -25,6 +25,7 @@ S3 = ModelSpec("s3", (3,))
 SU3 = ModelSpec("su3", (3, 5))
 E357 = ModelSpec("e357", (3, 5, 7))
 MODELS = [S3, SU3, E357]
+SU8 = ModelSpec("su8", (3, 5, 7, 9, 11, 13, 15))  # rank 7
 
 
 def _hdeg(x):
@@ -83,13 +84,14 @@ def test_cap_matches_differentiation_oracle(model):
         assert cap(w, b) == cap_oracle(w, b)
 
 
-@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("model", MODELS + [SU8])
 def test_closed_form_cap_matches_bracket_expansion_and_oracle(model):
     rng = random.Random("capexp|%s" % model.name)
     r = model.rank
 
-    def odds():
-        return tuple(sorted(rng.sample(range(1, r + 1), rng.randint(0, r))))
+    def odds(avoid=()):
+        free = [i for i in range(1, r + 1) if i not in avoid]
+        return tuple(sorted(rng.sample(free, rng.randint(0, len(free)))))
 
     def coeff():
         return Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3]))
@@ -100,9 +102,11 @@ def test_closed_form_cap_matches_bracket_expansion_and_oracle(model):
         while len(w_terms) < 3:
             exps = [rng.randint(0, 3) for _ in range(r)]
             exps[rng.randrange(r)] = rng.randint(2, 4)
-            w_terms[(odds(), tuple(exps))] = coeff()
-            # a loop term with u exponents at least these keeps the cap nonzero
-            b_terms[(odds(), tuple(k + rng.randint(0, 2) for k in exps))] = coeff()
+            w_odds = odds()
+            w_terms[(w_odds, tuple(exps))] = coeff()
+            # a loop term with u exponents at least these and no odd index in
+            # common keeps the cap nonzero
+            b_terms[(odds(w_odds), tuple(k + rng.randint(0, 2) for k in exps))] = coeff()
         w = Element(model, Ring.COH, w_terms)
         b = Element(model, Ring.LOOP, b_terms)
         value = cap(w, b)

@@ -170,6 +170,15 @@ def test_bracket_examples():
         assert loop_bracket(a1, u1 ** k) == -k * u1 ** (k - 1)
 
 
+def test_bracket_with_a_shared_odd_generator():
+    # a1 in both arguments: only the i = 1 terms survive, and a1 stays in the result
+    a1, a2, u1 = a(SU3, 1), a(SU3, 2), u(SU3, 1)
+    assert loop_bracket(a1 * u1, a1 * a2) == a1 * a2
+    assert loop_bracket(a1 * a2, a1 * u1) == -(a1 * a2)
+    # two shared odd generators leave nothing
+    assert loop_bracket(a1 * a2 * u1, a1 * a2 * u1).is_zero()
+
+
 def test_bracket_of_generators_matches_partial_derivative_oracle():
     for model in MODELS:
         for i in range(1, model.rank + 1):
@@ -212,7 +221,7 @@ def test_bv_identity_defines_bracket():
             assert lhs == rhs
 
 
-@pytest.mark.parametrize("name", ["s3", "s5", "su3", "exterior:3,5,7"])
+@pytest.mark.parametrize("name", ["s3", "s5", "su3", "exterior:3,5,7", "su7"])
 def test_closed_form_bracket_matches_bv_identity_bracket(name):
     model = resolve_model(name)
     reference = _bracket_from_delta(bv_delta)
