@@ -5,11 +5,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .kernel import AlgebraError, Element, ModelSpec, Ring, basis_index
 from .models import describe_builtins, resolve_model
-from .expr import ExpressionError, describe_value, evaluate, parse
+from .expr import ExpressionError, as_class, describe_value, evaluate
 from .extended import cap as cap_product
 from .extended import loop_intersection
 from .loop import bv_delta, loop_bracket
@@ -36,29 +35,22 @@ def _split_top_level(text: str) -> list[str]:
     return [part.strip() for part in parts if part.strip()]
 
 
-def _json_degree(label: str):
-    try:
-        return int(label)
-    except ValueError:
-        return label
+def _print_value(args, model: ModelSpec, value, **inputs) -> int:
+    """Print `value : ring, degree d`, or with --json one object that also holds `inputs`."""
+    rendered, ring, degree = describe_value(value, unicode=args.unicode)
+    if args.json:
+        if degree not in ("any", "inhomogeneous"):
+            degree = int(degree)
+        payload = dict(inputs, model=model.name, value=rendered, ring=ring, degree=degree)
+        print(json.dumps(payload, sort_keys=True, ensure_ascii=False))
+    else:
+        print("%s : %s, degree %s" % (rendered, ring, degree))
+    return 0
 
 
 def _cmd_eval(args) -> int:
     model = resolve_model(args.model)
-    value = evaluate(parse(args.expr), model)
-    rendered, ring, degree_label = describe_value(value, unicode=args.unicode)
-    if args.json:
-        payload = {
-            "model": model.name,
-            "expr": args.expr,
-            "value": rendered,
-            "ring": ring,
-            "degree": _json_degree(degree_label),
-        }
-        print(json.dumps(payload, sort_keys=True, ensure_ascii=False))
-    else:
-        print("%s : %s, degree %s" % (rendered, ring, degree_label))
-    return 0
+    return _print_value(args, model, evaluate(args.expr, model), expr=args.expr)
 
 
 def _cmd_check(args) -> int:
@@ -160,37 +152,11 @@ def _cmd_table(args) -> int:
 
 def _cmd_intersect(args) -> int:
     model = resolve_model(args.model)
-
-    def eval_classes(text):
-        classes = []
-        for part in _split_top_level(text or ""):
-            value = evaluate(parse(part), model)
-            if isinstance(value, Fraction):
-                value = Element.unit(model, Ring.COH).scale(value)
-            classes.append(value)
-        return classes
-
-    ats = eval_classes(args.at)
-    frees = eval_classes(args.free)
-    family = evaluate(parse(args.family), model)
-    if isinstance(family, Fraction):
-        family = Element.unit(model, Ring.LOOP).scale(family)
-    result = loop_intersection(ats, frees, family)
-    rendered, ring, degree_label = describe_value(result, unicode=args.unicode)
-    if args.json:
-        payload = {
-            "model": model.name,
-            "at": args.at or "",
-            "free": args.free or "",
-            "family": args.family,
-            "value": rendered,
-            "ring": ring,
-            "degree": _json_degree(degree_label),
-        }
-        print(json.dumps(payload, sort_keys=True, ensure_ascii=False))
-    else:
-        print("%s : %s, degree %s" % (rendered, ring, degree_label))
-    return 0
+    ats = [as_class(evaluate(part, model), model, Ring.COH) for part in _split_top_level(args.at)]
+    frees = [as_class(evaluate(part, model), model, Ring.COH) for part in _split_top_level(args.free)]
+    family = as_class(evaluate(args.family, model), model, Ring.LOOP)
+    value = loop_intersection(ats, frees, family)
+    return _print_value(args, model, value, at=args.at, free=args.free, family=args.family)
 
 
 def _cmd_models(args) -> int:

@@ -18,7 +18,19 @@ cross-ring actions must go through the function forms.
 
 Every token and node carries a source position and all diagnostics are
 ``line:col: message``.  Printing a parse tree and reparsing the text yields
-an equal tree (positions are ignored by equality).
+an equal tree (positions are ignored by equality).  Parentheses, function
+calls and unary minus may nest `MAX_NESTING` levels deep; one more is a
+diagnostic at the token that opens it, not a Python stack overflow.
+
+To add a function, give it one `_FUNCTIONS` entry: the engine call and the
+ring and diagnostic label of each argument.  The parser takes the arity
+from the entry and `_eval` coerces the arguments (a scalar becomes that
+multiple of the unit; ring None passes any value) before the call, whose
+`AlgebraError` becomes a diagnostic at the call.  A function of one
+argument sends a scalar c to c*f(1), which `_eval` returns before any
+coercion: c for ``s``, ``D`` and ``Dinv``, 0 for ``Delta``.  ``intersect``
+is the one function whose arguments are not all plain expressions: its
+two class lists are parsed by `_Parser.call` and coerced item by item.
 """
 
 from __future__ import annotations
@@ -141,18 +153,15 @@ class ClassList:
     pos: tuple[int, int] = field(compare=False, default=(0, 0))
 
 
-_FUNCTIONS = {
-    "cap": 2,
-    "bracket": 2,
-    "product": 2,
-    "s": 1,
-    "Delta": 1,
-    "D": 1,
-    "Dinv": 1,
-    "intersect": 3,
+# generator family -> (ring, kind), longest prefix first for the parser
+_GEN_FAMILIES = {
+    "alpha": (Ring.COH, "odd"),
+    "a": (Ring.LOOP, "odd"),
+    "u": (Ring.LOOP, "even"),
+    "v": (Ring.COH, "even"),
 }
 
-_GEN_FAMILIES = ("alpha", "a", "u", "v")  # longest prefix first
+MAX_NESTING = 100  # deeper trees would overflow Python's stack in the parser
 
 
 def _classify_ident(token: Token):
@@ -178,6 +187,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.index = 0
+        self.depth = 0  # open parentheses, calls and unary minus signs
 
     def peek(self) -> Token:
         return self.tokens[self.index]
@@ -193,6 +203,17 @@ class _Parser:
             shown = token.text if token.kind != "EOF" else "end of input"
             raise ExpressionError("expected %s, found %r" % (what, shown), token.line, token.col)
         return self.advance()
+
+    def nest(self, token: Token):
+        """Open one nesting level at `token`; the caller closes it with depth -= 1."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExpressionError(
+                "expression nests deeper than %d levels of parentheses, calls and unary minus"
+                % MAX_NESTING,
+                token.line,
+                token.col,
+            )
 
     def fail_unexpected(self):
         token = self.peek()
@@ -221,7 +242,10 @@ class _Parser:
         token = self.peek()
         if token.kind == "-":
             self.advance()
-            return Neg(self.unary(), (token.line, token.col))
+            self.nest(token)
+            node = Neg(self.unary(), (token.line, token.col))
+            self.depth -= 1
+            return node
         return self.power()
 
     def power(self):
@@ -262,29 +286,33 @@ class _Parser:
             return self.call(token, info)
         if token.kind == "(":
             self.advance()
+            self.nest(token)
             node = self.expr()
             self.expect(")", "')'")
+            self.depth -= 1
             return node
         self.fail_unexpected()
 
     def call(self, token: Token, func: str):
         self.expect("(", "'(' after %r" % func)
+        self.nest(token)
         if func == "intersect":
             first = self.class_list()
             self.expect(",", "','")
             second = self.class_list()
             self.expect(",", "','")
-            family = self.expr()
-            self.expect(")", "')'")
-            return Call(func, (first, second, family), (token.line, token.col))
-        args = [self.expr()]
-        while self.peek().kind == ",":
-            self.advance()
-            args.append(self.expr())
+            args = [first, second, self.expr()]
+        else:
+            args = [self.expr()]
+            while self.peek().kind == ",":
+                self.advance()
+                args.append(self.expr())
         self.expect(")", "')'")
-        if len(args) != _FUNCTIONS[func]:
+        self.depth -= 1
+        arity = len(_FUNCTIONS[func][1])
+        if len(args) != arity:
             raise ExpressionError(
-                "%s expects %d argument(s), got %d" % (func, _FUNCTIONS[func], len(args)),
+                "%s expects %d argument(s), got %d" % (func, arity, len(args)),
                 token.line,
                 token.col,
             )
@@ -353,45 +381,40 @@ def to_text(node) -> str:
 # ---------------------------------------------------------------------------
 # evaluation
 
-_RING_LABEL = {
-    Ring.LOOP: "loop-homology",
-    Ring.COH: "cohomology",
-    Ring.BASE: "base-cohomology",
-}
-
 
 def _err(node, message: str) -> ExpressionError:
     line, col = node.pos
     return ExpressionError(message, line, col)
 
 
-def _ring_of(value) -> str:
-    if isinstance(value, Element):
-        return _RING_LABEL[value.ring]
-    return "scalar"
+def as_class(value, model: ModelSpec, ring: Ring):
+    """A scalar as that multiple of the unit of `ring`; a class unchanged."""
+    return Element.unit(model, ring).scale(value) if isinstance(value, Fraction) else value
 
 
-def _promote_scalar(value, like: Element) -> Element:
-    return Element.unit(like.model, like.ring).scale(value)
+def _as_ring(node, value, model: ModelSpec, ring: Ring, what: str) -> Element:
+    value = as_class(value, model, ring)
+    if value.ring is not ring:
+        raise _err(node, "%s must be a %s class, got %s" % (what, ring.value, value.ring.value))
+    return value
 
 
-def _eval_add(node, lhs, rhs, subtract: bool):
+def _add(lhs, rhs, subtract: bool):
     if isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
         return lhs - rhs if subtract else lhs + rhs
     if isinstance(lhs, Fraction):
-        lhs = _promote_scalar(lhs, rhs)
+        lhs = as_class(lhs, rhs.model, rhs.ring)
     if isinstance(rhs, Fraction):
-        rhs = _promote_scalar(rhs, lhs)
+        rhs = as_class(rhs, lhs.model, lhs.ring)
     if lhs.ring is not rhs.ring:
-        raise _err(
-            node,
+        raise AlgebraError(
             "cannot %s %s and %s classes: sums live in a single ring"
-            % ("subtract" if subtract else "add", _ring_of(lhs), _ring_of(rhs)),
+            % ("subtract" if subtract else "add", lhs.ring.value, rhs.ring.value)
         )
     return lhs - rhs if subtract else lhs + rhs
 
 
-def _eval_mul(node, lhs, rhs):
+def _mul(lhs, rhs):
     if isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
         return lhs * rhs
     if isinstance(lhs, Fraction):
@@ -399,79 +422,41 @@ def _eval_mul(node, lhs, rhs):
     if isinstance(rhs, Fraction):
         return lhs.scale(rhs)
     if lhs.ring is not rhs.ring:
-        raise _err(
-            node,
+        raise AlgebraError(
             "'*' multiplies inside a single ring, got %s and %s; use cap(...) for "
-            "the cohomology action on loop classes" % (_ring_of(lhs), _ring_of(rhs)),
+            "the cohomology action on loop classes" % (lhs.ring.value, rhs.ring.value)
         )
     return lhs * rhs
 
 
-def _as_loop(node, value, model: ModelSpec, what: str) -> Element:
-    if isinstance(value, Fraction):
-        return Element.unit(model, Ring.LOOP).scale(value)
-    if value.ring is not Ring.LOOP:
-        raise _err(node, "%s must be a loop-homology class, got %s" % (what, _ring_of(value)))
-    return value
+_ANY = (None, "")  # an argument passed as it is, scalar or class of any ring
 
-
-def _as_coh(node, value, model: ModelSpec, what: str) -> Element:
-    if isinstance(value, Fraction):
-        return Element.unit(model, Ring.COH).scale(value)
-    if value.ring is Ring.BASE:
-        return to_full(value)
-    if value.ring is not Ring.COH:
-        raise _err(node, "%s must be a cohomology class, got %s" % (what, _ring_of(value)))
-    return value
-
-
-def _eval_call(node, model: ModelSpec, values):
-    func = node.func
-    if func == "product":
-        return _eval_mul(node, values[0], values[1])
-    if func == "bracket":
-        b = _as_loop(node, values[0], model, "bracket argument 1")
-        c = _as_loop(node, values[1], model, "bracket argument 2")
-        return loop_bracket(b, c)
-    if func == "cap":
-        w = _as_coh(node, values[0], model, "cap argument 1")
-        b = _as_loop(node, values[1], model, "cap argument 2")
-        return cap(w, b)
-    if func == "Delta":
-        value = values[0]
-        if isinstance(value, Fraction):
-            return Fraction(0)
-        if value.ring is Ring.LOOP:
-            return bv_delta(value)
-        return coh_delta(to_full(value))
-    if func == "s":
-        value = values[0]
-        if isinstance(value, Fraction):
-            return value
-        value = _as_loop(node, value, model, "s argument")
-        try:
-            return s_star(value)
-        except AlgebraError as exc:
-            raise _err(node, str(exc)) from exc
-    if func == "D":
-        value = values[0]
-        if isinstance(value, Fraction):
-            return value
-        value = _as_loop(node, value, model, "D argument")
-        try:
-            return to_full(poincare_dual(value))
-        except AlgebraError as exc:
-            raise _err(node, str(exc)) from exc
-    if func == "Dinv":
-        value = values[0]
-        if isinstance(value, Fraction):
-            return value
-        value = _as_coh(node, value, model, "Dinv argument")
-        try:
-            return poincare_dual_inverse(value)
-        except AlgebraError as exc:
-            raise _err(node, str(exc)) from exc
-    raise _err(node, "unknown function %r" % func)
+# name -> (engine call, (ring, label) of each argument); see the module
+# docstring.  The lambdas look the engine functions up when they run, so a
+# wrapper installed on this module's names (bench/tracing.py) sees each call.
+_FUNCTIONS = {
+    "product": (_mul, (_ANY, _ANY)),
+    "bracket": (
+        lambda b, c: loop_bracket(b, c),
+        ((Ring.LOOP, "bracket argument 1"), (Ring.LOOP, "bracket argument 2")),
+    ),
+    "cap": (
+        lambda w, b: cap(w, b),
+        ((Ring.COH, "cap argument 1"), (Ring.LOOP, "cap argument 2")),
+    ),
+    "Delta": (lambda x: bv_delta(x) if x.ring is Ring.LOOP else coh_delta(x), (_ANY,)),
+    "s": (lambda x: s_star(x), ((Ring.LOOP, "s argument"),)),
+    "D": (lambda x: to_full(poincare_dual(x)), ((Ring.LOOP, "D argument"),)),
+    "Dinv": (lambda w: poincare_dual_inverse(w), ((Ring.COH, "Dinv argument"),)),
+    "intersect": (
+        lambda ats, frees, family: loop_intersection(ats, frees, family),
+        (
+            (Ring.COH, "intersect basepoint class"),
+            (Ring.COH, "intersect free-time class"),
+            (Ring.LOOP, "intersect family"),
+        ),
+    ),
+}
 
 
 def _eval(node, model: ModelSpec):
@@ -484,44 +469,40 @@ def _eval(node, model: ModelSpec):
                 "unknown identifier for model %r: %s%d (generators are indexed 1..%d)"
                 % (model.name, node.family, node.index, model.rank),
             )
-        if node.family == "a":
-            return Element.generator(model, Ring.LOOP, "odd", node.index)
-        if node.family == "u":
-            return Element.generator(model, Ring.LOOP, "even", node.index)
-        if node.family == "alpha":
-            return Element.generator(model, Ring.COH, "odd", node.index)
-        return Element.generator(model, Ring.COH, "even", node.index)
+        ring, kind = _GEN_FAMILIES[node.family]
+        return Element.generator(model, ring, kind, node.index)
     if isinstance(node, Neg):
-        value = _eval(node.operand, model)
-        return -value
+        return -_eval(node.operand, model)
     if isinstance(node, Pow):
-        value = _eval(node.base, model)
-        return value ** node.exponent
+        return _eval(node.base, model) ** node.exponent
     if isinstance(node, BinOp):
         lhs = _eval(node.left, model)
         rhs = _eval(node.right, model)
-        if node.op == "*":
-            return _eval_mul(node, lhs, rhs)
-        return _eval_add(node, lhs, rhs, subtract=node.op == "-")
-    if isinstance(node, Call):
-        if node.func == "intersect":
-            ats_node, frees_node, family_node = node.args
-            ats = [
-                _as_coh(item, _eval(item, model), model, "intersect basepoint class")
-                for item in ats_node.items
-            ]
-            frees = [
-                _as_coh(item, _eval(item, model), model, "intersect free-time class")
-                for item in frees_node.items
-            ]
-            family = _as_loop(family_node, _eval(family_node, model), model, "intersect family")
-            try:
-                return loop_intersection(ats, frees, family)
-            except AlgebraError as exc:
-                raise _err(node, str(exc)) from exc
-        values = [_eval(arg, model) for arg in node.args]
         try:
-            return _eval_call(node, model, values)
+            return _mul(lhs, rhs) if node.op == "*" else _add(lhs, rhs, node.op == "-")
+        except AlgebraError as exc:
+            raise _err(node, str(exc)) from exc
+    if isinstance(node, Call):
+        entry = _FUNCTIONS.get(node.func)
+        if entry is None:
+            raise _err(node, "unknown function %r" % node.func)
+        call, specs = entry
+        if node.func == "intersect":  # each class is coerced as it is evaluated, at its position
+            ats, frees, family = node.args
+            values = [
+                [_as_ring(item, _eval(item, model), model, *specs[0]) for item in ats.items],
+                [_as_ring(item, _eval(item, model), model, *specs[1]) for item in frees.items],
+                _as_ring(family, _eval(family, model), model, *specs[2]),
+            ]
+        else:
+            values = [_eval(arg, model) for arg in node.args]
+            if len(values) == 1 and isinstance(values[0], Fraction):  # f(c) = c * f(1)
+                return Fraction(0) if node.func == "Delta" else values[0]
+            for i, (ring, what) in enumerate(specs):
+                if ring is not None:
+                    values[i] = _as_ring(node, values[i], model, ring, what)
+        try:
+            return call(*values)
         except AlgebraError as exc:
             raise _err(node, str(exc)) from exc
     raise TypeError("not an expression node: %r" % (node,))
@@ -548,4 +529,4 @@ def describe_value(value, unicode: bool = False) -> tuple[str, str, str]:
         degree_label = "any"
     else:
         degree_label = "inhomogeneous"
-    return value.render(unicode=unicode), _RING_LABEL[value.ring], degree_label
+    return value.render(unicode=unicode), value.ring.value, degree_label

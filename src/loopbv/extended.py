@@ -344,17 +344,19 @@ def loop_intersection(
     omega = Element.unit(model, Ring.COH)
     for pos, w in enumerate(at_basepoint):
         omega = omega * _intersection_class(w, "at_basepoint", pos, model)
-    sign_exp = -len(free_time)
+    frees = []
     for pos, w in enumerate(free_time):
         w = _intersection_class(w, "free_time", pos, model)
-        if w.is_zero():
-            return Element.zero(model, Ring.LOOP)
-        deg = w.degree()
-        if not isinstance(deg, int):
+        if w and not isinstance(w.degree(), int):
             raise AlgebraError(
                 "loop_intersection: free_time[%d] is inhomogeneous; "
                 "its position-dependent sign needs a single degree" % pos
             )
-        sign_exp += (pos + 1) * deg
+        frees.append(w)
+    if not all(frees):  # every entry is checked before a zero class ends the product
+        return Element.zero(model, Ring.LOOP)
+    sign_exp = -len(frees)
+    for pos, w in enumerate(frees):
+        sign_exp += (pos + 1) * w.degree()
         omega = omega * ops.coh_delta(w)
     return ops.cap(omega, family).scale(sign_pow(sign_exp))

@@ -429,8 +429,13 @@ class Element:
         if not isinstance(n, int) or n < 0:
             raise AlgebraError("powers must be nonnegative integers, got %r" % (n,))
         result = Element.unit(self.model, self.ring)
-        for _ in range(n):
-            result = result * self
+        square = self
+        while n:  # square and multiply: about 2*log2(n) products, equal by associativity
+            if n & 1:
+                result = result * square
+            n >>= 1
+            if n:
+                square = square * square
         return result
 
     def __eq__(self, other) -> bool:

@@ -260,6 +260,47 @@ def test_intersect_rejects_non_base(capsys):
     assert "base" in err
 
 
+@pytest.mark.parametrize("free", ["0, u1", "u1, 0"])
+def test_intersect_checks_every_free_class_before_a_zero_one(capsys, free):
+    code, out, err = _run(capsys, "intersect", "--model", "s3", "--free", free,
+                          "--family", "u1^2")
+    bad = free.split(", ").index("u1")
+    assert (code, out) == (2, "")
+    assert err == "error: loop_intersection: free_time[%d] must be a base cohomology class\n" % bad
+
+
+# -- deep nesting -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, text, col",
+    [
+        ("eval", "(" * 200 + "a1" + ")" * 200, 101),
+        ("eval", "(" * 2000 + "a1" + ")" * 2000, 101),
+        ("eval", "-" * 2000 + "a1", 101),
+        ("eval", "s(" * 200 + "a1" + ")" * 200, 201),
+        ("intersect", "(" * 200 + "u1" + ")" * 200, 101),
+    ],
+    ids=["parens-200", "parens-2000", "minus-2000", "calls-200", "intersect-family"],
+)
+def test_deep_nesting_is_a_diagnostic(capsys, command, text, col):
+    argv = ["eval", "--model", "s3", "--", text] if command == "eval" else [
+        "intersect", "--model", "s3", "--family", text]
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: 1:%d: expression nests deeper than 100 levels of parentheses, "
+        "calls and unary minus\n" % col
+    )
+
+
+def test_nesting_up_to_the_limit_evaluates(capsys):
+    for text in ("(" * 100 + "a1" + ")" * 100, "-" * 100 + "a1", "s(" * 100 + "a1" + ")" * 100,
+                 "-(" * 50 + "a1" + ")" * 50):
+        code, out, _ = _run(capsys, "eval", "--model", "s3", "--", text)
+        assert (code, out) == (0, "a1 : loop-homology, degree -3\n")
+
+
 # -- models ----------------------------------------------------------------------
 
 

@@ -337,6 +337,21 @@ def test_loop_intersection_messages_are_pinned(slot):
     assert call(alpha(S3, 1)) == "loop_intersection: %s[1] is over a different model" % slot
 
 
+def test_loop_intersection_checks_entries_after_a_zero_class():
+    zero = Element.zero(SU3, Ring.COH)
+    for frees, message in [
+        ([zero, u(SU3, 1)], "free_time[1] must be a base cohomology class"),
+        ([zero, v(SU3, 1)], "free_time[1] is not in the base subring"),
+        ([zero, alpha(S3, 1)], "free_time[1] is over a different model"),
+        ([zero, alpha(SU3, 1) + coh_unit(SU3)], "free_time[1] is inhomogeneous"),
+    ]:
+        with pytest.raises(AlgebraError) as info:
+            loop_intersection([], frees, u(SU3, 1))
+        assert str(info.value).startswith("loop_intersection: " + message)
+    valid = loop_intersection([], [zero, alpha(SU3, 1) + alpha(SU3, 1) * 3], u(SU3, 1))
+    assert valid == Element.zero(SU3, Ring.LOOP)
+
+
 def test_loop_intersection_family_message_is_pinned():
     with pytest.raises(AlgebraError) as info:
         loop_intersection([], [], alpha(SU3, 1))

@@ -147,6 +147,35 @@ def test_power_operator():
         u1 ** -1
 
 
+def test_power_squares_and_multiplies(monkeypatch):
+    calls = []
+    product = Element.__mul__
+
+    def counted(x, y):
+        calls.append(1)
+        return product(x, y)
+
+    monkeypatch.setattr(Element, "__mul__", counted)
+    assert _u(S3, 1) ** 1000 == Element.monomial(S3, Ring.LOOP, Monomial((), (1000,)))
+    # 9 squarings and 6 set bits of 1000; repeated multiplication makes 1000
+    assert len(calls) == 15
+
+
+def test_power_equals_repeated_multiplication():
+    alpha1 = Element.generator(SU3, Ring.COH, "odd", 1)
+    v2 = Element.generator(SU3, Ring.COH, "even", 2)
+    bases = [
+        _a(SU3, 1) + _a(SU3, 2).scale(Fraction(2, 3)),  # odd, multi-term
+        _u(SU3, 1) + _u(SU3, 2).scale(-3) + Element.unit(SU3, Ring.LOOP),  # even, multi-term
+        alpha1 * v2 + v2.scale(5) + Element.unit(SU3, Ring.COH).scale(2),  # cohomology
+    ]
+    for x in bases:
+        expected = Element.unit(SU3, x.ring)
+        for n in range(13):
+            assert x ** n == expected
+            expected = expected * x
+
+
 def test_canonicalization_idempotent():
     raw = {
         Monomial((1, 2), (0, 3)): Fraction(5, 2),
