@@ -94,14 +94,19 @@ def _basis_count(model: ModelSpec, ring: Ring, max_degree: int, even_cap: int) -
     return sum(index.count(deg) for deg in index.degrees_in(-max_degree, max_degree))
 
 
+def _table_rings(op: str) -> tuple[Ring, ...]:
+    """The ring of each argument of a `loopbv table` operation."""
+    if op == "delta":
+        return (Ring.LOOP,)
+    return (Ring.COH if op == "cap" else Ring.LOOP, Ring.LOOP)
+
+
 def _table_line_count(model: ModelSpec, op: str, max_degree: int, max_exp: int) -> int:
     """Number of lines `loopbv table` prints, counted without listing the basis."""
-    loop = _basis_count(model, Ring.LOOP, max_degree, max_exp)
-    if op == "delta":
-        return loop
-    if op == "cap":
-        return _basis_count(model, Ring.COH, max_degree, max_exp) * loop
-    return loop * loop
+    lines = 1
+    for ring in _table_rings(op):
+        lines *= _basis_count(model, ring, max_degree, max_exp)
+    return lines
 
 
 def _basis_monomials(model: ModelSpec, ring: Ring, max_degree: int, even_cap: int):
@@ -132,22 +137,14 @@ def _cmd_table(args) -> int:
         """The basis as (element, text) pairs: each argument is rendered once."""
         return [(x, show(x)) for x in _basis_monomials(model, ring, args.max_degree, args.max_exp)]
 
-    if args.op in ("product", "bracket"):
-        apply = loop_bracket if args.op == "bracket" else lambda x, y: x * y
-        name = args.op
-        basis = shown(Ring.LOOP)
-        for b, b_text in basis:
-            for c, c_text in basis:
-                print("%s(%s, %s) = %s" % (name, b_text, c_text, show(apply(b, c))))
-        return 0
-    if args.op == "cap":
-        coh_basis = shown(Ring.COH)
-        loop_basis = shown(Ring.LOOP)
-        for w, w_text in coh_basis:
-            for b, b_text in loop_basis:
-                print("cap(%s, %s) = %s" % (w_text, b_text, show(cap_product(w, b))))
-        return 0
-    return _fail("unknown table op %r" % args.op)
+    apply = {"product": lambda x, y: x * y, "bracket": loop_bracket, "cap": cap_product}[args.op]
+    left_ring, right_ring = _table_rings(args.op)
+    left = shown(left_ring)
+    right = left if right_ring is left_ring else shown(right_ring)
+    for x, x_text in left:
+        for y, y_text in right:
+            print("%s(%s, %s) = %s" % (args.op, x_text, y_text, show(apply(x, y))))
+    return 0
 
 
 def _cmd_intersect(args) -> int:

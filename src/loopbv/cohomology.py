@@ -16,7 +16,7 @@ inverse realises base cohomology classes as constant-loop homology classes.
 from __future__ import annotations
 
 from .kernel import AlgebraError, Element, ModelSpec, Monomial, Ring, _tuple_new, sign_pow
-from .loop import is_constant_loop_class
+from .kernel import _add_into, _expect, _is_exterior
 
 
 def coh_unit(model: ModelSpec) -> Element:
@@ -35,20 +35,15 @@ def v(model: ModelSpec, index: int) -> Element:
     return Element.generator(model, Ring.COH, "even", index)
 
 
-def _require_coh(x: Element, op: str):
-    if x.ring not in (Ring.COH, Ring.BASE):
-        raise AlgebraError("%s: expected a cohomology class, got %s" % (op, x.ring.value))
-
-
 def cup(x: Element, y: Element) -> Element:
-    _require_coh(x, "cup")
-    _require_coh(y, "cup")
+    _expect(x, "cup", Ring.COH)
+    _expect(y, "cup", Ring.COH)
     return x * y
 
 
 def coh_delta(x: Element) -> Element:
     """The odd derivation with coh_delta(alpha_i) = v_i; squares to zero."""
-    _require_coh(x, "coh_delta")
+    _expect(x, "coh_delta", Ring.COH)
     out = {}
     for mono, coeff in x.terms.items():
         for pos, i in enumerate(mono.odds):
@@ -58,19 +53,14 @@ def coh_delta(x: Element) -> Element:
             new = _tuple_new(Monomial, (odds, tuple(exps)))
             # the derivation passes over `pos` odd generators; v_i is even,
             # so sliding it into the exponent block costs nothing
-            contrib = coeff * sign_pow(pos)
-            acc = out.get(new, 0) + contrib
-            if acc == 0:
-                out.pop(new, None)
-            else:
-                out[new] = acc
+            _add_into(out, new, coeff * sign_pow(pos))
     return Element._of(x.model, Ring.COH, out)
 
 
 def is_base(x: Element) -> bool:
     """True when the class lies in the base subring (no v factors)."""
-    _require_coh(x, "is_base")
-    return all(not any(mono.exps) for mono in x.terms)
+    _expect(x, "is_base", Ring.COH)
+    return _is_exterior(x)
 
 
 def decompose_monomial(mono: Monomial) -> tuple[Monomial, tuple[int, ...]]:
@@ -86,8 +76,7 @@ def to_full(x: Element) -> Element:
     """Include a base-cohomology class into the full cohomology ring."""
     if x.ring is Ring.COH:
         return x
-    if x.ring is not Ring.BASE:
-        raise AlgebraError("to_full: expected a cohomology class, got %s" % x.ring.value)
+    _expect(x, "to_full", Ring.COH)
     return Element._of(x.model, Ring.COH, dict(x.terms))
 
 
@@ -95,8 +84,8 @@ def to_base(x: Element) -> Element:
     """Project-check a full cohomology class into the base subring."""
     if x.ring is Ring.BASE:
         return x
-    _require_coh(x, "to_base")
-    if not is_base(x):
+    _expect(x, "to_base", Ring.COH)
+    if not _is_exterior(x):
         raise AlgebraError("to_base: class has v factors, not in the base subring")
     return Element._of(x.model, Ring.BASE, dict(x.terms))
 
@@ -107,9 +96,8 @@ def poincare_dual(x: Element) -> Element:
     Multiplicative by construction, D(x*y) = D(x) cup D(y): the Koszul signs
     for reordering the a_i and the alpha_i are identical.
     """
-    if x.ring is not Ring.LOOP:
-        raise AlgebraError("poincare_dual: expected a loop-homology class, got %s" % x.ring.value)
-    if not is_constant_loop_class(x):
+    _expect(x, "poincare_dual", Ring.LOOP)
+    if not _is_exterior(x):
         raise AlgebraError("poincare_dual: input is not in the exterior subring (has u factors)")
     return Element._of(x.model, Ring.BASE, dict(x.terms))
 
@@ -118,8 +106,5 @@ def poincare_dual_inverse(w: Element) -> Element:
     """D^{-1}: base cohomology back to constant-loop homology classes."""
     if w.ring is Ring.COH:
         w = to_base(w)
-    elif w.ring is not Ring.BASE:
-        raise AlgebraError(
-            "poincare_dual_inverse: expected a base-cohomology class, got %s" % w.ring.value
-        )
+    _expect(w, "poincare_dual_inverse", Ring.BASE)
     return Element._of(w.model, Ring.LOOP, dict(w.terms))

@@ -20,7 +20,8 @@ Every token and node carries a source position and all diagnostics are
 ``line:col: message``.  Printing a parse tree and reparsing the text yields
 an equal tree (positions are ignored by equality).  Parentheses, function
 calls and unary minus may nest `MAX_NESTING` levels deep; one more is a
-diagnostic at the token that opens it, not a Python stack overflow.
+diagnostic at the token that opens it, not a Python stack overflow.  Sums
+and products of any length evaluate and print.
 
 To add a function, give it one `_FUNCTIONS` entry: the engine call and the
 ring and diagnostic label of each argument.  The parser takes the arity
@@ -361,11 +362,15 @@ def _print(node, min_prec: int) -> str:
         text = "-%s" % _print(node.operand, _PREC_NEG)
         prec = _PREC_NEG
     elif isinstance(node, BinOp):
-        if node.op == "*":
-            prec = _PREC_MUL
-        else:
-            prec = _PREC_ADD
-        text = "%s %s %s" % (_print(node.left, prec), node.op, _print(node.right, prec + 1))
+        # print the left spine in a loop, as the parser builds chains without recursion;
+        # it ends at a sum under a product, which needs parentheses
+        prec = spine_prec = _PREC_MUL if node.op == "*" else _PREC_ADD
+        tail = []
+        while isinstance(node, BinOp) and (node.op == "*" or spine_prec == _PREC_ADD):
+            spine_prec = _PREC_MUL if node.op == "*" else _PREC_ADD
+            tail.append(" %s %s" % (node.op, _print(node.right, spine_prec + 1)))
+            node = node.left
+        text = _print(node, spine_prec) + "".join(reversed(tail))
     else:
         raise TypeError("not an expression node: %r" % (node,))
     if prec < min_prec:
@@ -476,12 +481,18 @@ def _eval(node, model: ModelSpec):
     if isinstance(node, Pow):
         return _eval(node.base, model) ** node.exponent
     if isinstance(node, BinOp):
-        lhs = _eval(node.left, model)
-        rhs = _eval(node.right, model)
-        try:
-            return _mul(lhs, rhs) if node.op == "*" else _add(lhs, rhs, node.op == "-")
-        except AlgebraError as exc:
-            raise _err(node, str(exc)) from exc
+        spine = []  # evaluated in a loop, as the parser builds chains without recursion
+        while isinstance(node, BinOp):
+            spine.append(node)
+            node = node.left
+        value = _eval(node, model)
+        for step in reversed(spine):
+            rhs = _eval(step.right, model)
+            try:
+                value = _mul(value, rhs) if step.op == "*" else _add(value, rhs, step.op == "-")
+            except AlgebraError as exc:
+                raise _err(step, str(exc)) from exc
+        return value
     if isinstance(node, Call):
         entry = _FUNCTIONS.get(node.func)
         if entry is None:

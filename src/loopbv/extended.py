@@ -56,7 +56,9 @@ from .kernel import (
     Monomial,
     Ring,
     _add_into,
+    _is_exterior,
     _merge_odds,
+    _same_model,
     _tuple_new,
     sign_pow,
 )
@@ -90,8 +92,7 @@ def cap(omega: Element, b: Element, *, bracket=None) -> Element:
         raise AlgebraError("cap: first argument must be a cohomology class, got %s" % omega.ring.value)
     if b.ring is not Ring.LOOP:
         raise AlgebraError("cap: second argument must be a loop-homology class, got %s" % b.ring.value)
-    if omega.model != b.model:
-        raise AlgebraError("cap: model mismatch (%r vs %r)" % (omega.model.name, b.model.name))
+    _same_model(omega, b, "cap")
     if bracket is not None:
         return _cap_by_brackets(omega, b, bracket)
     terms = {}
@@ -161,10 +162,7 @@ class ExtendedClass:
             raise AlgebraError("ExtendedClass: coh part must be base cohomology, got %s" % coh.ring.value)
         if loop.ring is not Ring.LOOP:
             raise AlgebraError("ExtendedClass: loop part must be loop homology, got %s" % loop.ring.value)
-        if coh.model != loop.model:
-            raise AlgebraError(
-                "ExtendedClass: model mismatch (%r vs %r)" % (coh.model.name, loop.model.name)
-            )
+        _same_model(coh, loop, "ExtendedClass")
         self.model = coh.model
         self.coh = coh
         self.loop = loop
@@ -181,8 +179,6 @@ class ExtendedClass:
 
     @classmethod
     def from_coh(cls, w: Element) -> "ExtendedClass":
-        if w.ring is Ring.COH:
-            w = to_base(w)
         return cls(w, Element.zero(w.model, Ring.LOOP))
 
     @classmethod
@@ -258,14 +254,9 @@ class ExtendedClass:
         return "<extended %s | %s>" % (self.render(), self.model.name)
 
 
-def _check_models(x: ExtendedClass, y: ExtendedClass, op: str):
-    if x.model != y.model:
-        raise AlgebraError("%s: model mismatch (%r vs %r)" % (op, x.model.name, y.model.name))
-
-
 def extended_product(x: ExtendedClass, y: ExtendedClass, *, ops: BVOps = STANDARD_OPS) -> ExtendedClass:
     """The loop product extended over the direct sum; unit is (1, 0)."""
-    _check_models(x, y, "extended_product")
+    _same_model(x, y, "extended_product")
     coh = x.coh * y.coh
     loop = ops.product(x.loop, y.loop)
     if not x.coh.is_zero() and not y.loop.is_zero():
@@ -286,7 +277,7 @@ def extended_bracket(x: ExtendedClass, y: ExtendedClass, *, ops: BVOps = STANDAR
     and {b, alpha} flips by -(-1)^{(|alpha|+1)(|b|+1)}; signs in homological
     degrees, per homogeneous component.
     """
-    _check_models(x, y, "extended_bracket")
+    _same_model(x, y, "extended_bracket")
     model = x.model
     loop = ops.bracket(x.loop, y.loop)
     if not x.coh.is_zero() and not y.loop.is_zero():
@@ -312,7 +303,7 @@ def _intersection_class(w: Element, slot: str, pos: int, model: ModelSpec) -> El
     w = to_full(w) if w.ring is Ring.BASE else w
     if w.ring is not Ring.COH:
         raise AlgebraError("loop_intersection: %s[%d] must be a base cohomology class" % (slot, pos))
-    if not all(not any(m.exps) for m in w.terms):
+    if not _is_exterior(w):
         raise AlgebraError("loop_intersection: %s[%d] is not in the base subring" % (slot, pos))
     if w.model != model:
         raise AlgebraError("loop_intersection: %s[%d] is over a different model" % (slot, pos))

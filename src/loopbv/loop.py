@@ -57,7 +57,10 @@ from .kernel import (
     Monomial,
     Ring,
     _add_into,
+    _expect,
+    _is_exterior,
     _merge_odds,
+    _same_model,
     _tuple_new,
     sign_pow,
 )
@@ -76,14 +79,9 @@ def u(model: ModelSpec, index: int) -> Element:
     return Element.generator(model, Ring.LOOP, "even", index)
 
 
-def _require_loop(x: Element, op: str):
-    if x.ring is not Ring.LOOP:
-        raise AlgebraError("%s: expected a loop-homology class, got %s" % (op, x.ring.value))
-
-
 def loop_product(b: Element, c: Element) -> Element:
-    _require_loop(b, "loop_product")
-    _require_loop(c, "loop_product")
+    _expect(b, "loop_product", Ring.LOOP)
+    _expect(c, "loop_product", Ring.LOOP)
     return b * c
 
 
@@ -97,7 +95,7 @@ def _check_index(b: Element, index: int, op: str):
 
 def partial_a(b: Element, index: int) -> Element:
     """Left derivative d/da_index: (-1)^pos for the pos odd generators before a_index."""
-    _require_loop(b, "partial_a")
+    _expect(b, "partial_a", Ring.LOOP)
     _check_index(b, index, "partial_a")
     # removing a_index maps distinct monomials to distinct monomials
     terms = {}
@@ -112,7 +110,7 @@ def partial_a(b: Element, index: int) -> Element:
 
 def partial_u(b: Element, index: int, times: int = 1) -> Element:
     """(d/du_index)^times; u_index^k goes to k(k-1)...(k-times+1) u_index^(k-times)."""
-    _require_loop(b, "partial_u")
+    _expect(b, "partial_u", Ring.LOOP)
     _check_index(b, index, "partial_u")
     if not isinstance(times, int) or times < 0:
         raise AlgebraError("partial_u: times must be a nonnegative integer, got %r" % (times,))
@@ -130,7 +128,7 @@ def partial_u(b: Element, index: int, times: int = 1) -> Element:
 
 
 def bv_delta(b: Element) -> Element:
-    _require_loop(b, "bv_delta")
+    _expect(b, "bv_delta", Ring.LOOP)
     # one pass over the terms: cheaper than composing partial_u o partial_a
     terms = {}
     for mono, coeff in b.terms.items():
@@ -143,21 +141,15 @@ def bv_delta(b: Element) -> Element:
             exps[i - 1] = k - 1
             new = _tuple_new(Monomial, (odds, tuple(exps)))
             # d/da_i passes over `pos` odd generators; d/du_i brings down k
-            contrib = coeff * k * sign_pow(pos)
-            acc = terms.get(new, 0) + contrib
-            if acc == 0:
-                terms.pop(new, None)
-            else:
-                terms[new] = acc
+            _add_into(terms, new, coeff * k * sign_pow(pos))
     return Element._of(b.model, Ring.LOOP, terms)
 
 
 def loop_bracket(b: Element, c: Element) -> Element:
     """{b, c}, one pass over the pairs of terms (see the module docstring)."""
-    _require_loop(b, "loop_bracket")
-    _require_loop(c, "loop_bracket")
-    if b.model != c.model:
-        raise AlgebraError("loop_bracket: model mismatch (%r vs %r)" % (b.model.name, c.model.name))
+    _expect(b, "loop_bracket", Ring.LOOP)
+    _expect(c, "loop_bracket", Ring.LOOP)
+    _same_model(b, c, "loop_bracket")
     terms = {}
     c_items = c.terms.items()
     for (odds_b, exps_b), coeff_b in b.terms.items():
@@ -199,8 +191,8 @@ def loop_bracket(b: Element, c: Element) -> Element:
 
 def is_constant_loop_class(b: Element) -> bool:
     """True when b lies in the image of s_*, i.e. uses no u generators."""
-    _require_loop(b, "is_constant_loop_class")
-    return all(not any(mono.exps) for mono in b.terms)
+    _expect(b, "is_constant_loop_class", Ring.LOOP)
+    return _is_exterior(b)
 
 
 def s_star(x: Element) -> Element:
@@ -210,7 +202,7 @@ def s_star(x: Element) -> Element:
     inclusion is the identity on the stored data; the point of the map is the
     subring check.
     """
-    _require_loop(x, "s_star")
-    if not is_constant_loop_class(x):
+    _expect(x, "s_star", Ring.LOOP)
+    if not _is_exterior(x):
         raise AlgebraError("s_star: input is not in the exterior subring (has u factors)")
     return x

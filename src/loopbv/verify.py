@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import lru_cache
 from operator import mul
 from typing import Callable, NamedTuple
@@ -99,32 +99,17 @@ class CheckReport:
         return self.status != "pass"
 
     def to_json(self) -> str:
-        data = {
-            "identity": self.identity,
-            "model": self.model,
-            "trials": self.trials,
-            "seed": self.seed,
-            "status": self.status,
-            "ops": self.ops,
-            "catalog": self.catalog,
-        }
-        if self.witness is not None:
-            data["witness"] = self.witness
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.witness is None:
+            del data["witness"]
         return json.dumps(data, sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "CheckReport":
+        """Read `to_json` output: a missing field without a default raises
+        `KeyError`, a missing one with a default takes it, unknown keys are ignored."""
         data = json.loads(line)
-        return cls(
-            identity=data["identity"],
-            model=data["model"],
-            trials=data["trials"],
-            seed=data["seed"],
-            status=data["status"],
-            ops=data.get("ops", "standard"),
-            catalog=data.get("catalog", CATALOG_VERSION),
-            witness=data.get("witness"),
-        )
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data or f.default is MISSING})
 
 
 def reports_to_jsonl(reports) -> str:
@@ -375,22 +360,21 @@ def _ev_delta_constant(ops, model, args):
     ]
 
 
-def _ev_operator_product(ops, model, args):
-    b, c, e = args
-    lhs = ops.bracket(b, ops.product(c, e)) - ops.product(c, ops.bracket(b, e)).scale(
-        sign_pow((_hdeg(b) + 1) * _hdeg(c))
-    )
-    rhs = ops.product(ops.bracket(b, c), e)
-    return [("[D_b, M_c] = M_{{b,c}} on e", lhs, rhs)]
+def _operator_commutator(over, shift, label):
+    """`evaluate` for [D_b, O_c] = O_{{b,c}} on e, with O_c the loop operation
+    `over` ("product" or "bracket") by c, whose degree is shifted by `shift`
+    (0 for the product, 1 for the bracket)."""
 
+    def evaluate(ops, model, args):
+        b, c, e = args
+        op = getattr(ops, over)
+        lhs = ops.bracket(b, op(c, e)) - op(c, ops.bracket(b, e)).scale(
+            sign_pow((_hdeg(b) + 1) * (_hdeg(c) + shift))
+        )
+        rhs = op(ops.bracket(b, c), e)
+        return [(label, lhs, rhs)]
 
-def _ev_operator_bracket(ops, model, args):
-    b, c, e = args
-    lhs = ops.bracket(b, ops.bracket(c, e)) - ops.bracket(c, ops.bracket(b, e)).scale(
-        sign_pow((_hdeg(b) + 1) * (_hdeg(c) + 1))
-    )
-    rhs = ops.bracket(ops.bracket(b, c), e)
-    return [("[D_b, D_c] = D_{{b,c}} on e", lhs, rhs)]
+    return evaluate
 
 
 def _ev_s_star_ring_map(ops, model, args):
@@ -629,13 +613,13 @@ def _build_catalog() -> dict[str, IdentityCase]:
             "operator-commutator-product",
             "[D_b, M_c] = M_{{b,c}} as graded operator commutators",
             _LOOP3,
-            _ev_operator_product,
+            _operator_commutator("product", 0, "[D_b, M_c] = M_{{b,c}} on e"),
         ),
         IdentityCase(
             "operator-commutator-bracket",
             "[D_b, D_c] = D_{{b,c}} as graded operator commutators",
             _LOOP3,
-            _ev_operator_bracket,
+            _operator_commutator("bracket", 1, "[D_b, D_c] = D_{{b,c}} on e"),
         ),
         IdentityCase(
             "s-star-ring-map",
@@ -825,13 +809,6 @@ def _bracket_from_delta(delta):
     return bracket
 
 
-def _cap_from_bracket(bracket):
-    def capped(w, b):
-        return cap(w, b, bracket=bracket)
-
-    return capped
-
-
 def mutations() -> dict[str, BVOps]:
     """Named broken primitive bundles, each one sign flip or one term away."""
     exterior_delta = lambda b: bv_delta(b) + partial_a(b, 1)
@@ -863,7 +840,7 @@ def mutations() -> dict[str, BVOps]:
             name="delta-exterior-term",
             delta=exterior_delta,
             bracket=exterior_bracket,
-            cap=_cap_from_bracket(exterior_bracket),
+            cap=lambda w, b: cap(w, b, bracket=exterior_bracket),
         ),
         "cap-sign-flip": replace(
             STANDARD_OPS, name="cap-sign-flip", cap=lambda w, b: -cap(w, b)

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from loopbv.cli import _table_line_count, main
+from loopbv.expr import parse, to_text
 from loopbv.models import resolve_model
 from loopbv.verify import CheckReport
 
@@ -253,6 +254,16 @@ def test_intersect_json_with_lists(capsys):
     assert payload["at"] == "alpha1, alpha2"
 
 
+@pytest.mark.parametrize("flag, nested, flat, value", [
+    ("--free", "product(alpha1, alpha2)", "alpha1*alpha2", "2*a1*u1^2*u2 - 2*a2*u1*u2^2 : loop-homology, degree 5"),
+    ("--at", "D(product(a1, a2)), alpha1", "alpha1*alpha2, alpha1", "0 : loop-homology, degree any"),
+])
+def test_intersect_lists_split_only_at_top_level_commas(capsys, flag, nested, flat, value):
+    for text in (nested, flat):
+        code, out, err = _run(capsys, "intersect", "--model", "su3", flag, text, "--family", "u1^2*u2^2")
+        assert (code, out, err) == (0, value + "\n", "")
+
+
 def test_intersect_rejects_non_base(capsys):
     code, _, err = _run(capsys, "intersect", "--model", "s3", "--free", "v1",
                         "--family", "u1")
@@ -299,6 +310,32 @@ def test_nesting_up_to_the_limit_evaluates(capsys):
                  "-(" * 50 + "a1" + ")" * 50):
         code, out, _ = _run(capsys, "eval", "--model", "s3", "--", text)
         assert (code, out) == (0, "a1 : loop-homology, degree -3\n")
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        (" + ".join(["a1"] * 2000), "2000*a1 : loop-homology, degree -3"),
+        (" * ".join(["u1"] * 2000), "u1^2000 : loop-homology, degree 4000"),
+        (" - ".join(["a1"] * 2000), "-1998*a1 : loop-homology, degree -3"),
+        (" + ".join(["2 * a1 * u1"] * 1000) + " - (a1 + u1) * 3",
+         "-3*a1 + 2000*a1*u1 - 3*u1 : loop-homology, degree inhomogeneous"),
+    ],
+    ids=["sum-2000", "product-2000", "difference-2000", "mixed-1000"],
+)
+def test_long_chains_evaluate_and_print(capsys, text, value):
+    code, out, err = _run(capsys, "eval", "--model", "s3", "--", text)
+    assert (code, out, err) == (0, value + "\n", "")
+    # compare text: dataclass == on a 2,000-deep tree would recurse as deep
+    assert to_text(parse(text)) == text
+
+
+def test_long_chain_error_keeps_the_failing_operator_position(capsys):
+    text = " + ".join(["a1"] * 2000) + " + alpha1"
+    code, out, err = _run(capsys, "eval", "--model", "s3", "--", text)
+    assert (code, out) == (2, "")
+    col = len(text) - len("+ alpha1") + 1
+    assert err == "error: 1:%d: cannot add loop-homology and cohomology classes: sums live in a single ring\n" % col
 
 
 # -- models ----------------------------------------------------------------------

@@ -8,8 +8,18 @@ from fractions import Fraction
 import pytest
 
 from loopbv.kernel import AlgebraError, Element, ModelSpec, Ring, random_element, sign_pow
-from loopbv.loop import a, bv_delta, loop_bracket, loop_unit, s_star, u
-from loopbv.cohomology import alpha, coh_delta, coh_unit, poincare_dual_inverse, to_base, to_full, v
+from loopbv.loop import a, bv_delta, is_constant_loop_class, loop_bracket, loop_unit, s_star, u
+from loopbv.cohomology import (
+    alpha,
+    coh_delta,
+    coh_unit,
+    is_base,
+    poincare_dual,
+    poincare_dual_inverse,
+    to_base,
+    to_full,
+    v,
+)
 from loopbv.extended import (
     ExtendedClass,
     cap,
@@ -283,6 +293,47 @@ def test_extended_intertwines_duality():
 def test_extended_model_mismatch():
     with pytest.raises(AlgebraError, match="model mismatch"):
         extended_product(ExtendedClass.unit(S3), ExtendedClass.unit(SU3))
+
+
+_MISMATCH = "model mismatch ('s3' vs 'su3')"
+_GUARDS = [
+    (lambda: a(S3, 1) + a(SU3, 1), "add: " + _MISMATCH),
+    (lambda: a(S3, 1) * a(SU3, 1), "multiply: " + _MISMATCH),
+    (lambda: loop_bracket(a(S3, 1), u(SU3, 1)), "loop_bracket: " + _MISMATCH),
+    (lambda: cap(alpha(S3, 1), u(SU3, 1)), "cap: " + _MISMATCH),
+    (lambda: ExtendedClass(alpha(S3, 1), u(SU3, 1)), "ExtendedClass: " + _MISMATCH),
+    (lambda: extended_product(ExtendedClass.unit(S3), ExtendedClass.unit(SU3)), "extended_product: " + _MISMATCH),
+    (lambda: extended_bracket(ExtendedClass.unit(S3), ExtendedClass.unit(SU3)), "extended_bracket: " + _MISMATCH),
+    (lambda: loop_bracket(alpha(S3, 1), u(S3, 1)), "loop_bracket: expected a loop-homology class, got cohomology"),
+    (lambda: cap(u(S3, 1), u(S3, 1)), "cap: first argument must be a cohomology class, got loop-homology"),
+    (lambda: cap(alpha(S3, 1), v(S3, 1)), "cap: second argument must be a loop-homology class, got cohomology"),
+    (lambda: bv_delta(alpha(S3, 1)), "bv_delta: expected a loop-homology class, got cohomology"),
+    (lambda: coh_delta(a(S3, 1)), "coh_delta: expected a cohomology class, got loop-homology"),
+    (lambda: to_full(a(S3, 1)), "to_full: expected a cohomology class, got loop-homology"),
+    (lambda: to_base(a(S3, 1)), "to_base: expected a cohomology class, got loop-homology"),
+    (lambda: to_base(v(S3, 1)), "to_base: class has v factors, not in the base subring"),
+    (lambda: poincare_dual(alpha(S3, 1)), "poincare_dual: expected a loop-homology class, got cohomology"),
+    (lambda: poincare_dual(u(S3, 1)), "poincare_dual: input is not in the exterior subring (has u factors)"),
+    (lambda: poincare_dual_inverse(a(S3, 1)),
+     "poincare_dual_inverse: expected a base-cohomology class, got loop-homology"),
+    (lambda: s_star(alpha(S3, 1)), "s_star: expected a loop-homology class, got cohomology"),
+    (lambda: s_star(u(S3, 1)), "s_star: input is not in the exterior subring (has u factors)"),
+    (lambda: is_base(a(S3, 1)), "is_base: expected a cohomology class, got loop-homology"),
+    (lambda: is_constant_loop_class(alpha(S3, 1)),
+     "is_constant_loop_class: expected a loop-homology class, got cohomology"),
+    (lambda: ExtendedClass(a(S3, 1), u(S3, 1)), "ExtendedClass: coh part must be base cohomology, got loop-homology"),
+    (lambda: ExtendedClass(alpha(S3, 1), v(S3, 1)), "ExtendedClass: loop part must be loop homology, got cohomology"),
+    (lambda: ExtendedClass.from_coh(v(S3, 1)), "to_base: class has v factors, not in the base subring"),
+    (lambda: ExtendedClass.from_coh(u(S3, 1)), "ExtendedClass: coh part must be base cohomology, got loop-homology"),
+    (lambda: loop_intersection([v(S3, 1)], [], u(S3, 1)), "loop_intersection: at_basepoint[0] is not in the base subring"),
+]
+
+
+@pytest.mark.parametrize("call, message", _GUARDS, ids=[message for _, message in _GUARDS])
+def test_guard_messages(call, message):
+    with pytest.raises(AlgebraError) as info:
+        call()
+    assert str(info.value) == message
 
 
 # -- loop intersection ---------------------------------------------------------------

@@ -9,6 +9,8 @@ import pytest
 from loopbv.kernel import AlgebraError, ModelSpec
 from loopbv.extended import STANDARD_OPS
 from loopbv.models import resolve_model
+from loopbv import verify
+from loopbv.expr import evaluate
 from loopbv.verify import (
     CATALOG,
     CheckReport,
@@ -216,6 +218,13 @@ def test_report_json_round_trip():
     line = failed[0].to_json()
     assert CheckReport.from_json(line) == failed[0]
     assert json.loads(line)["witness"]["trial"] == failed[0].witness["trial"]
+    data = json.loads(reports[0].to_json())
+    assert "witness" not in data
+    assert CheckReport.from_json(json.dumps(dict(data, extra=1))) == reports[0]
+    for optional in ("ops", "catalog"):
+        assert CheckReport.from_json(json.dumps({k: x for k, x in data.items() if k != optional})) == reports[0]
+    with pytest.raises(KeyError):
+        CheckReport.from_json(json.dumps({k: x for k, x in data.items() if k != "seed"}))
 
 
 # -- mutation detection ------------------------------------------------------------
@@ -246,6 +255,26 @@ def test_witness_minimization_shrinks_or_keeps_arguments():
     for report in failed:
         witness = report.witness
         assert len(witness["minimized_args"]) == len(witness["args"])
+
+
+def test_witness_minimization_drops_terms_of_an_intersection_family(monkeypatch):
+    """A broken loop_intersection makes the catalog's intersection check fail;
+    the minimizer then drops terms from inside the (at, free, family) draw."""
+    original = verify.loop_intersection
+
+    def broken(ats, frees, family, *, ops=STANDARD_OPS):
+        value = original(ats, frees, family, ops=ops)
+        return -value if frees else value
+
+    monkeypatch.setattr(verify, "loop_intersection", broken)
+    runs = [run_suite(SU3, 30, 5, ["loop-intersection-formula"], ops=STANDARD_OPS) for _ in range(2)]
+    assert reports_to_jsonl(runs[0]) == reports_to_jsonl(runs[1])
+    (report,) = runs[0]
+    assert report.failed() and report.ops == "standard"
+    witness = report.witness
+    drawn, minimized = (evaluate(args[0].split("family=")[1], SU3)
+                        for args in (witness["args"], witness["minimized_args"]))
+    assert 0 < len(minimized.terms) < len(drawn.terms)
 
 
 # -- sensitivity: each identity check can actually fail ------------------------------
