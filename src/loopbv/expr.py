@@ -16,9 +16,10 @@ function forms are ``cap(w,b)``, ``bracket(b,c)``, ``product(x,y)``,
 ``intersect([w,...],[w,...],b)``.  ``*`` multiplies inside a single ring;
 cross-ring actions must go through the function forms.
 
-Every token and node carries a source position and all diagnostics are
-``line:col: message``.  Printing a parse tree and reparsing the text yields
-an equal tree (positions are ignored by equality).  Parentheses, function
+Tokens and tree nodes are slotted, mutable dataclasses.  Each carries a
+source position, taken from its offset in the text, and all diagnostics are
+``line:col: message``.  Node equality ignores positions, so printing a parse
+tree and reparsing the text yields an equal tree.  Parentheses, function
 calls and unary minus may nest `MAX_NESTING` levels deep; one more is a
 diagnostic at the token that opens it, not a Python stack overflow.  Sums
 and products of any length evaluate and print.
@@ -71,7 +72,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
     kind: str  # NUMBER, IDENT, one of the symbol characters, or EOF
     text: str
@@ -81,25 +82,23 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    line, col = 1, 1
+    line, line_start = 1, 0  # line_start: offset of the current line's first character
     for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
         value = match.group()
         if kind == "SPACE":
-            newlines = value.count("\n")
-            if newlines:
-                line += newlines
-                col = len(value) - value.rfind("\n")
-            else:
-                col += len(value)
+            newline = value.rfind("\n")
+            if newline >= 0:
+                line += value.count("\n")
+                line_start = match.start() + newline + 1
             continue
+        col = match.start() - line_start + 1
         if kind == "BAD":
             raise ExpressionError("unexpected character %r" % value, line, col)
         if kind == "SYMBOL":
             kind = value
         tokens.append(Token(kind, value, line, col))
-        col += len(value)
-    tokens.append(Token("EOF", "", line, col))
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -107,33 +106,33 @@ def tokenize(text: str) -> list[Token]:
 # syntax tree
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Num:
     value: Fraction
     pos: tuple[int, int] = field(compare=False, default=(0, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Gen:
     family: str  # "a", "u", "alpha", "v"
     index: int
     pos: tuple[int, int] = field(compare=False, default=(0, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Neg:
     operand: object
     pos: tuple[int, int] = field(compare=False, default=(0, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Pow:
     base: object
     exponent: int
     pos: tuple[int, int] = field(compare=False, default=(0, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BinOp:
     op: str  # "+", "-", "*"
     left: object
@@ -141,14 +140,14 @@ class BinOp:
     pos: tuple[int, int] = field(compare=False, default=(0, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Call:
     func: str
     args: tuple
     pos: tuple[int, int] = field(compare=False, default=(0, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ClassList:
     items: tuple
     pos: tuple[int, int] = field(compare=False, default=(0, 0))
@@ -394,7 +393,7 @@ def _err(node, message: str) -> ExpressionError:
 
 def as_class(value, model: ModelSpec, ring: Ring):
     """A scalar as that multiple of the unit of `ring`; a class unchanged."""
-    return Element.unit(model, ring).scale(value) if isinstance(value, Fraction) else value
+    return Element.unit(model, ring).scale(value) if type(value) is Fraction else value
 
 
 def _as_ring(node, value, model: ModelSpec, ring: Ring, what: str) -> Element:
@@ -405,11 +404,11 @@ def _as_ring(node, value, model: ModelSpec, ring: Ring, what: str) -> Element:
 
 
 def _add(lhs, rhs, subtract: bool):
-    if isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
+    if type(lhs) is Fraction and type(rhs) is Fraction:
         return lhs - rhs if subtract else lhs + rhs
-    if isinstance(lhs, Fraction):
+    if type(lhs) is Fraction:
         lhs = as_class(lhs, rhs.model, rhs.ring)
-    if isinstance(rhs, Fraction):
+    if type(rhs) is Fraction:
         rhs = as_class(rhs, lhs.model, lhs.ring)
     if lhs.ring is not rhs.ring:
         raise AlgebraError(
@@ -420,11 +419,11 @@ def _add(lhs, rhs, subtract: bool):
 
 
 def _mul(lhs, rhs):
-    if isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
+    if type(lhs) is Fraction and type(rhs) is Fraction:
         return lhs * rhs
-    if isinstance(lhs, Fraction):
+    if type(lhs) is Fraction:
         return rhs.scale(lhs)
-    if isinstance(rhs, Fraction):
+    if type(rhs) is Fraction:
         return lhs.scale(rhs)
     if lhs.ring is not rhs.ring:
         raise AlgebraError(
@@ -507,7 +506,7 @@ def _eval(node, model: ModelSpec):
             ]
         else:
             values = [_eval(arg, model) for arg in node.args]
-            if len(values) == 1 and isinstance(values[0], Fraction):  # f(c) = c * f(1)
+            if len(values) == 1 and type(values[0]) is Fraction:  # f(c) = c * f(1)
                 return Fraction(0) if node.func == "Delta" else values[0]
             for i, (ring, what) in enumerate(specs):
                 if ring is not None:

@@ -335,13 +335,13 @@ class Element:
                 % (index, model.name, model.rank)
             )
         if kind == "odd":
-            mono = Monomial((index,), (0,) * model.rank)
+            mono = _tuple_new(Monomial, ((index,), (0,) * model.rank))
         elif kind == "even":
             if ring is Ring.BASE:
                 raise AlgebraError("base-cohomology admits only odd generators")
             exps = [0] * model.rank
             exps[index - 1] = 1
-            mono = Monomial((), tuple(exps))
+            mono = _tuple_new(Monomial, ((), tuple(exps)))
         else:
             raise AlgebraError("generator kind must be 'odd' or 'even', got %r" % kind)
         return cls._of(model, ring, {mono: 1})
@@ -422,9 +422,9 @@ class Element:
         return Element._of(self.model, self.ring, terms)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, Element):
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
             return NotImplemented
         self._check_compatible(other, "multiply")
         terms = {}
@@ -444,6 +444,14 @@ class Element:
     def __pow__(self, n: int) -> "Element":
         if not isinstance(n, int) or n < 0:
             raise AlgebraError("powers must be nonnegative integers, got %r" % (n,))
+        if len(self.terms) == 1:  # c*m: one step, as m^n is m with its exponents times n
+            if n == 0:
+                return Element.unit(self.model, self.ring)
+            [(mono, coeff)] = self.terms.items()
+            if mono.odds and n >= 2:  # an odd generator squares to zero
+                return Element.zero(self.model, self.ring)
+            mono = _tuple_new(Monomial, (mono.odds, tuple(k * n for k in mono.exps)))
+            return Element._of(self.model, self.ring, {mono: coeff ** n})
         result = Element.unit(self.model, self.ring)
         square = self
         while n:  # square and multiply: about 2*log2(n) products, equal by associativity

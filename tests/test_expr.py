@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +12,7 @@ import pytest
 from loopbv.expr import (
     BinOp,
     Call,
+    ClassList,
     ExpressionError,
     Gen,
     Neg,
@@ -17,12 +21,13 @@ from loopbv.expr import (
     evaluate,
     parse,
     to_text,
+    tokenize,
 )
 from loopbv.kernel import ModelSpec, Ring
 from loopbv.loop import a, loop_unit, u
 from loopbv.cohomology import alpha, v
 
-from exprgen import corpus
+from exprgen import corpus, random_node
 
 S3 = ModelSpec("s3", (3,))
 SU3 = ModelSpec("su3", (3, 5))
@@ -106,6 +111,111 @@ def test_parse_intersect_lists():
     assert [item for item in first.items] == [Gen("alpha", 1), Gen("alpha", 2)]
     assert second.items == ()
     assert family == Gen("u", 1)
+
+
+# -- token positions ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a1 +   ", "1:8: unexpected 'end of input'"),
+        ("\n\n  a1 $", "3:6: unexpected character '$'"),
+        (
+            "a1 +\r\n\tfoo",
+            "2:2: unknown identifier 'foo' (generators are a<i>, u<i>, alpha<i>, v<i>)",
+        ),
+        ("bracket(a1,\n\n      u1^)", "3:10: exponent must be a nonnegative integer, found ')'"),
+        ("a1\t\t+ (u1", "1:10: expected ')', found 'end of input'"),
+        ("  \n", "2:1: unexpected 'end of input'"),
+    ],
+)
+def test_diagnostic_positions_across_whitespace(text, message):
+    with pytest.raises(ExpressionError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+def test_token_positions_count_only_newlines():
+    got = [(t.kind, t.line, t.col) for t in tokenize("a1 +\r\n\tu1 \n")]
+    assert got == [("IDENT", 1, 1), ("+", 1, 4), ("IDENT", 2, 2), ("EOF", 3, 1)]
+
+
+_REFERENCE_RE = re.compile(
+    r"(?P<NUMBER>[0-9]+(?:/[0-9]+)?)|(?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<SYMBOL>[-+*^()\[\],])|(?P<SPACE>[ \t\r\n]+)|(?P<BAD>.)"
+)
+
+
+def _reference_tokens(text):
+    """(kind, text, line, col) of every token, columns found by adding up lengths,
+    or the (line, col) of the first bad character."""
+    out, line, col = [], 1, 1
+    for match in _REFERENCE_RE.finditer(text):
+        kind, value = match.lastgroup, match.group()
+        if kind == "SPACE":
+            if "\n" in value:
+                line += value.count("\n")
+                col = len(value) - value.rfind("\n")
+            else:
+                col += len(value)
+            continue
+        if kind == "BAD":
+            return (line, col)
+        out.append((value if kind == "SYMBOL" else kind, value, line, col))
+        col += len(value)
+    out.append(("EOF", "", line, col))
+    return out
+
+
+def _tokens_or_error(text):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+    except ExpressionError as exc:
+        return (exc.line, exc.col)
+
+
+def test_token_positions_match_a_length_summing_tokenizer():
+    rng = random.Random("token-positions")
+    runs = (" ", "\t", "\n", "\r\n")
+    for text in corpus(300, seed="token-positions", rank=3):
+        pieces = [token for _, token, *_ in _reference_tokens(text)[:-1]]
+        if rng.random() < 0.2:
+            pieces.insert(rng.randrange(len(pieces) + 1), "$")
+        spaced = "".join(
+            "".join(rng.choice(runs) for _ in range(rng.randint(0, 3))) + piece + " "
+            for piece in pieces
+        )
+        spaced += "".join(rng.choice(runs) for _ in range(rng.randint(0, 3)))
+        assert _tokens_or_error(spaced) == _reference_tokens(spaced), repr(spaced)
+
+
+# -- tree equality -----------------------------------------------------------------
+
+
+def test_tree_equality_ignores_positions():
+    spaced, plain = parse(" a1+u1 "), parse("a1 + u1")
+    assert spaced.left.pos != plain.left.pos
+    assert spaced == plain
+    assert parse("\tbracket( a1 ,u1^2 )") == parse("bracket(a1, u1^2)")
+
+
+def test_nodes_of_different_classes_are_never_equal():
+    operand = Gen("a", 1)
+    one_field = (Num(operand), Neg(operand), ClassList(operand))
+    two_fields = (Gen("a", 1), Pow("a", 1), Call("a", 1))
+    for group in (one_field, two_fields):
+        for left, right in itertools.permutations(group, 2):
+            assert left != right
+
+
+def test_generated_nodes_are_slotted_and_reparse_equal():
+    rng = random.Random("slotted-nodes")
+    for _ in range(50):
+        node = random_node(rng, 3)
+        assert not hasattr(node, "__dict__")
+        assert node.pos == (0, 0)
+        assert parse(to_text(node)) == node
 
 
 # -- printing round trip -----------------------------------------------------------

@@ -147,7 +147,7 @@ def test_power_operator():
         u1 ** -1
 
 
-def test_power_squares_and_multiplies(monkeypatch):
+def _count_products(monkeypatch) -> list:
     calls = []
     product = Element.__mul__
 
@@ -156,7 +156,21 @@ def test_power_squares_and_multiplies(monkeypatch):
         return product(x, y)
 
     monkeypatch.setattr(Element, "__mul__", counted)
+    return calls
+
+
+def test_power_of_one_term_is_one_step(monkeypatch):
+    calls = _count_products(monkeypatch)
     assert _u(S3, 1) ** 1000 == Element.monomial(S3, Ring.LOOP, Monomial((), (1000,)))
+    assert _a(S3, 1).scale(3) ** 1 == Element.monomial(S3, Ring.LOOP, Monomial((1,), (0,)), 3)
+    assert (_a(S3, 1) ** 2).is_zero()
+    assert calls == []
+
+
+def test_power_squares_and_multiplies(monkeypatch):
+    calls = _count_products(monkeypatch)
+    x = _a(SU3, 1) + _a(SU3, 2)
+    assert (x ** 1000).is_zero()  # (a1 + a2)^2 = a1*a2 + a2*a1 = 0
     # 9 squarings and 6 set bits of 1000; repeated multiplication makes 1000
     assert len(calls) == 15
 
@@ -168,11 +182,19 @@ def test_power_equals_repeated_multiplication():
         _a(SU3, 1) + _a(SU3, 2).scale(Fraction(2, 3)),  # odd, multi-term
         _u(SU3, 1) + _u(SU3, 2).scale(-3) + Element.unit(SU3, Ring.LOOP),  # even, multi-term
         alpha1 * v2 + v2.scale(5) + Element.unit(SU3, Ring.COH).scale(2),  # cohomology
+        # one term: the power is one step, not square and multiply
+        (_a(SU3, 1) * _u(SU3, 2)).scale(Fraction(2, 3)),
+        (_u(SU3, 1) * _u(SU3, 1)).scale(-3),
+        alpha1 * v2,
+        v2.scale(5),
     ]
     for x in bases:
         expected = Element.unit(SU3, x.ring)
         for n in range(13):
-            assert x ** n == expected
+            power = x ** n
+            assert power == expected
+            for coeff in power.terms.values():
+                assert isinstance(coeff, int) == (Fraction(coeff).denominator == 1)
             expected = expected * x
 
 
