@@ -8,9 +8,8 @@ import sys
 
 from .kernel import AlgebraError, Element, ModelSpec, Ring, basis_index
 from .models import describe_builtins, resolve_model
-from .expr import ExpressionError, as_class, describe_value, evaluate
+from .expr import ExpressionError, describe_value, evaluate
 from .extended import cap as cap_product
-from .extended import loop_intersection
 from .loop import bv_delta, loop_bracket
 from .verify import reports_to_jsonl, run_suite
 
@@ -18,21 +17,6 @@ from .verify import reports_to_jsonl, run_suite
 def _fail(message: str) -> int:
     print("error: %s" % message, file=sys.stderr)
     return 2
-
-
-def _split_top_level(text: str) -> list[str]:
-    """Split a comma list of expressions, ignoring commas inside brackets."""
-    parts, depth, start = [], 0, 0
-    for pos, char in enumerate(text):
-        if char in "([":
-            depth += 1
-        elif char in ")]":
-            depth -= 1
-        elif char == "," and depth == 0:
-            parts.append(text[start:pos])
-            start = pos + 1
-    parts.append(text[start:])
-    return [part.strip() for part in parts if part.strip()]
 
 
 def _print_value(args, model: ModelSpec, value, **inputs) -> int:
@@ -149,10 +133,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_intersect(args) -> int:
     model = resolve_model(args.model)
-    ats = [as_class(evaluate(part, model), model, Ring.COH) for part in _split_top_level(args.at)]
-    frees = [as_class(evaluate(part, model), model, Ring.COH) for part in _split_top_level(args.free)]
-    family = as_class(evaluate(args.family, model), model, Ring.LOOP)
-    value = loop_intersection(ats, frees, family)
+    value = evaluate("intersect([%s], [%s], %s)" % (args.at, args.free, args.family), model)
     return _print_value(args, model, value, at=args.at, free=args.free, family=args.family)
 
 

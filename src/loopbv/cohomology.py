@@ -80,13 +80,13 @@ def to_full(x: Element) -> Element:
     return Element._of(x.model, Ring.COH, dict(x.terms))
 
 
-def to_base(x: Element) -> Element:
-    """Project-check a full cohomology class into the base subring."""
+def to_base(x: Element, op: str = "to_base") -> Element:
+    """Project-check a full cohomology class into the base subring; messages name `op`."""
     if x.ring is Ring.BASE:
         return x
-    _expect(x, "to_base", Ring.COH)
+    _expect(x, op, Ring.COH)
     if not _is_exterior(x):
-        raise AlgebraError("to_base: class has v factors, not in the base subring")
+        raise AlgebraError("%s: class has v factors, not in the base subring" % op)
     return Element._of(x.model, Ring.BASE, dict(x.terms))
 
 
@@ -105,6 +105,6 @@ def poincare_dual(x: Element) -> Element:
 def poincare_dual_inverse(w: Element) -> Element:
     """D^{-1}: base cohomology back to constant-loop homology classes."""
     if w.ring is Ring.COH:
-        w = to_base(w)
+        w = to_base(w, "poincare_dual_inverse")
     _expect(w, "poincare_dual_inverse", Ring.BASE)
     return Element._of(w.model, Ring.LOOP, dict(w.terms))

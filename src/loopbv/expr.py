@@ -33,11 +33,18 @@ argument sends a scalar c to c*f(1), which `_eval` returns before any
 coercion: c for ``s``, ``D`` and ``Dinv``, 0 for ``Delta``.  ``intersect``
 is the one function whose arguments are not all plain expressions: its
 two class lists are parsed by `_Parser.call` and coerced item by item.
+``loopbv intersect`` evaluates the text ``intersect([AT], [FREE], FAMILY)``
+built from its options, so it shares every check and message with ``eval``.
+
+The interpreter's limit on the digits of an integer converted to or from
+text (`sys.get_int_max_str_digits`) is left as it is: a longer number literal
+is a diagnostic, and `describe_value` refuses a value it cannot print.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -164,13 +171,27 @@ _GEN_FAMILIES = {
 MAX_NESTING = 100  # deeper trees would overflow Python's stack in the parser
 
 
+def _int(digits: str, token: Token) -> int:
+    """The value of a run of ASCII digits in `token`, which must convert under
+    the interpreter's limit on the digits of an integer read from text."""
+    try:
+        return int(digits)
+    except ValueError:  # the only way a run of ASCII digits fails to convert
+        raise ExpressionError(
+            "number of %d digits, more than the interpreter's limit of %d for an integer"
+            % (len(digits), sys.get_int_max_str_digits()),
+            token.line,
+            token.col,
+        ) from None
+
+
 def _classify_ident(token: Token):
     name = token.text
     if name in _FUNCTIONS:
         return ("func", name)
     for family in _GEN_FAMILIES:
         if name.startswith(family) and name[len(family) :].isdigit():
-            index = int(name[len(family) :])
+            index = _int(name[len(family) :], token)
             if index < 1:
                 raise ExpressionError(
                     "generator index must be >= 1 in %r" % name, token.line, token.col
@@ -262,7 +283,7 @@ class _Parser:
                     exp_token.col,
                 )
             self.advance()
-            node = Pow(node, int(exp_token.text), (token.line, token.col))
+            node = Pow(node, _int(exp_token.text, exp_token), (token.line, token.col))
         return node
 
     def atom(self):
@@ -270,12 +291,12 @@ class _Parser:
         if token.kind == "NUMBER":
             self.advance()
             if "/" in token.text:
-                num, den = token.text.split("/")
-                if int(den) == 0:
+                num, den = (_int(part, token) for part in token.text.split("/"))
+                if den == 0:
                     raise ExpressionError("zero denominator in %r" % token.text, token.line, token.col)
-                value = Fraction(int(num), int(den))
+                value = Fraction(num, den)
             else:
-                value = Fraction(int(token.text))
+                value = Fraction(_int(token.text, token))
             return Num(value, (token.line, token.col))
         if token.kind == "IDENT":
             role, info = _classify_ident(token)
@@ -391,13 +412,13 @@ def _err(node, message: str) -> ExpressionError:
     return ExpressionError(message, line, col)
 
 
-def as_class(value, model: ModelSpec, ring: Ring):
+def _as_class(value, model: ModelSpec, ring: Ring):
     """A scalar as that multiple of the unit of `ring`; a class unchanged."""
     return Element.unit(model, ring).scale(value) if type(value) is Fraction else value
 
 
 def _as_ring(node, value, model: ModelSpec, ring: Ring, what: str) -> Element:
-    value = as_class(value, model, ring)
+    value = _as_class(value, model, ring)
     if value.ring is not ring:
         raise _err(node, "%s must be a %s class, got %s" % (what, ring.value, value.ring.value))
     return value
@@ -407,9 +428,9 @@ def _add(lhs, rhs, subtract: bool):
     if type(lhs) is Fraction and type(rhs) is Fraction:
         return lhs - rhs if subtract else lhs + rhs
     if type(lhs) is Fraction:
-        lhs = as_class(lhs, rhs.model, rhs.ring)
+        lhs = _as_class(lhs, rhs.model, rhs.ring)
     if type(rhs) is Fraction:
-        rhs = as_class(rhs, lhs.model, lhs.ring)
+        rhs = _as_class(rhs, lhs.model, lhs.ring)
     if lhs.ring is not rhs.ring:
         raise AlgebraError(
             "cannot %s %s and %s classes: sums live in a single ring"
@@ -529,14 +550,21 @@ def evaluate(expr, model: ModelSpec):
 
 
 def describe_value(value, unicode: bool = False) -> tuple[str, str, str]:
-    """(rendered value, ring label, degree label) for CLI display."""
-    if isinstance(value, Fraction):
-        return str(value), "scalar", "0"
-    deg = value.degree()
-    if isinstance(deg, int):
-        degree_label = str(deg)
-    elif deg.label == "any-degree":
-        degree_label = "any"
-    else:
-        degree_label = "inhomogeneous"
-    return value.render(unicode=unicode), value.ring.value, degree_label
+    """(rendered value, ring label, degree label) for CLI display; `AlgebraError`
+    when the value holds an integer too long for the interpreter to print."""
+    try:
+        if isinstance(value, Fraction):
+            return str(value), "scalar", "0"
+        deg = value.degree()
+        if isinstance(deg, int):
+            degree_label = str(deg)
+        elif deg.label == "any-degree":
+            degree_label = "any"
+        else:
+            degree_label = "inhomogeneous"
+        return value.render(unicode=unicode), value.ring.value, degree_label
+    except ValueError:  # the only error of printing an integer: its digit limit
+        raise AlgebraError(
+            "the result holds an integer of more than %d digits, the interpreter's limit "
+            "for printing one" % sys.get_int_max_str_digits()
+        ) from None

@@ -157,7 +157,7 @@ class ExtendedClass:
 
     def __init__(self, coh: Element, loop: Element):
         if coh.ring is Ring.COH:
-            coh = to_base(coh)
+            coh = to_base(coh, "ExtendedClass")
         if coh.ring is not Ring.BASE:
             raise AlgebraError("ExtendedClass: coh part must be base cohomology, got %s" % coh.ring.value)
         if loop.ring is not Ring.LOOP:

@@ -44,6 +44,15 @@ def builtin_model(name: str) -> ModelSpec | None:
     return None
 
 
+def builtin_named(name: str) -> ModelSpec | None:
+    """The built-in model of this name, or None, also for a name shaped like
+    a built-in one that no model can have, such as s4."""
+    try:
+        return builtin_model(name)
+    except AlgebraError:
+        return None
+
+
 def resolve_model(text: str) -> ModelSpec:
     """Turn a --model argument (builtin name, exterior syntax, or file) into a model."""
     spec = builtin_model(text)
@@ -55,12 +64,8 @@ def resolve_model(text: str) -> ModelSpec:
                 spec = ModelSpec.from_json(handle.read())
         except OSError as exc:
             raise AlgebraError("model file %r is unreadable: %s" % (text, exc)) from exc
-        # reports carry only the model name, and replay resolves a built-in
-        # name to the built-in, so a file may reuse such a name only exactly
-        try:
-            builtin = builtin_model(spec.name)
-        except AlgebraError:  # shaped like a built-in name, such as s4, that none can have
-            builtin = None
+        # a name means one model: a file may take a built-in name only with its degrees
+        builtin = builtin_named(spec.name)
         if builtin is not None and builtin.generator_degrees != spec.generator_degrees:
             raise AlgebraError(
                 "model file %r is named %r, the built-in model with degrees %s, but lists degrees %s"

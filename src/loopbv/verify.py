@@ -4,7 +4,9 @@ Every identity the engine claims is kept in one catalog, keyed by a stable
 id, and checked on random homogeneous draws with exact rational equality.
 Runs are deterministic: the draw for trial t of identity I under seed S
 comes from ``random.Random("S|I|t")``, so a failing report can always be
-replayed bit for bit from (model, seed, identity, trial).
+replayed bit for bit from (model, seed, identity, trial).  A report of a
+model that is not the built-in of its name also stores the model's degrees,
+so it replays from the report alone.
 
 Each algebra law (commutativity, associativity, unit, antisymmetry, the BV
 identity, Poisson, Poisson with a product first, Jacobi, square-zero) is
@@ -49,6 +51,7 @@ from .cohomology import (
     to_full,
     v,
 )
+from .models import builtin_named, resolve_model
 from .extended import (
     BVOps,
     STANDARD_OPS,
@@ -94,14 +97,16 @@ class CheckReport:
     ops: str = "standard"
     catalog: str = CATALOG_VERSION
     witness: dict | None = None
+    generator_degrees: list | None = None  # set only when the model is not the built-in of its name
 
     def failed(self) -> bool:
         return self.status != "pass"
 
     def to_json(self) -> str:
         data = {f.name: getattr(self, f.name) for f in fields(self)}
-        if self.witness is None:
-            del data["witness"]
+        for name in ("witness", "generator_degrees"):
+            if data[name] is None:
+                del data[name]
         return json.dumps(data, sort_keys=True)
 
     @classmethod
@@ -1003,6 +1008,7 @@ def run_suite(
                 )
         wanted = set(chosen)
         chosen = [ident for ident in CATALOG if ident in wanted]
+    degrees = None if model == builtin_named(model.name) else list(model.generator_degrees)
     reports = []
     for ident in chosen:
         case = CATALOG[ident]
@@ -1023,6 +1029,7 @@ def run_suite(
                 status=status,
                 ops=ops_obj.name,
                 witness=witness,
+                generator_degrees=degrees,
             )
         )
     return reports
@@ -1031,8 +1038,9 @@ def run_suite(
 def replay(report: CheckReport, model: ModelSpec | None = None) -> CheckReport:
     """Re-run one report's identity from its seed; must reproduce it exactly.
 
-    The model is resolved from the report's model name unless given; catalog
-    or ops mismatches are reported as errors rather than silently ignored.
+    The model is built from the report's degrees when it stores them, else
+    resolved from its name, unless given; a model, catalog or ops mismatch
+    is an error rather than silently ignored.
     """
     if report.catalog != CATALOG_VERSION:
         raise AlgebraError(
@@ -1041,12 +1049,18 @@ def replay(report: CheckReport, model: ModelSpec | None = None) -> CheckReport:
         )
     if report.identity not in CATALOG:
         raise AlgebraError("unknown identity id %r in report" % report.identity)
+    stored = report.generator_degrees
     if model is None:
-        from .models import resolve_model
-
-        model = resolve_model(report.model)
+        model = resolve_model(report.model) if stored is None else ModelSpec(report.model, stored)
     if model.name != report.model:
         raise AlgebraError(
             "model mismatch: report is for %r, given model is %r" % (report.model, model.name)
         )
-    return run_suite(model, report.trials, report.seed, [report.identity], ops=report.ops)[0]
+    if stored is not None and list(model.generator_degrees) != stored:
+        raise AlgebraError(
+            "model mismatch: report for %r has degrees %s, given model has degrees %s"
+            % (report.model, stored, list(model.generator_degrees))
+        )
+    result = run_suite(model, report.trials, report.seed, [report.identity], ops=report.ops)[0]
+    # a line written before reports stored degrees replays in its own form
+    return result if stored is not None else replace(result, generator_degrees=None)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -275,9 +276,41 @@ def test_intersect_rejects_non_base(capsys):
 def test_intersect_checks_every_free_class_before_a_zero_one(capsys, free):
     code, out, err = _run(capsys, "intersect", "--model", "s3", "--free", free,
                           "--family", "u1^2")
-    bad = free.split(", ").index("u1")
+    col = len("intersect([], [") + free.index("u1") + 1  # columns count in the built call
     assert (code, out) == (2, "")
-    assert err == "error: loop_intersection: free_time[%d] must be a base cohomology class\n" % bad
+    assert err == (
+        "error: 1:%d: intersect free-time class must be a cohomology class, got loop-homology\n" % col
+    )
+
+
+# one row per bad argument: the options, the same call as an expression, and the line both print
+_INTERSECT_ERRORS = [
+    ("s3", ["--at", "a1", "--family", "u1"], "intersect([a1], [], u1)",
+     "1:12: intersect basepoint class must be a cohomology class, got loop-homology"),
+    ("s3", ["--family", "alpha1"], "intersect([], [], alpha1)",
+     "1:19: intersect family must be a loop-homology class, got cohomology"),
+    ("s3", ["--free", "v1", "--family", "u1"], "intersect([], [v1], u1)",
+     "1:1: loop_intersection: free_time[0] is not in the base subring"),
+    ("su3", ["--free", "alpha1 + alpha2", "--family", "u1"], "intersect([], [alpha1 + alpha2], u1)",
+     "1:1: loop_intersection: free_time[0] is inhomogeneous; "
+     "its position-dependent sign needs a single degree"),
+    ("s3", ["--free", "0, u1", "--family", "u1^2"], "intersect([], [0, u1], u1^2)",
+     "1:19: intersect free-time class must be a cohomology class, got loop-homology"),
+    ("s3", ["--free", "u1, 0", "--family", "u1^2"], "intersect([], [u1, 0], u1^2)",
+     "1:16: intersect free-time class must be a cohomology class, got loop-homology"),
+    ("s3", ["--at", "alpha1 +", "--family", "u1"], "intersect([alpha1 +], [], u1)",
+     "1:20: unexpected ']'"),
+    ("s3", ["--at", "alpha1,", "--family", "u1"], "intersect([alpha1,], [], u1)",
+     "1:19: unexpected ']'"),
+]
+
+
+@pytest.mark.parametrize("model, options, text, message", _INTERSECT_ERRORS,
+                         ids=[text for _, _, text, _ in _INTERSECT_ERRORS])
+def test_intersect_and_eval_print_the_same_diagnostic(capsys, model, options, text, message):
+    via_intersect = _run(capsys, "intersect", "--model", model, *options)
+    via_eval = _run(capsys, "eval", "--model", model, text)
+    assert via_intersect == via_eval == (2, "", "error: %s\n" % message)
 
 
 # -- deep nesting -----------------------------------------------------------------
@@ -290,7 +323,9 @@ def test_intersect_checks_every_free_class_before_a_zero_one(capsys, free):
         ("eval", "(" * 2000 + "a1" + ")" * 2000, 101),
         ("eval", "-" * 2000 + "a1", 101),
         ("eval", "s(" * 200 + "a1" + ")" * 200, 201),
-        ("intersect", "(" * 200 + "u1" + ")" * 200, 101),
+        # the `intersect(` call built from the options is one level, and
+        # its family starts at column 19
+        ("intersect", "(" * 200 + "u1" + ")" * 200, 118),
     ],
     ids=["parens-200", "parens-2000", "minus-2000", "calls-200", "intersect-family"],
 )
@@ -303,6 +338,29 @@ def test_deep_nesting_is_a_diagnostic(capsys, command, text, col):
         "error: 1:%d: expression nests deeper than 100 levels of parentheses, "
         "calls and unary minus\n" % col
     )
+
+
+_LIMIT = sys.get_int_max_str_digits()  # 4300 unless the interpreter was told otherwise
+_TOO_LONG = (
+    "the result holds an integer of more than %d digits, the interpreter's limit for printing one"
+    % _LIMIT
+)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2^20000", _TOO_LONG),  # 6,021 digits
+        ("(2*u1)^20000", _TOO_LONG),
+        ("7" * 5000,
+         "1:1: number of 5000 digits, more than the interpreter's limit of %d for an integer" % _LIMIT),
+    ],
+    ids=["scalar-power", "coefficient-power", "literal-5000-digits"],
+)
+def test_numbers_past_the_digit_limit_are_a_diagnostic(capsys, text, message):
+    for flags in ([], ["--json"]):
+        code, out, err = _run(capsys, "eval", "--model", "s3", text, *flags)
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 def test_nesting_up_to_the_limit_evaluates(capsys):

@@ -28,7 +28,7 @@ from loopbv.models import resolve_model
 
 from exprgen import corpus, evaluable_corpus
 
-EXPR_DIGEST = "bb279f3d4d851e8d7eec59b08de14f2db8571b5d4f992cb99e2a0d99a99966c9"
+EXPR_DIGEST = "7ab8f28e1e754e6f5a08dd044127b5fdedf12c84999a03a93931d237089d487d"
 
 MODELS = ("s3", "su3", "exterior:3,5,7")
 CORPUS_SIZE = 2500

@@ -316,6 +316,8 @@ _GUARDS = [
     (lambda: poincare_dual(u(S3, 1)), "poincare_dual: input is not in the exterior subring (has u factors)"),
     (lambda: poincare_dual_inverse(a(S3, 1)),
      "poincare_dual_inverse: expected a base-cohomology class, got loop-homology"),
+    (lambda: poincare_dual_inverse(v(S3, 1)),
+     "poincare_dual_inverse: class has v factors, not in the base subring"),
     (lambda: s_star(alpha(S3, 1)), "s_star: expected a loop-homology class, got cohomology"),
     (lambda: s_star(u(S3, 1)), "s_star: input is not in the exterior subring (has u factors)"),
     (lambda: is_base(a(S3, 1)), "is_base: expected a cohomology class, got loop-homology"),
@@ -323,7 +325,7 @@ _GUARDS = [
      "is_constant_loop_class: expected a loop-homology class, got cohomology"),
     (lambda: ExtendedClass(a(S3, 1), u(S3, 1)), "ExtendedClass: coh part must be base cohomology, got loop-homology"),
     (lambda: ExtendedClass(alpha(S3, 1), v(S3, 1)), "ExtendedClass: loop part must be loop homology, got cohomology"),
-    (lambda: ExtendedClass.from_coh(v(S3, 1)), "to_base: class has v factors, not in the base subring"),
+    (lambda: ExtendedClass.from_coh(v(S3, 1)), "ExtendedClass: class has v factors, not in the base subring"),
     (lambda: ExtendedClass.from_coh(u(S3, 1)), "ExtendedClass: coh part must be base cohomology, got loop-homology"),
     (lambda: loop_intersection([v(S3, 1)], [], u(S3, 1)), "loop_intersection: at_basepoint[0] is not in the base subring"),
 ]

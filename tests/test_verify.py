@@ -204,6 +204,40 @@ def test_model_file_reusing_a_builtin_name_needs_its_degrees(tmp_path):
     assert resolve_model(str(path)) == ModelSpec("s4", (5,))
 
 
+def test_file_model_report_replays_from_its_own_degrees(tmp_path, monkeypatch):
+    # the report names the model `pair`, which resolves to the file ./pair
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pair").write_text('{"name": "pair", "generator_degrees": [3, 7]}', encoding="utf-8")
+    report = run_suite(resolve_model("pair"), 20, 9, ["bv-identity"], ops="delta-sign-flip")[0]
+    line = report.to_json()
+    assert report.failed() and json.loads(line)["generator_degrees"] == [3, 7]
+    (tmp_path / "pair").write_text('{"name": "pair", "generator_degrees": [3, 5]}', encoding="utf-8")
+    loaded = CheckReport.from_json(line)
+    assert replay(loaded).to_json() == line
+    with pytest.raises(AlgebraError) as info:
+        replay(loaded, model=resolve_model("pair"))
+    assert str(info.value) == (
+        "model mismatch: report for 'pair' has degrees [3, 7], given model has degrees [3, 5]"
+    )
+    # a line written before reports stored degrees loads, and replays in its own
+    # form against the file as it is now, which no longer gives its witness
+    data = json.loads(line)
+    del data["generator_degrees"]
+    old = CheckReport.from_json(json.dumps(data))
+    again = replay(old)
+    assert old.generator_degrees is None and again.generator_degrees is None
+    assert again.failed() and again.witness != old.witness
+
+
+def test_builtin_model_reports_store_no_degrees():
+    for report in run_suite(SU3, 3, 1, ["bv-identity", "loop-unit"]):
+        assert report.generator_degrees is None
+        assert "generator_degrees" not in json.loads(report.to_json())
+    # a model under a built-in name with other degrees is not that built-in
+    odd = run_suite(ModelSpec("su3", (3, 7)), 3, 1, ["loop-unit"])[0]
+    assert odd.generator_degrees == [3, 7] and replay(odd) == odd
+
+
 # -- report serialization ---------------------------------------------------------
 
 
