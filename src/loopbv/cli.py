@@ -8,7 +8,7 @@ import sys
 
 from .kernel import AlgebraError, Element, ModelSpec, Ring, basis_index
 from .models import describe_builtins, resolve_model
-from .expr import ExpressionError, describe_value, evaluate
+from .expr import ExpressionError, describe_value, evaluate, tokenize
 from .extended import cap as cap_product
 from .loop import bv_delta, loop_bracket
 from .verify import reports_to_jsonl, run_suite
@@ -131,8 +131,35 @@ def _cmd_table(args) -> int:
     return 0
 
 
+_OPENER = {")": "(", "]": "["}
+
+
+def _slot_error(flag: str, text: str) -> str | None:
+    """Why option `text` would leave its slot in `intersect([AT], [FREE], FAMILY)`:
+    an unbalanced bracket, or a comma outside brackets in the family.  A text
+    that does not tokenize is left to the evaluation of the built call."""
+    try:
+        tokens = tokenize(text)
+    except ExpressionError:
+        return None
+    where = lambda token: "%s: %d:%d: %r" % (flag, token.line, token.col, token.text)
+    opened = []
+    for token in tokens:
+        if token.kind in ("(", "["):
+            opened.append(token)
+        elif token.kind in _OPENER and (not opened or opened.pop().kind != _OPENER[token.kind]):
+            return "%s has no matching %r in the option" % (where(token), _OPENER[token.kind])
+        elif token.kind == "," and flag == "--family" and not opened:
+            return "%s outside brackets; the family is one class" % where(token)
+    return "%s is not closed in the option" % where(opened[-1]) if opened else None
+
+
 def _cmd_intersect(args) -> int:
     model = resolve_model(args.model)
+    for flag, text in (("--at", args.at), ("--free", args.free), ("--family", args.family)):
+        problem = _slot_error(flag, text)
+        if problem:
+            return _fail(problem)
     value = evaluate("intersect([%s], [%s], %s)" % (args.at, args.free, args.family), model)
     return _print_value(args, model, value, at=args.at, free=args.free, family=args.family)
 

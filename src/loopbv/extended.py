@@ -26,9 +26,9 @@ closed form applied to one term, as (d/du_i)^{K_i} u_i^{E_i} is the falling
 factorial E_i!/(E_i - K_i)! times u_i^{E_i - K_i}, and zero for K_i > E_i.
 Passing `bracket=` expands eq. 5.2 with the given bracket instead
 (`_cap_by_brackets`); the catalog identity `eq-5.2-nested-brackets` checks
-the closed form against the nested brackets.  The `bracket=` route stays for
-two callers: the `delta-exterior-term` mutation, whose cap must follow its
-own broken bracket, and the benchmark tracer, which counts a cap's brackets.
+the closed form against the nested brackets.  No code in the package passes
+`bracket=`; it stays for the benchmark tracer, which counts a cap's brackets,
+and for the tests that check the closed form against eq. 5.2.
 
 Extended classes are honest pairs (base cohomology part, loop part); a class
 in cohomological degree k counts as homological degree -k, and all signs use
@@ -84,7 +84,8 @@ def cap(omega: Element, b: Element, *, bracket=None) -> Element:
 
     Bilinear; the homological degree of the result is deg(b) - deg(omega).
     With `bracket` given, the cap is expanded through that bracket (eq. 5.2)
-    instead of the closed form.
+    instead of the closed form; only the benchmark tracer and the eq. 5.2
+    reference tests pass it.
     """
     if omega.ring is Ring.BASE:
         omega = to_full(omega)

@@ -18,8 +18,9 @@ gets its own ``evaluate(ops, model, args)`` returning (label, lhs, rhs) checks.
 
 A registry of deliberately broken primitive bundles ("mutations": one sign
 flipped or one term dropped in Delta, the bracket, the product, the cap, or
-the cohomology Delta) exists so tests can confirm the suite actually detects
-broken algebra rather than passing vacuously.
+the cohomology Delta; each is `STANDARD_OPS` plus the fields its row of
+`MUTATION_BREAKS` names) exists so tests can confirm the suite actually
+detects broken algebra rather than passing vacuously.
 """
 
 from __future__ import annotations
@@ -790,13 +791,6 @@ CATALOG: dict[str, IdentityCase] = _build_catalog()
 # mutated primitive bundles
 
 
-def _delta_drop_last(b: Element) -> Element:
-    last = b.model.rank
-    result = bv_delta(b)
-    # subtract the contribution of the final generator pair
-    return result - partial_u(partial_a(b, last), last)
-
-
 def _bracket_from_delta(delta):
     """The bracket a Delta induces through the BV identity; the reference
     against which the closed-form `loop_bracket` is checked."""
@@ -814,58 +808,31 @@ def _bracket_from_delta(delta):
     return bracket
 
 
+#: Each mutation bundle is `STANDARD_OPS` with the `BVOps` fields of its row
+#: replaced: one sign flipped, or one term dropped or added.
+MUTATION_BREAKS: dict[str, dict[str, Callable]] = {
+    "delta-sign-flip": {"delta": lambda b: -bv_delta(b)},
+    # drops the contribution of the last generator pair
+    "delta-drop-term": {"delta": lambda b: bv_delta(b) - partial_u(partial_a(b, b.model.rank), b.model.rank)},
+    "delta-extra-term": {"delta": lambda b: bv_delta(b) + partial_u(b, 1)},
+    "bracket-sign-flip": {"bracket": lambda b, c: -loop_bracket(b, c)},
+    # the BV-identity bracket without its -b*Delta(c) term
+    "bracket-drop-term": {"bracket": lambda b, c: loop_bracket(b, c) + b * bv_delta(c)},
+    # the bracket measures how far Delta is from a derivation, and d/da_1 is an
+    # odd derivation: this Delta induces the standard bracket, and through it
+    # (eq. 5.2) the standard cap, so only `delta` is broken
+    "delta-exterior-term": {"delta": lambda b: bv_delta(b) + partial_a(b, 1)},
+    "cap-sign-flip": {"cap": lambda w, b: -cap(w, b)},
+    "product-sign-flip": {"product": lambda b, c: -(b * c)},
+    "product-swap-unsigned": {"product": lambda b, c: c * b},
+    "coh-delta-sign-flip": {"coh_delta": lambda w: -coh_delta(w)},
+    "coh-delta-extra-term": {"coh_delta": lambda w: coh_delta(w) + alpha(w.model, 1) * w},
+}
+
+
 def mutations() -> dict[str, BVOps]:
-    """Named broken primitive bundles, each one sign flip or one term away."""
-    exterior_delta = lambda b: bv_delta(b) + partial_a(b, 1)
-    exterior_bracket = _bracket_from_delta(exterior_delta)
-    muts = {
-        "delta-sign-flip": replace(
-            STANDARD_OPS, name="delta-sign-flip", delta=lambda b: -bv_delta(b)
-        ),
-        "delta-drop-term": replace(
-            STANDARD_OPS, name="delta-drop-term", delta=_delta_drop_last
-        ),
-        "delta-extra-term": replace(
-            STANDARD_OPS, name="delta-extra-term", delta=lambda b: bv_delta(b) + partial_u(b, 1)
-        ),
-        "bracket-sign-flip": replace(
-            STANDARD_OPS, name="bracket-sign-flip", bracket=lambda b, c: -loop_bracket(b, c)
-        ),
-        "bracket-drop-term": replace(
-            STANDARD_OPS,
-            name="bracket-drop-term",
-            bracket=lambda b, c: sum(
-                ((bv_delta(part * c) - bv_delta(part) * c).scale(sign_pow(deg))
-                 for deg, part in b.homogeneous_components().items()),
-                Element.zero(b.model, Ring.LOOP),
-            ),
-        ),
-        "delta-exterior-term": replace(
-            STANDARD_OPS,
-            name="delta-exterior-term",
-            delta=exterior_delta,
-            bracket=exterior_bracket,
-            cap=lambda w, b: cap(w, b, bracket=exterior_bracket),
-        ),
-        "cap-sign-flip": replace(
-            STANDARD_OPS, name="cap-sign-flip", cap=lambda w, b: -cap(w, b)
-        ),
-        "product-sign-flip": replace(
-            STANDARD_OPS, name="product-sign-flip", product=lambda b, c: -(b * c)
-        ),
-        "product-swap-unsigned": replace(
-            STANDARD_OPS, name="product-swap-unsigned", product=lambda b, c: c * b
-        ),
-        "coh-delta-sign-flip": replace(
-            STANDARD_OPS, name="coh-delta-sign-flip", coh_delta=lambda w: -coh_delta(w)
-        ),
-        "coh-delta-extra-term": replace(
-            STANDARD_OPS,
-            name="coh-delta-extra-term",
-            coh_delta=lambda w: coh_delta(w) + alpha(w.model, 1) * w,
-        ),
-    }
-    return muts
+    """Named broken primitive bundles, each `STANDARD_OPS` plus one break."""
+    return {name: replace(STANDARD_OPS, name=name, **breaks) for name, breaks in MUTATION_BREAKS.items()}
 
 
 #: the seeded sign/term mutations of Delta or the bracket

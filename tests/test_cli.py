@@ -302,6 +302,9 @@ _INTERSECT_ERRORS = [
      "1:20: unexpected ']'"),
     ("s3", ["--at", "alpha1,", "--family", "u1"], "intersect([alpha1,], [], u1)",
      "1:19: unexpected ']'"),
+    # an option that does not tokenize is left to the built call, unbalanced or not
+    ("s3", ["--free", "alpha1", "--family", "(u1 $"], "intersect([], [alpha1], (u1 $)",
+     "1:29: unexpected character '$'"),
 ]
 
 
@@ -311,6 +314,27 @@ def test_intersect_and_eval_print_the_same_diagnostic(capsys, model, options, te
     via_intersect = _run(capsys, "intersect", "--model", model, *options)
     via_eval = _run(capsys, "eval", "--model", model, text)
     assert via_intersect == via_eval == (2, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("options, message", [
+    # would evaluate the sum of two intersections, `u1 + u1^2`
+    (["--family", "u1^2) + intersect([], [], u1"], "--family: 1:5: ')' has no matching '(' in the option"),
+    (["--free", "alpha1]) + intersect([], [", "--family", "u1"],
+     "--free: 1:7: ']' has no matching '[' in the option"),
+    (["--family", "u1, u1"], "--family: 1:3: ',' outside brackets; the family is one class"),
+    (["--at", "(alpha1", "--family", "u1"], "--at: 1:1: '(' is not closed in the option"),
+    (["--at", "alpha1,\n (alpha1", "--family", "u1"], "--at: 2:2: '(' is not closed in the option"),
+    (["--at", "(alpha1]", "--family", "u1"], "--at: 1:8: ']' has no matching '[' in the option"),
+    (["--family", "[u1)"], "--family: 1:4: ')' has no matching '(' in the option"),
+])
+def test_intersect_refuses_an_option_that_leaves_its_slot(capsys, options, message):
+    for extra in ([], ["--json"]):
+        assert _run(capsys, "intersect", "--model", "s3", *options, *extra) == (2, "", "error: %s\n" % message)
+
+
+def test_intersect_family_may_hold_commas_inside_brackets(capsys):
+    code, out, err = _run(capsys, "intersect", "--model", "s3", "--free", "alpha1", "--family", "product(u1, u1)")
+    assert (code, out, err) == (0, "2*u1 : loop-homology, degree 2\n", "")
 
 
 # -- deep nesting -----------------------------------------------------------------

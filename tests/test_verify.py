@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import random
+from dataclasses import fields
 
 import pytest
 
-from loopbv.kernel import AlgebraError, ModelSpec
-from loopbv.extended import STANDARD_OPS
+from loopbv.kernel import AlgebraError, Element, ModelSpec, Ring, random_element, sign_pow
+from loopbv.extended import STANDARD_OPS, BVOps, cap
+from loopbv.loop import bv_delta, loop_bracket, partial_a
 from loopbv.models import resolve_model
 from loopbv import verify
 from loopbv.expr import evaluate
@@ -15,6 +18,8 @@ from loopbv.verify import (
     CATALOG,
     CheckReport,
     DELTA_BRACKET_MUTATIONS,
+    MUTATION_BREAKS,
+    _bracket_from_delta,
     _draw,
     get_ops,
     mutations,
@@ -269,6 +274,65 @@ def test_registry_contains_five_delta_bracket_mutations():
     registry = mutations()
     for name in DELTA_BRACKET_MUTATIONS:
         assert name in registry
+
+
+@pytest.mark.parametrize("name", sorted(MUTATION_BREAKS))
+def test_each_bundle_is_the_standard_bundle_plus_its_row(name):
+    bundle = mutations()[name]
+    assert list(mutations()) == list(MUTATION_BREAKS)
+    assert bundle.name == name
+    breaks = MUTATION_BREAKS[name]
+    slots = [f.name for f in fields(BVOps) if f.name != "name"]
+    assert breaks and set(breaks) <= set(slots)
+    for slot in slots:
+        if slot in breaks:
+            assert getattr(bundle, slot) is breaks[slot]
+            assert getattr(bundle, slot) is not getattr(STANDARD_OPS, slot)
+        else:
+            assert getattr(bundle, slot) is getattr(STANDARD_OPS, slot)
+
+
+def _mixed_loop(model, tag, trial):
+    """A loop class with terms of both parities: the sum of two draws."""
+    d = model.dimension
+    rng = random.Random("mixed|%s|%s|%d" % (model.name, tag, trial))
+    return sum(
+        (random_element(model, Ring.LOOP, (-d - 2, 2 * d), 2, rng, even_cap=4) for _ in range(2)),
+        Element.zero(model, Ring.LOOP),
+    )
+
+
+@pytest.mark.parametrize("name", ["s3", "su3", "exterior:3,5,7"])
+def test_mutations_that_keep_the_standard_bracket_and_cap(name):
+    """`delta-exterior-term` adds the odd derivation d/da_1 to Delta, which the
+    bracket it induces and the eq. 5.2 cap through that bracket do not see;
+    `bracket-drop-term` is the BV-identity bracket without its -b*Delta(c)."""
+    model = resolve_model(name)
+    exterior_delta = mutations()["delta-exterior-term"].delta
+    exterior_bracket = _bracket_from_delta(exterior_delta)
+    drop_term = mutations()["bracket-drop-term"].bracket
+
+    def old_drop_term(b, c):
+        return sum(
+            ((bv_delta(part * c) - bv_delta(part) * c).scale(sign_pow(deg))
+             for deg, part in b.homogeneous_components().items()),
+            Element.zero(b.model, Ring.LOOP),
+        )
+
+    parities, delta_moved, caps = set(), 0, 0
+    for trial in range(30):
+        b, c = _mixed_loop(model, "b", trial), _mixed_loop(model, "c", trial)
+        rng = random.Random("mixed|%s|w|%d" % (name, trial))
+        w = random_element(model, Ring.COH, (0, 2 * model.dimension), 2, rng, even_cap=3)
+        parities.update(len(m.odds) % 2 for m in b.terms)
+        assert exterior_delta(b) == bv_delta(b) + partial_a(b, 1)
+        delta_moved += exterior_delta(b) != bv_delta(b)
+        assert exterior_bracket(b, c) == loop_bracket(b, c)
+        value = cap(w, b)
+        caps += not value.is_zero()
+        assert cap(w, b, bracket=exterior_bracket) == value
+        assert old_drop_term(b, c) == loop_bracket(b, c) + b * bv_delta(c) == drop_term(b, c)
+    assert parities == {0, 1} and delta_moved and caps
 
 
 @pytest.mark.parametrize("name", sorted(mutations()))
