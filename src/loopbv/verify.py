@@ -957,24 +957,21 @@ def run_suite(
     """Check identities on seeded random draws; one report per identity.
 
     `selection` is an iterable of identity ids (None means the full catalog);
-    an unknown id is an error, not a silent no-op.  Reports come back in
-    catalog order.  `ops` names a primitive bundle from the registry, for
-    running the suite against deliberately broken algebra.
+    an empty one or an unknown id is an error, not a silent no-op.  Reports
+    come back in catalog order.  `ops` names a primitive bundle from the
+    registry, for running the suite against deliberately broken algebra.
     """
     if trials < 1:
         raise AlgebraError("trials must be >= 1, got %d" % trials)
     ops_obj = get_ops(ops)
-    if selection is None:
-        chosen = list(CATALOG)
-    else:
-        chosen = list(selection)
-        for ident in chosen:
-            if ident not in CATALOG:
-                raise AlgebraError(
-                    "unknown identity id %r (see the catalog for known ids)" % ident
-                )
-        wanted = set(chosen)
-        chosen = [ident for ident in CATALOG if ident in wanted]
+    chosen = list(CATALOG if selection is None else selection)
+    if not chosen:
+        raise AlgebraError("no identity selected (see the catalog for known ids)")
+    for ident in chosen:
+        if ident not in CATALOG:
+            raise AlgebraError("unknown identity id %r (see the catalog for known ids)" % ident)
+    wanted = set(chosen)
+    chosen = [ident for ident in CATALOG if ident in wanted]
     degrees = None if model == builtin_named(model.name) else list(model.generator_degrees)
     reports = []
     for ident in chosen:

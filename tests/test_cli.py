@@ -131,6 +131,15 @@ def test_check_unknown_identity(capsys):
     assert "unknown identity id" in err
 
 
+@pytest.mark.parametrize("only", [[","], [""], [" , ", ","]])
+def test_check_refuses_an_empty_selection(capsys, only):
+    argv = [arg for chunk in only for arg in ("--only", chunk)]
+    code, out, err = _run(capsys, "check", "--model", "s3", "--trials", "1", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: no identity selected (see the catalog for known ids)\n"
+
+
 def test_check_refuses_model_file_with_a_builtin_name_and_other_degrees(tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text('{"name": "su3", "generator_degrees": [3, 7]}', encoding="utf-8")
@@ -203,19 +212,22 @@ def test_table_refuses_oversized_tables(capsys, model, op, argv):
 
 
 RANK_21 = "exterior:" + ",".join(["1"] * 21)
+RANK_27 = "exterior:" + ",".join(["1"] * 27)
 
 
-@pytest.mark.parametrize("argv", [
-    ("check", "--model", RANK_21, "--trials", "1"),
-    ("check", "--model", RANK_21, "--only", "bv-identity", "--trials", "1", "--json"),
-    ("table", "--model", RANK_21, "--op", "delta"),
-    ("table", "--model", RANK_21, "--op", "cap", "--max-degree", "0", "--max-exp", "0"),
-])
-def test_commands_that_index_the_basis_refuse_rank_above_the_limit(capsys, argv):
+@pytest.mark.parametrize("argv, count", [
+    (("check", "--model", RANK_27, "--trials", "1"), "1107568 exponent vectors"),
+    (("check", "--model", RANK_27, "--only", "bv-identity", "--trials", "1", "--json"), "1107568 exponent vectors"),
+    (("table", "--model", "su3", "--op", "bracket", "--max-degree", "2", "--max-exp", "20000"),
+     "200030001 exponent vectors"),
+    (("table", "--model", "s3", "--op", "delta", "--max-degree", "0", "--max-exp", "30000000"),
+     "30000001 exponent vectors"),
+], ids=["check-rank-27", "check-only-json-rank-27", "table-su3-max-exp-20000", "table-s3-max-exp-30000000"])
+def test_commands_that_index_the_basis_refuse_an_oversized_index(capsys, argv, count):
     code, out, err = _run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "rank 21" in err and "limit of 20" in err
+    assert err.startswith("error: ") and count in err and "limit of 1000000" in err
 
 
 def test_eval_works_above_the_rank_limit(capsys):

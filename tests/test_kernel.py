@@ -9,11 +9,13 @@ from math import comb
 
 import pytest
 
+from loopbv import kernel
 from loopbv.kernel import (
     ANY_DEGREE,
     INHOMOGENEOUS,
-    MAX_INDEXED_RANK,
+    MAX_INDEX_ENTRIES,
     AlgebraError,
+    BasisIndex,
     Element,
     ModelSpec,
     Monomial,
@@ -352,25 +354,70 @@ def test_basis_index_counts_rank_12_without_enumerating(cap):
     assert index.monomial(last, index.count(last) - 1) == Monomial((), (0,) * 11 + (cap,))
 
 
+def _exterior_ones(rank):
+    return ModelSpec("exterior:" + ",".join(["1"] * rank), (1,) * rank)
+
+
+def _su(n):
+    return ModelSpec("su%d" % n, tuple(range(3, 2 * n, 2)))
+
+
 @pytest.mark.parametrize("ring", list(Ring))
-def test_basis_index_refuses_rank_above_the_limit_before_listing_subsets(monkeypatch, ring):
+def test_basis_index_refuses_too_many_entries_before_listing_them(monkeypatch, ring):
     def listing(*args):
-        raise RuntimeError("listed odd-index subsets")
+        raise RuntimeError("listed exponent vectors")
+
+    monkeypatch.setattr(kernel, "_exponent_vectors", listing)
+    # C(27 + 6, 6) exponent vectors at rank 27 and cap 6; base cohomology has cap 0
+    assert comb(27 + 6, 6) > MAX_INDEX_ENTRIES >= comb(26 + 6, 6)
+    if ring is Ring.BASE:
+        with pytest.raises(RuntimeError, match="listed"):
+            basis_index(_exterior_ones(27), ring, 6)
+    else:
+        with pytest.raises(AlgebraError) as info:
+            basis_index(_exterior_ones(27), ring, 6)
+        assert str(info.value) == (
+            "model %r: a basis index up to total even exponent 6 would need %d exponent vectors, "
+            "more than the limit of %d" % (_exterior_ones(27).name, comb(27 + 6, 6), MAX_INDEX_ENTRIES)
+        )
+        with pytest.raises(AlgebraError, match="exponent vectors"):
+            random_element(_exterior_ones(27), ring, (-3, 3), 1, 0, even_cap=6)
+    # 101 count tables over a window of 10,201 degrees at su101 (rank 100), cap or no cap
+    with pytest.raises(AlgebraError) as info:
+        basis_index(_su(101), ring, 0)
+    assert str(info.value) == (
+        "model 'su101': a basis index up to total even exponent 0 would need 1030301 degree counts, "
+        "more than the limit of %d" % MAX_INDEX_ENTRIES
+    )
+    # within both bounds the index is built: the fake listing is reached
+    for model, cap in ((_exterior_ones(26), 6), (_su(100), 0)):
+        with pytest.raises(RuntimeError, match="listed"):
+            basis_index(model, ring, cap)
+
+
+def test_base_index_is_shared_across_caps():
+    assert basis_index(SU3, Ring.BASE, 0) is basis_index(SU3, Ring.BASE, 8)
+    assert basis_index(SU3, Ring.BASE, 8).degrees == (0, 3, 5, 8)
+
+
+def test_rank_24_index_counts_without_listing_odd_tuples(monkeypatch):
+    def listing(*args):
+        raise RuntimeError("listed odd-index tuples")
 
     monkeypatch.setattr(itertools, "combinations", listing)
-    too_big = ModelSpec("exterior:" + ",".join(["1"] * (MAX_INDEXED_RANK + 1)), (1,) * (MAX_INDEXED_RANK + 1))
-    with pytest.raises(AlgebraError) as info:
-        basis_index(too_big, ring, 2)
-    message = str(info.value)
-    assert "rank %d" % (MAX_INDEXED_RANK + 1) in message
-    assert "limit of %d" % MAX_INDEXED_RANK in message
-    assert "2^%d" % (MAX_INDEXED_RANK + 1) in message
-    with pytest.raises(AlgebraError, match="rank"):
-        random_element(too_big, ring, (-3, 3), 1, 0)
-    # at the limit the index is built: the fake listing is reached
-    at_limit = ModelSpec("at-limit", (1,) * MAX_INDEXED_RANK)
-    with pytest.raises(RuntimeError, match="listed"):
-        basis_index(at_limit, ring, 2)
+    model = _su(25)
+    index = BasisIndex(model, Ring.LOOP, 6)  # uncached: it holds 593,775 exponent vectors
+    assert sum(index.count(deg) for deg in index.degrees) == 2 ** 24 * comb(24 + 6, 6)
+    middle = index.degrees[len(index.degrees) // 2]
+    n = index.count(middle)
+    assert n > 10 ** 6
+    ends = [index.monomial(middle, k) for k in (*range(20), *range(n - 20, n))]
+    assert ends == sorted(set(ends))
+    for mono in ends:
+        assert Element.monomial(model, Ring.LOOP, mono).degree() == middle
+        assert sum(mono.exps) <= 6
+    with pytest.raises(IndexError):
+        index.monomial(middle, n)
 
 
 # -- coefficient representation ---------------------------------------------

@@ -131,6 +131,12 @@ def test_unknown_identity_is_an_error():
         run_suite(S3, 5, 1, selection=["eq-0.0-nope"])
 
 
+@pytest.mark.parametrize("selection", [[], ()])
+def test_empty_selection_is_an_error(selection):
+    with pytest.raises(AlgebraError, match="no identity selected"):
+        run_suite(S3, 5, 1, selection=selection)
+
+
 def test_trials_must_be_positive():
     with pytest.raises(AlgebraError):
         run_suite(S3, 0, 1)
