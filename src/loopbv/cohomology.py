@@ -2,15 +2,16 @@
 
 The full ring is free graded-commutative on alpha_i (odd, degree d_i) and
 v_i (even, degree d_i - 1); the base subring H^*(M) is exterior on the
-alpha_i alone.  The circle-action operator is the odd derivation of degree
--1 fixed on generators by
+alpha_i alone: a base class is a `Ring.COH` element with no v factors, and
+`to_base` is the check that a class lies in the subring.  The circle-action
+operator is the odd derivation of degree -1 fixed on generators by
 
     coh_delta(alpha_i) = v_i,      coh_delta(v_i) = 0,
 
 so v_i is an independent ring generator that coh_delta identifies with the
 image of alpha_i.  Poincare duality D maps the exterior subring of loop
 homology multiplicatively onto the base subring, D(a_i) = alpha_i; its
-inverse realises base cohomology classes as constant-loop homology classes.
+inverse realises base classes as constant-loop homology classes.
 """
 
 from __future__ import annotations
@@ -23,12 +24,8 @@ def coh_unit(model: ModelSpec) -> Element:
     return Element.unit(model, Ring.COH)
 
 
-def base_unit(model: ModelSpec) -> Element:
-    return Element.unit(model, Ring.BASE)
-
-
-def alpha(model: ModelSpec, index: int, ring: Ring = Ring.COH) -> Element:
-    return Element.generator(model, ring, "odd", index)
+def alpha(model: ModelSpec, index: int) -> Element:
+    return Element.generator(model, Ring.COH, "odd", index)
 
 
 def v(model: ModelSpec, index: int) -> Element:
@@ -72,22 +69,12 @@ def decompose_monomial(mono: Monomial) -> tuple[Monomial, tuple[int, ...]]:
     return base_part, mono.exps
 
 
-def to_full(x: Element) -> Element:
-    """Include a base-cohomology class into the full cohomology ring."""
-    if x.ring is Ring.COH:
-        return x
-    _expect(x, "to_full", Ring.COH)
-    return Element._of(x.model, Ring.COH, dict(x.terms))
-
-
 def to_base(x: Element, op: str = "to_base") -> Element:
-    """Project-check a full cohomology class into the base subring; messages name `op`."""
-    if x.ring is Ring.BASE:
-        return x
+    """Return `x` once it is checked to lie in the base subring; messages name `op`."""
     _expect(x, op, Ring.COH)
     if not _is_exterior(x):
         raise AlgebraError("%s: class has v factors, not in the base subring" % op)
-    return Element._of(x.model, Ring.BASE, dict(x.terms))
+    return x
 
 
 def poincare_dual(x: Element) -> Element:
@@ -99,12 +86,10 @@ def poincare_dual(x: Element) -> Element:
     _expect(x, "poincare_dual", Ring.LOOP)
     if not _is_exterior(x):
         raise AlgebraError("poincare_dual: input is not in the exterior subring (has u factors)")
-    return Element._of(x.model, Ring.BASE, dict(x.terms))
+    return Element._of(x.model, Ring.COH, dict(x.terms))
 
 
 def poincare_dual_inverse(w: Element) -> Element:
     """D^{-1}: base cohomology back to constant-loop homology classes."""
-    if w.ring is Ring.COH:
-        w = to_base(w, "poincare_dual_inverse")
-    _expect(w, "poincare_dual_inverse", Ring.BASE)
+    to_base(w, "poincare_dual_inverse")
     return Element._of(w.model, Ring.LOOP, dict(w.terms))

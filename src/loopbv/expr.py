@@ -50,7 +50,7 @@ from fractions import Fraction
 
 from .kernel import AlgebraError, Element, ModelSpec, Ring
 from .loop import bv_delta, loop_bracket, s_star
-from .cohomology import coh_delta, poincare_dual, poincare_dual_inverse, to_full
+from .cohomology import coh_delta, poincare_dual, poincare_dual_inverse
 from .extended import cap, loop_intersection
 
 
@@ -471,7 +471,7 @@ _FUNCTIONS = {
     ),
     "Delta": (lambda x: bv_delta(x) if x.ring is Ring.LOOP else coh_delta(x), (_ANY,)),
     "s": (lambda x: s_star(x), ((Ring.LOOP, "s argument"),)),
-    "D": (lambda x: to_full(poincare_dual(x)), ((Ring.LOOP, "D argument"),)),
+    "D": (lambda x: poincare_dual(x), ((Ring.LOOP, "D argument"),)),
     "Dinv": (lambda w: poincare_dual_inverse(w), ((Ring.COH, "Dinv argument"),)),
     "intersect": (
         lambda ats, frees, family: loop_intersection(ats, frees, family),

@@ -30,7 +30,8 @@ the closed form against the nested brackets.  No code in the package passes
 `bracket=`; it stays for the benchmark tracer, which counts a cap's brackets,
 and for the tests that check the closed form against eq. 5.2.
 
-Extended classes are honest pairs (base cohomology part, loop part); a class
+Extended classes are honest pairs (base cohomology part, loop part), where
+the base part is a cohomology class checked to have no v factors; a class
 in cohomological degree k counts as homological degree -k, and all signs use
 homological degrees.  The multiplicative unit is (1, 0), the unit of H^0(M):
 mixed products push cohomology into the loop part (alpha . b = cap(alpha, b)),
@@ -64,7 +65,7 @@ from .kernel import (
 )
 from .loop import bv_delta, loop_bracket, loop_product
 from .loop import a as loop_a
-from .cohomology import coh_delta, to_base, to_full
+from .cohomology import coh_delta, to_base
 
 
 @dataclass(frozen=True)
@@ -87,8 +88,6 @@ def cap(omega: Element, b: Element, *, bracket=None) -> Element:
     instead of the closed form; only the benchmark tracer and the eq. 5.2
     reference tests pass it.
     """
-    if omega.ring is Ring.BASE:
-        omega = to_full(omega)
     if omega.ring is not Ring.COH:
         raise AlgebraError("cap: first argument must be a cohomology class, got %s" % omega.ring.value)
     if b.ring is not Ring.LOOP:
@@ -157,10 +156,9 @@ class ExtendedClass:
     __slots__ = ("model", "coh", "loop")
 
     def __init__(self, coh: Element, loop: Element):
-        if coh.ring is Ring.COH:
-            coh = to_base(coh, "ExtendedClass")
-        if coh.ring is not Ring.BASE:
+        if coh.ring is not Ring.COH:
             raise AlgebraError("ExtendedClass: coh part must be base cohomology, got %s" % coh.ring.value)
+        to_base(coh, "ExtendedClass")
         if loop.ring is not Ring.LOOP:
             raise AlgebraError("ExtendedClass: loop part must be loop homology, got %s" % loop.ring.value)
         _same_model(coh, loop, "ExtendedClass")
@@ -172,11 +170,11 @@ class ExtendedClass:
 
     @classmethod
     def zero(cls, model: ModelSpec) -> "ExtendedClass":
-        return cls(Element.zero(model, Ring.BASE), Element.zero(model, Ring.LOOP))
+        return cls(Element.zero(model, Ring.COH), Element.zero(model, Ring.LOOP))
 
     @classmethod
     def unit(cls, model: ModelSpec) -> "ExtendedClass":
-        return cls(Element.unit(model, Ring.BASE), Element.zero(model, Ring.LOOP))
+        return cls(Element.unit(model, Ring.COH), Element.zero(model, Ring.LOOP))
 
     @classmethod
     def from_coh(cls, w: Element) -> "ExtendedClass":
@@ -184,7 +182,7 @@ class ExtendedClass:
 
     @classmethod
     def from_loop(cls, b: Element) -> "ExtendedClass":
-        return cls(Element.zero(b.model, Ring.BASE), b)
+        return cls(Element.zero(b.model, Ring.COH), b)
 
     # -- structure -------------------------------------------------------
 
@@ -214,7 +212,7 @@ class ExtendedClass:
             if n in parts:
                 parts[n] = ExtendedClass(parts[n].coh, b)
             else:
-                parts[n] = ExtendedClass(Element.zero(self.model, Ring.BASE), b)
+                parts[n] = ExtendedClass(Element.zero(self.model, Ring.COH), b)
         return dict(sorted(parts.items()))
 
     # -- linear operations -------------------------------------------------
@@ -261,13 +259,12 @@ def extended_product(x: ExtendedClass, y: ExtendedClass, *, ops: BVOps = STANDAR
     coh = x.coh * y.coh
     loop = ops.product(x.loop, y.loop)
     if not x.coh.is_zero() and not y.loop.is_zero():
-        loop = loop + ops.cap(to_full(x.coh), y.loop)
+        loop = loop + ops.cap(x.coh, y.loop)
     if not y.coh.is_zero() and not x.loop.is_zero():
         # b . alpha = (-1)^{|alpha||b|} alpha . b, per homogeneous component
         for k, w in y.coh.homogeneous_components().items():
-            wf = to_full(w)
             for n, b in x.loop.homogeneous_components().items():
-                loop = loop + ops.cap(wf, b).scale(sign_pow(k * n))
+                loop = loop + ops.cap(w, b).scale(sign_pow(k * n))
     return ExtendedClass(coh, loop)
 
 
@@ -283,25 +280,24 @@ def extended_bracket(x: ExtendedClass, y: ExtendedClass, *, ops: BVOps = STANDAR
     loop = ops.bracket(x.loop, y.loop)
     if not x.coh.is_zero() and not y.loop.is_zero():
         for k, w in x.coh.homogeneous_components().items():
-            loop = loop + ops.cap(ops.coh_delta(to_full(w)), y.loop).scale(sign_pow(k))
+            loop = loop + ops.cap(ops.coh_delta(w), y.loop).scale(sign_pow(k))
     if not y.coh.is_zero() and not x.loop.is_zero():
         for k, w in y.coh.homogeneous_components().items():
             capped_sign = sign_pow(k)
             for n, b in x.loop.homogeneous_components().items():
                 flip = -sign_pow((k + 1) * (n + 1))
-                term = ops.cap(ops.coh_delta(to_full(w)), b).scale(capped_sign * flip)
+                term = ops.cap(ops.coh_delta(w), b).scale(capped_sign * flip)
                 loop = loop + term
-    return ExtendedClass(Element.zero(model, Ring.BASE), loop)
+    return ExtendedClass(Element.zero(model, Ring.COH), loop)
 
 
 def extended_delta(x: ExtendedClass, *, ops: BVOps = STANDARD_OPS) -> ExtendedClass:
     """BV operator on the direct sum: zero on cohomology, Delta on loops."""
-    return ExtendedClass(Element.zero(x.model, Ring.BASE), ops.delta(x.loop))
+    return ExtendedClass(Element.zero(x.model, Ring.COH), ops.delta(x.loop))
 
 
 def _intersection_class(w: Element, slot: str, pos: int, model: ModelSpec) -> Element:
-    """Check one entry of a loop_intersection list; return it in the full ring."""
-    w = to_full(w) if w.ring is Ring.BASE else w
+    """Check one entry of a loop_intersection list and return it."""
     if w.ring is not Ring.COH:
         raise AlgebraError("loop_intersection: %s[%d] must be a base cohomology class" % (slot, pos))
     if not _is_exterior(w):

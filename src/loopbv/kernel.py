@@ -1,11 +1,13 @@
 """Exact graded-commutative monomial arithmetic over the rationals.
 
 A model is a free graded-commutative algebra on r odd generators and r even
-generators, realised in three gradings ("rings"):
+generators, realised in two gradings ("rings"):
 
-* loop homology   -- odd generator a_i of degree -d_i, even u_i of degree d_i - 1,
-* cohomology      -- odd generator alpha_i of degree d_i, even v_i of degree d_i - 1,
-* base cohomology -- the exterior subring on the alpha_i alone.
+* loop homology -- odd generator a_i of degree -d_i, even u_i of degree d_i - 1,
+* cohomology    -- odd generator alpha_i of degree d_i, even v_i of degree d_i - 1.
+
+Base cohomology H^*(M) is not a third ring but the exterior subring of
+cohomology on the alpha_i alone; `_is_exterior` checks membership.
 
 Coefficients are exact rationals: every entry point (`Element(...)`,
 `scale`, `unit`, `generator`, `Element.monomial`, `random_element`) stores
@@ -43,7 +45,6 @@ class AlgebraError(ValueError):
 class Ring(Enum):
     LOOP = "loop-homology"
     COH = "cohomology"
-    BASE = "base-cohomology"
 
 
 @dataclass(frozen=True)
@@ -197,8 +198,8 @@ def _same_model(x, y, op: str) -> None:
 
 
 def _expect(x: Element, op: str, ring: Ring) -> None:
-    """Raise unless `x` lies in `ring`; `Ring.COH` also admits `Ring.BASE`."""
-    if x.ring is not ring and not (ring is Ring.COH and x.ring is Ring.BASE):
+    """Raise unless `x` lies in `ring`."""
+    if x.ring is not ring:
         raise AlgebraError("%s: expected a %s class, got %s" % (op, ring.value, x.ring.value))
 
 
@@ -216,17 +217,8 @@ def _mono_degree(model: ModelSpec, ring: Ring, m: Monomial) -> int:
     return odd_part + even_part
 
 
-_GEN_NAMES = {
-    Ring.LOOP: ("a", "u"),
-    Ring.COH: ("alpha", "v"),
-    Ring.BASE: ("alpha", "v"),
-}
-
-_UNICODE_GEN_NAMES = {
-    Ring.LOOP: ("a", "u"),
-    Ring.COH: ("α", "v"),
-    Ring.BASE: ("α", "v"),
-}
+_GEN_NAMES = {Ring.LOOP: ("a", "u"), Ring.COH: ("alpha", "v")}
+_UNICODE_GEN_NAMES = {Ring.LOOP: ("a", "u"), Ring.COH: ("α", "v")}
 
 
 def _mono_str(ring: Ring, m: Monomial, unicode: bool = False) -> str:
@@ -298,8 +290,6 @@ class Element:
                     raise AlgebraError("monomial %r: odd indices must be strictly ascending" % (mono,))
                 if mono.odds and not (1 <= mono.odds[0] and mono.odds[-1] <= r):
                     raise AlgebraError("monomial %r: odd index out of range 1..%d" % (mono, r))
-                if ring is Ring.BASE and any(mono.exps):
-                    raise AlgebraError("base-cohomology admits no even generators: %r" % (mono,))
                 clean[mono] = coeff
         self.terms = clean
 
@@ -336,8 +326,6 @@ class Element:
         if kind == "odd":
             mono = _tuple_new(Monomial, ((index,), (0,) * model.rank))
         elif kind == "even":
-            if ring is Ring.BASE:
-                raise AlgebraError("base-cohomology admits only odd generators")
             exps = [0] * model.rank
             exps[index - 1] = 1
             mono = _tuple_new(Monomial, ((), tuple(exps)))
@@ -550,6 +538,20 @@ DEFAULT_EVEN_CAP = 8
 MAX_INDEX_ENTRIES = 10 ** 6
 
 
+def check_index_size(model: ModelSpec, even_cap: int) -> None:
+    """Raise unless both tables of a `BasisIndex` of `model` up to `even_cap`, in
+    either ring, fit `MAX_INDEX_ENTRIES`; neither table is built."""
+    rank, degs = model.rank, model.generator_degrees
+    # every degree lies in a window this wide, with one count per `_tails` dict
+    counts = (rank + 1) * (sum(degs) + even_cap * (max(degs) - 1) + 1)
+    for size, what in ((comb(rank + even_cap, rank), "exponent vectors"), (counts, "degree counts")):
+        if size > MAX_INDEX_ENTRIES:
+            raise AlgebraError(
+                "model %r: a basis index up to total even exponent %d would need %d %s, "
+                "more than the limit of %d" % (model.name, even_cap, size, what, MAX_INDEX_ENTRIES)
+            )
+
+
 def _exponent_vectors(weights: tuple[int, ...], cap: int) -> dict[int, list[tuple[int, ...]]]:
     """The exponent vectors of total <= cap by weighted degree, each list ascending."""
     even, stack = {}, [((), cap, 0)]
@@ -578,15 +580,8 @@ class BasisIndex:
     """
 
     def __init__(self, model: ModelSpec, ring: Ring, even_cap: int):
-        rank, degs = model.rank, model.generator_degrees
-        # every degree lies in a window this wide, with one count per `_tails` dict
-        counts = (rank + 1) * (sum(degs) + even_cap * (max(degs) - 1) + 1)
-        for size, what in ((comb(rank + even_cap, rank), "exponent vectors"), (counts, "degree counts")):
-            if size > MAX_INDEX_ENTRIES:
-                raise AlgebraError(
-                    "model %r: a basis index up to total even exponent %d would need %d %s, "
-                    "more than the limit of %d" % (model.name, even_cap, size, what, MAX_INDEX_ENTRIES)
-                )
+        check_index_size(model, even_cap)
+        degs = model.generator_degrees
         self._even = _exponent_vectors(tuple(d - 1 for d in degs), even_cap)
         self._odd = (0,) + tuple(-d if ring is Ring.LOOP else d for d in degs)  # 1-based
         self._tails = [{deg: len(vs) for deg, vs in self._even.items()}]
@@ -626,12 +621,8 @@ class BasisIndex:
             deg -= odd[j]
 
 
-_cached_index = lru_cache(maxsize=None)(BasisIndex)
-
-
-def basis_index(model: ModelSpec, ring: Ring, even_cap: int) -> BasisIndex:
-    """The cached `BasisIndex` of `ring` up to `even_cap`, which is 0 for base cohomology."""
-    return _cached_index(model, ring, 0 if ring is Ring.BASE else even_cap)
+# basis_index(model, ring, even_cap): the `BasisIndex`, built once per arguments
+basis_index = lru_cache(maxsize=None)(BasisIndex)
 
 
 _COEFF_NUMERATORS = (-3, -2, -1, 1, 2, 3)

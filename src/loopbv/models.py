@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import re
+import sys
 
 from .kernel import AlgebraError, ModelSpec
 
@@ -20,17 +21,28 @@ _SPECIAL_UNITARY = re.compile(r"^su([0-9]+)$")
 _EXTERIOR = re.compile(r"^exterior:(.+)$")
 
 
+def _int(digits: str) -> int:
+    """A run of ASCII digits as an int: it fails only past the interpreter's digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise AlgebraError(
+            "model name holds a number of %d digits, more than the interpreter's limit of %d "
+            "for an integer" % (len(digits), sys.get_int_max_str_digits())
+        ) from None
+
+
 def builtin_model(name: str) -> ModelSpec | None:
     """Resolve a built-in model name, or None when the name is not built in."""
     m = _SPHERE.match(name)
     if m:
-        n = int(m.group(1))
+        n = _int(m.group(1))
         if n % 2 == 0 or n < 1:
             raise AlgebraError("model %r: sphere degree must be odd and >= 1" % name)
         return ModelSpec(name, (n,))
     m = _SPECIAL_UNITARY.match(name)
     if m:
-        n = int(m.group(1))
+        n = _int(m.group(1))
         if n < 2:
             raise AlgebraError("model %r: su<n> needs n >= 2" % name)
         return ModelSpec(name, tuple(range(3, 2 * n, 2)))

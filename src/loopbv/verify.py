@@ -38,6 +38,7 @@ from .kernel import (
     ModelSpec,
     Ring,
     basis_index,
+    check_index_size,
     random_element,
     sign_pow,
 )
@@ -49,7 +50,6 @@ from .cohomology import (
     coh_delta,
     poincare_dual,
     poincare_dual_inverse,
-    to_full,
     v,
 )
 from .models import builtin_named, resolve_model
@@ -137,12 +137,17 @@ def _hdeg(x) -> int:
     return deg if isinstance(deg, int) else 0
 
 
+def _draw_base(model: ModelSpec, window, max_terms: int, rng: random.Random) -> Element:
+    """A base class: a cohomology draw at even cap 0, so it has no v factors."""
+    return random_element(model, Ring.COH, window, max_terms, rng, even_cap=0)
+
+
 @lru_cache(maxsize=None)
 def _extended_degrees(model: ModelSpec):
     """Candidate degrees of an `ext` draw, plus the populated loop and base degrees."""
     lo, hi = _default_window(model)
     loop_degs = frozenset(basis_index(model, Ring.LOOP, SUITE_EVEN_CAP).degrees)
-    base_degs = frozenset(basis_index(model, Ring.BASE, 0).degrees)
+    base_degs = frozenset(basis_index(model, Ring.COH, 0).degrees)  # those `_draw_base` draws
     candidates = tuple(sorted(
         {n for n in loop_degs if lo <= n <= hi}
         | {-k for k in base_degs if lo <= -k <= hi}
@@ -153,12 +158,12 @@ def _extended_degrees(model: ModelSpec):
 def _draw_extended(model: ModelSpec, rng: random.Random, max_terms: int) -> ExtendedClass:
     candidates, loop_degs, base_degs = _extended_degrees(model)
     n = rng.choice(candidates)
-    coh = Element.zero(model, Ring.BASE)
+    coh = Element.zero(model, Ring.COH)
     loop = Element.zero(model, Ring.LOOP)
     want_coh = -n in base_degs and rng.random() < 0.6
     want_loop = n in loop_degs and (rng.random() < 0.8 or not want_coh)
     if want_coh:
-        coh = random_element(model, Ring.BASE, (-n, -n), max_terms, rng)
+        coh = _draw_base(model, (-n, -n), max_terms, rng)
     if want_loop:
         loop = random_element(model, Ring.LOOP, (n, n), max_terms, rng, even_cap=SUITE_EVEN_CAP)
     if coh.is_zero() and loop.is_zero():
@@ -170,8 +175,8 @@ def _draw_intersect_config(model: ModelSpec, rng: random.Random):
     d = model.dimension
     at_count = rng.randint(0, 3)
     free_count = rng.randint(0, 3)
-    ats = [random_element(model, Ring.BASE, (0, d), 1, rng) for _ in range(at_count)]
-    frees = [random_element(model, Ring.BASE, (0, d), 2, rng) for _ in range(free_count)]
+    ats = [_draw_base(model, (0, d), 1, rng) for _ in range(at_count)]
+    frees = [_draw_base(model, (0, d), 2, rng) for _ in range(free_count)]
     family = random_element(
         model, Ring.LOOP, _default_window(model), 2, rng, even_cap=SUITE_EVEN_CAP
     )
@@ -187,7 +192,7 @@ def _draw(spec: ArgSpec, model: ModelSpec, rng: random.Random):
     if kind == "exterior":
         return random_element(model, Ring.LOOP, (-d, 0), spec.max_terms, rng, even_cap=0)
     if kind == "base":
-        return random_element(model, Ring.BASE, (0, d), spec.max_terms, rng)
+        return _draw_base(model, (0, d), spec.max_terms, rng)
     if kind == "coh":
         return random_element(model, Ring.COH, (0, 2 * d), spec.max_terms, rng, even_cap=SUITE_EVEN_CAP)
     if kind == "ext":
@@ -404,11 +409,10 @@ def _cap_commutes(first_label, second_label):
 
     def evaluate(ops, model, args):
         al, x, y = args
-        alf = to_full(al)
-        lhs = ops.cap(alf, ops.product(x, y))
+        lhs = ops.cap(al, ops.product(x, y))
         return [
-            (first_label, lhs, ops.product(ops.cap(alf, x), y)),
-            (second_label, lhs, ops.product(x, ops.cap(alf, y)).scale(sign_pow(_hdeg(al) * _hdeg(x)))),
+            (first_label, lhs, ops.product(ops.cap(al, x), y)),
+            (second_label, lhs, ops.product(x, ops.cap(al, y)).scale(sign_pow(_hdeg(al) * _hdeg(x)))),
         ]
 
     return evaluate
@@ -429,7 +433,7 @@ def _cap_derivation(over, shift, label):
     def evaluate(ops, model, args):
         al, b, c = args
         op = getattr(ops, over)
-        da = ops.coh_delta(to_full(al))
+        da = ops.coh_delta(al)
         lhs = ops.cap(da, op(b, c))
         rhs = op(ops.cap(da, b), c) + op(b, ops.cap(da, c)).scale(
             sign_pow((_hdeg(al) - 1) * (_hdeg(b) + shift))
@@ -448,7 +452,7 @@ def _ev_delta_cap_derivation(ops, model, args):
 
 def _ev_cap_constant_trivial(ops, model, args):
     al, x = args
-    lhs = ops.cap(ops.coh_delta(to_full(al)), s_star(x))
+    lhs = ops.cap(ops.coh_delta(al), s_star(x))
     return [("Dalpha cap s_star(x) = 0", lhs, Element.zero(model, Ring.LOOP))]
 
 
@@ -462,13 +466,12 @@ def _ev_cap_module_axiom(ops, model, args):
 
 def _ev_cap_is_intersection(ops, model, args):
     al, b = args
-    alf = to_full(al)
     a_dual = poincare_dual_inverse(al)
     return [
-        ("alpha cap b = Dinv(alpha)*b", ops.cap(alf, b), ops.product(a_dual, b)),
+        ("alpha cap b = Dinv(alpha)*b", ops.cap(al, b), ops.product(a_dual, b)),
         (
             "(-1)^{|alpha|} Dalpha cap b = {Dinv(alpha),b}",
-            ops.cap(ops.coh_delta(alf), b).scale(sign_pow(_hdeg(al))),
+            ops.cap(ops.coh_delta(al), b).scale(sign_pow(_hdeg(al))),
             ops.bracket(a_dual, b),
         ),
     ]
@@ -527,11 +530,11 @@ def _ev_def_mixed_conventions(ops, model, args):
     ab = ext.product(A, B)
     br = ext.bracket(A, B)
     return [
-        ("alpha.b = alpha cap b", ab, ext.lift(ops.cap(to_full(al), b))),
+        ("alpha.b = alpha cap b", ab, ext.lift(ops.cap(al, b))),
         (
             "{alpha,b} = (-1)^{|alpha|} Dalpha cap b",
             br,
-            ext.lift(ops.cap(ops.coh_delta(to_full(al)), b).scale(sign_pow(k))),
+            ext.lift(ops.cap(ops.coh_delta(al), b).scale(sign_pow(k))),
         ),
         ("b.alpha = (-1)^{|alpha||b|} alpha.b", ext.product(B, A), ab.scale(sign_pow(k * n))),
         (
@@ -566,10 +569,10 @@ def _ev_loop_intersection(ops, model, args):
     # independent assembly: sign and monomial recomputed here, cup folded
     # right to left
     sign_exp = -len(frees)
-    pieces = [to_full(w) for w in ats]
+    pieces = list(ats)
     for j, w in enumerate(frees, start=1):
         sign_exp += j * _hdeg(w)
-        pieces.append(ops.coh_delta(to_full(w)))
+        pieces.append(ops.coh_delta(w))
     omega = Element.unit(model, Ring.COH)
     for piece in reversed(pieces):
         omega = piece * omega
@@ -972,6 +975,8 @@ def run_suite(
             raise AlgebraError("unknown identity id %r (see the catalog for known ids)" % ident)
     wanted = set(chosen)
     chosen = [ident for ident in CATALOG if ident in wanted]
+    # draws index the basis at this cap: refuse an oversized model before any identity runs
+    check_index_size(model, SUITE_EVEN_CAP)
     degrees = None if model == builtin_named(model.name) else list(model.generator_degrees)
     reports = []
     for ident in chosen:

@@ -12,7 +12,7 @@ from loopbv.cli import main as cli_main
 from loopbv.expr import parse, to_text
 from loopbv.kernel import Ring, random_element, sign_pow
 from loopbv.loop import a, bv_delta, loop_bracket, loop_unit, s_star, u
-from loopbv.cohomology import coh_delta, coh_unit, to_full, v
+from loopbv.cohomology import coh_delta, coh_unit, v
 from loopbv.extended import cap, loop_intersection
 from loopbv.models import resolve_model
 from loopbv.verify import DELTA_BRACKET_MUTATIONS, replay, run_suite
@@ -125,22 +125,22 @@ def test_criterion_6_loop_intersection_formula_100_configs():
         for trial in range(50):
             rng = _random.Random("acc6|%s|%d" % (model.name, trial))
             ats = [
-                random_element(model, Ring.BASE, (0, d), 1, rng)
+                random_element(model, Ring.COH, (0, d), 1, rng, even_cap=0)
                 for _ in range(rng.randint(0, 3))
             ]
             frees = [
-                random_element(model, Ring.BASE, (0, d), 2, rng)
+                random_element(model, Ring.COH, (0, d), 2, rng, even_cap=0)
                 for _ in range(rng.randint(0, 3))
             ]
             family = random_element(model, Ring.LOOP, (-d - 2, 2 * d), 2, rng, even_cap=5)
             omega = coh_unit(model)
             for w in ats:
-                omega = omega * to_full(w)
+                omega = omega * w
             exponent = -len(frees)
             for j, w in enumerate(frees, start=1):
                 deg = w.degree()
                 exponent += j * (deg if isinstance(deg, int) else 0)
-                omega = omega * coh_delta(to_full(w))
+                omega = omega * coh_delta(w)
             expected = cap(omega, family).scale(sign_pow(exponent))
             assert loop_intersection(ats, frees, family) == expected
             checked += 1

@@ -9,8 +9,9 @@ import pytest
 
 from loopbv.cli import _table_line_count, main
 from loopbv.expr import parse, to_text
-from loopbv.models import resolve_model
-from loopbv.verify import CheckReport
+from loopbv.kernel import AlgebraError
+from loopbv.models import builtin_named, resolve_model
+from loopbv.verify import CheckReport, replay
 
 
 def _run(capsys, *argv):
@@ -213,16 +214,20 @@ def test_table_refuses_oversized_tables(capsys, model, op, argv):
 
 RANK_21 = "exterior:" + ",".join(["1"] * 21)
 RANK_27 = "exterior:" + ",".join(["1"] * 27)
+RANK_200 = "exterior:" + ",".join(["1"] * 200)
 
 
 @pytest.mark.parametrize("argv, count", [
     (("check", "--model", RANK_27, "--trials", "1"), "1107568 exponent vectors"),
     (("check", "--model", RANK_27, "--only", "bv-identity", "--trials", "1", "--json"), "1107568 exponent vectors"),
+    (("check", "--model", RANK_200, "--trials", "1"), "98619368491 exponent vectors"),
+    (("check", "--model", RANK_200, "--only", "model-structure", "--trials", "1"), "98619368491 exponent vectors"),
     (("table", "--model", "su3", "--op", "bracket", "--max-degree", "2", "--max-exp", "20000"),
      "200030001 exponent vectors"),
     (("table", "--model", "s3", "--op", "delta", "--max-degree", "0", "--max-exp", "30000000"),
      "30000001 exponent vectors"),
-], ids=["check-rank-27", "check-only-json-rank-27", "table-su3-max-exp-20000", "table-s3-max-exp-30000000"])
+], ids=["check-rank-27", "check-only-json-rank-27", "check-rank-200", "check-only-model-structure-rank-200",
+        "table-su3-max-exp-20000", "table-s3-max-exp-30000000"])
 def test_commands_that_index_the_basis_refuse_an_oversized_index(capsys, argv, count):
     code, out, err = _run(capsys, *argv)
     assert code == 2
@@ -397,6 +402,29 @@ def test_numbers_past_the_digit_limit_are_a_diagnostic(capsys, text, message):
     for flags in ([], ["--json"]):
         code, out, err = _run(capsys, "eval", "--model", "s3", text, *flags)
         assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+_NINES = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        ("s" + _NINES, "model name holds a number of 5000 digits, more than the interpreter's limit of %d "
+         "for an integer" % _LIMIT),
+        ("su" + _NINES, "model name holds a number of 5000 digits, more than the interpreter's limit of %d "
+         "for an integer" % _LIMIT),
+        ("exterior:3," + _NINES, "model %r: exterior: wants a comma list of odd integers" % ("exterior:3," + _NINES)),
+    ],
+    ids=["s", "su", "exterior"],
+)
+def test_model_numbers_past_the_digit_limit_are_a_diagnostic(capsys, model, message):
+    code, out, err = _run(capsys, "eval", "--model", model, "a1")
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+    assert builtin_named(model) is None
+    with pytest.raises(AlgebraError) as info:
+        replay(CheckReport(identity="loop-unit", model=model, trials=1, seed=0, status="pass"))
+    assert str(info.value) == message
 
 
 def test_nesting_up_to_the_limit_evaluates(capsys):

@@ -4,7 +4,9 @@ A report is replayed from (model, seed, identity, trial) alone, so the draw
 for a seed is part of the catalog's contract.  This test hashes the rendered
 output of `verify._draw` for every catalog `ArgSpec` (and a few with wider
 term bounds or an explicit window) on four models, and of
-`kernel.random_element` at exponent caps 0, 6 and 8 in every ring.
+`kernel.random_element` at exponent caps 0, 6 and 8 in every ring.  The
+`base-cohomology` rows draw base classes, cohomology classes at cap 0,
+whatever cap their line names.
 
 Changing `DRAW_DIGEST` means old reports no longer replay: it requires
 bumping `verify.CATALOG_VERSION` in the same change.
@@ -36,6 +38,12 @@ EXTRA_SPECS = (
 )
 DRAWS_PER_SPEC = 20
 CAPS = (0, 6, 8)
+# (line label, ring, cap that overrides the line's cap or None)
+RING_ROWS = (
+    (Ring.LOOP.value, Ring.LOOP, None),
+    (Ring.COH.value, Ring.COH, None),
+    ("base-cohomology", Ring.COH, 0),
+)
 
 
 def _specs():
@@ -53,13 +61,14 @@ def draw_lines():
                 value = verify._render_value(verify._draw(spec, model, rng))
                 yield "%s %r %d: %s" % (name, spec, trial, value)
         d = model.dimension
-        for ring in Ring:
+        for label, ring, drawn_cap in RING_ROWS:
             for cap in CAPS:
+                even_cap = cap if drawn_cap is None else drawn_cap
                 for max_terms in (1, 2, 5):
                     for trial in range(4):
-                        seed = "pin|%s|%s|%d|%d|%d" % (name, ring.value, cap, max_terms, trial)
-                        x = random_element(model, ring, (-d - 2, 3 * d), max_terms, seed, even_cap=cap)
-                        yield "%s %s cap=%d terms=%d %d: %s" % (name, ring.value, cap, max_terms, trial, x)
+                        seed = "pin|%s|%s|%d|%d|%d" % (name, label, cap, max_terms, trial)
+                        x = random_element(model, ring, (-d - 2, 3 * d), max_terms, seed, even_cap=even_cap)
+                        yield "%s %s cap=%d terms=%d %d: %s" % (name, label, cap, max_terms, trial, x)
 
 
 def draw_digest() -> str:

@@ -17,7 +17,6 @@ from loopbv.cohomology import (
     poincare_dual,
     poincare_dual_inverse,
     to_base,
-    to_full,
     v,
 )
 from loopbv.extended import (
@@ -49,9 +48,14 @@ def _rand(model, ring, tag, trial, terms=2, even_cap=5):
     windows = {
         Ring.LOOP: (-d - 2, 2 * d),
         Ring.COH: (0, 2 * d),
-        Ring.BASE: (0, d),
     }
     return random_element(model, ring, windows[ring], terms, rng, even_cap=even_cap)
+
+
+def _rand_base(model, tag, trial, terms=2):
+    """A base class: a cohomology draw in the window (0, d) at even cap 0."""
+    rng = random.Random("x|%s|base-cohomology|%s|%d" % (model.name, tag, trial))
+    return random_element(model, Ring.COH, (0, model.dimension), terms, rng, even_cap=0)
 
 
 # -- cap: desk values against the differentiation oracle -------------------------
@@ -160,22 +164,21 @@ def test_cap_ring_checks():
 @pytest.mark.parametrize("model", [S3, SU3])
 def test_cap_commutes_with_loop_product(model):
     for trial in range(40):
-        al = _rand(model, Ring.BASE, "tha1", trial)
+        al = _rand_base(model, "tha1", trial)
         b = _rand(model, Ring.LOOP, "tha2", trial)
         c = _rand(model, Ring.LOOP, "tha3", trial)
-        alf = to_full(al)
-        lhs = cap(alf, b * c)
-        assert lhs == cap(alf, b) * c
-        assert lhs == (b * cap(alf, c)).scale(sign_pow(_hdeg(al) * _hdeg(b)))
+        lhs = cap(al, b * c)
+        assert lhs == cap(al, b) * c
+        assert lhs == (b * cap(al, c)).scale(sign_pow(_hdeg(al) * _hdeg(b)))
 
 
 @pytest.mark.parametrize("model", [S3, SU3])
 def test_cap_delta_class_derives_product_and_bracket(model):
     for trial in range(40):
-        al = _rand(model, Ring.BASE, "thb1", trial)
+        al = _rand_base(model, "thb1", trial)
         b = _rand(model, Ring.LOOP, "thb2", trial)
         c = _rand(model, Ring.LOOP, "thb3", trial)
-        da = coh_delta(to_full(al))
+        da = coh_delta(al)
         k, n = _hdeg(al), _hdeg(b)
         assert cap(da, b * c) == cap(da, b) * c + (b * cap(da, c)).scale(sign_pow((k - 1) * n))
         assert cap(da, loop_bracket(b, c)) == loop_bracket(cap(da, b), c) + loop_bracket(
@@ -196,11 +199,11 @@ def test_delta_derives_cap(model):
 def test_cap_equals_bracket_route():
     for model in MODELS:
         for trial in range(40):
-            al = _rand(model, Ring.BASE, "thd1", trial)
+            al = _rand_base(model, "thd1", trial)
             b = _rand(model, Ring.LOOP, "thd2", trial)
             a_class = poincare_dual_inverse(al)
-            assert cap(to_full(al), b) == a_class * b
-            lhs = cap(coh_delta(to_full(al)), b).scale(sign_pow(_hdeg(al)))
+            assert cap(al, b) == a_class * b
+            lhs = cap(coh_delta(al), b).scale(sign_pow(_hdeg(al)))
             assert lhs == loop_bracket(a_class, b)
 
 
@@ -239,11 +242,11 @@ def test_extended_product_examples():
 
 def test_extended_unit_is_one_in_degree_zero_cohomology():
     one = ExtendedClass.unit(SU3)
-    assert one.coh == Element.unit(SU3, Ring.BASE)
+    assert one.coh == Element.unit(SU3, Ring.COH)
     assert one.loop.is_zero()
     for trial in range(20):
         x = ExtendedClass(
-            _rand(SU3, Ring.BASE, "unit1", trial),
+            _rand_base(SU3, "unit1", trial),
             _rand(SU3, Ring.LOOP, "unit2", trial),
         )
         assert extended_product(one, x) == x
@@ -270,7 +273,7 @@ def test_extended_delta_examples():
     # squares to zero even through mixed classes
     for trial in range(20):
         x = ExtendedClass(
-            _rand(SU3, Ring.BASE, "dd1", trial),
+            _rand_base(SU3, "dd1", trial),
             _rand(SU3, Ring.LOOP, "dd2", trial),
         )
         assert extended_delta(extended_delta(x)).is_zero()
@@ -279,7 +282,7 @@ def test_extended_delta_examples():
 def test_extended_intertwines_duality():
     for model in MODELS:
         for trial in range(30):
-            al = _rand(model, Ring.BASE, "int1", trial)
+            al = _rand_base(model, "int1", trial)
             b = _rand(model, Ring.LOOP, "int2", trial)
             a_class = poincare_dual_inverse(al)
             assert extended_bracket(
@@ -309,13 +312,12 @@ _GUARDS = [
     (lambda: cap(alpha(S3, 1), v(S3, 1)), "cap: second argument must be a loop-homology class, got cohomology"),
     (lambda: bv_delta(alpha(S3, 1)), "bv_delta: expected a loop-homology class, got cohomology"),
     (lambda: coh_delta(a(S3, 1)), "coh_delta: expected a cohomology class, got loop-homology"),
-    (lambda: to_full(a(S3, 1)), "to_full: expected a cohomology class, got loop-homology"),
     (lambda: to_base(a(S3, 1)), "to_base: expected a cohomology class, got loop-homology"),
     (lambda: to_base(v(S3, 1)), "to_base: class has v factors, not in the base subring"),
     (lambda: poincare_dual(alpha(S3, 1)), "poincare_dual: expected a loop-homology class, got cohomology"),
     (lambda: poincare_dual(u(S3, 1)), "poincare_dual: input is not in the exterior subring (has u factors)"),
     (lambda: poincare_dual_inverse(a(S3, 1)),
-     "poincare_dual_inverse: expected a base-cohomology class, got loop-homology"),
+     "poincare_dual_inverse: expected a cohomology class, got loop-homology"),
     (lambda: poincare_dual_inverse(v(S3, 1)),
      "poincare_dual_inverse: class has v factors, not in the base subring"),
     (lambda: s_star(alpha(S3, 1)), "s_star: expected a loop-homology class, got cohomology"),
@@ -418,21 +420,21 @@ def test_loop_intersection_matches_signed_cap_formula():
             rng = random.Random("cfg|%s|%d" % (model.name, trial))
             d = model.dimension
             ats = [
-                random_element(model, Ring.BASE, (0, d), 1, rng)
+                random_element(model, Ring.COH, (0, d), 1, rng, even_cap=0)
                 for _ in range(rng.randint(0, 3))
             ]
             frees = [
-                random_element(model, Ring.BASE, (0, d), 2, rng)
+                random_element(model, Ring.COH, (0, d), 2, rng, even_cap=0)
                 for _ in range(rng.randint(0, 3))
             ]
             fam = random_element(model, Ring.LOOP, (-d - 2, 2 * d), 2, rng, even_cap=5)
             omega = coh_unit(model)
             for w in ats:
-                omega = omega * to_full(w)
+                omega = omega * w
             exponent = 0
             for j, w in enumerate(frees, start=1):
                 exponent += j * _hdeg(w)
-                omega = omega * coh_delta(to_full(w))
+                omega = omega * coh_delta(w)
             exponent -= len(frees)
             expected = cap(omega, fam).scale(sign_pow(exponent))
             assert loop_intersection(ats, frees, fam) == expected

@@ -97,13 +97,7 @@ def test_degree_examples():
 def test_degrees_per_ring():
     assert degree(Element.generator(SU3, Ring.COH, "odd", 2)) == 5
     assert degree(Element.generator(SU3, Ring.COH, "even", 2)) == 4
-    assert degree(Element.generator(SU3, Ring.BASE, "odd", 1)) == 3
     assert degree(_u(SU3, 2)) == 4
-
-
-def test_base_ring_rejects_even_generators():
-    with pytest.raises(AlgebraError):
-        Element.generator(SU3, Ring.BASE, "even", 1)
 
 
 # -- products -----------------------------------------------------------------
@@ -224,7 +218,7 @@ def test_monomial_validation():
 
 
 @pytest.mark.parametrize("model", [S3, SU3, ModelSpec("e357", (3, 5, 7))])
-@pytest.mark.parametrize("ring", [Ring.LOOP, Ring.COH, Ring.BASE])
+@pytest.mark.parametrize("ring", list(Ring))
 def test_random_algebra_laws(model, ring):
     d = model.dimension
     window = (-d - 2, 2 * d)
@@ -307,7 +301,7 @@ def _reference_buckets(model, ring, even_cap):
     r = model.rank
     vectors = [
         exps for exps in itertools.product(range(even_cap + 1), repeat=r)
-        if sum(exps) <= even_cap and (ring is not Ring.BASE or not any(exps))
+        if sum(exps) <= even_cap
     ]
     buckets = {}
     for size in range(r + 1):
@@ -368,20 +362,16 @@ def test_basis_index_refuses_too_many_entries_before_listing_them(monkeypatch, r
         raise RuntimeError("listed exponent vectors")
 
     monkeypatch.setattr(kernel, "_exponent_vectors", listing)
-    # C(27 + 6, 6) exponent vectors at rank 27 and cap 6; base cohomology has cap 0
+    # C(27 + 6, 6) exponent vectors at rank 27 and cap 6
     assert comb(27 + 6, 6) > MAX_INDEX_ENTRIES >= comb(26 + 6, 6)
-    if ring is Ring.BASE:
-        with pytest.raises(RuntimeError, match="listed"):
-            basis_index(_exterior_ones(27), ring, 6)
-    else:
-        with pytest.raises(AlgebraError) as info:
-            basis_index(_exterior_ones(27), ring, 6)
-        assert str(info.value) == (
-            "model %r: a basis index up to total even exponent 6 would need %d exponent vectors, "
-            "more than the limit of %d" % (_exterior_ones(27).name, comb(27 + 6, 6), MAX_INDEX_ENTRIES)
-        )
-        with pytest.raises(AlgebraError, match="exponent vectors"):
-            random_element(_exterior_ones(27), ring, (-3, 3), 1, 0, even_cap=6)
+    with pytest.raises(AlgebraError) as info:
+        basis_index(_exterior_ones(27), ring, 6)
+    assert str(info.value) == (
+        "model %r: a basis index up to total even exponent 6 would need %d exponent vectors, "
+        "more than the limit of %d" % (_exterior_ones(27).name, comb(27 + 6, 6), MAX_INDEX_ENTRIES)
+    )
+    with pytest.raises(AlgebraError, match="exponent vectors"):
+        random_element(_exterior_ones(27), ring, (-3, 3), 1, 0, even_cap=6)
     # 101 count tables over a window of 10,201 degrees at su101 (rank 100), cap or no cap
     with pytest.raises(AlgebraError) as info:
         basis_index(_su(101), ring, 0)
@@ -393,11 +383,6 @@ def test_basis_index_refuses_too_many_entries_before_listing_them(monkeypatch, r
     for model, cap in ((_exterior_ones(26), 6), (_su(100), 0)):
         with pytest.raises(RuntimeError, match="listed"):
             basis_index(model, ring, cap)
-
-
-def test_base_index_is_shared_across_caps():
-    assert basis_index(SU3, Ring.BASE, 0) is basis_index(SU3, Ring.BASE, 8)
-    assert basis_index(SU3, Ring.BASE, 8).degrees == (0, 3, 5, 8)
 
 
 def test_rank_24_index_counts_without_listing_odd_tuples(monkeypatch):
@@ -436,7 +421,6 @@ def test_entry_points_store_integral_coefficients_as_int():
     _assert_int_coefficients(Element.monomial(SU3, Ring.LOOP, mono))
     _assert_int_coefficients(Element.unit(SU3, Ring.COH))
     _assert_int_coefficients(Element.generator(SU3, Ring.LOOP, "even", 2))
-    _assert_int_coefficients(Element.generator(SU3, Ring.BASE, "odd", 1))
     _assert_int_coefficients(_u(SU3, 1).scale(Fraction(3, 1)))
     _assert_int_coefficients(Fraction(2) * _a(SU3, 2))
     assert type(Element.monomial(SU3, Ring.LOOP, mono, half).terms[mono]) is Fraction

@@ -8,7 +8,7 @@ from dataclasses import fields
 
 import pytest
 
-from loopbv.kernel import AlgebraError, Element, ModelSpec, Ring, random_element, sign_pow
+from loopbv.kernel import AlgebraError, Element, ModelSpec, Ring, _is_exterior, random_element, sign_pow
 from loopbv.extended import STANDARD_OPS, BVOps, cap
 from loopbv.loop import bv_delta, loop_bracket, partial_a
 from loopbv.models import resolve_model
@@ -135,6 +135,17 @@ def test_unknown_identity_is_an_error():
 def test_empty_selection_is_an_error(selection):
     with pytest.raises(AlgebraError, match="no identity selected"):
         run_suite(S3, 5, 1, selection=selection)
+
+
+def test_oversized_model_is_refused_before_any_identity_runs(monkeypatch):
+    def ran(*args):
+        raise RuntimeError("an identity ran")
+
+    monkeypatch.setattr(verify, "_failing_checks", ran)
+    rank_200 = ModelSpec("exterior:" + ",".join(["1"] * 200), (1,) * 200)
+    for selection in (None, ["model-structure"]):
+        with pytest.raises(AlgebraError, match="98619368491 exponent vectors, more than the limit"):
+            run_suite(rank_200, 1, 0, selection)
 
 
 def test_trials_must_be_positive():
@@ -379,6 +390,29 @@ def test_witness_minimization_drops_terms_of_an_intersection_family(monkeypatch)
     drawn, minimized = (evaluate(args[0].split("family=")[1], SU3)
                         for args in (witness["args"], witness["minimized_args"]))
     assert 0 < len(minimized.terms) < len(drawn.terms)
+
+
+@pytest.mark.parametrize("name", ["s3", "su3", "exterior:3,5,7", "su5"])
+def test_base_draws_are_exterior_cohomology_classes(name):
+    """Base classes are cohomology classes with no v factors, whichever draw made them."""
+    model = resolve_model(name)
+    kinds = ("base", "ext", "intersect-config")
+    specs = {spec for case in CATALOG.values() for spec in case.args if spec.kind in kinds}
+    drawn = nonzero = 0
+    for spec in sorted(specs, key=repr):
+        for trial in range(40):
+            value = _draw(spec, model, random.Random("base|%s|%r|%d" % (name, spec, trial)))
+            if spec.kind == "ext":
+                bases = [value.coh]
+            elif spec.kind == "intersect-config":
+                bases = value[0] + value[1]
+            else:
+                bases = [value]
+            for w in bases:
+                assert w.ring is Ring.COH and _is_exterior(w), (spec, w)
+                drawn += 1
+                nonzero += bool(w)
+    assert nonzero > drawn // 4
 
 
 # -- sensitivity: each identity check can actually fail ------------------------------
