@@ -16,7 +16,7 @@ inverse realises base classes as constant-loop homology classes.
 
 from __future__ import annotations
 
-from .kernel import AlgebraError, Element, ModelSpec, Monomial, Ring, _tuple_new, sign_pow
+from .kernel import AlgebraError, Element, ModelSpec, Monomial, Ring, _tuple_new
 from .kernel import _add_into, _expect, _is_exterior
 
 
@@ -50,7 +50,7 @@ def coh_delta(x: Element) -> Element:
             new = _tuple_new(Monomial, (odds, tuple(exps)))
             # the derivation passes over `pos` odd generators; v_i is even,
             # so sliding it into the exponent block costs nothing
-            _add_into(out, new, coeff * sign_pow(pos))
+            _add_into(out, new, -coeff if pos % 2 else coeff)
     return Element._of(x.model, Ring.COH, out)
 
 

@@ -37,10 +37,13 @@ homological degrees.  The multiplicative unit is (1, 0), the unit of H^0(M):
 mixed products push cohomology into the loop part (alpha . b = cap(alpha, b)),
 the bracket of two cohomology classes vanishes, and the BV operator is the
 loop Delta on the loop part and zero on the cohomology part.
+`ExtendedClass(...)` checks its parts; pairs built here skip the check (`_of`).
 
 Every operation here takes its loop-homology primitives from a `BVOps`
 bundle so that the verification suite can run the same identities against
-deliberately broken primitives.
+deliberately broken primitives.  Signs of mixed terms need only degree
+parities (a term's number of odd generators mod 2), so the extended operators
+split a factor by parity and gather the mixed terms into one term dict.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ from .kernel import (
     _tuple_new,
     sign_pow,
 )
+from .kernel import ANY_DEGREE, INHOMOGENEOUS, _mono_degree
 from .loop import bv_delta, loop_bracket, loop_product
 from .loop import a as loop_a
 from .cohomology import coh_delta, to_base
@@ -70,7 +74,9 @@ from .cohomology import coh_delta, to_base
 
 @dataclass(frozen=True)
 class BVOps:
-    """The injectable primitives: loop product, the two Deltas, bracket, cap."""
+    """The injectable primitives: loop product, the two Deltas, bracket, cap.
+
+    Each is linear and returns the ring and model the standard one does."""
 
     name: str
     product: Callable[[Element, Element], Element]
@@ -169,12 +175,19 @@ class ExtendedClass:
     # -- constructors --------------------------------------------------
 
     @classmethod
+    def _of(cls, coh: Element, loop: Element) -> "ExtendedClass":
+        """Trusted constructor: `coh` a base class, `loop` a loop class, one model."""
+        out = object.__new__(cls)
+        out.model, out.coh, out.loop = coh.model, coh, loop
+        return out
+
+    @classmethod
     def zero(cls, model: ModelSpec) -> "ExtendedClass":
-        return cls(Element.zero(model, Ring.COH), Element.zero(model, Ring.LOOP))
+        return cls._of(Element.zero(model, Ring.COH), Element.zero(model, Ring.LOOP))
 
     @classmethod
     def unit(cls, model: ModelSpec) -> "ExtendedClass":
-        return cls(Element.unit(model, Ring.COH), Element.zero(model, Ring.LOOP))
+        return cls._of(Element.unit(model, Ring.COH), Element.zero(model, Ring.LOOP))
 
     @classmethod
     def from_coh(cls, w: Element) -> "ExtendedClass":
@@ -191,45 +204,33 @@ class ExtendedClass:
 
     def degree(self):
         """Homological degree; cohomological degree k counts as -k."""
-        from .kernel import ANY_DEGREE, INHOMOGENEOUS
-
-        degs = set()
-        for k in self.coh.homogeneous_components():
-            degs.add(-k)
-        for n in self.loop.homogeneous_components():
-            degs.add(n)
+        degs = {-_mono_degree(self.model, Ring.COH, m) for m in self.coh.terms}
+        degs.update([_mono_degree(self.model, Ring.LOOP, m) for m in self.loop.terms])
         if not degs:
             return ANY_DEGREE
-        if len(degs) == 1:
-            return degs.pop()
-        return INHOMOGENEOUS
+        return degs.pop() if len(degs) == 1 else INHOMOGENEOUS
 
     def homogeneous_components(self) -> dict[int, "ExtendedClass"]:
-        parts: dict[int, ExtendedClass] = {}
-        for k, w in self.coh.homogeneous_components().items():
-            parts[-k] = ExtendedClass(w, Element.zero(self.model, Ring.LOOP))
-        for n, b in self.loop.homogeneous_components().items():
-            if n in parts:
-                parts[n] = ExtendedClass(parts[n].coh, b)
-            else:
-                parts[n] = ExtendedClass(Element.zero(self.model, Ring.COH), b)
-        return dict(sorted(parts.items()))
+        cohs = {-k: w for k, w in self.coh.homogeneous_components().items()}
+        loops = self.loop.homogeneous_components()
+        coh0, loop0 = Element.zero(self.model, Ring.COH), Element.zero(self.model, Ring.LOOP)
+        return {n: ExtendedClass._of(cohs.get(n, coh0), loops.get(n, loop0)) for n in sorted({*cohs, *loops})}
 
     # -- linear operations -------------------------------------------------
 
     def __add__(self, other: "ExtendedClass") -> "ExtendedClass":
         if not isinstance(other, ExtendedClass):
             return NotImplemented
-        return ExtendedClass(self.coh + other.coh, self.loop + other.loop)
+        return ExtendedClass._of(self.coh + other.coh, self.loop + other.loop)
 
     def __sub__(self, other: "ExtendedClass") -> "ExtendedClass":
         return self + (-other)
 
     def __neg__(self) -> "ExtendedClass":
-        return ExtendedClass(-self.coh, -self.loop)
+        return ExtendedClass._of(-self.coh, -self.loop)
 
     def scale(self, q) -> "ExtendedClass":
-        return ExtendedClass(self.coh.scale(q), self.loop.scale(q))
+        return ExtendedClass._of(self.coh.scale(q), self.loop.scale(q))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -253,19 +254,34 @@ class ExtendedClass:
         return "<extended %s | %s>" % (self.render(), self.model.name)
 
 
+def _parity_parts(x: Element) -> list[tuple[int, Element]]:
+    """The nonzero parts of `x` of even and of odd degree, as (parity, part)."""
+    parts = ({}, {})
+    for mono, coeff in x.terms.items():
+        parts[len(mono.odds) & 1][mono] = coeff
+    return [(p, Element._of(x.model, x.ring, terms)) for p, terms in enumerate(parts) if terms]
+
+
+def _gather(loop: Element, mixed: list) -> Element:
+    """`loop` plus sign * c for each (sign, c) in `mixed`, in one term dict."""
+    terms = dict(loop.terms)
+    for sign, c in mixed:
+        for mono, coeff in c.terms.items():
+            _add_into(terms, mono, coeff if sign > 0 else -coeff)
+    return Element._of(loop.model, Ring.LOOP, terms)
+
+
 def extended_product(x: ExtendedClass, y: ExtendedClass, *, ops: BVOps = STANDARD_OPS) -> ExtendedClass:
     """The loop product extended over the direct sum; unit is (1, 0)."""
     _same_model(x, y, "extended_product")
     coh = x.coh * y.coh
     loop = ops.product(x.loop, y.loop)
-    if not x.coh.is_zero() and not y.loop.is_zero():
-        loop = loop + ops.cap(x.coh, y.loop)
-    if not y.coh.is_zero() and not x.loop.is_zero():
-        # b . alpha = (-1)^{|alpha||b|} alpha . b, per homogeneous component
-        for k, w in y.coh.homogeneous_components().items():
-            for n, b in x.loop.homogeneous_components().items():
-                loop = loop + ops.cap(w, b).scale(sign_pow(k * n))
-    return ExtendedClass(coh, loop)
+    mixed = [(1, ops.cap(x.coh, y.loop))] if x.coh.terms and y.loop.terms else []
+    if y.coh.terms and x.loop.terms:
+        # b . alpha = (-1)^{|alpha||b|} alpha . b, per parity part
+        mixed += [(sign_pow(k * n), ops.cap(w, b))
+                  for k, w in _parity_parts(y.coh) for n, b in _parity_parts(x.loop)]
+    return ExtendedClass._of(coh, _gather(loop, mixed) if mixed else loop)
 
 
 def extended_bracket(x: ExtendedClass, y: ExtendedClass, *, ops: BVOps = STANDARD_OPS) -> ExtendedClass:
@@ -273,27 +289,23 @@ def extended_bracket(x: ExtendedClass, y: ExtendedClass, *, ops: BVOps = STANDAR
 
     {alpha, b} = (-1)^{|alpha|} cap(coh_delta(alpha), b), {alpha, beta} = 0,
     and {b, alpha} flips by -(-1)^{(|alpha|+1)(|b|+1)}; signs in homological
-    degrees, per homogeneous component.
+    degrees, per parity part.
     """
     _same_model(x, y, "extended_bracket")
-    model = x.model
     loop = ops.bracket(x.loop, y.loop)
-    if not x.coh.is_zero() and not y.loop.is_zero():
-        for k, w in x.coh.homogeneous_components().items():
-            loop = loop + ops.cap(ops.coh_delta(w), y.loop).scale(sign_pow(k))
-    if not y.coh.is_zero() and not x.loop.is_zero():
-        for k, w in y.coh.homogeneous_components().items():
-            capped_sign = sign_pow(k)
-            for n, b in x.loop.homogeneous_components().items():
-                flip = -sign_pow((k + 1) * (n + 1))
-                term = ops.cap(ops.coh_delta(w), b).scale(capped_sign * flip)
-                loop = loop + term
-    return ExtendedClass(Element.zero(model, Ring.COH), loop)
+    mixed = []
+    if x.coh.terms and y.loop.terms:
+        mixed += [(sign_pow(k), ops.cap(ops.coh_delta(w), y.loop)) for k, w in _parity_parts(x.coh)]
+    if y.coh.terms and x.loop.terms:
+        # (-1)^k times the flip -(-1)^{(k+1)(n+1)} is (-1)^{(k+1)n}
+        mixed += [(sign_pow((k + 1) * n), ops.cap(ops.coh_delta(w), b))
+                  for k, w in _parity_parts(y.coh) for n, b in _parity_parts(x.loop)]
+    return ExtendedClass._of(Element.zero(x.model, Ring.COH), _gather(loop, mixed) if mixed else loop)
 
 
 def extended_delta(x: ExtendedClass, *, ops: BVOps = STANDARD_OPS) -> ExtendedClass:
     """BV operator on the direct sum: zero on cohomology, Delta on loops."""
-    return ExtendedClass(Element.zero(x.model, Ring.COH), ops.delta(x.loop))
+    return ExtendedClass._of(Element.zero(x.model, Ring.COH), ops.delta(x.loop))
 
 
 def _intersection_class(w: Element, slot: str, pos: int, model: ModelSpec) -> Element:

@@ -35,6 +35,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import mul
 from typing import Mapping, NamedTuple
 
 
@@ -193,7 +194,7 @@ def _add_into(terms: dict, mono: Monomial, coeff) -> None:
 
 def _same_model(x, y, op: str) -> None:
     """Raise unless the classes `x` and `y` are over the same model."""
-    if x.model != y.model:
+    if x.model is not y.model and x.model != y.model:
         raise AlgebraError("%s: model mismatch (%r vs %r)" % (op, x.model.name, y.model.name))
 
 
@@ -210,11 +211,11 @@ def _is_exterior(x: Element) -> bool:
 
 def _mono_degree(model: ModelSpec, ring: Ring, m: Monomial) -> int:
     degs = model.generator_degrees
-    odd_part = sum(degs[i - 1] for i in m.odds)
-    even_part = sum(k * (degs[i] - 1) for i, k in enumerate(m.exps))
-    if ring is Ring.LOOP:
-        return -odd_part + even_part
-    return odd_part + even_part
+    even_part = sum(map(mul, m.exps, degs)) - sum(m.exps)  # sum of k_i * (d_i - 1)
+    odd_part = 0
+    for i in m.odds:
+        odd_part += degs[i - 1]
+    return even_part - odd_part if ring is Ring.LOOP else even_part + odd_part
 
 
 _GEN_NAMES = {Ring.LOOP: ("a", "u"), Ring.COH: ("alpha", "v")}
@@ -265,7 +266,8 @@ class Element:
     Stored terms never carry a zero coefficient and every monomial is
     canonical, so `==` is exact coefficient-wise comparison.  Coefficients
     are `int` or `Fraction` (see the module docstring).  Instances are
-    treated as immutable; arithmetic returns fresh elements.
+    treated as immutable; arithmetic returns fresh elements, except that
+    `scale(1)` may return the element itself.
     """
 
     __slots__ = ("model", "ring", "terms")
@@ -405,6 +407,10 @@ class Element:
 
     def scale(self, q) -> "Element":
         q = _as_coefficient(q)
+        if q == 1:
+            return self
+        if q == -1:
+            return -self
         terms = {} if q == 0 else {m: q * c for m, c in self.terms.items()}
         return Element._of(self.model, self.ring, terms)
 

@@ -62,7 +62,6 @@ from .kernel import (
     _merge_odds,
     _same_model,
     _tuple_new,
-    sign_pow,
 )
 
 
@@ -141,7 +140,7 @@ def bv_delta(b: Element) -> Element:
             exps[i - 1] = k - 1
             new = _tuple_new(Monomial, (odds, tuple(exps)))
             # d/da_i passes over `pos` odd generators; d/du_i brings down k
-            _add_into(terms, new, coeff * k * sign_pow(pos))
+            _add_into(terms, new, -(coeff * k) if pos % 2 else coeff * k)
     return Element._of(b.model, Ring.LOOP, terms)
 
 

@@ -51,6 +51,8 @@ def builtin_model(name: str) -> ModelSpec | None:
         try:
             degrees = tuple(int(part) for part in m.group(1).split(","))
         except ValueError:
+            for digits in re.findall("[0-9]+", m.group(1)):
+                _int(digits)  # a number past the digit limit gets the diagnostic s<n> gets
             raise AlgebraError("model %r: exterior: wants a comma list of odd integers" % name)
         return ModelSpec(name, degrees)
     return None

@@ -405,22 +405,28 @@ def test_numbers_past_the_digit_limit_are_a_diagnostic(capsys, text, message):
 
 
 _NINES = "9" * 5000
+_MODEL_DIGITS = (
+    "model name holds a number of 5000 digits, more than the interpreter's limit of %d for an integer" % _LIMIT
+)
 
 
 @pytest.mark.parametrize(
     "model, message",
     [
-        ("s" + _NINES, "model name holds a number of 5000 digits, more than the interpreter's limit of %d "
-         "for an integer" % _LIMIT),
-        ("su" + _NINES, "model name holds a number of 5000 digits, more than the interpreter's limit of %d "
-         "for an integer" % _LIMIT),
-        ("exterior:3," + _NINES, "model %r: exterior: wants a comma list of odd integers" % ("exterior:3," + _NINES)),
+        ("s" + _NINES, _MODEL_DIGITS),
+        ("su" + _NINES, _MODEL_DIGITS),
+        ("exterior:3," + _NINES, _MODEL_DIGITS),
+        ("exterior:" + _NINES, _MODEL_DIGITS),
+        ("exterior:3,-" + _NINES, _MODEL_DIGITS),
+        # a part that is no number keeps its own message
+        ("exterior:3,x", "model 'exterior:3,x': exterior: wants a comma list of odd integers"),
     ],
-    ids=["s", "su", "exterior"],
+    ids=["s", "su", "exterior", "exterior-one-degree", "exterior-signed", "exterior-not-a-number"],
 )
 def test_model_numbers_past_the_digit_limit_are_a_diagnostic(capsys, model, message):
     code, out, err = _run(capsys, "eval", "--model", model, "a1")
     assert (code, out, err) == (2, "", "error: %s\n" % message)
+    assert len(err) < 200  # the digit count, not the number
     assert builtin_named(model) is None
     with pytest.raises(AlgebraError) as info:
         replay(CheckReport(identity="loop-unit", model=model, trials=1, seed=0, status="pass"))

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from loopbv.kernel import AlgebraError, Element, ModelSpec, Ring, random_element, sign_pow
+from loopbv.kernel import ANY_DEGREE, INHOMOGENEOUS
 from loopbv.loop import a, bv_delta, is_constant_loop_class, loop_bracket, loop_unit, s_star, u
 from loopbv.cohomology import (
     alpha,
@@ -20,6 +21,7 @@ from loopbv.cohomology import (
     v,
 )
 from loopbv.extended import (
+    STANDARD_OPS,
     ExtendedClass,
     cap,
     extended_bracket,
@@ -27,6 +29,9 @@ from loopbv.extended import (
     extended_product,
     loop_intersection,
 )
+
+from loopbv.models import resolve_model
+from loopbv.verify import _draw_base, _draw_extended, mutations
 
 from oracles import cap_oracle
 
@@ -296,6 +301,131 @@ def test_extended_intertwines_duality():
 def test_extended_model_mismatch():
     with pytest.raises(AlgebraError, match="model mismatch"):
         extended_product(ExtendedClass.unit(S3), ExtendedClass.unit(SU3))
+
+
+# -- the extended operators on inhomogeneous classes ----------------------------------
+#
+# Draws are homogeneous, so the catalog never hands the extended operators a
+# class mixing degree parities.  The references below are the per-degree
+# formulation: a loop over homogeneous components, summed with `+` and `.scale`.
+
+
+def _product_by_components(x, y, ops):
+    loop = ops.product(x.loop, y.loop)
+    if not x.coh.is_zero() and not y.loop.is_zero():
+        loop = loop + ops.cap(x.coh, y.loop)
+    if not y.coh.is_zero() and not x.loop.is_zero():
+        for k, w in y.coh.homogeneous_components().items():
+            for n, b in x.loop.homogeneous_components().items():
+                loop = loop + ops.cap(w, b).scale(sign_pow(k * n))
+    return ExtendedClass(x.coh * y.coh, loop)
+
+
+def _bracket_by_components(x, y, ops):
+    loop = ops.bracket(x.loop, y.loop)
+    if not x.coh.is_zero() and not y.loop.is_zero():
+        for k, w in x.coh.homogeneous_components().items():
+            loop = loop + ops.cap(ops.coh_delta(w), y.loop).scale(sign_pow(k))
+    if not y.coh.is_zero() and not x.loop.is_zero():
+        for k, w in y.coh.homogeneous_components().items():
+            for n, b in x.loop.homogeneous_components().items():
+                flip = -sign_pow((k + 1) * (n + 1))
+                loop = loop + ops.cap(ops.coh_delta(w), b).scale(sign_pow(k) * flip)
+    return ExtendedClass(Element.zero(x.model, Ring.COH), loop)
+
+
+def _degree_by_components(x):
+    degs = {-k for k in x.coh.homogeneous_components()} | set(x.loop.homogeneous_components())
+    if not degs:
+        return ANY_DEGREE
+    return degs.pop() if len(degs) == 1 else INHOMOGENEOUS
+
+
+def _parities(x):
+    return {len(mono.odds) % 2 for mono in x.terms}
+
+
+def _mixed_parity_classes(model, count=2):
+    """Sums of `ext` draws and base draws of both degree parities, each also
+    with its coh part or its loop part replaced by zero."""
+    rng = random.Random("mixed-parity|%s" % model.name)
+    exts, bases = {0: [], 1: []}, {0: [], 1: []}
+    while min(len(drawn) for drawn in [*exts.values(), *bases.values()]) < 2 * count:
+        x = _draw_extended(model, rng, 3)
+        exts[x.degree() % 2].append(x)  # an `ext` draw is homogeneous
+        w = _draw_base(model, (0, model.dimension), 3, rng)
+        bases[w.degree() % 2].append(ExtendedClass.from_coh(w))
+    coh0, loop0 = Element.zero(model, Ring.COH), Element.zero(model, Ring.LOOP)
+    out = []
+    for i in range(count):
+        drawn = [part[2 * i + j] for part in [*exts.values(), *bases.values()] for j in (0, 1)]
+        x = sum(drawn, ExtendedClass.zero(model))
+        out += [x, ExtendedClass(x.coh, loop0), ExtendedClass(coh0, x.loop)]
+    # the mix must reach both parts, or the tests show nothing
+    assert any(_parities(x.coh) == {0, 1} for x in out)
+    assert any(_parities(x.loop) == {0, 1} for x in out)
+    return out
+
+
+_EXT_MODELS = ["s3", "su3", "exterior:3,5,7"]
+_BUNDLES = {"standard": STANDARD_OPS, **mutations()}
+
+
+@pytest.mark.parametrize("bundle", sorted(_BUNDLES))
+@pytest.mark.parametrize("name", _EXT_MODELS)
+def test_extended_operators_match_the_per_degree_formulation(name, bundle):
+    model, ops = resolve_model(name), _BUNDLES[bundle]
+    classes = _mixed_parity_classes(model)
+    for x in classes:
+        for y in classes:
+            assert extended_product(x, y, ops=ops) == _product_by_components(x, y, ops)
+            assert extended_bracket(x, y, ops=ops) == _bracket_by_components(x, y, ops)
+        assert extended_delta(x, ops=ops) == ExtendedClass(Element.zero(model, Ring.COH), ops.delta(x.loop))
+
+
+def _assert_honest_pair(x, model):
+    """What the public constructor checks, and clean term dicts."""
+    assert x.coh.ring is Ring.COH and to_base(x.coh) is x.coh
+    assert x.loop.ring is Ring.LOOP
+    assert x.model == x.coh.model == x.loop.model == model
+    for part in (x.coh, x.loop):
+        assert Element(model, part.ring, part.terms).terms == part.terms
+        assert all(coeff != 0 for coeff in part.terms.values())
+
+
+@pytest.mark.parametrize("name", _EXT_MODELS)
+def test_engine_built_pairs_keep_the_class_invariants(name):
+    model = resolve_model(name)
+    classes = _mixed_parity_classes(model)
+    results = [ExtendedClass.zero(model), ExtendedClass.unit(model)]
+    for ops in _BUNDLES.values():
+        for x in classes:
+            results += [-x, x.scale(3), x.scale(Fraction(-1, 2)), x.scale(0), extended_delta(x, ops=ops)]
+            for y in classes[:4]:
+                results += [x + y, x - y, extended_product(x, y, ops=ops), extended_bracket(x, y, ops=ops)]
+                results += list(extended_product(x, y, ops=ops).homogeneous_components().values())
+    degrees = set()
+    for x in classes + results:
+        _assert_honest_pair(x, model)
+        want = _degree_by_components(x)
+        assert x.degree() is want if not isinstance(want, int) else x.degree() == want
+        degrees.add(want if isinstance(want, int) else want.label)
+    assert {"any-degree", "inhomogeneous"} <= degrees
+
+
+@pytest.mark.parametrize("name", _EXT_MODELS)
+def test_scale_by_one_is_the_class_itself(name):
+    model = resolve_model(name)
+    for x in _mixed_parity_classes(model):
+        for part in (x.coh, x.loop):
+            assert part.scale(1) is part
+            assert part.scale(Fraction(2, 2)) is part
+            assert part.scale(-1) == -part
+            assert part.scale(0).is_zero() and part.scale(0).ring is part.ring
+        assert x.scale(1) == x and x.scale(1).coh is x.coh and x.scale(1).loop is x.loop
+        assert x.scale(-1) == -x
+        assert x.scale(0).is_zero()
+        _assert_honest_pair(x.scale(0), model)
 
 
 _MISMATCH = "model mismatch ('s3' vs 'su3')"
