@@ -60,7 +60,6 @@ from .kernel import (
     Monomial,
     Ring,
     _add_into,
-    _is_exterior,
     _merge_odds,
     _same_model,
     _tuple_new,
@@ -310,10 +309,7 @@ def extended_delta(x: ExtendedClass, *, ops: BVOps = STANDARD_OPS) -> ExtendedCl
 
 def _intersection_class(w: Element, slot: str, pos: int, model: ModelSpec) -> Element:
     """Check one entry of a loop_intersection list and return it."""
-    if w.ring is not Ring.COH:
-        raise AlgebraError("loop_intersection: %s[%d] must be a base cohomology class" % (slot, pos))
-    if not _is_exterior(w):
-        raise AlgebraError("loop_intersection: %s[%d] is not in the base subring" % (slot, pos))
+    to_base(w, "loop_intersection: %s[%d]" % (slot, pos))
     if w.model != model:
         raise AlgebraError("loop_intersection: %s[%d] is over a different model" % (slot, pos))
     return w

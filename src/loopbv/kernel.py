@@ -10,9 +10,11 @@ Base cohomology H^*(M) is not a third ring but the exterior subring of
 cohomology on the alpha_i alone; `_is_exterior` checks membership.
 
 Coefficients are exact rationals: every entry point (`Element(...)`,
-`scale`, `unit`, `generator`, `Element.monomial`, `random_element`) stores
-an integral value as an `int` and any other as a `fractions.Fraction`, so
-the integer structure constants of the operators stay in `int` arithmetic.
+`scale`, `unit`, `generator`, `Element.monomial`) stores an integral value
+as an `int` and any other as a `fractions.Fraction`, so the integer
+structure constants of the operators stay in `int` arithmetic.
+`random_element` draws integer coefficients in -3..-1 and 1..3 only, so a
+seeded draw never leaves `int` arithmetic.
 Arithmetic on non-integral coefficients may leave a `Fraction` with
 denominator 1; it compares, hashes and prints exactly as the `int` does, so
 equality and rendering do not depend on the type.
@@ -631,12 +633,8 @@ class BasisIndex:
 basis_index = lru_cache(maxsize=None)(BasisIndex)
 
 
-_COEFF_NUMERATORS = (-3, -2, -1, 1, 2, 3)
-_COEFF_DENOMINATORS = (1, 1, 2, 3)
-# the coefficient of each (numerator, denominator) draw, built once
-_COEFFS = {
-    (n, d): _as_coefficient(Fraction(n, d)) for n in _COEFF_NUMERATORS for d in _COEFF_DENOMINATORS
-}
+# every identity is multilinear over Q, so a rational failure scales to an integral one
+_COEFFICIENTS = (-3, -2, -1, 1, 2, 3)
 
 
 def random_element(
@@ -652,7 +650,7 @@ def random_element(
 
     Monomials have total even exponent <= `even_cap`.  A populated degree in
     the window is chosen, then up to `max_terms` distinct monomials of that
-    degree, each with a small nonzero rational coefficient.  Monomials are
+    degree, each with a nonzero integer coefficient in -3..3.  Monomials are
     picked by their position in the degree's ascending order through
     `basis_index`, so no bucket is ever listed.  Returns zero only when the
     window admits no monomial.  Passing the same seed twice gives identical
@@ -676,5 +674,5 @@ def random_element(
     terms = {}
     for k in positions:
         mono = index.monomial(deg, k)
-        terms[mono] = _COEFFS[rng.choice(_COEFF_NUMERATORS), rng.choice(_COEFF_DENOMINATORS)]
+        terms[mono] = rng.choice(_COEFFICIENTS)
     return Element._of(model, ring, terms)

@@ -64,7 +64,7 @@ from .extended import (
     loop_intersection,
 )
 
-CATALOG_VERSION = "1"
+CATALOG_VERSION = "2"
 
 # windows default to (-d-2, 2d) with this per-argument even-exponent cap:
 # small enough for sub-second trials, large enough to hit all sign branches
@@ -168,7 +168,7 @@ def _draw_extended(model: ModelSpec, rng: random.Random, max_terms: int) -> Exte
         loop = random_element(model, Ring.LOOP, (n, n), max_terms, rng, even_cap=SUITE_EVEN_CAP)
     if coh.is_zero() and loop.is_zero():
         loop = random_element(model, Ring.LOOP, (0, 0), max_terms, rng, even_cap=SUITE_EVEN_CAP)
-    return ExtendedClass(coh, loop)
+    return ExtendedClass._of(coh, loop)  # a base draw and a loop draw, both over `model`
 
 
 def _draw_intersect_config(model: ModelSpec, rng: random.Random):
@@ -246,10 +246,14 @@ def _coh_view(ops, model) -> _View:
 
 
 def _ext_lift(x) -> ExtendedClass:
-    """A base class x as (x, 0), a loop class b as (0, b), an extended class as itself."""
+    """A base class x as (x, 0), a loop class b as (0, b), an extended class as itself.
+
+    Only draws and the loop classes operators return are lifted: no check needed."""
     if isinstance(x, ExtendedClass):
         return x
-    return ExtendedClass.from_loop(x) if x.ring is Ring.LOOP else ExtendedClass.from_coh(x)
+    if x.ring is Ring.LOOP:
+        return ExtendedClass._of(Element.zero(x.model, Ring.COH), x)
+    return ExtendedClass._of(x, Element.zero(x.model, Ring.LOOP))
 
 
 def _ext_view(ops, model) -> _View:

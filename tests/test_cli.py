@@ -307,7 +307,7 @@ _INTERSECT_ERRORS = [
     ("s3", ["--family", "alpha1"], "intersect([], [], alpha1)",
      "1:19: intersect family must be a loop-homology class, got cohomology"),
     ("s3", ["--free", "v1", "--family", "u1"], "intersect([], [v1], u1)",
-     "1:1: loop_intersection: free_time[0] is not in the base subring"),
+     "1:1: loop_intersection: free_time[0]: class has v factors, not in the base subring"),
     ("su3", ["--free", "alpha1 + alpha2", "--family", "u1"], "intersect([], [alpha1 + alpha2], u1)",
      "1:1: loop_intersection: free_time[0] is inhomogeneous; "
      "its position-dependent sign needs a single degree"),

@@ -25,7 +25,7 @@ from loopbv import verify
 from loopbv.kernel import Ring, random_element
 from loopbv.models import resolve_model
 
-DRAW_DIGEST = "2eb129928900b492d01034a58cddf02d152011ef3c2b390046f7099dfb9dd158"
+DRAW_DIGEST = "4ac101dcd042a27e21ecc6ea69558762f1ecc598ca926e454957b217c90c62ca"
 
 MODELS = ("s3", "su3", "exterior:3,5,7", "su5")
 EXTRA_SPECS = (

@@ -28,7 +28,7 @@ from loopbv.models import resolve_model
 
 from exprgen import corpus, evaluable_corpus
 
-EXPR_DIGEST = "7ab8f28e1e754e6f5a08dd044127b5fdedf12c84999a03a93931d237089d487d"
+EXPR_DIGEST = "39fed2cd5a429d84587f9e02da52844d6ff2cc3ba1e33b681a11d4d5753ad1d0"
 
 MODELS = ("s3", "su3", "exterior:3,5,7")
 CORPUS_SIZE = 2500

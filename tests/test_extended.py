@@ -459,7 +459,7 @@ _GUARDS = [
     (lambda: ExtendedClass(alpha(S3, 1), v(S3, 1)), "ExtendedClass: loop part must be loop homology, got cohomology"),
     (lambda: ExtendedClass.from_coh(v(S3, 1)), "ExtendedClass: class has v factors, not in the base subring"),
     (lambda: ExtendedClass.from_coh(u(S3, 1)), "ExtendedClass: coh part must be base cohomology, got loop-homology"),
-    (lambda: loop_intersection([v(S3, 1)], [], u(S3, 1)), "loop_intersection: at_basepoint[0] is not in the base subring"),
+    (lambda: loop_intersection([v(S3, 1)], [], u(S3, 1)), "loop_intersection: at_basepoint[0]: class has v factors, not in the base subring"),
 ]
 
 
@@ -516,17 +516,17 @@ def test_loop_intersection_messages_are_pinned(slot):
         return str(info.value)
 
     assert call(u(SU3, 1)) == (
-        "loop_intersection: %s[1] must be a base cohomology class" % slot
+        "loop_intersection: %s[1]: expected a cohomology class, got loop-homology" % slot
     )
-    assert call(v(SU3, 1)) == "loop_intersection: %s[1] is not in the base subring" % slot
+    assert call(v(SU3, 1)) == "loop_intersection: %s[1]: class has v factors, not in the base subring" % slot
     assert call(alpha(S3, 1)) == "loop_intersection: %s[1] is over a different model" % slot
 
 
 def test_loop_intersection_checks_entries_after_a_zero_class():
     zero = Element.zero(SU3, Ring.COH)
     for frees, message in [
-        ([zero, u(SU3, 1)], "free_time[1] must be a base cohomology class"),
-        ([zero, v(SU3, 1)], "free_time[1] is not in the base subring"),
+        ([zero, u(SU3, 1)], "free_time[1]: expected a cohomology class, got loop-homology"),
+        ([zero, v(SU3, 1)], "free_time[1]: class has v factors, not in the base subring"),
         ([zero, alpha(S3, 1)], "free_time[1] is over a different model"),
         ([zero, alpha(SU3, 1) + coh_unit(SU3)], "free_time[1] is inhomogeneous"),
     ]:

@@ -428,14 +428,15 @@ def test_entry_points_store_integral_coefficients_as_int():
     assert type(_u(SU3, 1).scale(Fraction(-3, 2)).terms[Monomial((), (1, 0))]) is Fraction
 
 
-def test_random_coefficients_are_int_exactly_when_integral():
-    kinds = set()
-    for trial in range(300):
-        x = random_element(SU3, Ring.LOOP, (-10, 16), 3, "coeff|%d" % trial)
-        for c in x.terms.values():
-            assert type(c) is int or c.denominator != 1, c
-            kinds.add(type(c))
-    assert kinds == {int, Fraction}
+def test_random_coefficients_are_ints_from_minus_three_to_three():
+    seen = set()
+    for ring in Ring:
+        for trial in range(300):
+            x = random_element(SU3, ring, (-10, 16), 3, "coeff|%d" % trial)
+            for c in x.terms.values():
+                assert type(c) is int and 1 <= abs(c) <= 3, c
+                seen.add(c)
+    assert seen == {-3, -2, -1, 1, 2, 3}
 
 
 def test_operators_keep_int_coefficients():

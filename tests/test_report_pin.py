@@ -19,7 +19,7 @@ import sys
 from loopbv.models import resolve_model
 from loopbv.verify import mutations, reports_to_jsonl, run_suite
 
-REPORT_DIGEST = "f889a91f976c32be4b95ccf870156742bf8c8df2397a4c6f512432c8b9e7aba9"
+REPORT_DIGEST = "4f92d8e381cbece69b47765059f1b1eb3c42504e804d1f6a895f7fdf4f3a537b"
 
 MODELS = ("s3", "su3", "exterior:3,5,7")
 TRIALS = 6

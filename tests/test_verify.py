@@ -9,7 +9,7 @@ from dataclasses import fields
 import pytest
 
 from loopbv.kernel import AlgebraError, Element, ModelSpec, Ring, _is_exterior, random_element, sign_pow
-from loopbv.extended import STANDARD_OPS, BVOps, cap
+from loopbv.extended import STANDARD_OPS, BVOps, ExtendedClass, cap
 from loopbv.loop import bv_delta, loop_bracket, partial_a
 from loopbv.models import resolve_model
 from loopbv import verify
@@ -208,6 +208,16 @@ def test_replay_detects_catalog_mismatch():
     )
     with pytest.raises(AlgebraError, match="model mismatch"):
         replay(wrong_model, model=SU3)
+
+
+def test_replay_refuses_a_catalog_1_report_line():
+    # catalog "1" drew rational coefficients, so its reports no longer replay
+    line = ('{"catalog": "1", "identity": "bv-identity", "model": "su3", "ops": "standard", '
+            '"seed": 7, "status": "pass", "trials": 500}')
+    report = CheckReport.from_json(line)
+    assert report.catalog == "1"
+    with pytest.raises(AlgebraError, match="catalog version mismatch: report has '1', current is '2'"):
+        replay(report)
 
 
 def test_model_file_reusing_a_builtin_name_needs_its_degrees(tmp_path):
@@ -413,6 +423,31 @@ def test_base_draws_are_exterior_cohomology_classes(name):
                 drawn += 1
                 nonzero += bool(w)
     assert nonzero > drawn // 4
+
+
+@pytest.mark.parametrize("name", ["s3", "s5", "su3", "exterior:3,5,7"])
+def test_trusted_extended_pairs_pass_the_checked_constructor(name, monkeypatch):
+    """`ext` draws and `_ext_lift` build their pairs unchecked (`ExtendedClass._of`);
+    every pair a catalog run builds that way must rebuild through the checked
+    constructor into an equal class."""
+    built = {"_draw_extended": [], "_ext_lift": []}
+
+    def recorded(make):
+        def wrapper(*args):
+            x = make(*args)
+            built[make.__name__].append(x)
+            return x
+        return wrapper
+
+    for maker in built:
+        monkeypatch.setattr(verify, maker, recorded(getattr(verify, maker)))
+    model = resolve_model(name)
+    for seed in range(8):
+        assert not any(r.failed() for r in run_suite(model, 25, seed))
+    for pairs in built.values():
+        assert len(pairs) > 1000
+        for x in pairs:
+            assert ExtendedClass(x.coh, x.loop) == x, x
 
 
 # -- sensitivity: each identity check can actually fail ------------------------------
