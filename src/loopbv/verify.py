@@ -8,6 +8,13 @@ replayed bit for bit from (model, seed, identity, trial).  A report of a
 model that is not the built-in of its name also stores the model's degrees,
 so it replays from the report alone.
 
+An argument is drawn by kind.  `_KINDS` gives each one-class kind its ring,
+even cap and default window, d the model dimension: `loop` is loop homology
+at cap 6 in (-d-2, 2d), `exterior` loop homology at cap 0 in (-d, 0), `base`
+cohomology at cap 0 in (0, d), `coh` cohomology at cap 6 in (0, 2d).  Each
+draws in its `ArgSpec`'s window if given; `ext` (base and/or loop classes of
+one degree) and `intersect-config` (an `IntersectConfig`) refuse one.
+
 Each algebra law (commutativity, associativity, unit, antisymmetry, the BV
 identity, Poisson, Poisson with a product first, Jacobi, square-zero) is
 written once against a *view*: one algebra's product, bracket, Delta, zero,
@@ -126,28 +133,34 @@ def reports_to_jsonl(reports) -> str:
 # random draws
 
 
-def _default_window(model: ModelSpec) -> tuple[int, int]:
-    d = model.dimension
-    return (-d - 2, 2 * d)
-
-
 def _hdeg(x) -> int:
     """Degree as an int for sign purposes; zero elements count as degree 0."""
     deg = x.degree()
     return deg if isinstance(deg, int) else 0
 
 
-def _draw_base(model: ModelSpec, window, max_terms: int, rng: random.Random) -> Element:
-    """A base class: a cohomology draw at even cap 0, so it has no v factors."""
-    return random_element(model, Ring.COH, window, max_terms, rng, even_cap=0)
+#: one-class draw kind -> (ring, even-exponent cap, default window from the dimension d)
+_KINDS = {
+    "loop": (Ring.LOOP, SUITE_EVEN_CAP, lambda d: (-d - 2, 2 * d)),
+    "exterior": (Ring.LOOP, 0, lambda d: (-d, 0)),  # constant-loop classes
+    "base": (Ring.COH, 0, lambda d: (0, d)),  # cohomology with no v factors
+    "coh": (Ring.COH, SUITE_EVEN_CAP, lambda d: (0, 2 * d)),
+}
+
+
+def _draw_class(kind: str, model: ModelSpec, max_terms: int, rng: random.Random, window=None) -> Element:
+    """A class of a one-class `kind`, in `window`, else in the kind's default window."""
+    ring, even_cap, default = _KINDS[kind]
+    return random_element(model, ring, window or default(model.dimension), max_terms, rng, even_cap=even_cap)
 
 
 @lru_cache(maxsize=None)
 def _extended_degrees(model: ModelSpec):
     """Candidate degrees of an `ext` draw, plus the populated loop and base degrees."""
-    lo, hi = _default_window(model)
-    loop_degs = frozenset(basis_index(model, Ring.LOOP, SUITE_EVEN_CAP).degrees)
-    base_degs = frozenset(basis_index(model, Ring.COH, 0).degrees)  # those `_draw_base` draws
+    (loop_ring, loop_cap, window), (base_ring, base_cap, _) = _KINDS["loop"], _KINDS["base"]
+    lo, hi = window(model.dimension)
+    loop_degs = frozenset(basis_index(model, loop_ring, loop_cap).degrees)
+    base_degs = frozenset(basis_index(model, base_ring, base_cap).degrees)
     candidates = tuple(sorted(
         {n for n in loop_degs if lo <= n <= hi}
         | {-k for k in base_degs if lo <= -k <= hi}
@@ -158,48 +171,42 @@ def _extended_degrees(model: ModelSpec):
 def _draw_extended(model: ModelSpec, rng: random.Random, max_terms: int) -> ExtendedClass:
     candidates, loop_degs, base_degs = _extended_degrees(model)
     n = rng.choice(candidates)
-    coh = Element.zero(model, Ring.COH)
-    loop = Element.zero(model, Ring.LOOP)
     want_coh = -n in base_degs and rng.random() < 0.6
     want_loop = n in loop_degs and (rng.random() < 0.8 or not want_coh)
-    if want_coh:
-        coh = _draw_base(model, (-n, -n), max_terms, rng)
-    if want_loop:
-        loop = random_element(model, Ring.LOOP, (n, n), max_terms, rng, even_cap=SUITE_EVEN_CAP)
+    coh = _draw_class("base", model, max_terms, rng, (-n, -n)) if want_coh else Element.zero(model, Ring.COH)
+    loop = _draw_class("loop", model, max_terms, rng, (n, n)) if want_loop else Element.zero(model, Ring.LOOP)
     if coh.is_zero() and loop.is_zero():
-        loop = random_element(model, Ring.LOOP, (0, 0), max_terms, rng, even_cap=SUITE_EVEN_CAP)
+        loop = _draw_class("loop", model, max_terms, rng, (0, 0))
     return ExtendedClass._of(coh, loop)  # a base draw and a loop draw, both over `model`
 
 
-def _draw_intersect_config(model: ModelSpec, rng: random.Random):
-    d = model.dimension
-    at_count = rng.randint(0, 3)
-    free_count = rng.randint(0, 3)
-    ats = [_draw_base(model, (0, d), 1, rng) for _ in range(at_count)]
-    frees = [_draw_base(model, (0, d), 2, rng) for _ in range(free_count)]
-    family = random_element(
-        model, Ring.LOOP, _default_window(model), 2, rng, even_cap=SUITE_EVEN_CAP
-    )
-    return (ats, frees, family)
+class IntersectConfig(NamedTuple):
+    """An `intersect-config` draw: the arguments of `loop_intersection`."""
+
+    ats: list
+    frees: list
+    family: Element
+
+    def __str__(self) -> str:
+        ats, frees = ("; ".join(map(str, part)) for part in (self.ats, self.frees))
+        return "at=[%s] free=[%s] family=%s" % (ats, frees, self.family)
 
 
 def _draw(spec: ArgSpec, model: ModelSpec, rng: random.Random):
-    d = model.dimension
-    window = spec.window if spec.window is not None else _default_window(model)
-    kind = spec.kind
-    if kind == "loop":
-        return random_element(model, Ring.LOOP, window, spec.max_terms, rng, even_cap=SUITE_EVEN_CAP)
-    if kind == "exterior":
-        return random_element(model, Ring.LOOP, (-d, 0), spec.max_terms, rng, even_cap=0)
-    if kind == "base":
-        return _draw_base(model, (0, d), spec.max_terms, rng)
-    if kind == "coh":
-        return random_element(model, Ring.COH, (0, 2 * d), spec.max_terms, rng, even_cap=SUITE_EVEN_CAP)
-    if kind == "ext":
+    if spec.kind in _KINDS:
+        return _draw_class(spec.kind, model, spec.max_terms, rng, spec.window)
+    if spec.kind not in ("ext", "intersect-config"):
+        raise AlgebraError("unknown draw kind %r" % spec.kind)
+    if spec.window is not None:
+        raise AlgebraError("%r draws take no window: each of their classes has its own" % spec.kind)
+    if spec.kind == "ext":
         return _draw_extended(model, rng, spec.max_terms)
-    if kind == "intersect-config":
-        return _draw_intersect_config(model, rng)
-    raise AlgebraError("unknown draw kind %r" % kind)
+    at_count, free_count = rng.randint(0, 3), rng.randint(0, 3)
+    return IntersectConfig(
+        [_draw_class("base", model, 1, rng) for _ in range(at_count)],
+        [_draw_class("base", model, 2, rng) for _ in range(free_count)],
+        _draw_class("loop", model, 2, rng),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -869,71 +876,47 @@ def get_ops(name_or_ops) -> BVOps:
 # running, witnesses, replay
 
 
-def _render_value(value) -> str:
-    if isinstance(value, (Element, ExtendedClass)):
-        return str(value)
-    if isinstance(value, tuple) and len(value) == 3:
-        ats, frees, family = value
-        return "at=[%s] free=[%s] family=%s" % (
-            "; ".join(str(w) for w in ats),
-            "; ".join(str(w) for w in frees),
-            family,
-        )
-    return repr(value)
-
-
 def _failing_checks(case, ops, model, args):
     return [
-        {"check": label, "lhs": _render_value(lhs), "rhs": _render_value(rhs)}
+        {"check": label, "lhs": str(lhs), "rhs": str(rhs)}
         for label, lhs, rhs in case.evaluate(ops, model, args)
         if lhs != rhs
     ]
 
 
 def _drop_one_term(value):
-    """Yield copies of `value` with a single monomial term removed."""
+    """Yield copies of `value` with a single monomial term removed: from a class,
+    from one part of a pair or an `IntersectConfig`, or from one item of a list."""
     if isinstance(value, Element):
         for mono in sorted(value.terms):
-            smaller = dict(value.terms)
-            del smaller[mono]
-            yield Element._of(value.model, value.ring, smaller)
+            yield Element._of(value.model, value.ring, {m: c for m, c in value.terms.items() if m != mono})
     elif isinstance(value, ExtendedClass):
         for coh in _drop_one_term(value.coh):
-            yield ExtendedClass(coh, value.loop)
+            yield ExtendedClass._of(coh, value.loop)
         for loop in _drop_one_term(value.loop):
-            yield ExtendedClass(value.coh, loop)
-    elif isinstance(value, tuple) and len(value) == 3:
-        ats, frees, family = value
-        for idx, w in enumerate(ats):
-            for smaller in _drop_one_term(w):
-                yield (ats[:idx] + [smaller] + ats[idx + 1 :], frees, family)
-        for idx, w in enumerate(frees):
-            for smaller in _drop_one_term(w):
-                yield (ats, frees[:idx] + [smaller] + frees[idx + 1 :], family)
-        for smaller in _drop_one_term(family):
-            yield (ats, frees, smaller)
+            yield ExtendedClass._of(value.coh, loop)
+    elif isinstance(value, list):  # the arguments, or the ats or frees of an IntersectConfig
+        for idx, item in enumerate(value):
+            for smaller in _drop_one_term(item):
+                yield value[:idx] + [smaller] + value[idx + 1 :]
+    else:  # an IntersectConfig
+        for name, part in zip(value._fields, value):
+            for smaller in _drop_one_term(part):
+                yield value._replace(**{name: smaller})
+
+
+def _still_fails(case, ops, model, args) -> bool:
+    try:
+        return any(lhs != rhs for _, lhs, rhs in case.evaluate(ops, model, args))
+    except AlgebraError:  # dropping a term made the arguments degenerate
+        return False
 
 
 def _minimize_args(case, ops, model, args):
     """Greedily drop monomial terms from the arguments while the failure persists."""
-    args = list(args)
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(args)):
-            for smaller in _drop_one_term(args[idx]):
-                candidate = args[:idx] + [smaller] + args[idx + 1 :]
-                try:
-                    still_failing = bool(_failing_checks(case, ops, model, candidate))
-                except AlgebraError:
-                    # dropping the term made the arguments degenerate
-                    still_failing = False
-                if still_failing:
-                    args = candidate
-                    changed = True
-                    break
-            if changed:
-                break
+    for smaller in _drop_one_term(list(args)):
+        if _still_fails(case, ops, model, smaller):
+            return _minimize_args(case, ops, model, smaller)
     return args
 
 
@@ -942,9 +925,9 @@ def _build_witness(case, ops, model, trial, args):
     minimized = _minimize_args(case, ops, model, args)
     return {
         "trial": trial,
-        "args": [_render_value(v) for v in args],
+        "args": [str(v) for v in args],
         "failing": failing,
-        "minimized_args": [_render_value(v) for v in minimized],
+        "minimized_args": [str(v) for v in minimized],
         "minimized_failing": _failing_checks(case, ops, model, minimized),
     }
 
@@ -964,21 +947,22 @@ def run_suite(
     """Check identities on seeded random draws; one report per identity.
 
     `selection` is an iterable of identity ids (None means the full catalog);
-    an empty one or an unknown id is an error, not a silent no-op.  Reports
-    come back in catalog order.  `ops` names a primitive bundle from the
-    registry, for running the suite against deliberately broken algebra.
+    a string, an empty one or an unknown id is an error, not a silent no-op.
+    Reports come back in catalog order.  `ops` names a primitive bundle from
+    the registry, for running the suite against deliberately broken algebra.
     """
     if trials < 1:
         raise AlgebraError("trials must be >= 1, got %d" % trials)
     ops_obj = get_ops(ops)
+    if isinstance(selection, str):
+        raise AlgebraError("selection must be a list of identity ids, not the string %r" % selection)
     chosen = list(CATALOG if selection is None else selection)
     if not chosen:
         raise AlgebraError("no identity selected (see the catalog for known ids)")
     for ident in chosen:
         if ident not in CATALOG:
             raise AlgebraError("unknown identity id %r (see the catalog for known ids)" % ident)
-    wanted = set(chosen)
-    chosen = [ident for ident in CATALOG if ident in wanted]
+    chosen = [ident for ident in CATALOG if ident in chosen]
     # draws index the basis at this cap: refuse an oversized model before any identity runs
     check_index_size(model, SUITE_EVEN_CAP)
     degrees = None if model == builtin_named(model.name) else list(model.generator_degrees)

@@ -31,7 +31,7 @@ from loopbv.extended import (
 )
 
 from loopbv.models import resolve_model
-from loopbv.verify import _draw_base, _draw_extended, mutations
+from loopbv.verify import _draw_class, _draw_extended, mutations
 
 from oracles import cap_oracle
 
@@ -353,7 +353,7 @@ def _mixed_parity_classes(model, count=2):
     while min(len(drawn) for drawn in [*exts.values(), *bases.values()]) < 2 * count:
         x = _draw_extended(model, rng, 3)
         exts[x.degree() % 2].append(x)  # an `ext` draw is homogeneous
-        w = _draw_base(model, (0, model.dimension), 3, rng)
+        w = _draw_class("base", model, 3, rng)
         bases[w.degree() % 2].append(ExtendedClass.from_coh(w))
     coh0, loop0 = Element.zero(model, Ring.COH), Element.zero(model, Ring.LOOP)
     out = []

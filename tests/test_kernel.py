@@ -440,19 +440,15 @@ def test_random_coefficients_are_ints_from_minus_three_to_three():
 
 
 def test_operators_keep_int_coefficients():
+    """Draws have integer coefficients; every operator on them keeps them integers."""
     from loopbv.cohomology import coh_delta
     from loopbv.extended import cap
     from loopbv.loop import bv_delta, loop_bracket
 
-    def integral(ring, seed):
-        """A random element with its coefficients cleared of denominators."""
-        x = random_element(SU3, ring, (-8, 16), 4, seed)
-        return Element(SU3, ring, {m: c * 6 for m, c in x.terms.items()})
-
     seen = 0
     for trial in range(40):
-        b, c = integral(Ring.LOOP, "b|%d" % trial), integral(Ring.LOOP, "c|%d" % trial)
-        w = integral(Ring.COH, "w|%d" % trial)
+        b, c = (random_element(SU3, Ring.LOOP, (-8, 16), 4, "%s|%d" % (name, trial)) for name in "bc")
+        w = random_element(SU3, Ring.COH, (-8, 16), 4, "w|%d" % trial)
         for value in (b * c, b + c, -b, b - c, bv_delta(b), loop_bracket(b, c), cap(w, b), coh_delta(w)):
             if value:
                 _assert_int_coefficients(value)

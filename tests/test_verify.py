@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import fields
 
 import pytest
@@ -16,6 +17,7 @@ from loopbv import verify
 from loopbv.expr import evaluate
 from loopbv.verify import (
     CATALOG,
+    ArgSpec,
     CheckReport,
     DELTA_BRACKET_MUTATIONS,
     MUTATION_BREAKS,
@@ -135,6 +137,12 @@ def test_unknown_identity_is_an_error():
 def test_empty_selection_is_an_error(selection):
     with pytest.raises(AlgebraError, match="no identity selected"):
         run_suite(S3, 5, 1, selection=selection)
+
+
+def test_string_selection_is_an_error():
+    """A string is an iterable of its characters, never of identity ids."""
+    with pytest.raises(AlgebraError, match="selection must be a list of identity ids, not the string 'bv-identity'"):
+        run_suite(SU3, 1, 0, "bv-identity")
 
 
 def test_oversized_model_is_refused_before_any_identity_runs(monkeypatch):
@@ -425,6 +433,27 @@ def test_base_draws_are_exterior_cohomology_classes(name):
     assert nonzero > drawn // 4
 
 
+@pytest.mark.parametrize("kind", ["loop", "exterior", "base", "coh"])
+def test_one_class_draws_honour_a_window(kind):
+    """Each one-class kind draws inside the window its spec gives, default or not."""
+    nonzero = 0
+    for window in [(5, 5), (-5, -3), (3, 12), (14, 20)]:
+        for trial in range(20):
+            x = _draw(ArgSpec(kind, 2, window), SU3, random.Random("window|%r|%d" % (window, trial)))
+            assert x.is_zero() or window[0] <= x.degree() <= window[1], (kind, window, x)
+            nonzero += not x.is_zero()
+    assert nonzero >= 20
+    if kind == "base":
+        assert _draw(ArgSpec("base", 2, (5, 5)), SU3, random.Random(1)).degree() == 5
+
+
+@pytest.mark.parametrize("kind", ["ext", "intersect-config"])
+def test_composite_draws_refuse_a_window(kind):
+    """`ext` and `intersect-config` draw each class in its own window, so a spec's window is refused."""
+    with pytest.raises(AlgebraError, match=re.escape("%r draws take no window" % kind)):
+        _draw(ArgSpec(kind, 2, (0, 3)), SU3, random.Random(1))
+
+
 @pytest.mark.parametrize("name", ["s3", "s5", "su3", "exterior:3,5,7"])
 def test_trusted_extended_pairs_pass_the_checked_constructor(name, monkeypatch):
     """`ext` draws and `_ext_lift` build their pairs unchecked (`ExtendedClass._of`);
@@ -448,6 +477,27 @@ def test_trusted_extended_pairs_pass_the_checked_constructor(name, monkeypatch):
         assert len(pairs) > 1000
         for x in pairs:
             assert ExtendedClass(x.coh, x.loop) == x, x
+
+
+def test_minimiser_pairs_pass_the_checked_constructor(monkeypatch):
+    """The witness minimiser drops one term of an `ext` argument into a trusted
+    `ExtendedClass._of` pair; under every mutation bundle, each such pair must
+    rebuild through the checked constructor into an equal class."""
+    dropped = []
+    drop = verify._drop_one_term
+
+    def recorded(value):
+        for smaller in drop(value):
+            if isinstance(smaller, ExtendedClass):
+                dropped.append(smaller)
+            yield smaller
+
+    monkeypatch.setattr(verify, "_drop_one_term", recorded)
+    failed = [r for name in sorted(mutations()) for r in run_suite(SU3, 40, 5, ops=name) if r.failed()]
+    assert len(failed) > 20
+    assert len(dropped) > 50 and any(x.coh for x in dropped) and any(x.loop for x in dropped)
+    for x in dropped:
+        assert ExtendedClass(x.coh, x.loop) == x, x
 
 
 # -- sensitivity: each identity check can actually fail ------------------------------
