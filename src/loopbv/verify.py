@@ -15,13 +15,17 @@ cohomology at cap 0 in (0, d), `coh` cohomology at cap 6 in (0, 2d).  Each
 draws in its `ArgSpec`'s window if given; `ext` (base and/or loop classes of
 one degree) and `intersect-config` (an `IntersectConfig`) refuse one.
 
-Each algebra law (commutativity, associativity, unit, antisymmetry, the BV
-identity, Poisson, Poisson with a product first, Jacobi, square-zero) is
-written once against a *view*: one algebra's product, bracket, Delta, zero,
-unit and argument lift, bound to an ops bundle.  The views are loop, coh
-(cup and coh_delta) and ext (H^*(M) (+) H_*(LM)).  An identity that is a law
-is one catalog row, ``_law(view, law, *check_labels)``; any other identity
-gets its own ``evaluate(ops, model, args)`` returning (label, lhs, rhs) checks.
+Each algebra law is written once against a *view*: one algebra's product,
+bracket, Delta, zero, unit and argument lift, bound to an ops bundle.  The
+views are loop, coh (cup, coh_delta and the zero bracket, as coh_delta is a
+derivation) and ext (H^*(M) (+) H_*(LM)).  An identity that is a law is one
+catalog row, ``_law(view, law, *check_labels)``; any other identity gets its
+own ``evaluate(ops, model, args)`` returning (label, lhs, rhs) checks.
+
+`_leibniz` states the Leibniz rule of a degree-k map d over an operation
+once, sign (-1)^{k(|y|+shift)} included.  16 rows run it: the BV identity
+(loop, ext, and coh as eq. 4.4), Poisson and Jacobi (loop, ext, eqs. 4.11,
+4.13, 4.15, 4.16), the two operator commutators and eqs. 4.7, 4.10 and 4.24.
 
 A registry of deliberately broken primitive bundles ("mutations": one sign
 flipped or one term dropped in Delta, the bracket, the product, the cap, or
@@ -226,7 +230,7 @@ class _View(NamedTuple):
     """The operations a law uses, bound to one ops bundle and one model."""
 
     product: Callable
-    bracket: Callable | None
+    bracket: Callable
     delta: Callable
     zero: Callable  # () -> the zero class, made only when a law asks
     unit: Callable  # () -> the unit class, likewise
@@ -245,9 +249,9 @@ def _loop_view(ops, model) -> _View:
 
 
 def _coh_view(ops, model) -> _View:
-    """Cup product and coh_delta; coh_delta is a derivation, so no bracket."""
+    """Cup product and coh_delta; coh_delta is a derivation, so its bracket is zero."""
     return _View(
-        mul, None, ops.coh_delta,
+        mul, lambda x, y: Element.zero(model, Ring.COH), ops.coh_delta,
         lambda: Element.zero(model, Ring.COH), lambda: Element.unit(model, Ring.COH), _same,
     )
 
@@ -289,23 +293,31 @@ def _antisymmetry(v, x, y):
     return [(v.bracket(x, y), v.bracket(y, x).scale(-sign_pow((_hdeg(x) + 1) * (_hdeg(y) + 1))))]
 
 
+def _leibniz(d, k, op, shift, y, z):
+    """The Leibniz rule of `d`, of degree `k`, over `op`, whose operands count with
+    degree shifted by `shift`: the terms (d(op(y,z)), op(d(y),z), (-1)^{k(|y|+shift)} op(y,d(z)))."""
+    return d(op(y, z)), op(d(y), z), op(y, d(z)).scale(sign_pow(k * (_hdeg(y) + shift)))
+
+
 def _bv_identity(v, x, y):
-    s = sign_pow(_hdeg(x))
-    lhs = v.delta(v.product(x, y))
-    rhs = (
-        v.product(v.delta(x), y)
-        + v.product(x, v.delta(y)).scale(s)
-        + v.bracket(x, y).scale(s)
-    )
-    return [(lhs, rhs)]
+    """Delta fails to be a derivation of the product by exactly (-1)^{|x|} {x,y}."""
+    whole, left, right = _leibniz(v.delta, 1, v.product, 0, x, y)
+    return [(whole, left + right + v.bracket(x, y).scale(sign_pow(_hdeg(x))))]
 
 
-def _poisson(v, x, y, z):
-    lhs = v.bracket(x, v.product(y, z))
-    rhs = v.product(v.bracket(x, y), z) + v.product(y, v.bracket(x, z)).scale(
-        sign_pow(_hdeg(y) * (_hdeg(x) + 1))
-    )
-    return [(lhs, rhs)]
+def _bracket_derivation(over, shift):
+    """The law that {x,-} is a derivation of degree |x|+1 of the product
+    (`over` "product", `shift` 0) or of the bracket ("bracket", 1)."""
+
+    def law(v, x, y, z):
+        whole, left, right = _leibniz(lambda w: v.bracket(x, w), _hdeg(x) + 1, getattr(v, over), shift, y, z)
+        return [(whole, left + right)]
+
+    return law
+
+
+_poisson = _bracket_derivation("product", 0)
+_jacobi = _bracket_derivation("bracket", 1)
 
 
 def _poisson_product_first(v, x, y, z):
@@ -313,14 +325,6 @@ def _poisson_product_first(v, x, y, z):
     lhs = v.bracket(v.product(x, y), z)
     rhs = v.product(x, v.bracket(y, z)) + v.product(y, v.bracket(x, z)).scale(
         sign_pow(_hdeg(x) * _hdeg(y))
-    )
-    return [(lhs, rhs)]
-
-
-def _jacobi(v, x, y, z):
-    lhs = v.bracket(x, v.bracket(y, z))
-    rhs = v.bracket(v.bracket(x, y), z) + v.bracket(y, v.bracket(x, z)).scale(
-        sign_pow((_hdeg(x) + 1) * (_hdeg(y) + 1))
     )
     return [(lhs, rhs)]
 
@@ -383,18 +387,14 @@ def _ev_delta_constant(ops, model, args):
 
 
 def _operator_commutator(over, shift, label):
-    """`evaluate` for [D_b, O_c] = O_{{b,c}} on e, with O_c the loop operation
-    `over` ("product" or "bracket") by c, whose degree is shifted by `shift`
-    (0 for the product, 1 for the bracket)."""
+    """`evaluate` for [D_b, O_c] = O_{{b,c}} on e: the Leibniz rule of D_b = {b,-} over
+    the loop operation `over` ("product" or "bracket"), whose operands count with
+    degree shifted by `shift` (0 or 1), with the commutator on the left."""
 
     def evaluate(ops, model, args):
         b, c, e = args
-        op = getattr(ops, over)
-        lhs = ops.bracket(b, op(c, e)) - op(c, ops.bracket(b, e)).scale(
-            sign_pow((_hdeg(b) + 1) * (_hdeg(c) + shift))
-        )
-        rhs = op(ops.bracket(b, c), e)
-        return [(label, lhs, rhs)]
+        whole, left, right = _leibniz(lambda w: ops.bracket(b, w), _hdeg(b) + 1, getattr(ops, over), shift, c, e)
+        return [(label, whole - right, left)]
 
     return evaluate
 
@@ -429,13 +429,6 @@ def _cap_commutes(first_label, second_label):
     return evaluate
 
 
-def _ev_coh_delta_derivation(ops, model, args):
-    x, y = args
-    lhs = ops.coh_delta(x * y)
-    rhs = ops.coh_delta(x) * y + (x * ops.coh_delta(y)).scale(sign_pow(_hdeg(x)))
-    return [("coh_delta(x cup y) = coh_delta(x) cup y + (-1)^{|x|} x cup coh_delta(y)", lhs, rhs)]
-
-
 def _cap_derivation(over, shift, label):
     """`evaluate` for: Dalpha cap - is a derivation of degree |alpha|-1 of the
     loop operation `over` ("product" or "bracket"), whose operands count with
@@ -443,22 +436,17 @@ def _cap_derivation(over, shift, label):
 
     def evaluate(ops, model, args):
         al, b, c = args
-        op = getattr(ops, over)
         da = ops.coh_delta(al)
-        lhs = ops.cap(da, op(b, c))
-        rhs = op(ops.cap(da, b), c) + op(b, ops.cap(da, c)).scale(
-            sign_pow((_hdeg(al) - 1) * (_hdeg(b) + shift))
-        )
-        return [(label, lhs, rhs)]
+        whole, left, right = _leibniz(lambda w: ops.cap(da, w), _hdeg(al) - 1, getattr(ops, over), shift, b, c)
+        return [(label, whole, left + right)]
 
     return evaluate
 
 
 def _ev_delta_cap_derivation(ops, model, args):
-    w, b = args
-    lhs = ops.delta(ops.cap(w, b))
-    rhs = ops.cap(ops.coh_delta(w), b) + ops.cap(w, ops.delta(b)).scale(sign_pow(_hdeg(w)))
-    return [("Delta(w cap b) = coh_delta(w) cap b + (-1)^{|w|} w cap Delta(b)", lhs, rhs)]
+    odd = {Ring.LOOP: ops.delta, Ring.COH: ops.coh_delta}  # Delta on loop classes, coh_delta on cohomology
+    whole, left, right = _leibniz(lambda x: odd[x.ring](x), 1, ops.cap, 0, *args)
+    return [("Delta(w cap b) = coh_delta(w) cap b + (-1)^{|w|} w cap Delta(b)", whole, left + right)]
 
 
 def _ev_cap_constant_trivial(ops, model, args):
@@ -663,7 +651,7 @@ def _build_catalog() -> dict[str, IdentityCase]:
             "eq-4.4-coh-delta-derivation",
             "coh_delta is an odd derivation for the cup product",
             (ArgSpec("coh"), ArgSpec("coh")),
-            _ev_coh_delta_derivation,
+            _law(_coh_view, _bv_identity, "coh_delta(x cup y) = coh_delta(x) cup y + (-1)^{|x|} x cup coh_delta(y)"),
         ),
         IdentityCase("coh-delta-squared-zero", "coh_delta o coh_delta = 0", (ArgSpec("coh"),),
                      _law(_coh_view, _square_zero, "coh_delta(coh_delta(x)) = 0")),
@@ -811,12 +799,9 @@ def _bracket_from_delta(delta):
 
     def bracket(b, c):
         result = Element.zero(b.model, Ring.LOOP)
-        delta_c = delta(c)
         for deg, part in b.homogeneous_components().items():
-            s = sign_pow(deg)
-            result = result + (
-                delta(part * c) - delta(part) * c - (part * delta_c).scale(s)
-            ).scale(s)
+            whole, left, right = _leibniz(delta, 1, mul, 0, part, c)
+            result = result + (whole - left - right).scale(sign_pow(deg))
         return result
 
     return bracket
@@ -920,8 +905,7 @@ def _minimize_args(case, ops, model, args):
     return args
 
 
-def _build_witness(case, ops, model, trial, args):
-    failing = _failing_checks(case, ops, model, args)
+def _build_witness(case, ops, model, trial, args, failing):
     minimized = _minimize_args(case, ops, model, args)
     return {
         "trial": trial,
@@ -973,9 +957,9 @@ def run_suite(
         for trial in range(trials):
             rng = trial_rng(seed, ident, trial)
             args = [_draw(spec, model, rng) for spec in case.args]
-            if _failing_checks(case, ops_obj, model, args):
+            if failing := _failing_checks(case, ops_obj, model, args):
                 status = "fail"
-                witness = _build_witness(case, ops_obj, model, trial, args)
+                witness = _build_witness(case, ops_obj, model, trial, args, failing)
                 break
         reports.append(
             CheckReport(

@@ -6,12 +6,14 @@ import json
 import random
 import re
 from dataclasses import fields
+from operator import mul
 
 import pytest
 
 from loopbv.kernel import AlgebraError, Element, ModelSpec, Ring, _is_exterior, random_element, sign_pow
 from loopbv.extended import STANDARD_OPS, BVOps, ExtendedClass, cap
-from loopbv.loop import bv_delta, loop_bracket, partial_a
+from loopbv.cohomology import coh_delta
+from loopbv.loop import bv_delta, loop_bracket, loop_product, partial_a, partial_u
 from loopbv.models import resolve_model
 from loopbv import verify
 from loopbv.expr import evaluate
@@ -23,6 +25,8 @@ from loopbv.verify import (
     MUTATION_BREAKS,
     _bracket_from_delta,
     _draw,
+    _draw_class,
+    _leibniz,
     get_ops,
     mutations,
     replay,
@@ -382,6 +386,23 @@ def test_every_mutation_is_detected_with_replayable_witness(name):
     assert replay(report) == report
 
 
+def test_a_failing_trial_is_evaluated_once(monkeypatch):
+    """The witness reuses the failing checks `run_suite` found: one failing
+    report calls `_failing_checks` once per trial run and once for the
+    minimised arguments."""
+    calls = []
+    failing_checks = verify._failing_checks
+
+    def counted(*args):
+        calls.append(args)
+        return failing_checks(*args)
+
+    monkeypatch.setattr(verify, "_failing_checks", counted)
+    (report,) = run_suite(SU3, 20, 42, ["ext-poisson"], ops="product-swap-unsigned")
+    assert report.failed() and report.witness["trial"] == 11
+    assert len(calls) == report.witness["trial"] + 1 + 1
+
+
 def test_witness_minimization_shrinks_or_keeps_arguments():
     failed = [r for r in run_suite(SU3, 40, 5, ops="bracket-drop-term") if r.failed()]
     assert failed
@@ -498,6 +519,60 @@ def test_minimiser_pairs_pass_the_checked_constructor(monkeypatch):
     assert len(dropped) > 50 and any(x.coh for x in dropped) and any(x.loop for x in dropped)
     for x in dropped:
         assert ExtendedClass(x.coh, x.loop) == x, x
+
+
+# -- _leibniz against derivations known outside the catalog -----------------------
+
+
+LEIBNIZ_MODELS = ["s3", "su3", "exterior:3,5,7"]
+
+
+def _draw_pairs(name, kind, count=50):
+    model = resolve_model(name)
+    rng = random.Random("leibniz|%s|%s" % (name, kind))
+    return model, [(_draw_class(kind, model, 2, rng), _draw_class(kind, model, 2, rng)) for _ in range(count)]
+
+
+def _partial_a_failures(name, k):
+    """How many (draw, i) cases break the Leibniz rule of d/da_i, given degree `k`, over the loop product."""
+    model, pairs = _draw_pairs(name, "loop")
+    failures = 0
+    for y, z in pairs:
+        for i in range(1, model.rank + 1):
+            whole, left, right = _leibniz(lambda b: partial_a(b, i), k, loop_product, 0, y, z)
+            failures += whole != left + right
+    return failures
+
+
+@pytest.mark.parametrize("name", LEIBNIZ_MODELS)
+def test_leibniz_holds_for_the_partial_derivatives(name):
+    """d/da_i is an odd (k = 1) and d/du_i an even (k = 0) derivation of the loop product."""
+    assert _partial_a_failures(name, 1) == 0
+    model, pairs = _draw_pairs(name, "loop")
+    nonzero = 0
+    for y, z in pairs:
+        for i in range(1, model.rank + 1):
+            whole, left, right = _leibniz(lambda b: partial_u(b, i), 0, loop_product, 0, y, z)
+            assert whole == left + right, (y, z, i)
+            nonzero += not whole.is_zero()
+    assert nonzero > 10
+
+
+@pytest.mark.parametrize("name", LEIBNIZ_MODELS)
+def test_leibniz_holds_for_coh_delta_over_the_cup_product(name):
+    _, pairs = _draw_pairs(name, "coh")
+    nonzero = 0
+    for y, z in pairs:
+        whole, left, right = _leibniz(coh_delta, 1, mul, 0, y, z)
+        assert whole == left + right, (y, z)
+        nonzero += not whole.is_zero()
+    assert nonzero > 10
+
+
+@pytest.mark.parametrize("name", LEIBNIZ_MODELS)
+def test_leibniz_fails_for_partial_a_with_the_wrong_parity(name):
+    """Declared even, d/da_i misses the sign of its odd y: the Leibniz check can fail."""
+    assert _partial_a_failures(name, 0) > 0
 
 
 # -- sensitivity: each identity check can actually fail ------------------------------
