@@ -4,7 +4,9 @@ Every identity the engine claims is kept in one catalog, keyed by a stable
 id, and checked on random homogeneous draws with exact rational equality.
 Runs are deterministic: the draw for trial t of identity I under seed S
 comes from ``random.Random("S|I|t")``, so a failing report can always be
-replayed bit for bit from (model, seed, identity, trial).  A report of a
+replayed bit for bit from (model, seed, identity, trial).  A row that draws
+nothing is evaluated once per report, as every trial would check the same
+classes; its report still records the trials asked for.  A report of a
 model that is not the built-in of its name also stores the model's degrees,
 so it replays from the report alone.
 
@@ -862,11 +864,11 @@ def get_ops(name_or_ops) -> BVOps:
 
 
 def _failing_checks(case, ops, model, args):
-    return [
-        {"check": label, "lhs": str(lhs), "rhs": str(rhs)}
-        for label, lhs, rhs in case.evaluate(ops, model, args)
-        if lhs != rhs
-    ]
+    return [check for check in case.evaluate(ops, model, args) if check[1] != check[2]]
+
+
+def _render_checks(checks):
+    return [{"check": label, "lhs": str(lhs), "rhs": str(rhs)} for label, lhs, rhs in checks]
 
 
 def _drop_one_term(value):
@@ -890,35 +892,37 @@ def _drop_one_term(value):
                 yield value._replace(**{name: smaller})
 
 
-def _still_fails(case, ops, model, args) -> bool:
+def _still_failing(case, ops, model, args) -> list:
     try:
-        return any(lhs != rhs for _, lhs, rhs in case.evaluate(ops, model, args))
+        return [check for check in case.evaluate(ops, model, args) if check[1] != check[2]]
     except AlgebraError:  # dropping a term made the arguments degenerate
-        return False
+        return []
 
 
-def _minimize_args(case, ops, model, args):
-    """Greedily drop monomial terms from the arguments while the failure persists."""
+def _minimize_args(case, ops, model, args, failing):
+    """Greedily drop monomial terms while the failure persists; return (args, their failing checks)."""
     for smaller in _drop_one_term(list(args)):
-        if _still_fails(case, ops, model, smaller):
-            return _minimize_args(case, ops, model, smaller)
-    return args
+        if still := _still_failing(case, ops, model, smaller):
+            return _minimize_args(case, ops, model, smaller, still)
+    return args, failing
 
 
 def _build_witness(case, ops, model, trial, args, failing):
-    minimized = _minimize_args(case, ops, model, args)
+    minimized, minimized_failing = _minimize_args(case, ops, model, args, failing)
     return {
         "trial": trial,
         "args": [str(v) for v in args],
-        "failing": failing,
+        "failing": _render_checks(failing),
         "minimized_args": [str(v) for v in minimized],
-        "minimized_failing": _failing_checks(case, ops, model, minimized),
+        "minimized_failing": _render_checks(minimized_failing),
     }
 
 
-def trial_rng(seed, identity_id: str, trial: int) -> random.Random:
-    """The deterministic generator for one trial; strings seed via sha512."""
-    return random.Random("%s|%s|%d" % (seed, identity_id, trial))
+def trial_rng(seed, identity_id: str, trial: int, rng: random.Random | None = None) -> random.Random:
+    """The deterministic generator for one trial, `rng` reseeded if given; strings seed via sha512."""
+    rng = rng or random.Random()
+    rng.seed("%s|%s|%d" % (seed, identity_id, trial))
+    return rng
 
 
 def run_suite(
@@ -950,12 +954,13 @@ def run_suite(
     # draws index the basis at this cap: refuse an oversized model before any identity runs
     check_index_size(model, SUITE_EVEN_CAP)
     degrees = None if model == builtin_named(model.name) else list(model.generator_degrees)
-    reports = []
+    reports, rng = [], random.Random()
     for ident in chosen:
         case = CATALOG[ident]
         status, witness = "pass", None
-        for trial in range(trials):
-            rng = trial_rng(seed, ident, trial)
+        # a row that draws nothing would check the same classes on every trial
+        for trial in range(trials if case.args else 1):
+            trial_rng(seed, ident, trial, rng)
             args = [_draw(spec, model, rng) for spec in case.args]
             if failing := _failing_checks(case, ops_obj, model, args):
                 status = "fail"

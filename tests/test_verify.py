@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from operator import mul
 
 import pytest
@@ -387,9 +387,9 @@ def test_every_mutation_is_detected_with_replayable_witness(name):
 
 
 def test_a_failing_trial_is_evaluated_once(monkeypatch):
-    """The witness reuses the failing checks `run_suite` found: one failing
-    report calls `_failing_checks` once per trial run and once for the
-    minimised arguments."""
+    """The witness reuses the failing checks `run_suite` found, and the
+    minimiser returns those of the arguments it keeps: one failing report
+    calls `_failing_checks` once per trial run and never again."""
     calls = []
     failing_checks = verify._failing_checks
 
@@ -400,7 +400,62 @@ def test_a_failing_trial_is_evaluated_once(monkeypatch):
     monkeypatch.setattr(verify, "_failing_checks", counted)
     (report,) = run_suite(SU3, 20, 42, ["ext-poisson"], ops="product-swap-unsigned")
     assert report.failed() and report.witness["trial"] == 11
-    assert len(calls) == report.witness["trial"] + 1 + 1
+    assert len(calls) == report.witness["trial"] + 1
+
+
+NO_ARG_IDS = [ident for ident, case in CATALOG.items() if not case.args]
+
+
+def test_model_structure_draws_nothing():
+    assert "model-structure" in NO_ARG_IDS
+
+
+@pytest.mark.parametrize("ident", NO_ARG_IDS)
+def test_a_row_that_draws_nothing_is_evaluated_once_per_report(ident, monkeypatch):
+    """Every trial of a row with no arguments checks the same classes, so a
+    report evaluates it once and still records the trial count asked for."""
+    calls = []
+    case = CATALOG[ident]
+
+    def counted(*args):
+        calls.append(args)
+        return case.evaluate(*args)
+
+    monkeypatch.setitem(CATALOG, ident, replace(case, evaluate=counted))
+    (report,) = run_suite(resolve_model("su7"), 50, 42, [ident])
+    assert len(calls) == 1
+    assert report.status == "pass" and report.trials == 50
+    assert replay(report) == report
+
+    del calls[:]
+    (report,) = run_suite(SU3, 50, 42, [ident], ops="delta-sign-flip")
+    assert len(calls) == 1
+    assert report.failed() and report.trials == 50 and report.witness["trial"] == 0
+    assert report.witness["minimized_failing"] == report.witness["failing"]
+    assert replay(report) == report
+
+
+@pytest.mark.parametrize("name", ["su3", "exterior:3,5,7"])
+def test_the_reseeded_generator_draws_what_trial_rng_draws(name, monkeypatch):
+    """`run_suite` reseeds one generator per trial; every catalog draw must be
+    the one a fresh `trial_rng(seed, identity, trial)` gives."""
+    model = resolve_model(name)
+    drawn = []
+    draw = verify._draw
+
+    def recorded(spec, model, rng):
+        value = draw(spec, model, rng)
+        drawn.append(str(value))
+        return value
+
+    monkeypatch.setattr(verify, "_draw", recorded)
+    assert all(r.status == "pass" for r in run_suite(model, 5, 42))
+    expected = []
+    for ident, case in CATALOG.items():
+        for trial in range(5):
+            rng = trial_rng(42, ident, trial)
+            expected.extend(str(draw(spec, model, rng)) for spec in case.args)
+    assert drawn == expected
 
 
 def test_witness_minimization_shrinks_or_keeps_arguments():
