@@ -170,8 +170,19 @@ def _cmd_models(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token `-X...`, X not `-`, as a value unless it is an option
+    string (`-h`), so `eval --model s3 -a1` and `--family -u1` need no `--`
+    or `=`: no subcommand has another short option."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string[1:2] not in ("", "-") and arg_string not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="loopbv",
         description="Exact string-topology BV algebra calculator for exterior rational models.",
     )

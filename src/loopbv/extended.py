@@ -24,11 +24,11 @@ omega contains:
 with a_T a_S carrying the Koszul sign of merging T and S.  It is the
 closed form applied to one term, as (d/du_i)^{K_i} u_i^{E_i} is the falling
 factorial E_i!/(E_i - K_i)! times u_i^{E_i - K_i}, and zero for K_i > E_i.
-Passing `bracket=` expands eq. 5.2 with the given bracket instead
-(`_cap_by_brackets`); the catalog identity `eq-5.2-nested-brackets` checks
-the closed form against the nested brackets.  No code in the package passes
-`bracket=`; it stays for the benchmark tracer, which counts a cap's brackets,
-and for the tests that check the closed form against eq. 5.2.
+`nested_brackets` is the one expansion of eq. 5.2, through a given product
+and bracket; the catalog identity `eq-5.2-nested-brackets` checks the closed
+form against it in both factor orders.  `cap(bracket=)` is that expansion
+through the loop product; no code in the package passes it, and it stays only
+for the benchmark tracer, which counts a cap's brackets, until the tracer drops it.
 
 Extended classes are honest pairs (base cohomology part, loop part), where
 the base part is a cohomology class checked to have no v factors; a class
@@ -89,9 +89,9 @@ def cap(omega: Element, b: Element, *, bracket=None) -> Element:
     """Cap product of a cohomology class with a loop-homology class.
 
     Bilinear; the homological degree of the result is deg(b) - deg(omega).
-    With `bracket` given, the cap is expanded through that bracket (eq. 5.2)
-    instead of the closed form; only the benchmark tracer and the eq. 5.2
-    reference tests pass it.
+    With `bracket` given, the cap is `nested_brackets` through the loop
+    product and that bracket instead of the closed form; only the benchmark
+    tracer passes it.
     """
     if omega.ring is not Ring.COH:
         raise AlgebraError("cap: first argument must be a cohomology class, got %s" % omega.ring.value)
@@ -99,7 +99,7 @@ def cap(omega: Element, b: Element, *, bracket=None) -> Element:
         raise AlgebraError("cap: second argument must be a loop-homology class, got %s" % b.ring.value)
     _same_model(omega, b, "cap")
     if bracket is not None:
-        return _cap_by_brackets(omega, b, bracket)
+        return nested_brackets(omega, b, loop_product, bracket)
     terms = {}
     b_items = b.terms.items()
     for (odds_w, exps_w), coeff_w in omega.terms.items():
@@ -126,22 +126,24 @@ def cap(omega: Element, b: Element, *, bracket=None) -> Element:
     return Element._of(omega.model, Ring.LOOP, terms)
 
 
-def _cap_by_brackets(omega: Element, b: Element, bracket) -> Element:
-    """The cap expanded through `bracket` by eq. 5.2, term by term of omega."""
-    model = omega.model
-    no_exps = (0,) * model.rank
-    result = Element.zero(model, Ring.LOOP)
+def nested_brackets(omega: Element, b: Element, product, bracket, forward: bool = False) -> Element:
+    """Eq. 5.2: a term c*alpha_T v^K of omega sends b to c times product(a_i, -) for i in T,
+    then (-1)^{d_i} bracket(a_i, -) K_i times for each i, applied last factor first; with
+    `forward`, first factor first times the Koszul sign (-1)^{|T|(|T|-1)/2}.  The operators
+    are linear, so a term stops at a zero partial result."""
+    model, result = omega.model, Element.zero(omega.model, Ring.LOOP)
     for mono, coeff in omega.terms.items():
-        acted = b
-        for i, k in enumerate(mono.exps, start=1):
-            if k and acted:
-                gen = loop_a(model, i)
-                for _ in range(k):
-                    acted = bracket(gen, acted)
-                acted = acted.scale(sign_pow(k * model.generator_degrees[i - 1]))
-        if acted:
-            a_t = Element._of(model, Ring.LOOP, {Monomial(mono.odds, no_exps): coeff})
-            result = result + a_t * acted
+        factors = [(i, False) for i in mono.odds] + [(i, True) for i, k in enumerate(mono.exps, 1) for _ in range(k)]
+        if forward:
+            coeff *= sign_pow(len(mono.odds) * (len(mono.odds) - 1) // 2)
+        y = b
+        for i, is_bracket in factors if forward else reversed(factors):
+            if not y:
+                break
+            a_i = loop_a(model, i)
+            y = bracket(a_i, y).scale(sign_pow(model.generator_degrees[i - 1])) if is_bracket else product(a_i, y)
+        if y:
+            result = result + y.scale(coeff)
     return result
 
 

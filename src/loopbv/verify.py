@@ -75,6 +75,7 @@ from .extended import (
     extended_delta,
     extended_product,
     loop_intersection,
+    nested_brackets,
 )
 
 CATALOG_VERSION = "2"
@@ -480,35 +481,11 @@ def _ev_cap_is_intersection(ops, model, args):
 
 def _ev_nested_brackets(ops, model, args):
     w, b = args
-    degs = model.generator_degrees
-    if w.is_zero():
-        zero = Element.zero(model, Ring.LOOP)
-        return [("cap(0,b) = 0", ops.cap(w, b), zero)]
-    ((mono, coeff),) = tuple(w.terms.items())
-    factors = [("odd", i) for i in mono.odds]
-    for idx, k in enumerate(mono.exps):
-        factors.extend(("even", idx + 1) for _ in range(k))
-
-    def single(factor, y):
-        kind, i = factor
-        if kind == "odd":
-            return ops.product(loop_a(model, i), y)
-        return ops.bracket(loop_a(model, i), y).scale(sign_pow(degs[i - 1]))
-
-    route_a = ops.cap(w, b)
-    y = b
-    for factor in reversed(factors):
-        y = single(factor, y)
-    route_b = y.scale(coeff)
-    odd_count = len(mono.odds)
-    rev_sign = sign_pow(odd_count * (odd_count - 1) // 2)
-    y = b
-    for factor in factors:
-        y = single(factor, y)
-    route_c = y.scale(coeff * rev_sign)
+    capped = ops.cap(w, b)
+    expand = lambda forward: nested_brackets(w, b, ops.product, ops.bracket, forward)
     return [
-        ("cap(w,b) = iterated single caps, canonical order", route_a, route_b),
-        ("cap(w,b) = iterated single caps, reversed order with Koszul sign", route_a, route_c),
+        ("cap(w,b) = iterated single caps, canonical order", capped, expand(False)),
+        ("cap(w,b) = iterated single caps, reversed order with Koszul sign", capped, expand(True)),
     ]
 
 
@@ -920,8 +897,10 @@ def _build_witness(case, ops, model, trial, args, failing):
 
 def trial_rng(seed, identity_id: str, trial: int, rng: random.Random | None = None) -> random.Random:
     """The deterministic generator for one trial, `rng` reseeded if given; strings seed via sha512."""
-    rng = rng or random.Random()
-    rng.seed("%s|%s|%d" % (seed, identity_id, trial))
+    key = "%s|%s|%d" % (seed, identity_id, trial)
+    if rng is None:  # a bare Random() would first seed itself from os.urandom
+        return random.Random(key)
+    rng.seed(key)
     return rng
 
 
@@ -954,13 +933,13 @@ def run_suite(
     # draws index the basis at this cap: refuse an oversized model before any identity runs
     check_index_size(model, SUITE_EVEN_CAP)
     degrees = None if model == builtin_named(model.name) else list(model.generator_degrees)
-    reports, rng = [], random.Random()
+    reports, rng = [], None
     for ident in chosen:
         case = CATALOG[ident]
         status, witness = "pass", None
         # a row that draws nothing would check the same classes on every trial
         for trial in range(trials if case.args else 1):
-            trial_rng(seed, ident, trial, rng)
+            rng = trial_rng(seed, ident, trial, rng)
             args = [_draw(spec, model, rng) for spec in case.args]
             if failing := _failing_checks(case, ops_obj, model, args):
                 status = "fail"

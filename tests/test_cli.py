@@ -466,6 +466,40 @@ def test_long_chain_error_keeps_the_failing_operator_position(capsys):
     assert err == "error: 1:%d: cannot add loop-homology and cohomology classes: sums live in a single ring\n" % col
 
 
+# -- leading minus signs ------------------------------------------------------------
+
+_LEADING_MINUS = [
+    (["eval", "--model", "s3", "-a1"], "-a1 : loop-homology, degree -3"),
+    (["intersect", "--model", "s3", "--family", "-u1"], "-u1 : loop-homology, degree 2"),
+    (["intersect", "--model", "su3", "--at", "-alpha1", "--family", "u1"], "-a1*u1 : loop-homology, degree -1"),
+    (["eval", "--model", "s3", "--json", "-a1"],
+     '{"degree": -3, "expr": "-a1", "model": "s3", "ring": "loop-homology", "value": "-a1"}'),
+    (["eval", "--model", "s3", "-3"], "-3 : scalar, degree 0"),
+]
+
+
+@pytest.mark.parametrize("argv, line", _LEADING_MINUS, ids=[" ".join(argv) for argv, _ in _LEADING_MINUS])
+def test_a_class_may_start_with_a_minus_sign(capsys, argv, line):
+    """No subcommand has a short option but -h, so `-X...` is a value."""
+    assert _run(capsys, *argv) == (0, line + "\n", "")
+
+
+@pytest.mark.parametrize("spaced, escaped", [
+    (["eval", "--model", "s3", "-a1"], ["eval", "--model", "s3", "--", "-a1"]),
+    (["intersect", "--model", "s3", "--family", "-u1"], ["intersect", "--model", "s3", "--family=-u1"]),
+])
+def test_the_spaced_and_escaped_forms_agree(capsys, spaced, escaped):
+    assert _run(capsys, *spaced) == _run(capsys, *escaped)
+
+
+@pytest.mark.parametrize("argv", [["eval", "--model", "s3", "--jsn", "a1"], ["eval", "--model", "s3", "-a1", "--jsn"]])
+def test_an_unknown_long_flag_is_still_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jsn" in capsys.readouterr().err
+
+
 # -- models ----------------------------------------------------------------------
 
 

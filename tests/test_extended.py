@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from loopbv.kernel import AlgebraError, Element, ModelSpec, Ring, random_element, sign_pow
+from loopbv.kernel import AlgebraError, Element, ModelSpec, Monomial, Ring, random_element, sign_pow
 from loopbv.kernel import ANY_DEGREE, INHOMOGENEOUS
-from loopbv.loop import a, bv_delta, is_constant_loop_class, loop_bracket, loop_unit, s_star, u
+from loopbv.loop import a, bv_delta, is_constant_loop_class, loop_bracket, loop_product, loop_unit, s_star, u
 from loopbv.cohomology import (
     alpha,
     coh_delta,
@@ -28,10 +29,11 @@ from loopbv.extended import (
     extended_delta,
     extended_product,
     loop_intersection,
+    nested_brackets,
 )
 
 from loopbv.models import resolve_model
-from loopbv.verify import _draw_class, _draw_extended, mutations
+from loopbv.verify import CATALOG, _draw_class, _draw_extended, mutations
 
 from oracles import cap_oracle
 
@@ -133,6 +135,51 @@ def test_closed_form_cap_matches_bracket_expansion_and_oracle(model):
         assert value == cap_oracle(w, b)
         nonzero += not value.is_zero()
     assert nonzero >= 20
+
+
+def _small_coh_monomials(model):
+    """Every cohomology monomial alpha_T v^K with |T| <= 3 and sum(K) <= 2."""
+    r = model.rank
+    exps = [k for k in itertools.product(range(3), repeat=r) if sum(k) <= 2]
+    odds = [t for n in range(4) for t in itertools.combinations(range(1, r + 1), n)]
+    return [Element.monomial(model, Ring.COH, Monomial(t, k)) for t in odds for k in exps]
+
+
+@pytest.mark.parametrize("name", ["su3", "exterior:3,5,7"])
+def test_nested_brackets_in_both_orders_is_the_cap_on_small_monomials(name):
+    """Eq. 5.2 through the standard product and bracket, last or first factor
+    first (the Koszul sign at |T| = 2 and 3), is the closed-form cap."""
+    model = resolve_model(name)
+    nonzero_by_odds = {}
+    for w in _small_coh_monomials(model):
+        ((mono, _),) = w.terms.items()
+        for draw in range(2):
+            rng = random.Random("nested|%s|%s|%d" % (name, mono, draw))
+            b = _draw_class("loop", model, 2, rng)
+            value = cap(w, b)
+            for forward in (False, True):
+                assert nested_brackets(w, b, loop_product, loop_bracket, forward) == value
+            nonzero_by_odds[len(mono.odds)] = nonzero_by_odds.get(len(mono.odds), 0) + bool(value)
+    assert all(nonzero_by_odds[n] for n in range(min(model.rank, 3) + 1)), nonzero_by_odds
+
+
+@pytest.mark.parametrize("name", ["su3", "exterior:3,5,7"])
+def test_the_nested_bracket_row_takes_a_multi_term_class_and_zero(name):
+    model = resolve_model(name)
+    evaluate = CATALOG["eq-5.2-nested-brackets"].evaluate
+    informative = 0
+    for trial in range(10):
+        rng = random.Random("nested-multi|%s|%d" % (name, trial))
+        w, zero = Element.zero(model, Ring.COH), Element.zero(model, Ring.COH)
+        while len(w.terms) < 3:  # one-term draws of any degrees: the cap is linear in w
+            w = w + _draw_class("coh", model, 1, rng)
+        b = _draw_class("loop", model, 2, rng)
+        checks = evaluate(STANDARD_OPS, model, [w, b])
+        assert len(checks) == 2 and all(lhs == rhs for _, lhs, rhs in checks)
+        informative += not checks[0][1].is_zero()
+        for _, lhs, rhs in evaluate(STANDARD_OPS, model, [zero, b]):
+            assert lhs == rhs == Element.zero(model, Ring.LOOP)
+    assert informative
 
 
 def test_cap_unit_and_degree():

@@ -656,3 +656,20 @@ def test_each_identity_has_a_detectable_mutant(identity_id):
         assert _negation_detects(identity_id), (
             "negating one side of %s never fails; the check is vacuous" % identity_id
         )
+
+
+_NESTED_BRACKET_DETECTORS = {"bracket-drop-term", "bracket-sign-flip", "cap-sign-flip", "product-sign-flip"}
+
+
+@pytest.mark.parametrize("name, detectors", [
+    ("su3", _NESTED_BRACKET_DETECTORS),
+    ("exterior:3,5,7", _NESTED_BRACKET_DETECTORS | {"product-swap-unsigned"}),
+])
+def test_the_bundles_the_nested_bracket_row_detects(name, detectors):
+    """Pin, at 20 trials and seed 42, which bundles fail `eq-5.2-nested-brackets`:
+    its two expansions run through the bundle's product and bracket."""
+    model = resolve_model(name)
+    failing = {ops for ops in MUTATION_BREAKS
+               if run_suite(model, 20, 42, ["eq-5.2-nested-brackets"], ops=ops)[0].failed()}
+    assert failing == detectors
+    assert not run_suite(model, 20, 42, ["eq-5.2-nested-brackets"])[0].failed()
