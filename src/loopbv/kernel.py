@@ -97,7 +97,7 @@ class ModelSpec:
     def from_json(cls, text: str) -> "ModelSpec":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or a number past the digit limit
             raise AlgebraError("model JSON is unreadable: %s" % exc) from exc
         if not isinstance(data, dict):
             raise AlgebraError("model JSON must be an object with 'name' and 'generator_degrees'")

@@ -76,7 +76,7 @@ def resolve_model(text: str) -> ModelSpec:
         try:
             with open(text, "r", encoding="utf-8") as handle:
                 spec = ModelSpec.from_json(handle.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise AlgebraError("model file %r is unreadable: %s" % (text, exc)) from exc
         # a name means one model: a file may take a built-in name only with its degrees
         builtin = builtin_named(spec.name)

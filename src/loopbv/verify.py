@@ -772,20 +772,6 @@ CATALOG: dict[str, IdentityCase] = _build_catalog()
 # mutated primitive bundles
 
 
-def _bracket_from_delta(delta):
-    """The bracket a Delta induces through the BV identity; the reference
-    against which the closed-form `loop_bracket` is checked."""
-
-    def bracket(b, c):
-        result = Element.zero(b.model, Ring.LOOP)
-        for deg, part in b.homogeneous_components().items():
-            whole, left, right = _leibniz(delta, 1, mul, 0, part, c)
-            result = result + (whole - left - right).scale(sign_pow(deg))
-        return result
-
-    return bracket
-
-
 #: Each mutation bundle is `STANDARD_OPS` with the `BVOps` fields of its row
 #: replaced: one sign flipped, or one term dropped or added.
 MUTATION_BREAKS: dict[str, dict[str, Callable]] = {
@@ -895,13 +881,9 @@ def _build_witness(case, ops, model, trial, args, failing):
     }
 
 
-def trial_rng(seed, identity_id: str, trial: int, rng: random.Random | None = None) -> random.Random:
-    """The deterministic generator for one trial, `rng` reseeded if given; strings seed via sha512."""
-    key = "%s|%s|%d" % (seed, identity_id, trial)
-    if rng is None:  # a bare Random() would first seed itself from os.urandom
-        return random.Random(key)
-    rng.seed(key)
-    return rng
+def trial_rng(seed, identity_id: str, trial: int) -> random.Random:
+    """The deterministic generator for one trial; strings seed via sha512."""
+    return random.Random("%s|%s|%d" % (seed, identity_id, trial))
 
 
 def run_suite(
@@ -933,13 +915,13 @@ def run_suite(
     # draws index the basis at this cap: refuse an oversized model before any identity runs
     check_index_size(model, SUITE_EVEN_CAP)
     degrees = None if model == builtin_named(model.name) else list(model.generator_degrees)
-    reports, rng = [], None
+    reports = []
     for ident in chosen:
         case = CATALOG[ident]
         status, witness = "pass", None
         # a row that draws nothing would check the same classes on every trial
         for trial in range(trials if case.args else 1):
-            rng = trial_rng(seed, ident, trial, rng)
+            rng = trial_rng(seed, ident, trial)
             args = [_draw(spec, model, rng) for spec in case.args]
             if failing := _failing_checks(case, ops_obj, model, args):
                 status = "fail"

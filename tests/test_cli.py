@@ -94,6 +94,23 @@ def test_eval_invalid_model_file(tmp_path, capsys):
     assert "generator_degrees[1] = 4" in err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe", "is unreadable: 'utf-8' codec can't decode byte 0xff"),
+        (b'{"name": "big", "generator_degrees": [' + b"9" * 5000 + b"]}", "error: model JSON is unreadable: "),
+    ],
+    ids=["not-utf-8", "number-past-the-digit-limit"],
+)
+def test_eval_malformed_model_file_is_a_one_line_error(tmp_path, capsys, content, message):
+    path = tmp_path / "model.json"
+    path.write_bytes(content)
+    code, out, err = _run(capsys, "eval", "--model", str(path), "a1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+
+
 # -- check --------------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import random
 
 import pytest
@@ -20,9 +21,8 @@ from loopbv.loop import (
     u,
 )
 from loopbv.models import resolve_model
-from loopbv.verify import _bracket_from_delta
 
-from oracles import delta_oracle, bracket_of_generator_oracle, partial_even, partial_odd
+import oracle
 
 S3 = ModelSpec("s3", (3,))
 SU3 = ModelSpec("su3", (3, 5))
@@ -96,9 +96,18 @@ def test_partials_match_direct_differentiation(model):
     for trial in range(30):
         b = _rand_loop(model, "partials", trial, terms=4)
         for i in range(1, model.rank + 1):
-            assert partial_a(b, i) == partial_odd(b, i)
-            assert partial_u(b, i) == partial_even(b, i)
-            assert partial_u(b, i, times=2) == partial_even(partial_even(b, i), i)
+            assert partial_a(b, i) == oracle.partial_odd(b, i)
+            assert partial_u(b, i) == oracle.partial_even(b, i)
+            assert partial_u(b, i, times=2) == oracle.partial_even(b, i, 2)
+
+
+def test_oracle_shares_only_kernel_arithmetic_with_the_engine():
+    """`bench/oracle.py` is the independent reference: its one `loopbv` import
+    is kernel arithmetic, so an operator bug cannot cancel against itself."""
+    with open(oracle.__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    imports = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert [line for line in imports if "loopbv" in line] == ["from loopbv.kernel import Element, Monomial, Ring, sign_pow"]
 
 
 def test_partials_reject_bad_arguments():
@@ -140,7 +149,7 @@ def test_delta_raises_degree_by_one():
 def test_delta_matches_direct_differentiation(model):
     for trial in range(60):
         b = _rand_loop(model, "oracle", trial, terms=3)
-        assert bv_delta(b) == delta_oracle(b)
+        assert bv_delta(b) == oracle.delta(b)
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -184,7 +193,7 @@ def test_bracket_of_generators_matches_partial_derivative_oracle():
         for i in range(1, model.rank + 1):
             for trial in range(25):
                 b = _rand_loop(model, "gen|%d" % i, trial, terms=3)
-                assert loop_bracket(a(model, i), b) == bracket_of_generator_oracle(model, i, b)
+                assert loop_bracket(a(model, i), b) == -oracle.partial_even(b, i)
 
 
 def test_bracket_degree_and_bilinearity():
@@ -224,7 +233,7 @@ def test_bv_identity_defines_bracket():
 @pytest.mark.parametrize("name", ["s3", "s5", "su3", "exterior:3,5,7", "su7"])
 def test_closed_form_bracket_matches_bv_identity_bracket(name):
     model = resolve_model(name)
-    reference = _bracket_from_delta(bv_delta)
+    reference = oracle.bracket
     parities = set()
     for trial in range(30):
         # sums of draws from different windows mix degrees and parities

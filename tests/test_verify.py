@@ -23,7 +23,6 @@ from loopbv.verify import (
     CheckReport,
     DELTA_BRACKET_MUTATIONS,
     MUTATION_BREAKS,
-    _bracket_from_delta,
     _draw,
     _draw_class,
     _leibniz,
@@ -34,6 +33,8 @@ from loopbv.verify import (
     run_suite,
     trial_rng,
 )
+
+import oracle
 
 S3 = ModelSpec("s3", (3,))
 SU3 = ModelSpec("su3", (3, 5))
@@ -344,11 +345,12 @@ def _mixed_loop(model, tag, trial):
 @pytest.mark.parametrize("name", ["s3", "su3", "exterior:3,5,7"])
 def test_mutations_that_keep_the_standard_bracket_and_cap(name):
     """`delta-exterior-term` adds the odd derivation d/da_1 to Delta, which the
-    bracket it induces and the eq. 5.2 cap through that bracket do not see;
+    bracket it induces and the eq. 5.2 cap through that bracket do not see: the
+    BV-identity bracket is linear in Delta, so Delta + d/da_1 induces the
+    standard bracket exactly when d/da_1 satisfies the odd Leibniz rule.
     `bracket-drop-term` is the BV-identity bracket without its -b*Delta(c)."""
     model = resolve_model(name)
     exterior_delta = mutations()["delta-exterior-term"].delta
-    exterior_bracket = _bracket_from_delta(exterior_delta)
     drop_term = mutations()["bracket-drop-term"].bracket
 
     def old_drop_term(b, c):
@@ -366,10 +368,13 @@ def test_mutations_that_keep_the_standard_bracket_and_cap(name):
         parities.update(len(m.odds) % 2 for m in b.terms)
         assert exterior_delta(b) == bv_delta(b) + partial_a(b, 1)
         delta_moved += exterior_delta(b) != bv_delta(b)
-        assert exterior_bracket(b, c) == loop_bracket(b, c)
+        assert oracle.bracket(b, c) == loop_bracket(b, c)
+        for part in b.homogeneous_components().values():
+            whole, left, right = _leibniz(lambda x: partial_a(x, 1), 1, mul, 0, part, c)
+            assert whole == left + right
         value = cap(w, b)
         caps += not value.is_zero()
-        assert cap(w, b, bracket=exterior_bracket) == value
+        assert cap(w, b, bracket=loop_bracket) == value
         assert old_drop_term(b, c) == loop_bracket(b, c) + b * bv_delta(c) == drop_term(b, c)
     assert parities == {0, 1} and delta_moved and caps
 
@@ -437,8 +442,8 @@ def test_a_row_that_draws_nothing_is_evaluated_once_per_report(ident, monkeypatc
 
 @pytest.mark.parametrize("name", ["su3", "exterior:3,5,7"])
 def test_the_reseeded_generator_draws_what_trial_rng_draws(name, monkeypatch):
-    """`run_suite` reseeds one generator per trial; every catalog draw must be
-    the one a fresh `trial_rng(seed, identity, trial)` gives."""
+    """`run_suite` seeds one generator per trial; every catalog draw must be
+    the one `trial_rng(seed, identity, trial)` gives, trial after trial."""
     model = resolve_model(name)
     drawn = []
     draw = verify._draw
