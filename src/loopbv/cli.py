@@ -97,7 +97,7 @@ def _basis_monomials(model: ModelSpec, ring: Ring, max_degree: int, even_cap: in
     index = basis_index(model, ring, even_cap)
     for deg in index.degrees_in(-max_degree, max_degree):
         for k in range(index.count(deg)):
-            yield Element.monomial(model, ring, index.monomial(deg, k))
+            yield Element._of(model, ring, {index.monomial(deg, k): 1})
 
 
 def _cmd_table(args) -> int:

@@ -60,15 +60,6 @@ def is_base(x: Element) -> bool:
     return _is_exterior(x)
 
 
-def decompose_monomial(mono: Monomial) -> tuple[Monomial, tuple[int, ...]]:
-    """Split a cohomology monomial into its exterior part and v exponents.
-
-    All v_i are even, so no reordering sign arises.
-    """
-    base_part = Monomial(mono.odds, (0,) * len(mono.exps))
-    return base_part, mono.exps
-
-
 def to_base(x: Element, op: str = "to_base") -> Element:
     """Return `x` once it is checked to lie in the base subring; messages name `op`."""
     _expect(x, op, Ring.COH)

@@ -5,9 +5,13 @@ and u_i (even, degree d_i - 1); the unit is the class of constant loops.
 The operators are defined by two partial derivatives:
 
 * d/da_i, the left derivation (a factor of -1 for each odd generator
-  standing before a_i), `partial_a`;
-* d/du_i, the plain partial derivative, `partial_u`; applied t times to
-  u_i^k it brings down the falling factorial k(k-1)...(k-t+1).
+  standing before a_i);
+* d/du_i, the plain partial derivative; applied t times to u_i^k it brings
+  down the falling factorial k(k-1)...(k-t+1).
+
+The engine has no function for either: by the closed form below
+{u_i, -} = d/da_i and {a_i, -} = -d/du_i, and `bench/oracle.py`
+(`partial_odd`, `partial_even`) is their executable definition.
 
 The BV operator is the second-order odd operator
 
@@ -48,8 +52,6 @@ leave nothing.
 
 from __future__ import annotations
 
-from math import perm
-
 from .kernel import (
     AlgebraError,
     Element,
@@ -84,51 +86,9 @@ def loop_product(b: Element, c: Element) -> Element:
     return b * c
 
 
-def _check_index(b: Element, index: int, op: str):
-    if not 1 <= index <= b.model.rank:
-        raise AlgebraError(
-            "%s: generator index %d out of range: model %r has generators 1..%d"
-            % (op, index, b.model.name, b.model.rank)
-        )
-
-
-def partial_a(b: Element, index: int) -> Element:
-    """Left derivative d/da_index: (-1)^pos for the pos odd generators before a_index."""
-    _expect(b, "partial_a", Ring.LOOP)
-    _check_index(b, index, "partial_a")
-    # removing a_index maps distinct monomials to distinct monomials
-    terms = {}
-    for mono, coeff in b.terms.items():
-        odds = mono.odds
-        if index in odds:
-            pos = odds.index(index)
-            new = _tuple_new(Monomial, (odds[:pos] + odds[pos + 1:], mono.exps))
-            terms[new] = -coeff if pos % 2 else coeff
-    return Element._of(b.model, Ring.LOOP, terms)
-
-
-def partial_u(b: Element, index: int, times: int = 1) -> Element:
-    """(d/du_index)^times; u_index^k goes to k(k-1)...(k-times+1) u_index^(k-times)."""
-    _expect(b, "partial_u", Ring.LOOP)
-    _check_index(b, index, "partial_u")
-    if not isinstance(times, int) or times < 0:
-        raise AlgebraError("partial_u: times must be a nonnegative integer, got %r" % (times,))
-    # injective on the terms it keeps
-    terms = {}
-    j = index - 1
-    for mono, coeff in b.terms.items():
-        exps = mono.exps
-        k = exps[j]
-        if k >= times:
-            factor = perm(k, times)
-            new = _tuple_new(Monomial, (mono.odds, exps[:j] + (k - times,) + exps[j + 1:]))
-            terms[new] = coeff * factor if factor > 1 else coeff
-    return Element._of(b.model, Ring.LOOP, terms)
-
-
 def bv_delta(b: Element) -> Element:
     _expect(b, "bv_delta", Ring.LOOP)
-    # one pass over the terms: cheaper than composing partial_u o partial_a
+    # one pass over the terms, d/du_i o d/da_i on each
     terms = {}
     for mono, coeff in b.terms.items():
         for pos, i in enumerate(mono.odds):

@@ -6,13 +6,12 @@ import random
 
 import pytest
 
-from loopbv.kernel import AlgebraError, ModelSpec, Monomial, Ring, random_element, sign_pow
+from loopbv.kernel import AlgebraError, ModelSpec, Ring, random_element, sign_pow
 from loopbv.cohomology import (
     alpha,
     coh_delta,
     coh_unit,
     cup,
-    decompose_monomial,
     is_base,
     poincare_dual,
     poincare_dual_inverse,
@@ -138,13 +137,7 @@ def test_dual_is_multiplicative_and_negates_degree(model):
 # -- base subring bookkeeping -------------------------------------------------------
 
 
-def test_is_base_and_decompose():
+def test_is_base():
     assert not is_base(v(S3, 1))
     assert is_base(alpha(S3, 1))
     assert is_base(coh_unit(S3))
-    mono = Monomial((1,), (2, 0))
-    base_part, exps = decompose_monomial(mono)
-    assert base_part == Monomial((1,), (0, 0))
-    assert exps == (2, 0)
-    unit_mono = Monomial((), (0, 0))
-    assert decompose_monomial(unit_mono) == (unit_mono, (0, 0))

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import loopbv
 from loopbv.kernel import AlgebraError, Element, ModelSpec, Ring, random_element, sign_pow
 from loopbv.loop import (
     a,
@@ -15,11 +17,11 @@ from loopbv.loop import (
     loop_bracket,
     loop_product,
     loop_unit,
-    partial_a,
-    partial_u,
     s_star,
     u,
 )
+from loopbv.cohomology import v
+from loopbv.extended import cap
 from loopbv.models import resolve_model
 
 import oracle
@@ -61,34 +63,37 @@ def test_loop_product_requires_loop_ring():
 
 
 # -- partial derivatives ---------------------------------------------------------
+# The engine has no partials of its own: {u_i, -} = d/da_i, {a_i, -} = -d/du_i
+# and cap(v_i^t, -) = (d/du_i)^t, checked against `bench/oracle.py`.
 
 
 def test_partial_a_position_sign():
     a1, a2, a3, u1 = (a(E357, 1), a(E357, 2), a(E357, 3), u(E357, 1))
-    assert partial_a(a1 * a2 * a3, 1) == a2 * a3
-    assert partial_a(a1 * a2 * a3, 2) == -(a1 * a3)
-    assert partial_a(a1 * a2 * a3, 3) == a1 * a2
-    assert partial_a(a2 * a3 * u1 ** 2, 3) == -(a2 * u1 ** 2)
-    assert partial_a(a2 * u1, 1).is_zero()
-    assert partial_a(a1 * a2 + 3 * a2 * a3, 2) == -a1 + 3 * a3
+    d_a = lambda x, i: loop_bracket(u(E357, i), x)
+    assert d_a(a1 * a2 * a3, 1) == a2 * a3
+    assert d_a(a1 * a2 * a3, 2) == -(a1 * a3)
+    assert d_a(a1 * a2 * a3, 3) == a1 * a2
+    assert d_a(a2 * a3 * u1 ** 2, 3) == -(a2 * u1 ** 2)
+    assert d_a(a2 * u1, 1).is_zero()
+    assert d_a(a1 * a2 + 3 * a2 * a3, 2) == -a1 + 3 * a3
 
 
 def test_partial_u_falling_factorial():
     u1, u2 = u(SU3, 1), u(SU3, 2)
     b = a(SU3, 2) * u1 ** 5 * u2
-    assert partial_u(b, 1) == 5 * a(SU3, 2) * u1 ** 4 * u2
-    assert partial_u(b, 1, times=3) == 60 * a(SU3, 2) * u1 ** 2 * u2
-    assert partial_u(b, 1, times=5) == 120 * a(SU3, 2) * u2
-    assert partial_u(b, 1, times=0) == b
-    assert partial_u(b, 2, times=1) == a(SU3, 2) * u1 ** 5
+    assert -loop_bracket(a(SU3, 1), b) == 5 * a(SU3, 2) * u1 ** 4 * u2
+    assert cap(v(SU3, 1) ** 3, b) == 60 * a(SU3, 2) * u1 ** 2 * u2
+    assert cap(v(SU3, 1) ** 5, b) == 120 * a(SU3, 2) * u2
+    assert cap(v(SU3, 1) ** 0, b) == b
+    assert cap(v(SU3, 2) ** 1, b) == a(SU3, 2) * u1 ** 5
 
 
 def test_partial_u_beyond_the_exponent_is_zero():
-    u1 = u(S3, 1)
-    assert partial_u(u1 ** 2, 1, times=3).is_zero()
-    assert partial_u(a(S3, 1), 1).is_zero()
+    u1, v1 = u(S3, 1), v(S3, 1)
+    assert cap(v1 ** 3, u1 ** 2).is_zero()
+    assert (-loop_bracket(a(S3, 1), a(S3, 1))).is_zero()
     # only the terms with a high enough exponent survive
-    assert partial_u(u1 ** 2 + u1 ** 4, 1, times=3) == 24 * u1
+    assert cap(v1 ** 3, u1 ** 2 + u1 ** 4) == 24 * u1
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -96,9 +101,9 @@ def test_partials_match_direct_differentiation(model):
     for trial in range(30):
         b = _rand_loop(model, "partials", trial, terms=4)
         for i in range(1, model.rank + 1):
-            assert partial_a(b, i) == oracle.partial_odd(b, i)
-            assert partial_u(b, i) == oracle.partial_even(b, i)
-            assert partial_u(b, i, times=2) == oracle.partial_even(b, i, 2)
+            assert loop_bracket(u(model, i), b) == oracle.partial_odd(b, i)
+            assert -loop_bracket(a(model, i), b) == oracle.partial_even(b, i)
+            assert cap(v(model, i) ** 2, b) == oracle.partial_even(b, i, 2)
 
 
 def test_oracle_shares_only_kernel_arithmetic_with_the_engine():
@@ -110,15 +115,28 @@ def test_oracle_shares_only_kernel_arithmetic_with_the_engine():
     assert [line for line in imports if "loopbv" in line] == ["from loopbv.kernel import Element, Monomial, Ring, sign_pow"]
 
 
-def test_partials_reject_bad_arguments():
-    with pytest.raises(AlgebraError, match="out of range"):
-        partial_a(a(S3, 1), 2)
-    with pytest.raises(AlgebraError, match="out of range"):
-        partial_u(u(S3, 1), 0)
-    with pytest.raises(AlgebraError, match="times"):
-        partial_u(u(S3, 1), 1, times=-1)
-    with pytest.raises(AlgebraError, match="loop-homology"):
-        partial_a(Element.generator(S3, Ring.COH, "odd", 1), 1)
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+def _exported_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", sorted(Path(loopbv.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_in_the_package_is_used(path):
+    """A name a module imports is read in that module, or exported by its `__all__`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported_names(tree)
+    assert sorted(set(_imported_names(tree)) - used) == []
 
 
 # -- BV operator ---------------------------------------------------------------

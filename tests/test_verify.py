@@ -13,7 +13,7 @@ import pytest
 from loopbv.kernel import AlgebraError, Element, ModelSpec, Ring, _is_exterior, random_element, sign_pow
 from loopbv.extended import STANDARD_OPS, BVOps, ExtendedClass, cap
 from loopbv.cohomology import coh_delta
-from loopbv.loop import bv_delta, loop_bracket, loop_product, partial_a, partial_u
+from loopbv.loop import bv_delta, loop_bracket, loop_product
 from loopbv.models import resolve_model
 from loopbv import verify
 from loopbv.expr import evaluate
@@ -366,17 +366,40 @@ def test_mutations_that_keep_the_standard_bracket_and_cap(name):
         rng = random.Random("mixed|%s|w|%d" % (name, trial))
         w = random_element(model, Ring.COH, (0, 2 * model.dimension), 2, rng, even_cap=3)
         parities.update(len(m.odds) % 2 for m in b.terms)
-        assert exterior_delta(b) == bv_delta(b) + partial_a(b, 1)
+        assert exterior_delta(b) == bv_delta(b) + oracle.partial_odd(b, 1)
         delta_moved += exterior_delta(b) != bv_delta(b)
         assert oracle.bracket(b, c) == loop_bracket(b, c)
         for part in b.homogeneous_components().values():
-            whole, left, right = _leibniz(lambda x: partial_a(x, 1), 1, mul, 0, part, c)
+            whole, left, right = _leibniz(lambda x: oracle.partial_odd(x, 1), 1, mul, 0, part, c)
             assert whole == left + right
         value = cap(w, b)
         caps += not value.is_zero()
         assert cap(w, b, bracket=loop_bracket) == value
         assert old_drop_term(b, c) == loop_bracket(b, c) + b * bv_delta(c) == drop_term(b, c)
     assert parities == {0, 1} and delta_moved and caps
+
+
+#: The break each Delta bundle is documented to make, stated through the
+#: oracle's own Delta and partials, with no engine bracket.
+DELTA_BREAKS = {
+    "delta-drop-term": lambda b: oracle.delta(b) - oracle.partial_even(oracle.partial_odd(b, b.model.rank), b.model.rank),
+    "delta-extra-term": lambda b: oracle.delta(b) + oracle.partial_even(b, 1),
+    "delta-exterior-term": lambda b: oracle.delta(b) + oracle.partial_odd(b, 1),
+}
+
+
+@pytest.mark.parametrize("bundle", sorted(DELTA_BREAKS))
+@pytest.mark.parametrize("name", ["s3", "su3", "exterior:3,5,7"])
+def test_each_delta_bundle_equals_its_oracle_statement(name, bundle):
+    model = resolve_model(name)
+    broken = mutations()[bundle].delta
+    rng = random.Random("delta-breaks|%s|%s" % (name, bundle))
+    moved = 0
+    for _ in range(40):
+        b = _draw_class("loop", model, 4, rng)
+        assert broken(b) == DELTA_BREAKS[bundle](b), b
+        moved += broken(b) != oracle.delta(b)
+    assert moved
 
 
 @pytest.mark.parametrize("name", sorted(mutations()))
@@ -394,18 +417,25 @@ def test_every_mutation_is_detected_with_replayable_witness(name):
 def test_a_failing_trial_is_evaluated_once(monkeypatch):
     """The witness reuses the failing checks `run_suite` found, and the
     minimiser returns those of the arguments it keeps: one failing report
-    calls `_failing_checks` once per trial run and never again."""
-    calls = []
-    failing_checks = verify._failing_checks
+    calls `_failing_checks` once per trial run, and after that only through
+    `_still_failing`, once per smaller argument list the minimiser tries."""
+    calls, minimiser_calls = [], []
+    failing_checks, still_failing = verify._failing_checks, verify._still_failing
 
     def counted(*args):
         calls.append(args)
         return failing_checks(*args)
 
+    def counted_still(*args):
+        minimiser_calls.append(args)
+        return still_failing(*args)
+
     monkeypatch.setattr(verify, "_failing_checks", counted)
+    monkeypatch.setattr(verify, "_still_failing", counted_still)
     (report,) = run_suite(SU3, 20, 42, ["ext-poisson"], ops="product-swap-unsigned")
     assert report.failed() and report.witness["trial"] == 11
-    assert len(calls) == report.witness["trial"] + 1
+    assert minimiser_calls
+    assert len(calls) - len(minimiser_calls) == report.witness["trial"] + 1
 
 
 NO_ARG_IDS = [ident for ident, case in CATALOG.items() if not case.args]
@@ -599,7 +629,7 @@ def _partial_a_failures(name, k):
     failures = 0
     for y, z in pairs:
         for i in range(1, model.rank + 1):
-            whole, left, right = _leibniz(lambda b: partial_a(b, i), k, loop_product, 0, y, z)
+            whole, left, right = _leibniz(lambda b: oracle.partial_odd(b, i), k, loop_product, 0, y, z)
             failures += whole != left + right
     return failures
 
@@ -612,7 +642,7 @@ def test_leibniz_holds_for_the_partial_derivatives(name):
     nonzero = 0
     for y, z in pairs:
         for i in range(1, model.rank + 1):
-            whole, left, right = _leibniz(lambda b: partial_u(b, i), 0, loop_product, 0, y, z)
+            whole, left, right = _leibniz(lambda b: oracle.partial_even(b, i), 0, loop_product, 0, y, z)
             assert whole == left + right, (y, z, i)
             nonzero += not whole.is_zero()
     assert nonzero > 10
