@@ -8,26 +8,17 @@ from .kernel import (
     ModelSpec,
     Monomial,
     Ring,
-    add,
-    degree,
-    equal,
-    multiply,
     random_element,
-    scale,
 )
 from .models import builtin_model, resolve_model
 from .loop import (
     bv_delta,
-    is_constant_loop_class,
     loop_bracket,
     loop_product,
-    loop_unit,
     s_star,
 )
 from .cohomology import (
     coh_delta,
-    cup,
-    is_base,
     poincare_dual,
     poincare_dual_inverse,
     to_base,
@@ -71,25 +62,17 @@ __all__ = [
     "Monomial",
     "Ring",
     "STANDARD_OPS",
-    "add",
     "builtin_model",
     "bv_delta",
     "cap",
     "coh_delta",
-    "cup",
-    "degree",
-    "equal",
     "evaluate",
     "extended_bracket",
     "extended_delta",
     "extended_product",
-    "is_base",
-    "is_constant_loop_class",
     "loop_bracket",
     "loop_intersection",
     "loop_product",
-    "loop_unit",
-    "multiply",
     "mutations",
     "parse",
     "poincare_dual",
@@ -99,7 +82,6 @@ __all__ = [
     "resolve_model",
     "run_suite",
     "s_star",
-    "scale",
     "to_base",
     "to_text",
 ]

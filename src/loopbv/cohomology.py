@@ -20,22 +20,12 @@ from .kernel import AlgebraError, Element, ModelSpec, Monomial, Ring, _tuple_new
 from .kernel import _add_into, _expect, _is_exterior
 
 
-def coh_unit(model: ModelSpec) -> Element:
-    return Element.unit(model, Ring.COH)
-
-
 def alpha(model: ModelSpec, index: int) -> Element:
     return Element.generator(model, Ring.COH, "odd", index)
 
 
 def v(model: ModelSpec, index: int) -> Element:
     return Element.generator(model, Ring.COH, "even", index)
-
-
-def cup(x: Element, y: Element) -> Element:
-    _expect(x, "cup", Ring.COH)
-    _expect(y, "cup", Ring.COH)
-    return x * y
 
 
 def coh_delta(x: Element) -> Element:
@@ -52,12 +42,6 @@ def coh_delta(x: Element) -> Element:
             # so sliding it into the exponent block costs nothing
             _add_into(out, new, -coeff if pos % 2 else coeff)
     return Element._of(x.model, Ring.COH, out)
-
-
-def is_base(x: Element) -> bool:
-    """True when the class lies in the base subring (no v factors)."""
-    _expect(x, "is_base", Ring.COH)
-    return _is_exterior(x)
 
 
 def to_base(x: Element, op: str = "to_base") -> Element:

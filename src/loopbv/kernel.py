@@ -10,7 +10,7 @@ Base cohomology H^*(M) is not a third ring but the exterior subring of
 cohomology on the alpha_i alone; `_is_exterior` checks membership.
 
 Coefficients are exact rationals: every entry point (`Element(...)`,
-`scale`, `unit`, `generator`, `Element.monomial`) stores an integral value
+`Element.unit`, `Element.generator`, `Element.scale`) stores an integral value
 as an `int` and any other as a `fractions.Fraction`, so the integer
 structure constants of the operators stay in `int` arithmetic.
 `random_element` draws integer coefficients in -3..-1 and 1..3 only, so a
@@ -281,11 +281,12 @@ class Element:
         if terms:
             r = model.rank
             for mono, coeff in terms.items():
-                coeff = _as_coefficient(coeff)
-                if coeff == 0:
-                    continue
-                if not isinstance(mono, Monomial):
-                    mono = Monomial(tuple(mono[0]), tuple(mono[1]))
+                if not (isinstance(mono, tuple) and len(mono) == 2
+                        and isinstance(mono[0], tuple) and isinstance(mono[1], tuple)):
+                    raise AlgebraError("monomial %r: expected an (odds, exps) pair of tuples" % (mono,))
+                if not all(isinstance(k, int) and not isinstance(k, bool) for k in mono[0] + mono[1]):
+                    raise AlgebraError("monomial %r: odd indices and exponents must be integers" % (mono,))
+                mono = Monomial(*mono)
                 if len(mono.exps) != r:
                     raise AlgebraError("monomial %r: expected %d even exponents" % (mono, r))
                 if any(k < 0 for k in mono.exps):
@@ -294,7 +295,9 @@ class Element:
                     raise AlgebraError("monomial %r: odd indices must be strictly ascending" % (mono,))
                 if mono.odds and not (1 <= mono.odds[0] and mono.odds[-1] <= r):
                     raise AlgebraError("monomial %r: odd index out of range 1..%d" % (mono, r))
-                clean[mono] = coeff
+                coeff = _as_coefficient(coeff)
+                if coeff:
+                    clean[mono] = coeff
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -337,10 +340,6 @@ class Element:
             raise AlgebraError("generator kind must be 'odd' or 'even', got %r" % kind)
         return cls._of(model, ring, {mono: 1})
 
-    @classmethod
-    def monomial(cls, model: ModelSpec, ring: Ring, mono: Monomial, coeff=1) -> "Element":
-        return cls(model, ring, {mono: coeff})
-
     # -- predicates and grading -------------------------------------------
 
     def is_zero(self) -> bool:
@@ -358,9 +357,6 @@ class Element:
             return degs.pop()
         return INHOMOGENEOUS
 
-    def is_homogeneous(self) -> bool:
-        return self.degree() is not INHOMOGENEOUS
-
     def homogeneous_components(self) -> dict[int, "Element"]:
         buckets: dict[int, dict[Monomial, int | Fraction]] = {}
         for mono, coeff in self.terms.items():
@@ -369,9 +365,6 @@ class Element:
             deg: Element._of(self.model, self.ring, terms)
             for deg, terms in sorted(buckets.items())
         }
-
-    def coefficient(self, mono: Monomial) -> int | Fraction:
-        return self.terms.get(mono, 0)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -503,34 +496,6 @@ class Element:
 
     def __repr__(self) -> str:
         return "<%s %s | %s>" % (self.ring.value, self.render(), self.model.name)
-
-
-# -- module-level operation names ------------------------------------------
-
-
-def degree(x: Element):
-    return x.degree()
-
-
-def multiply(x: Element, y: Element) -> Element:
-    return x * y
-
-
-def add(x: Element, y: Element) -> Element:
-    return x + y
-
-
-def scale(q, x: Element) -> Element:
-    return x.scale(q)
-
-
-def equal(x: Element, y: Element) -> bool:
-    if x.model != y.model or x.ring is not y.ring:
-        raise AlgebraError(
-            "equal: cannot compare %s over %r with %s over %r"
-            % (x.ring.value, x.model.name, y.ring.value, y.model.name)
-        )
-    return x.terms == y.terms
 
 
 def sign_pow(n: int) -> int:

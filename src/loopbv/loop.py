@@ -67,11 +67,6 @@ from .kernel import (
 )
 
 
-def loop_unit(model: ModelSpec) -> Element:
-    """s_*[M], the class of constant loops; unit of the loop product."""
-    return Element.unit(model, Ring.LOOP)
-
-
 def a(model: ModelSpec, index: int) -> Element:
     return Element.generator(model, Ring.LOOP, "odd", index)
 
@@ -146,12 +141,6 @@ def loop_bracket(b: Element, c: Element) -> Element:
                 summed[i - 1] += 1
                 _add_into(terms, mono, coeff * k)
     return Element._of(b.model, Ring.LOOP, terms)
-
-
-def is_constant_loop_class(b: Element) -> bool:
-    """True when b lies in the image of s_*, i.e. uses no u generators."""
-    _expect(b, "is_constant_loop_class", Ring.LOOP)
-    return _is_exterior(b)
 
 
 def s_star(x: Element) -> Element:

@@ -337,6 +337,21 @@ def _square_zero(v, x):
     return [(v.delta(v.delta(x)), v.zero())]
 
 
+def _curious(v, x, y, z):
+    """Eq. 4.19: three sums of products and brackets of x, y, z agree.
+
+    The signs read only degree parities, so a base class alpha and its lift
+    (alpha, 0), of degree -|alpha|, give the same signs."""
+    k, n = _hdeg(x), _hdeg(y)
+    sn = sign_pow(n)
+    t1 = v.bracket(x, v.product(y, z)) + v.product(x, v.bracket(y, z)).scale(sn)
+    t2 = v.product(v.bracket(x, y), z) + v.bracket(v.product(x, y), z).scale(sn)
+    t3 = (
+        v.product(y, v.bracket(x, z)) + v.bracket(y, v.product(x, z)).scale(sign_pow(k))
+    ).scale(sign_pow((k + 1) * n))
+    return [(t1, t2), (t2, t3)]
+
+
 def _law(view, law, *labels):
     """The `evaluate` of a catalog row: `law` on the arguments lifted into `view`, one label per check."""
 
@@ -522,23 +537,6 @@ def _ev_def_mixed_conventions(ops, model, args):
             br.scale(-sign_pow((k + 1) * (n + 1))),
         ),
         ("{alpha,beta} = 0", ext.bracket(A, C), ext.zero()),
-    ]
-
-
-def _ev_curious_identity(ops, model, args):
-    al, b, c = args
-    ext = _ext_view(ops, model)
-    A, B, C = map(ext.lift, args)
-    k, n = _hdeg(al), _hdeg(b)
-    sn = sign_pow(n)
-    t1 = ext.bracket(A, ext.product(B, C)) + ext.product(A, ext.bracket(B, C)).scale(sn)
-    t2 = ext.product(ext.bracket(A, B), C) + ext.bracket(ext.product(A, B), C).scale(sn)
-    t3 = (
-        ext.product(B, ext.bracket(A, C)) + ext.bracket(B, ext.product(A, C)).scale(sign_pow(k))
-    ).scale(sign_pow((k + 1) * n))
-    return [
-        ("{alpha,b.c} + (-1)^{|b|}alpha.{b,c} = {alpha,b}.c + (-1)^{|b|}{alpha.b,c}", t1, t2),
-        ("... = (-1)^{(|alpha|+1)|b|}(b.{alpha,c} + (-1)^{|alpha|}{b,alpha.c})", t2, t3),
     ]
 
 
@@ -749,7 +747,11 @@ def _build_catalog() -> dict[str, IdentityCase]:
             "eq-4.19-curious-identity",
             "three-way symmetric bracket/product identity in extended arithmetic",
             _BASE_LOOP2,
-            _ev_curious_identity,
+            _law(
+                _ext_view, _curious,
+                "{alpha,b.c} + (-1)^{|b|}alpha.{b,c} = {alpha,b}.c + (-1)^{|b|}{alpha.b,c}",
+                "... = (-1)^{(|alpha|+1)|b|}(b.{alpha,c} + (-1)^{|alpha|}{b,alpha.c})",
+            ),
         ),
         IdentityCase(
             "loop-intersection-formula",

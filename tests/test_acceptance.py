@@ -10,9 +10,9 @@ import time
 
 from loopbv.cli import main as cli_main
 from loopbv.expr import parse, to_text
-from loopbv.kernel import Ring, random_element, sign_pow
-from loopbv.loop import a, bv_delta, loop_bracket, loop_unit, s_star, u
-from loopbv.cohomology import coh_delta, coh_unit, v
+from loopbv.kernel import Element, Ring, random_element, sign_pow
+from loopbv.loop import a, bv_delta, loop_bracket, s_star, u
+from loopbv.cohomology import coh_delta, v
 from loopbv.extended import cap, loop_intersection
 from loopbv.models import resolve_model
 from loopbv.verify import DELTA_BRACKET_MUTATIONS, replay, run_suite
@@ -103,14 +103,14 @@ def test_criterion_4_cap_module_axiom_and_intertwiner():
 def test_criterion_5_desk_values_with_independent_oracle():
     s3 = MODELS[0]
     a1, u1, v1 = a(s3, 1), u(s3, 1), v(s3, 1)
-    assert loop_bracket(a1, u1) == -loop_unit(s3)
+    assert loop_bracket(a1, u1) == -Element.unit(s3, Ring.LOOP)
     for k in range(1, 6):
         expected = k * u1 ** (k - 1)
         assert bv_delta(a1 * u1 ** k) == expected
         assert oracle.delta(a1 * u1 ** k) == expected
     assert cap(v1, u1 ** 2) == 2 * u1 == oracle.cap(v1, u1 ** 2)
     assert cap(v1 * v1, u1 ** 3) == 6 * u1 == oracle.cap(v1 * v1, u1 ** 3)
-    for basis_class in (loop_unit(s3), a1):
+    for basis_class in (Element.unit(s3, Ring.LOOP), a1):
         assert cap(v1, s_star(basis_class)).is_zero()
         assert oracle.cap(v1, s_star(basis_class)).is_zero()
     print("[criterion 5] PASS: desk values match the direct-differentiation oracle")
@@ -133,7 +133,7 @@ def test_criterion_6_loop_intersection_formula_100_configs():
                 for _ in range(rng.randint(0, 3))
             ]
             family = random_element(model, Ring.LOOP, (-d - 2, 2 * d), 2, rng, even_cap=5)
-            omega = coh_unit(model)
+            omega = Element.unit(model, Ring.COH)
             for w in ats:
                 omega = omega * w
             exponent = -len(frees)

@@ -23,8 +23,8 @@ from loopbv.expr import (
     to_text,
     tokenize,
 )
-from loopbv.kernel import ModelSpec, Ring
-from loopbv.loop import a, loop_unit, u
+from loopbv.kernel import Element, ModelSpec, Ring
+from loopbv.loop import a, u
 from loopbv.cohomology import alpha, v
 
 from exprgen import corpus, random_node
@@ -253,7 +253,7 @@ def test_round_trip_generated_corpus():
 
 def test_evaluate_bracket_example():
     value = evaluate("bracket(a1, u1)", S3)
-    assert value == -loop_unit(S3)
+    assert value == -Element.unit(S3, Ring.LOOP)
     assert value.degree() == 0
 
 
@@ -269,8 +269,8 @@ def test_evaluate_scalars():
     assert evaluate("3/2 - 1/2", S3) == Fraction(1)
     assert evaluate("2*a1 - a1", S3) == a(S3, 1)
     assert evaluate("Delta(3)", S3) == Fraction(0)
-    assert evaluate("u1^0", S3) == loop_unit(S3)
-    assert evaluate("2 + u1 - u1", S3) == 2 * loop_unit(S3)
+    assert evaluate("u1^0", S3) == Element.unit(S3, Ring.LOOP)
+    assert evaluate("2 + u1 - u1", S3) == 2 * Element.unit(S3, Ring.LOOP)
 
 
 def test_evaluate_cohomology_ring():
