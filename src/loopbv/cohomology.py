@@ -16,21 +16,21 @@ inverse realises base classes as constant-loop homology classes.
 
 from __future__ import annotations
 
-from .kernel import AlgebraError, Element, ModelSpec, Monomial, Ring, _tuple_new
+from .kernel import AlgebraError, Element, ModelSpec, Monomial, _COH, _LOOP, _tuple_new
 from .kernel import _add_into, _expect, _is_exterior
 
 
 def alpha(model: ModelSpec, index: int) -> Element:
-    return Element.generator(model, Ring.COH, "odd", index)
+    return Element.generator(model, _COH, "odd", index)
 
 
 def v(model: ModelSpec, index: int) -> Element:
-    return Element.generator(model, Ring.COH, "even", index)
+    return Element.generator(model, _COH, "even", index)
 
 
 def coh_delta(x: Element) -> Element:
     """The odd derivation with coh_delta(alpha_i) = v_i; squares to zero."""
-    _expect(x, "coh_delta", Ring.COH)
+    _expect(x, "coh_delta", _COH)
     out = {}
     for mono, coeff in x.terms.items():
         for pos, i in enumerate(mono.odds):
@@ -41,12 +41,12 @@ def coh_delta(x: Element) -> Element:
             # the derivation passes over `pos` odd generators; v_i is even,
             # so sliding it into the exponent block costs nothing
             _add_into(out, new, -coeff if pos % 2 else coeff)
-    return Element._of(x.model, Ring.COH, out)
+    return Element._of(x.model, _COH, out)
 
 
 def to_base(x: Element, op: str = "to_base") -> Element:
     """Return `x` once it is checked to lie in the base subring; messages name `op`."""
-    _expect(x, op, Ring.COH)
+    _expect(x, op, _COH)
     if not _is_exterior(x):
         raise AlgebraError("%s: class has v factors, not in the base subring" % op)
     return x
@@ -58,13 +58,13 @@ def poincare_dual(x: Element) -> Element:
     Multiplicative by construction, D(x*y) = D(x) cup D(y): the Koszul signs
     for reordering the a_i and the alpha_i are identical.
     """
-    _expect(x, "poincare_dual", Ring.LOOP)
+    _expect(x, "poincare_dual", _LOOP)
     if not _is_exterior(x):
         raise AlgebraError("poincare_dual: input is not in the exterior subring (has u factors)")
-    return Element._of(x.model, Ring.COH, dict(x.terms))
+    return Element._of(x.model, _COH, dict(x.terms))
 
 
 def poincare_dual_inverse(w: Element) -> Element:
     """D^{-1}: base cohomology back to constant-loop homology classes."""
     to_base(w, "poincare_dual_inverse")
-    return Element._of(w.model, Ring.LOOP, dict(w.terms))
+    return Element._of(w.model, _LOOP, dict(w.terms))

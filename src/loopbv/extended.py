@@ -41,9 +41,12 @@ loop Delta on the loop part and zero on the cohomology part.
 
 Every operation here takes its loop-homology primitives from a `BVOps`
 bundle so that the verification suite can run the same identities against
-deliberately broken primitives.  Signs of mixed terms need only degree
-parities (a term's number of odd generators mod 2), so the extended operators
-split a factor by parity and gather the mixed terms into one term dict.
+deliberately broken primitives.  Every primitive is linear in each argument,
+so `extended_product` and `extended_bracket` skip a product or bracket call
+whose loop argument is zero: its value is zero under every bundle.  Signs of
+mixed terms need only degree parities (a term's number of odd generators
+mod 2), so the extended operators split a factor by parity and gather the
+mixed terms into one term dict.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ from .kernel import (
     Element,
     ModelSpec,
     Monomial,
-    Ring,
+    _COH,
+    _LOOP,
     _add_into,
     _merge_odds,
     _same_model,
@@ -93,9 +97,9 @@ def cap(omega: Element, b: Element, *, bracket=None) -> Element:
     product and that bracket instead of the closed form; only the benchmark
     tracer passes it.
     """
-    if omega.ring is not Ring.COH:
+    if omega.ring is not _COH:
         raise AlgebraError("cap: first argument must be a cohomology class, got %s" % omega.ring.value)
-    if b.ring is not Ring.LOOP:
+    if b.ring is not _LOOP:
         raise AlgebraError("cap: second argument must be a loop-homology class, got %s" % b.ring.value)
     _same_model(omega, b, "cap")
     if bracket is not None:
@@ -122,8 +126,18 @@ def cap(omega: Element, b: Element, *, bracket=None) -> Element:
                         exps[j] -= k
                     exps = tuple(exps)
                 mono = _tuple_new(Monomial, (odds, exps))
-                _add_into(terms, mono, coeff_w * coeff_b * (factor if sign > 0 else -factor))
-    return Element._of(omega.model, Ring.LOOP, terms)
+                coeff = coeff_w * coeff_b * (factor if sign > 0 else -factor)
+                # `_add_into` inline, as in `Element.__add__`
+                acc = terms.get(mono)
+                if acc is None:
+                    terms[mono] = coeff
+                else:
+                    acc = acc + coeff
+                    if acc == 0:
+                        del terms[mono]
+                    else:
+                        terms[mono] = acc
+    return Element._of(omega.model, _LOOP, terms)
 
 
 def nested_brackets(omega: Element, b: Element, product, bracket, forward: bool = False) -> Element:
@@ -131,7 +145,7 @@ def nested_brackets(omega: Element, b: Element, product, bracket, forward: bool 
     then (-1)^{d_i} bracket(a_i, -) K_i times for each i, applied last factor first; with
     `forward`, first factor first times the Koszul sign (-1)^{|T|(|T|-1)/2}.  The operators
     are linear, so a term stops at a zero partial result."""
-    model, result = omega.model, Element.zero(omega.model, Ring.LOOP)
+    model, result = omega.model, Element.zero(omega.model, _LOOP)
     for mono, coeff in omega.terms.items():
         factors = [(i, False) for i in mono.odds] + [(i, True) for i, k in enumerate(mono.exps, 1) for _ in range(k)]
         if forward:
@@ -163,10 +177,10 @@ class ExtendedClass:
     __slots__ = ("model", "coh", "loop")
 
     def __init__(self, coh: Element, loop: Element):
-        if coh.ring is not Ring.COH:
+        if coh.ring is not _COH:
             raise AlgebraError("ExtendedClass: coh part must be base cohomology, got %s" % coh.ring.value)
         to_base(coh, "ExtendedClass")
-        if loop.ring is not Ring.LOOP:
+        if loop.ring is not _LOOP:
             raise AlgebraError("ExtendedClass: loop part must be loop homology, got %s" % loop.ring.value)
         _same_model(coh, loop, "ExtendedClass")
         self.model = coh.model
@@ -184,19 +198,19 @@ class ExtendedClass:
 
     @classmethod
     def zero(cls, model: ModelSpec) -> "ExtendedClass":
-        return cls._of(Element.zero(model, Ring.COH), Element.zero(model, Ring.LOOP))
+        return cls._of(Element.zero(model, _COH), Element.zero(model, _LOOP))
 
     @classmethod
     def unit(cls, model: ModelSpec) -> "ExtendedClass":
-        return cls._of(Element.unit(model, Ring.COH), Element.zero(model, Ring.LOOP))
+        return cls._of(Element.unit(model, _COH), Element.zero(model, _LOOP))
 
     @classmethod
     def from_coh(cls, w: Element) -> "ExtendedClass":
-        return cls(w, Element.zero(w.model, Ring.LOOP))
+        return cls(w, Element.zero(w.model, _LOOP))
 
     @classmethod
     def from_loop(cls, b: Element) -> "ExtendedClass":
-        return cls(Element.zero(b.model, Ring.COH), b)
+        return cls(Element.zero(b.model, _COH), b)
 
     # -- structure -------------------------------------------------------
 
@@ -205,8 +219,8 @@ class ExtendedClass:
 
     def degree(self):
         """Homological degree; cohomological degree k counts as -k."""
-        degs = {-_mono_degree(self.model, Ring.COH, m) for m in self.coh.terms}
-        degs.update([_mono_degree(self.model, Ring.LOOP, m) for m in self.loop.terms])
+        degs = {-_mono_degree(self.model, _COH, m) for m in self.coh.terms}
+        degs.update([_mono_degree(self.model, _LOOP, m) for m in self.loop.terms])
         if not degs:
             return ANY_DEGREE
         return degs.pop() if len(degs) == 1 else INHOMOGENEOUS
@@ -214,7 +228,7 @@ class ExtendedClass:
     def homogeneous_components(self) -> dict[int, "ExtendedClass"]:
         cohs = {-k: w for k, w in self.coh.homogeneous_components().items()}
         loops = self.loop.homogeneous_components()
-        coh0, loop0 = Element.zero(self.model, Ring.COH), Element.zero(self.model, Ring.LOOP)
+        coh0, loop0 = Element.zero(self.model, _COH), Element.zero(self.model, _LOOP)
         return {n: ExtendedClass._of(cohs.get(n, coh0), loops.get(n, loop0)) for n in sorted({*cohs, *loops})}
 
     # -- linear operations -------------------------------------------------
@@ -269,14 +283,15 @@ def _gather(loop: Element, mixed: list) -> Element:
     for sign, c in mixed:
         for mono, coeff in c.terms.items():
             _add_into(terms, mono, coeff if sign > 0 else -coeff)
-    return Element._of(loop.model, Ring.LOOP, terms)
+    return Element._of(loop.model, _LOOP, terms)
 
 
 def extended_product(x: ExtendedClass, y: ExtendedClass, *, ops: BVOps = STANDARD_OPS) -> ExtendedClass:
     """The loop product extended over the direct sum; unit is (1, 0)."""
     _same_model(x, y, "extended_product")
     coh = x.coh * y.coh
-    loop = ops.product(x.loop, y.loop)
+    # `ops.product` is bilinear: a zero loop factor makes a zero loop product
+    loop = ops.product(x.loop, y.loop) if x.loop.terms and y.loop.terms else Element._of(x.model, _LOOP, {})
     mixed = [(1, ops.cap(x.coh, y.loop))] if x.coh.terms and y.loop.terms else []
     if y.coh.terms and x.loop.terms:
         # b . alpha = (-1)^{|alpha||b|} alpha . b, per parity part
@@ -293,7 +308,7 @@ def extended_bracket(x: ExtendedClass, y: ExtendedClass, *, ops: BVOps = STANDAR
     degrees, per parity part.
     """
     _same_model(x, y, "extended_bracket")
-    loop = ops.bracket(x.loop, y.loop)
+    loop = ops.bracket(x.loop, y.loop) if x.loop.terms and y.loop.terms else Element._of(x.model, _LOOP, {})
     mixed = []
     if x.coh.terms and y.loop.terms:
         mixed += [(sign_pow(k), ops.cap(ops.coh_delta(w), y.loop)) for k, w in _parity_parts(x.coh)]
@@ -301,12 +316,12 @@ def extended_bracket(x: ExtendedClass, y: ExtendedClass, *, ops: BVOps = STANDAR
         # (-1)^k times the flip -(-1)^{(k+1)(n+1)} is (-1)^{(k+1)n}
         mixed += [(sign_pow((k + 1) * n), ops.cap(ops.coh_delta(w), b))
                   for k, w in _parity_parts(y.coh) for n, b in _parity_parts(x.loop)]
-    return ExtendedClass._of(Element.zero(x.model, Ring.COH), _gather(loop, mixed) if mixed else loop)
+    return ExtendedClass._of(Element.zero(x.model, _COH), _gather(loop, mixed) if mixed else loop)
 
 
 def extended_delta(x: ExtendedClass, *, ops: BVOps = STANDARD_OPS) -> ExtendedClass:
     """BV operator on the direct sum: zero on cohomology, Delta on loops."""
-    return ExtendedClass._of(Element.zero(x.model, Ring.COH), ops.delta(x.loop))
+    return ExtendedClass._of(Element.zero(x.model, _COH), ops.delta(x.loop))
 
 
 def _intersection_class(w: Element, slot: str, pos: int, model: ModelSpec) -> Element:
@@ -336,10 +351,10 @@ def loop_intersection(
     with s = len(free_time).  Both lists may be empty; with both empty the
     family is returned unchanged.
     """
-    if family.ring is not Ring.LOOP:
+    if family.ring is not _LOOP:
         raise AlgebraError("loop_intersection: family must be a loop-homology class")
     model = family.model
-    omega = Element.unit(model, Ring.COH)
+    omega = Element.unit(model, _COH)
     for pos, w in enumerate(at_basepoint):
         omega = omega * _intersection_class(w, "at_basepoint", pos, model)
     frees = []
@@ -352,7 +367,7 @@ def loop_intersection(
             )
         frees.append(w)
     if not all(frees):  # every entry is checked before a zero class ends the product
-        return Element.zero(model, Ring.LOOP)
+        return Element.zero(model, _LOOP)
     sign_exp = -len(frees)
     for pos, w in enumerate(frees):
         sign_exp += (pos + 1) * w.degree()

@@ -52,12 +52,14 @@ leave nothing.
 
 from __future__ import annotations
 
+from operator import add
+
 from .kernel import (
     AlgebraError,
     Element,
     ModelSpec,
     Monomial,
-    Ring,
+    _LOOP,
     _add_into,
     _expect,
     _is_exterior,
@@ -68,21 +70,21 @@ from .kernel import (
 
 
 def a(model: ModelSpec, index: int) -> Element:
-    return Element.generator(model, Ring.LOOP, "odd", index)
+    return Element.generator(model, _LOOP, "odd", index)
 
 
 def u(model: ModelSpec, index: int) -> Element:
-    return Element.generator(model, Ring.LOOP, "even", index)
+    return Element.generator(model, _LOOP, "even", index)
 
 
 def loop_product(b: Element, c: Element) -> Element:
-    _expect(b, "loop_product", Ring.LOOP)
-    _expect(c, "loop_product", Ring.LOOP)
+    _expect(b, "loop_product", _LOOP)
+    _expect(c, "loop_product", _LOOP)
     return b * c
 
 
 def bv_delta(b: Element) -> Element:
-    _expect(b, "bv_delta", Ring.LOOP)
+    _expect(b, "bv_delta", _LOOP)
     # one pass over the terms, d/du_i o d/da_i on each
     terms = {}
     for mono, coeff in b.terms.items():
@@ -96,13 +98,13 @@ def bv_delta(b: Element) -> Element:
             new = _tuple_new(Monomial, (odds, tuple(exps)))
             # d/da_i passes over `pos` odd generators; d/du_i brings down k
             _add_into(terms, new, -(coeff * k) if pos % 2 else coeff * k)
-    return Element._of(b.model, Ring.LOOP, terms)
+    return Element._of(b.model, _LOOP, terms)
 
 
 def loop_bracket(b: Element, c: Element) -> Element:
     """{b, c}, one pass over the pairs of terms (see the module docstring)."""
-    _expect(b, "loop_bracket", Ring.LOOP)
-    _expect(c, "loop_bracket", Ring.LOOP)
+    _expect(b, "loop_bracket", _LOOP)
+    _expect(c, "loop_bracket", _LOOP)
     _same_model(b, c, "loop_bracket")
     terms = {}
     c_items = c.terms.items()
@@ -134,13 +136,23 @@ def loop_bracket(b: Element, c: Element) -> Element:
                 sign, odds = _merge_odds(odds_b[:pos] + odds_b[pos + 1:], odds_c)
                 hits = [(j, k if (pos + size_b) % 2 == (sign < 0) else -k, odds)]
             coeff = coeff_b * coeff_c
-            summed = [x + y for x, y in zip(exps_b, exps_c)]
+            summed = list(map(add, exps_b, exps_c))
             for i, k, odds in hits:
                 summed[i - 1] -= 1
                 mono = _tuple_new(Monomial, (odds, tuple(summed)))
                 summed[i - 1] += 1
-                _add_into(terms, mono, coeff * k)
-    return Element._of(b.model, Ring.LOOP, terms)
+                # `_add_into` inline, as in `Element.__add__`
+                k *= coeff
+                acc = terms.get(mono)
+                if acc is None:
+                    terms[mono] = k
+                else:
+                    acc = acc + k
+                    if acc == 0:
+                        del terms[mono]
+                    else:
+                        terms[mono] = acc
+    return Element._of(b.model, _LOOP, terms)
 
 
 def s_star(x: Element) -> Element:
@@ -150,7 +162,7 @@ def s_star(x: Element) -> Element:
     inclusion is the identity on the stored data; the point of the map is the
     subring check.
     """
-    _expect(x, "s_star", Ring.LOOP)
+    _expect(x, "s_star", _LOOP)
     if not _is_exterior(x):
         raise AlgebraError("s_star: input is not in the exterior subring (has u factors)")
     return x

@@ -16,6 +16,8 @@ at cap 6 in (-d-2, 2d), `exterior` loop homology at cap 0 in (-d, 0), `base`
 cohomology at cap 0 in (0, d), `coh` cohomology at cap 6 in (0, 2d).  Each
 draws in its `ArgSpec`'s window if given; `ext` (base and/or loop classes of
 one degree) and `intersect-config` (an `IntersectConfig`) refuse one.
+`run_suite` resolves each spec of a row into a draw plan once per report
+(`_plan`), so a trial makes only its generator calls and monomial lookups.
 
 Each algebra law is written once against a *view*: one algebra's product,
 bracket, Delta, zero, unit and argument lift, bound to an ops bundle.  The
@@ -42,18 +44,20 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import MISSING, dataclass, fields, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import mul
 from typing import Callable, NamedTuple
 
 from .kernel import (
     AlgebraError,
+    DrawPlan,
     Element,
     ModelSpec,
     Ring,
-    basis_index,
+    _COH,
+    _LOOP,
+    check_count,
     check_index_size,
-    random_element,
     sign_pow,
 )
 from .loop import bv_delta, loop_bracket, s_star
@@ -156,35 +160,42 @@ _KINDS = {
 }
 
 
-def _draw_class(kind: str, model: ModelSpec, max_terms: int, rng: random.Random, window=None) -> Element:
-    """A class of a one-class `kind`, in `window`, else in the kind's default window."""
+@lru_cache(maxsize=None)
+def _class_plan(kind: str, model: ModelSpec, window=None) -> DrawPlan:
+    """The draw plan of a one-class `kind`, in `window`, else in the kind's default
+    window; one per (kind, model, window), so plans stay as few as the specs."""
     ring, even_cap, default = _KINDS[kind]
-    return random_element(model, ring, window or default(model.dimension), max_terms, rng, even_cap=even_cap)
+    return DrawPlan(model, ring, window or default(model.dimension), even_cap)
+
+
+class _ExtPlan(NamedTuple):
+    """Where an `ext` draw lands: its candidate degrees n, and by n the plans of
+    a base class of degree -n and of a loop class of degree n, where populated."""
+
+    model: ModelSpec
+    candidates: tuple[int, ...]
+    coh: dict[int, DrawPlan]
+    loop: dict[int, DrawPlan]
 
 
 @lru_cache(maxsize=None)
-def _extended_degrees(model: ModelSpec):
-    """Candidate degrees of an `ext` draw, plus the populated loop and base degrees."""
-    (loop_ring, loop_cap, window), (base_ring, base_cap, _) = _KINDS["loop"], _KINDS["base"]
-    lo, hi = window(model.dimension)
-    loop_degs = frozenset(basis_index(model, loop_ring, loop_cap).degrees)
-    base_degs = frozenset(basis_index(model, base_ring, base_cap).degrees)
-    candidates = tuple(sorted(
-        {n for n in loop_degs if lo <= n <= hi}
-        | {-k for k in base_degs if lo <= -k <= hi}
-    ))
-    return candidates, loop_degs, base_degs
+def _ext_plan(model: ModelSpec) -> _ExtPlan:
+    lo, hi = _KINDS["loop"][2](model.dimension)
+    loop = {n: _class_plan("loop", model, (n, n)) for n in _class_plan("loop", model, (lo, hi)).degrees}
+    coh = {-k: _class_plan("base", model, (k, k)) for k in _class_plan("base", model, (-hi, -lo)).degrees}
+    return _ExtPlan(model, tuple(sorted({*loop, *coh})), coh, loop)
 
 
-def _draw_extended(model: ModelSpec, rng: random.Random, max_terms: int) -> ExtendedClass:
-    candidates, loop_degs, base_degs = _extended_degrees(model)
-    n = rng.choice(candidates)
-    want_coh = -n in base_degs and rng.random() < 0.6
-    want_loop = n in loop_degs and (rng.random() < 0.8 or not want_coh)
-    coh = _draw_class("base", model, max_terms, rng, (-n, -n)) if want_coh else Element.zero(model, Ring.COH)
-    loop = _draw_class("loop", model, max_terms, rng, (n, n)) if want_loop else Element.zero(model, Ring.LOOP)
-    if coh.is_zero() and loop.is_zero():
-        loop = _draw_class("loop", model, max_terms, rng, (0, 0))
+def _draw_extended(plan: _ExtPlan, max_terms: int, rng: random.Random) -> ExtendedClass:
+    n = rng.choice(plan.candidates)
+    want_coh = n in plan.coh and rng.random() < 0.6
+    want_loop = n in plan.loop and (rng.random() < 0.8 or not want_coh)
+    model = plan.model
+    coh = plan.coh[n].draw(max_terms, rng) if want_coh else Element._of(model, _COH, {})
+    if want_loop or not want_coh:  # a pair with neither part takes a loop class of degree 0
+        loop = plan.loop[n if want_loop else 0].draw(max_terms, rng)
+    else:
+        loop = Element._of(model, _LOOP, {})
     return ExtendedClass._of(coh, loop)  # a base draw and a loop draw, both over `model`
 
 
@@ -200,21 +211,34 @@ class IntersectConfig(NamedTuple):
         return "at=[%s] free=[%s] family=%s" % (ats, frees, self.family)
 
 
-def _draw(spec: ArgSpec, model: ModelSpec, rng: random.Random):
+def _draw_intersect_config(base: DrawPlan, loop: DrawPlan, rng: random.Random) -> IntersectConfig:
+    at_count, free_count = rng.randint(0, 3), rng.randint(0, 3)
+    return IntersectConfig(
+        [base.draw(1, rng) for _ in range(at_count)],
+        [base.draw(2, rng) for _ in range(free_count)],
+        loop.draw(2, rng),
+    )
+
+
+def _plan(spec: ArgSpec, model: ModelSpec) -> Callable[[random.Random], object]:
+    """Resolve `spec` on `model` once: the returned function draws one argument
+    from a generator, making only its generator calls and the monomial lookups."""
     if spec.kind in _KINDS:
-        return _draw_class(spec.kind, model, spec.max_terms, rng, spec.window)
+        check_count("max_terms", spec.max_terms)
+        return partial(_class_plan(spec.kind, model, spec.window).draw, spec.max_terms)
     if spec.kind not in ("ext", "intersect-config"):
         raise AlgebraError("unknown draw kind %r" % spec.kind)
     if spec.window is not None:
         raise AlgebraError("%r draws take no window: each of their classes has its own" % spec.kind)
     if spec.kind == "ext":
-        return _draw_extended(model, rng, spec.max_terms)
-    at_count, free_count = rng.randint(0, 3), rng.randint(0, 3)
-    return IntersectConfig(
-        [_draw_class("base", model, 1, rng) for _ in range(at_count)],
-        [_draw_class("base", model, 2, rng) for _ in range(free_count)],
-        _draw_class("loop", model, 2, rng),
-    )
+        check_count("max_terms", spec.max_terms)
+        return partial(_draw_extended, _ext_plan(model), spec.max_terms)
+    return partial(_draw_intersect_config, _class_plan("base", model), _class_plan("loop", model))
+
+
+def _draw(spec: ArgSpec, model: ModelSpec, rng: random.Random):
+    """One argument for `spec`; `run_suite` keeps the plan for a whole report instead."""
+    return _plan(spec, model)(rng)
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +272,15 @@ def _same(x):
 def _loop_view(ops, model) -> _View:
     return _View(
         ops.product, ops.bracket, ops.delta,
-        lambda: Element.zero(model, Ring.LOOP), lambda: Element.unit(model, Ring.LOOP), _same,
+        lambda: Element.zero(model, _LOOP), lambda: Element.unit(model, _LOOP), _same,
     )
 
 
 def _coh_view(ops, model) -> _View:
     """Cup product and coh_delta; coh_delta is a derivation, so its bracket is zero."""
     return _View(
-        mul, lambda x, y: Element.zero(model, Ring.COH), ops.coh_delta,
-        lambda: Element.zero(model, Ring.COH), lambda: Element.unit(model, Ring.COH), _same,
+        mul, lambda x, y: Element.zero(model, _COH), ops.coh_delta,
+        lambda: Element.zero(model, _COH), lambda: Element.unit(model, _COH), _same,
     )
 
 
@@ -266,9 +290,9 @@ def _ext_lift(x) -> ExtendedClass:
     Only draws and the loop classes operators return are lifted: no check needed."""
     if isinstance(x, ExtendedClass):
         return x
-    if x.ring is Ring.LOOP:
-        return ExtendedClass._of(Element.zero(x.model, Ring.COH), x)
-    return ExtendedClass._of(x, Element.zero(x.model, Ring.LOOP))
+    if x.ring is _LOOP:
+        return ExtendedClass._of(Element.zero(x.model, _COH), x)
+    return ExtendedClass._of(x, Element.zero(x.model, _LOOP))
 
 
 def _ext_view(ops, model) -> _View:
@@ -370,9 +394,9 @@ def _law(view, law, *labels):
 def _ev_model_structure(ops, model, args):
     checks = []
     r = model.rank
-    lz = Element.zero(model, Ring.LOOP)
-    cz = Element.zero(model, Ring.COH)
-    lu = Element.unit(model, Ring.LOOP)
+    lz = Element.zero(model, _LOOP)
+    cz = Element.zero(model, _COH)
+    lu = Element.unit(model, _LOOP)
     for i in range(1, r + 1):
         ai, ui = loop_a(model, i), loop_u(model, i)
         ali, vi = alpha(model, i), v(model, i)
@@ -398,10 +422,10 @@ def _ev_model_structure(ops, model, args):
 
 def _ev_delta_constant(ops, model, args):
     (x,) = args
-    lz = Element.zero(model, Ring.LOOP)
+    lz = Element.zero(model, _LOOP)
     return [
         ("Delta(s_star(x)) = 0", ops.delta(s_star(x)), lz),
-        ("Delta(1) = 0", ops.delta(Element.unit(model, Ring.LOOP)), lz),
+        ("Delta(1) = 0", ops.delta(Element.unit(model, _LOOP)), lz),
     ]
 
 
@@ -422,7 +446,7 @@ def _ev_s_star_ring_map(ops, model, args):
     x, y = args
     return [
         ("s(x)*s(y) = s(x*y)", ops.product(s_star(x), s_star(y)), s_star(ops.product(x, y))),
-        ("s(1) = 1", s_star(Element.unit(model, Ring.LOOP)), Element.unit(model, Ring.LOOP)),
+        ("s(1) = 1", s_star(Element.unit(model, _LOOP)), Element.unit(model, _LOOP)),
     ]
 
 
@@ -463,7 +487,7 @@ def _cap_derivation(over, shift, label):
 
 
 def _ev_delta_cap_derivation(ops, model, args):
-    odd = {Ring.LOOP: ops.delta, Ring.COH: ops.coh_delta}  # Delta on loop classes, coh_delta on cohomology
+    odd = {_LOOP: ops.delta, _COH: ops.coh_delta}  # Delta on loop classes, coh_delta on cohomology
     whole, left, right = _leibniz(lambda x: odd[x.ring](x), 1, ops.cap, 0, *args)
     return [("Delta(w cap b) = coh_delta(w) cap b + (-1)^{|w|} w cap Delta(b)", whole, left + right)]
 
@@ -471,14 +495,14 @@ def _ev_delta_cap_derivation(ops, model, args):
 def _ev_cap_constant_trivial(ops, model, args):
     al, x = args
     lhs = ops.cap(ops.coh_delta(al), s_star(x))
-    return [("Dalpha cap s_star(x) = 0", lhs, Element.zero(model, Ring.LOOP))]
+    return [("Dalpha cap s_star(x) = 0", lhs, Element.zero(model, _LOOP))]
 
 
 def _ev_cap_module_axiom(ops, model, args):
     w1, w2, b = args
     return [
         ("(w1 cup w2) cap b = w1 cap (w2 cap b)", ops.cap(w1 * w2, b), ops.cap(w1, ops.cap(w2, b))),
-        ("1 cap b = b", ops.cap(Element.unit(model, Ring.COH), b), b),
+        ("1 cap b = b", ops.cap(Element.unit(model, _COH), b), b),
     ]
 
 
@@ -550,7 +574,7 @@ def _ev_loop_intersection(ops, model, args):
     for j, w in enumerate(frees, start=1):
         sign_exp += j * _hdeg(w)
         pieces.append(ops.coh_delta(w))
-    omega = Element.unit(model, Ring.COH)
+    omega = Element.unit(model, _COH)
     for piece in reversed(pieces):
         omega = piece * omega
     rhs = ops.cap(omega, family).scale(sign_pow(sign_exp))
@@ -908,8 +932,7 @@ def run_suite(
     Reports come back in catalog order.  `ops` names a primitive bundle from
     the registry, for running the suite against deliberately broken algebra.
     """
-    if trials < 1:
-        raise AlgebraError("trials must be >= 1, got %d" % trials)
+    check_count("trials", trials)
     ops_obj = get_ops(ops)
     if isinstance(selection, str):
         raise AlgebraError("selection must be a list of identity ids, not the string %r" % selection)
@@ -927,10 +950,11 @@ def run_suite(
     for ident in chosen:
         case = CATALOG[ident]
         status, witness = "pass", None
+        plans = [_plan(spec, model) for spec in case.args]  # one per report; trials only draw
         # a row that draws nothing would check the same classes on every trial
-        for trial in range(trials if case.args else 1):
+        for trial in range(trials if plans else 1):
             rng = trial_rng(seed, ident, trial)
-            args = [_draw(spec, model, rng) for spec in case.args]
+            args = [draw(rng) for draw in plans]
             if failing := _failing_checks(case, ops_obj, model, args):
                 status = "fail"
                 witness = _build_witness(case, ops_obj, model, trial, args, failing)

@@ -31,7 +31,7 @@ from loopbv.extended import (
 )
 
 from loopbv.models import resolve_model
-from loopbv.verify import CATALOG, _draw_class, _draw_extended, mutations
+from loopbv.verify import CATALOG, ArgSpec, _draw, mutations
 
 import oracle
 
@@ -153,7 +153,7 @@ def test_nested_brackets_in_both_orders_is_the_cap_on_small_monomials(name):
         ((mono, _),) = w.terms.items()
         for draw in range(2):
             rng = random.Random("nested|%s|%s|%d" % (name, mono, draw))
-            b = _draw_class("loop", model, 2, rng)
+            b = _draw(ArgSpec("loop", 2), model, rng)
             value = cap(w, b)
             for forward in (False, True):
                 assert nested_brackets(w, b, loop_product, loop_bracket, forward) == value
@@ -170,8 +170,8 @@ def test_the_nested_bracket_row_takes_a_multi_term_class_and_zero(name):
         rng = random.Random("nested-multi|%s|%d" % (name, trial))
         w, zero = Element.zero(model, Ring.COH), Element.zero(model, Ring.COH)
         while len(w.terms) < 3:  # one-term draws of any degrees: the cap is linear in w
-            w = w + _draw_class("coh", model, 1, rng)
-        b = _draw_class("loop", model, 2, rng)
+            w = w + _draw(ArgSpec("coh", 1), model, rng)
+        b = _draw(ArgSpec("loop", 2), model, rng)
         checks = evaluate(STANDARD_OPS, model, [w, b])
         assert len(checks) == 2 and all(lhs == rhs for _, lhs, rhs in checks)
         informative += not checks[0][1].is_zero()
@@ -396,9 +396,9 @@ def _mixed_parity_classes(model, count=2):
     rng = random.Random("mixed-parity|%s" % model.name)
     exts, bases = {0: [], 1: []}, {0: [], 1: []}
     while min(len(drawn) for drawn in [*exts.values(), *bases.values()]) < 2 * count:
-        x = _draw_extended(model, rng, 3)
+        x = _draw(ArgSpec("ext", 3), model, rng)
         exts[x.degree() % 2].append(x)  # an `ext` draw is homogeneous
-        w = _draw_class("base", model, 3, rng)
+        w = _draw(ArgSpec("base", 3), model, rng)
         bases[w.degree() % 2].append(ExtendedClass.from_coh(w))
     coh0, loop0 = Element.zero(model, Ring.COH), Element.zero(model, Ring.LOOP)
     out = []

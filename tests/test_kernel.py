@@ -254,6 +254,28 @@ def test_homogeneous_components_partition():
     assert total == x
 
 
+def _interleave_sign(left, right) -> int:
+    """(-1)^#{(i in left, j in right) : i > j}, by counting the pairs."""
+    return -1 if sum(i > j for i in left for j in right) % 2 else 1
+
+
+def test_merge_odds_against_brute_force():
+    """Every pair of ascending subsets of {1,...,5}: a shared index gives (0, None),
+    else the sign of interleaving and the sorted union.  The pairs include both
+    orders of tuples that do not interleave, which `_merge_odds` returns at once."""
+    subsets = [s for size in range(6) for s in itertools.combinations(range(1, 6), size)]
+    pairs = 0
+    for left in subsets:
+        for right in subsets:
+            pairs += 1
+            if set(left) & set(right):
+                assert kernel._merge_odds(left, right) == (0, None), (left, right)
+            else:
+                want = (_interleave_sign(left, right), tuple(sorted(left + right)))
+                assert kernel._merge_odds(left, right) == want, (left, right)
+    assert pairs == 1024
+
+
 # -- random_element contract --------------------------------------------------
 
 
@@ -296,6 +318,16 @@ def test_random_element_respects_even_cap():
         random_element(S3, Ring.LOOP, (3, -3), 1, 5)
     with pytest.raises(AlgebraError):
         random_element(S3, Ring.LOOP, (0, 0), 0, 5)
+
+
+@pytest.mark.parametrize("model, window", [(S3, (-3, -3)), (SU3, (-10, 16))],
+                         ids=["one-monomial-bucket", "larger-buckets"])
+@pytest.mark.parametrize("max_terms", [1.5, True, 2.0])
+def test_random_element_refuses_a_term_count_that_is_not_an_int(model, window, max_terms):
+    """Whether or not a bucket holds more monomials than the count, a count that
+    is not an `int` (a `bool` included) is refused before anything is drawn."""
+    with pytest.raises(AlgebraError, match="max_terms must be an integer, got %r" % max_terms):
+        random_element(model, Ring.LOOP, window, max_terms, 7)
 
 
 # -- basis index against brute-force enumeration ----------------------------

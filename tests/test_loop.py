@@ -137,6 +137,25 @@ def test_every_import_in_the_package_is_used(path):
     assert sorted(set(_imported_names(tree)) - used) == []
 
 
+def _ring_member_reads(tree):
+    """(function, line) of each `Ring.LOOP` or `Ring.COH` read inside a function or lambda body."""
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for stmt in func.body if isinstance(func.body, list) else [func.body]:
+                for node in ast.walk(stmt):
+                    if (isinstance(node, ast.Attribute) and node.attr in ("LOOP", "COH")
+                            and isinstance(node.value, ast.Name) and node.value.id == "Ring"):
+                        yield getattr(func, "name", "<lambda>"), node.lineno
+
+
+@pytest.mark.parametrize("name", ["kernel", "loop", "cohomology", "extended", "verify"])
+def test_engine_function_bodies_read_the_bound_ring_constants(name):
+    """The engine reads `_LOOP` and `_COH`, bound once in `kernel`, not the enum
+    members, whose lookup is slow on Python 3.10 and 3.11; tables at module level may."""
+    tree = ast.parse((Path(loopbv.__file__).parent / (name + ".py")).read_text(encoding="utf-8"))
+    assert list(_ring_member_reads(tree)) == []
+
+
 _PUBLIC_NAMES = [
     "ANY_DEGREE", "AlgebraError", "BVOps", "CATALOG", "CATALOG_VERSION", "CheckReport", "Element",
     "ExpressionError", "ExtendedClass", "INHOMOGENEOUS", "IdentityCase", "ModelSpec", "Monomial", "Ring",

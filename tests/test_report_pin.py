@@ -5,10 +5,13 @@ a failing check and the minimized counterexample.  This test hashes
 `reports_to_jsonl(run_suite(model, 6, 42, ops=bundle))` for the standard
 bundle and every mutation bundle on `s3`, `su3` and `exterior:3,5,7`, so a
 refactor of the evaluators that changes a label, a sign convention, a draw
-or which mutation a check detects shows up here.
+or which mutation a check detects shows up here.  `HIGH_RANK_DIGEST` pins
+the standard bundle on `su7` at 3 trials: there a degree holds more than 21
+monomials, so `random.sample` picks positions by its set path, which the
+low-rank models never reach.
 
-Run ``PYTHONPATH=src python tests/test_report_pin.py`` to print the digest
-without pytest; it exits 1 when the digest differs from `REPORT_DIGEST`.
+Run ``PYTHONPATH=src python tests/test_report_pin.py`` to print both digests
+without pytest; it exits 1 when either differs from its pin.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ import hashlib
 import sys
 
 from loopbv.models import resolve_model
-from loopbv.verify import mutations, reports_to_jsonl, run_suite
+from loopbv.verify import _class_plan, mutations, reports_to_jsonl, run_suite
 
 REPORT_DIGEST = "4f92d8e381cbece69b47765059f1b1eb3c42504e804d1f6a895f7fdf4f3a537b"
+HIGH_RANK_DIGEST = "d4be43986960a0ae39a4d3ace2bb162cad4df8a9fd5190c1b31c6f8700627136"
 
 MODELS = ("s3", "su3", "exterior:3,5,7")
 TRIALS = 6
@@ -34,19 +38,33 @@ def report_runs():
             yield name, bundle, reports_to_jsonl(run_suite(model, TRIALS, SEED, ops=bundle))
 
 
-def report_digest() -> str:
+def _digest(runs) -> str:
     sha = hashlib.sha256()
-    for name, bundle, text in report_runs():
+    for name, bundle, text in runs:
         sha.update(("%s %s\n" % (name, bundle)).encode("utf-8"))
         sha.update(text.encode("utf-8") + b"\n")
     return sha.hexdigest()
+
+
+def report_digest() -> str:
+    return _digest(report_runs())
+
+
+def high_rank_digest() -> str:
+    return _digest([("su7", "standard", reports_to_jsonl(run_suite(resolve_model("su7"), 3, SEED)))])
 
 
 def test_reports_match_pinned_digest():
     assert report_digest() == REPORT_DIGEST
 
 
+def test_high_rank_reports_match_pinned_digest():
+    plan = _class_plan("loop", resolve_model("su7"))
+    assert max(map(plan.index.count, plan.degrees)) > 21
+    assert high_rank_digest() == HIGH_RANK_DIGEST
+
+
 if __name__ == "__main__":
-    digest = report_digest()
-    print(digest)
-    sys.exit(0 if digest == REPORT_DIGEST else 1)
+    digests = report_digest(), high_rank_digest()
+    print("\n".join(digests))
+    sys.exit(0 if digests == (REPORT_DIGEST, HIGH_RANK_DIGEST) else 1)

@@ -24,7 +24,6 @@ from loopbv.verify import (
     DELTA_BRACKET_MUTATIONS,
     MUTATION_BREAKS,
     _draw,
-    _draw_class,
     _leibniz,
     get_ops,
     mutations,
@@ -164,6 +163,23 @@ def test_oversized_model_is_refused_before_any_identity_runs(monkeypatch):
 def test_trials_must_be_positive():
     with pytest.raises(AlgebraError):
         run_suite(S3, 0, 1)
+
+
+def test_a_bool_trial_count_is_refused():
+    """`True` is an `int` subclass; a report would otherwise read `"trials": true`."""
+    with pytest.raises(AlgebraError, match="trials must be an integer, got True"):
+        run_suite(S3, True, 1, ["loop-unit"])
+
+
+def test_a_fractional_trial_count_is_refused_on_a_row_that_draws_nothing():
+    """`model-structure` runs one trial whatever the count, so only the check stops 2.5."""
+    with pytest.raises(AlgebraError, match="trials must be an integer, got 2.5"):
+        run_suite(S3, 2.5, 1, ["model-structure"])
+
+
+def test_a_fractional_trial_count_is_refused_on_a_row_that_draws():
+    with pytest.raises(AlgebraError, match="trials must be an integer, got 2.5"):
+        run_suite(S3, 2.5, 1, ["loop-unit"])
 
 
 def test_unknown_ops_bundle_is_an_error():
@@ -396,7 +412,7 @@ def test_each_delta_bundle_equals_its_oracle_statement(name, bundle):
     rng = random.Random("delta-breaks|%s|%s" % (name, bundle))
     moved = 0
     for _ in range(40):
-        b = _draw_class("loop", model, 4, rng)
+        b = _draw(ArgSpec("loop", 4), model, rng)
         assert broken(b) == DELTA_BREAKS[bundle](b), b
         moved += broken(b) != oracle.delta(b)
     assert moved
@@ -470,27 +486,27 @@ def test_a_row_that_draws_nothing_is_evaluated_once_per_report(ident, monkeypatc
     assert replay(report) == report
 
 
-@pytest.mark.parametrize("name", ["su3", "exterior:3,5,7"])
+@pytest.mark.parametrize("name", ["s3", "s5", "su3", "exterior:3,5,7", "su7"])
 def test_the_reseeded_generator_draws_what_trial_rng_draws(name, monkeypatch):
-    """`run_suite` seeds one generator per trial; every catalog draw must be
-    the one `trial_rng(seed, identity, trial)` gives, trial after trial."""
+    """`run_suite` plans a row's draws once per report and seeds one generator
+    per trial; the arguments each trial evaluates must be the ones `_draw`
+    gives from `trial_rng(seed, identity, trial)`, trial after trial."""
     model = resolve_model(name)
-    drawn = []
-    draw = verify._draw
+    evaluated = []
+    failing_checks = verify._failing_checks
 
-    def recorded(spec, model, rng):
-        value = draw(spec, model, rng)
-        drawn.append(str(value))
-        return value
+    def recorded(case, ops, model, args):
+        evaluated.append((case.identity_id, [str(x) for x in args]))
+        return failing_checks(case, ops, model, args)
 
-    monkeypatch.setattr(verify, "_draw", recorded)
+    monkeypatch.setattr(verify, "_failing_checks", recorded)
     assert all(r.status == "pass" for r in run_suite(model, 5, 42))
     expected = []
     for ident, case in CATALOG.items():
-        for trial in range(5):
+        for trial in range(5 if case.args else 1):
             rng = trial_rng(42, ident, trial)
-            expected.extend(str(draw(spec, model, rng)) for spec in case.args)
-    assert drawn == expected
+            expected.append((ident, [str(_draw(spec, model, rng)) for spec in case.args]))
+    assert evaluated == expected
 
 
 def test_witness_minimization_shrinks_or_keeps_arguments():
@@ -620,7 +636,7 @@ LEIBNIZ_MODELS = ["s3", "su3", "exterior:3,5,7"]
 def _draw_pairs(name, kind, count=50):
     model = resolve_model(name)
     rng = random.Random("leibniz|%s|%s" % (name, kind))
-    return model, [(_draw_class(kind, model, 2, rng), _draw_class(kind, model, 2, rng)) for _ in range(count)]
+    return model, [(_draw(ArgSpec(kind, 2), model, rng), _draw(ArgSpec(kind, 2), model, rng)) for _ in range(count)]
 
 
 def _partial_a_failures(name, k):
