@@ -41,12 +41,9 @@ loop Delta on the loop part and zero on the cohomology part.
 
 Every operation here takes its loop-homology primitives from a `BVOps`
 bundle so that the verification suite can run the same identities against
-deliberately broken primitives.  Every primitive is linear in each argument,
-so `extended_product` and `extended_bracket` skip a product or bracket call
-whose loop argument is zero: its value is zero under every bundle.  Signs of
-mixed terms need only degree parities (a term's number of odd generators
-mod 2), so the extended operators split a factor by parity and gather the
-mixed terms into one term dict.
+deliberately broken primitives.  Signs of mixed terms need only degree
+parities (a term's number of odd generators mod 2), so the extended operators
+split a factor by parity and gather the mixed terms into one term dict.
 """
 
 from __future__ import annotations
@@ -126,17 +123,7 @@ def cap(omega: Element, b: Element, *, bracket=None) -> Element:
                         exps[j] -= k
                     exps = tuple(exps)
                 mono = _tuple_new(Monomial, (odds, exps))
-                coeff = coeff_w * coeff_b * (factor if sign > 0 else -factor)
-                # `_add_into` inline, as in `Element.__add__`
-                acc = terms.get(mono)
-                if acc is None:
-                    terms[mono] = coeff
-                else:
-                    acc = acc + coeff
-                    if acc == 0:
-                        del terms[mono]
-                    else:
-                        terms[mono] = acc
+                _add_into(terms, mono, coeff_w * coeff_b * (factor if sign > 0 else -factor))
     return Element._of(omega.model, _LOOP, terms)
 
 
@@ -290,8 +277,7 @@ def extended_product(x: ExtendedClass, y: ExtendedClass, *, ops: BVOps = STANDAR
     """The loop product extended over the direct sum; unit is (1, 0)."""
     _same_model(x, y, "extended_product")
     coh = x.coh * y.coh
-    # `ops.product` is bilinear: a zero loop factor makes a zero loop product
-    loop = ops.product(x.loop, y.loop) if x.loop.terms and y.loop.terms else Element._of(x.model, _LOOP, {})
+    loop = ops.product(x.loop, y.loop)
     mixed = [(1, ops.cap(x.coh, y.loop))] if x.coh.terms and y.loop.terms else []
     if y.coh.terms and x.loop.terms:
         # b . alpha = (-1)^{|alpha||b|} alpha . b, per parity part
@@ -308,7 +294,7 @@ def extended_bracket(x: ExtendedClass, y: ExtendedClass, *, ops: BVOps = STANDAR
     degrees, per parity part.
     """
     _same_model(x, y, "extended_bracket")
-    loop = ops.bracket(x.loop, y.loop) if x.loop.terms and y.loop.terms else Element._of(x.model, _LOOP, {})
+    loop = ops.bracket(x.loop, y.loop)
     mixed = []
     if x.coh.terms and y.loop.terms:
         mixed += [(sign_pow(k), ops.cap(ops.coh_delta(w), y.loop)) for k, w in _parity_parts(x.coh)]

@@ -141,17 +141,7 @@ def loop_bracket(b: Element, c: Element) -> Element:
                 summed[i - 1] -= 1
                 mono = _tuple_new(Monomial, (odds, tuple(summed)))
                 summed[i - 1] += 1
-                # `_add_into` inline, as in `Element.__add__`
-                k *= coeff
-                acc = terms.get(mono)
-                if acc is None:
-                    terms[mono] = k
-                else:
-                    acc = acc + k
-                    if acc == 0:
-                        del terms[mono]
-                    else:
-                        terms[mono] = acc
+                _add_into(terms, mono, coeff * k)
     return Element._of(b.model, _LOOP, terms)
 
 

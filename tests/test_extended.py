@@ -434,8 +434,37 @@ def _assert_honest_pair(x, model):
     assert x.loop.ring is Ring.LOOP
     assert x.model == x.coh.model == x.loop.model == model
     for part in (x.coh, x.loop):
-        assert Element(model, part.ring, part.terms).terms == part.terms
-        assert all(coeff != 0 for coeff in part.terms.values())
+        _assert_clean(part)
+
+
+def _assert_clean(x):
+    """No zero coefficient: exactly the terms the checked constructor keeps."""
+    assert all(coeff != 0 for coeff in x.terms.values()), x.terms
+    assert Element(x.model, x.ring, x.terms) == x
+
+
+@pytest.mark.parametrize("model", [SU3, E357], ids=lambda model: model.name)
+def test_term_loops_delete_every_cancelled_term(model):
+    """Each value below is zero by a graded law, reached by terms that cancel
+    inside one operator's loop or in the sum that follows it."""
+    a1, a2, u1, u2 = a(model, 1), a(model, 2), u(model, 1), u(model, 2)
+    loops = [_rand(model, Ring.LOOP, "cancel", t, terms=4) for t in range(30)]
+    odd = [a1 * u2 + a2 * u1] + [x for x in loops if _hdeg(x) % 2 and len(x.terms) > 1]
+    # an odd base class of one degree has one term here, so sum two degrees
+    bases = [w for w in (_rand_base(model, "cancel", t) for t in range(30)) if _hdeg(w) % 2]
+    odd_bases = [alpha(model, 1) + alpha(model, 2)] + [w + x for w, x in zip(bases, bases[1:]) if w != x]
+    cohs = [alpha(model, 1) * alpha(model, 2)] + [_rand(model, Ring.COH, "cancel", t, terms=4) for t in range(30)]
+    assert len(odd) > 5 and len(odd_bases) > 5
+    zeros = [x + (-x) for x in loops]
+    zeros += [x * y - (y * x).scale(sign_pow(_hdeg(x) * _hdeg(y))) for x, y in zip(loops, loops[1:])]
+    zeros += [x * x for x in odd] + [loop_bracket(x, x) for x in odd]
+    zeros += [bv_delta(bv_delta(x)) for x in [a1 * a2 * u1 * u2] + loops]
+    zeros += [coh_delta(coh_delta(w)) for w in cohs]
+    # the cap by a base class w is the product by its dual, and w is odd
+    zeros += [cap(w, poincare_dual_inverse(w) * u1) for w in odd_bases]
+    for z in zeros:
+        assert z.is_zero()
+        _assert_clean(z)
 
 
 @pytest.mark.parametrize("name", _EXT_MODELS)

@@ -136,6 +136,19 @@ def test_power_operator():
         u1 ** -1
 
 
+def test_a_bool_is_neither_a_coefficient_nor_an_exponent():
+    # `True` is an `int` subclass; model degrees, monomial keys and counts refuse it too
+    mono = Monomial((1,), (2, 0))
+    for x in (_u(SU3, 1), _a(SU3, 1) + _u(SU3, 2)):
+        for flag in (True, False):
+            for make in (lambda: flag * x, lambda: x * flag, lambda: x.scale(flag),
+                         lambda: Element(SU3, Ring.LOOP, {mono: flag})):
+                with pytest.raises(AlgebraError, match="coefficients must be exact rationals, got %s" % flag):
+                    make()
+            with pytest.raises(AlgebraError, match="powers must be nonnegative integers, got %s" % flag):
+                x ** flag
+
+
 def _count_products(monkeypatch) -> list:
     calls = []
     product = Element.__mul__
@@ -455,7 +468,6 @@ def test_entry_points_store_integral_coefficients_as_int():
     mono = Monomial((1,), (2, 0))
     half = Fraction(1, 2)
     _assert_int_coefficients(Element(SU3, Ring.LOOP, {mono: Fraction(4, 2)}))
-    _assert_int_coefficients(Element(SU3, Ring.LOOP, {mono: True}))
     _assert_int_coefficients(Element(SU3, Ring.LOOP, {mono: Fraction(-6, 3)}))
     _assert_int_coefficients(Element(SU3, Ring.LOOP, {mono: 1}))
     _assert_int_coefficients(Element.unit(SU3, Ring.COH))
