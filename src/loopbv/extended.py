@@ -204,6 +204,9 @@ class ExtendedClass:
     def is_zero(self) -> bool:
         return self.coh.is_zero() and self.loop.is_zero()
 
+    def __bool__(self) -> bool:
+        return bool(self.coh) or bool(self.loop)
+
     def degree(self):
         """Homological degree; cohomological degree k counts as -k."""
         degs = {-_mono_degree(self.model, _COH, m) for m in self.coh.terms}

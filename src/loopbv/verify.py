@@ -19,17 +19,23 @@ one degree) and `intersect-config` (an `IntersectConfig`) refuse one.
 `run_suite` resolves each spec of a row into a draw plan once per report
 (`_plan`), so a trial makes only its generator calls and monomial lookups.
 
-Each algebra law is written once against a *view*: one algebra's product,
-bracket, Delta, zero, unit and argument lift, bound to an ops bundle.  The
-views are loop, coh (cup, coh_delta and the zero bracket, as coh_delta is a
-derivation) and ext (H^*(M) (+) H_*(LM)).  An identity that is a law is one
-catalog row, ``_law(view, law, *check_labels)``; any other identity gets its
-own ``evaluate(ops, model, args)`` returning (label, lhs, rhs) checks.
+Each law is written once against a *view*: one algebra's product, bracket,
+Delta, zero, unit and argument lift, bound to an ops bundle, and the bundle
+itself (`ops`) for the primitives a law applies across algebras: `cap`,
+`coh_delta`, `loop_intersection`, and the loop operations inside an extended
+law.  The views are loop, coh (cup, coh_delta and the zero bracket, as
+coh_delta is a derivation) and ext (H^*(M) (+) H_*(LM)).  Every row that
+draws is ``_law(view, law, *check_labels)``, the law returning one
+(lhs, rhs) pair per label; only `model-structure`, which draws nothing and
+labels each generator's checks, has its own ``evaluate(ops, model, args)``.
 
 `_leibniz` states the Leibniz rule of a degree-k map d over an operation
 once, sign (-1)^{k(|y|+shift)} included.  16 rows run it: the BV identity
-(loop, ext, and coh as eq. 4.4), Poisson and Jacobi (loop, ext, eqs. 4.11,
-4.13, 4.15, 4.16), the two operator commutators and eqs. 4.7, 4.10 and 4.24.
+(loop, ext, and coh as eq. 4.4), eq. 4.24, and the twelve rows built by
+`_derivation(by, over, shift)`, whose `by(v, x)` is {x,-} of degree |x|+1 or
+coh_delta(alpha) cap - of degree |alpha|-1: Poisson and Jacobi (loop, ext,
+eqs. 4.11, 4.13, 4.15, 4.16), eqs. 4.7 and 4.10, and the two operator
+commutators.
 
 A registry of deliberately broken primitive bundles ("mutations": one sign
 flipped, one term dropped or added, or the factors swapped without their
@@ -133,10 +139,18 @@ class CheckReport:
     def from_json(cls, line: str) -> "CheckReport":
         """Read `to_json` output: a missing field without a default raises
         `KeyError`, a missing one with a default takes it, unknown keys are ignored."""
-        data = json.loads(line)
+        try:
+            data = json.loads(line)
+        except ValueError as exc:  # bad JSON, or a number past the digit limit
+            raise AlgebraError("check report JSON is unreadable: %s" % exc) from exc
         if not isinstance(data, dict):
             raise AlgebraError("check report JSON must be an object, got %r" % (data,))
-        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data or f.default is MISSING})
+        report = cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data or f.default is MISSING})
+        for name, kinds, what in (("identity", str, "a string"), ("model", str, "a string"), ("ops", str, "a string"),
+                                  ("generator_degrees", (list, type(None)), "a list or null")):
+            if not isinstance(getattr(report, name), kinds):
+                raise AlgebraError("check report: %r must be %s, got %r" % (name, what, getattr(report, name)))
+        return report
 
 
 def reports_to_jsonl(reports) -> str:
@@ -252,8 +266,10 @@ _LOOP3 = _LOOP1 * 3
 _EXT1 = (ArgSpec("ext"),)
 _EXT2 = _EXT1 * 2
 _EXT3 = _EXT1 * 3
-_BASE_LOOP2 = (ArgSpec("base"),) + _LOOP2
-_BASE2_LOOP = (ArgSpec("base"), ArgSpec("base")) + _LOOP1
+_EXTERIOR2 = (ArgSpec("exterior"),) * 2
+_BASE_LOOP = (ArgSpec("base"),) + _LOOP1
+_BASE_LOOP2 = _BASE_LOOP + _LOOP1
+_BASE2_LOOP = (ArgSpec("base"),) + _BASE_LOOP
 
 
 class _View(NamedTuple):
@@ -265,6 +281,7 @@ class _View(NamedTuple):
     zero: Callable  # () -> the zero class, made only when a law asks
     unit: Callable  # () -> the unit class, likewise
     lift: Callable  # a drawn argument -> an element of this algebra
+    ops: BVOps  # the bundle itself, for the primitives a law applies across algebras
 
 
 def _same(x):
@@ -274,7 +291,7 @@ def _same(x):
 def _loop_view(ops, model) -> _View:
     return _View(
         ops.product, ops.bracket, ops.delta,
-        lambda: Element.zero(model, _LOOP), lambda: Element.unit(model, _LOOP), _same,
+        lambda: Element.zero(model, _LOOP), lambda: Element.unit(model, _LOOP), _same, ops,
     )
 
 
@@ -282,7 +299,7 @@ def _coh_view(ops, model) -> _View:
     """Cup product and coh_delta; coh_delta is a derivation, so its bracket is zero."""
     return _View(
         mul, lambda x, y: Element.zero(model, _COH), ops.coh_delta,
-        lambda: Element.zero(model, _COH), lambda: Element.unit(model, _COH), _same,
+        lambda: Element.zero(model, _COH), lambda: Element.unit(model, _COH), _same, ops,
     )
 
 
@@ -302,7 +319,7 @@ def _ext_view(ops, model) -> _View:
         lambda x, y: extended_product(x, y, ops=ops),
         lambda x, y: extended_bracket(x, y, ops=ops),
         lambda x: extended_delta(x, ops=ops),
-        lambda: ExtendedClass.zero(model), lambda: ExtendedClass.unit(model), _ext_lift,
+        lambda: ExtendedClass.zero(model), lambda: ExtendedClass.unit(model), _ext_lift, ops,
     )
 
 
@@ -335,19 +352,32 @@ def _bv_identity(v, x, y):
     return [(whole, left + right + v.bracket(x, y).scale(sign_pow(_hdeg(x))))]
 
 
-def _bracket_derivation(over, shift):
-    """The law that {x,-} is a derivation of degree |x|+1 of the product
-    (`over` "product", `shift` 0) or of the bracket ("bracket", 1)."""
+def _bracket_by(v, x):
+    """{x,-}, of degree |x|+1."""
+    return (lambda w: v.bracket(x, w)), _hdeg(x) + 1
+
+
+def _cap_by_delta(v, al):
+    """coh_delta(alpha) cap -, of degree |alpha|-1."""
+    da = v.ops.coh_delta(al)
+    return (lambda w: v.ops.cap(da, w)), _hdeg(al) - 1
+
+
+def _derivation(by, over, shift, commutator=False):
+    """The law that the map `by(v, x)` returns, with its degree, is a derivation of
+    the view's `over` ("product" with `shift` 0, or "bracket" with `shift` 1) on
+    y and z; as a `commutator`, the check reads [d, over(y, -)](z) = over(d(y), z)."""
 
     def law(v, x, y, z):
-        whole, left, right = _leibniz(lambda w: v.bracket(x, w), _hdeg(x) + 1, getattr(v, over), shift, y, z)
-        return [(whole, left + right)]
+        d, k = by(v, x)
+        whole, left, right = _leibniz(d, k, getattr(v, over), shift, y, z)
+        return [(whole - right, left) if commutator else (whole, left + right)]
 
     return law
 
 
-_poisson = _bracket_derivation("product", 0)
-_jacobi = _bracket_derivation("bracket", 1)
+_poisson = _derivation(_bracket_by, "product", 0)
+_jacobi = _derivation(_bracket_by, "bracket", 1)
 
 
 def _poisson_product_first(v, x, y, z):
@@ -378,6 +408,98 @@ def _curious(v, x, y, z):
     return [(t1, t2), (t2, t3)]
 
 
+def _delta_constant(v, x):
+    return [(v.delta(s_star(x)), v.zero()), (v.delta(v.unit()), v.zero())]
+
+
+def _s_star_ring_map(v, x, y):
+    return [(v.product(s_star(x), s_star(y)), s_star(v.product(x, y))), (s_star(v.unit()), v.unit())]
+
+
+def _dual_multiplicative(v, x, y):
+    return [
+        (poincare_dual(v.product(x, y)), poincare_dual(x) * poincare_dual(y)),
+        (poincare_dual_inverse(poincare_dual(x)), x),
+    ]
+
+
+def _cap_commutes(v, al, x, y):
+    """alpha cap (x*y) = (alpha cap x)*y = (-1)^{|alpha||x|} x*(alpha cap y)."""
+    lhs = v.ops.cap(al, v.product(x, y))
+    return [
+        (lhs, v.product(v.ops.cap(al, x), y)),
+        (lhs, v.product(x, v.ops.cap(al, y)).scale(sign_pow(_hdeg(al) * _hdeg(x)))),
+    ]
+
+
+def _delta_cap_derivation(v, w, b):
+    """Eq. 4.24: Delta on loop classes, coh_delta on cohomology, is an odd derivation of the cap."""
+    odd = {_LOOP: v.delta, _COH: v.ops.coh_delta}
+    whole, left, right = _leibniz(lambda x: odd[x.ring](x), 1, v.ops.cap, 0, w, b)
+    return [(whole, left + right)]
+
+
+def _cap_constant_trivial(v, al, x):
+    return [(v.ops.cap(v.ops.coh_delta(al), s_star(x)), v.zero())]
+
+
+def _cap_module(v, w1, w2, b):
+    """The cap makes loop homology a module over the view's product, the cup product."""
+    return [(v.ops.cap(v.product(w1, w2), b), v.ops.cap(w1, v.ops.cap(w2, b))), (v.ops.cap(v.unit(), b), b)]
+
+
+def _cap_is_intersection(v, al, b):
+    a_dual = poincare_dual_inverse(al)
+    return [
+        (v.ops.cap(al, b), v.product(a_dual, b)),
+        (v.ops.cap(v.ops.coh_delta(al), b).scale(sign_pow(_hdeg(al))), v.bracket(a_dual, b)),
+    ]
+
+
+def _cap_expansion(v, w, b):
+    """The cap against eq. 5.2's nested brackets, in canonical then reversed factor order."""
+    capped = v.ops.cap(w, b)
+    return [(capped, nested_brackets(w, b, v.product, v.bracket, forward)) for forward in (False, True)]
+
+
+def _intertwiner(v, A, B):
+    """The extended operations on (alpha, 0) and (0, b) against the loop ones on Dinv(alpha) and b."""
+    a_dual, b = poincare_dual_inverse(A.coh), B.loop
+    return [
+        (v.bracket(A, B), v.lift(v.ops.bracket(a_dual, b))),
+        (v.product(A, B), v.lift(v.ops.product(a_dual, b))),
+    ]
+
+
+def _mixed_conventions(v, A, B, C):
+    al, b = A.coh, B.loop
+    k, n = _hdeg(al), _hdeg(b)
+    ab, br = v.product(A, B), v.bracket(A, B)
+    return [
+        (ab, v.lift(v.ops.cap(al, b))),
+        (br, v.lift(v.ops.cap(v.ops.coh_delta(al), b).scale(sign_pow(k)))),
+        (v.product(B, A), ab.scale(sign_pow(k * n))),
+        (v.bracket(B, A), br.scale(-sign_pow((k + 1) * (n + 1)))),
+        (v.bracket(A, C), v.zero()),
+    ]
+
+
+def _intersection_formula(v, config):
+    """`loop_intersection` against an independent assembly in the coh view: sign
+    and monomial recomputed here, the cup product folded right to left."""
+    ats, frees, family = config
+    lhs = loop_intersection(ats, frees, family, ops=v.ops)
+    sign_exp = -len(frees)
+    pieces = list(ats)
+    for j, w in enumerate(frees, start=1):
+        sign_exp += j * _hdeg(w)
+        pieces.append(v.delta(w))
+    omega = v.unit()
+    for piece in reversed(pieces):
+        omega = v.product(piece, omega)
+    return [(lhs, v.ops.cap(omega, family).scale(sign_pow(sign_exp)))]
+
+
 def _law(view, law, *labels):
     """The `evaluate` of a catalog row: `law` on the arguments lifted into `view`, one label per check."""
 
@@ -390,7 +512,7 @@ def _law(view, law, *labels):
 
 
 # ---------------------------------------------------------------------------
-# identity evaluators
+# the catalog
 
 
 def _ev_model_structure(ops, model, args):
@@ -420,167 +542,6 @@ def _ev_model_structure(ops, model, args):
             checks.append(("v%dv%d = v%dv%d" % (i, j, j, i), vi * vj, vj * vi))
             checks.append(("a%da%d = -a%da%d" % (i, j, j, i), ops.product(ai, aj), -ops.product(aj, ai)))
     return checks
-
-
-def _ev_delta_constant(ops, model, args):
-    (x,) = args
-    lz = Element.zero(model, _LOOP)
-    return [
-        ("Delta(s_star(x)) = 0", ops.delta(s_star(x)), lz),
-        ("Delta(1) = 0", ops.delta(Element.unit(model, _LOOP)), lz),
-    ]
-
-
-def _operator_commutator(over, shift, label):
-    """`evaluate` for [D_b, O_c] = O_{{b,c}} on e: the Leibniz rule of D_b = {b,-} over
-    the loop operation `over` ("product" or "bracket"), whose operands count with
-    degree shifted by `shift` (0 or 1), with the commutator on the left."""
-
-    def evaluate(ops, model, args):
-        b, c, e = args
-        whole, left, right = _leibniz(lambda w: ops.bracket(b, w), _hdeg(b) + 1, getattr(ops, over), shift, c, e)
-        return [(label, whole - right, left)]
-
-    return evaluate
-
-
-def _ev_s_star_ring_map(ops, model, args):
-    x, y = args
-    return [
-        ("s(x)*s(y) = s(x*y)", ops.product(s_star(x), s_star(y)), s_star(ops.product(x, y))),
-        ("s(1) = 1", s_star(Element.unit(model, _LOOP)), Element.unit(model, _LOOP)),
-    ]
-
-
-def _ev_dual_multiplicative(ops, model, args):
-    x, y = args
-    return [
-        ("D(x*y) = D(x) cup D(y)", poincare_dual(ops.product(x, y)), poincare_dual(x) * poincare_dual(y)),
-        ("Dinv(D(x)) = x", poincare_dual_inverse(poincare_dual(x)), x),
-    ]
-
-
-def _cap_commutes(first_label, second_label):
-    """`evaluate` for alpha cap (x*y) = (alpha cap x)*y = (-1)^{|alpha||x|} x*(alpha cap y)."""
-
-    def evaluate(ops, model, args):
-        al, x, y = args
-        lhs = ops.cap(al, ops.product(x, y))
-        return [
-            (first_label, lhs, ops.product(ops.cap(al, x), y)),
-            (second_label, lhs, ops.product(x, ops.cap(al, y)).scale(sign_pow(_hdeg(al) * _hdeg(x)))),
-        ]
-
-    return evaluate
-
-
-def _cap_derivation(over, shift, label):
-    """`evaluate` for: Dalpha cap - is a derivation of degree |alpha|-1 of the
-    loop operation `over` ("product" or "bracket"), whose operands count with
-    degree shifted by `shift` (0 for the product, 1 for the bracket)."""
-
-    def evaluate(ops, model, args):
-        al, b, c = args
-        da = ops.coh_delta(al)
-        whole, left, right = _leibniz(lambda w: ops.cap(da, w), _hdeg(al) - 1, getattr(ops, over), shift, b, c)
-        return [(label, whole, left + right)]
-
-    return evaluate
-
-
-def _ev_delta_cap_derivation(ops, model, args):
-    odd = {_LOOP: ops.delta, _COH: ops.coh_delta}  # Delta on loop classes, coh_delta on cohomology
-    whole, left, right = _leibniz(lambda x: odd[x.ring](x), 1, ops.cap, 0, *args)
-    return [("Delta(w cap b) = coh_delta(w) cap b + (-1)^{|w|} w cap Delta(b)", whole, left + right)]
-
-
-def _ev_cap_constant_trivial(ops, model, args):
-    al, x = args
-    lhs = ops.cap(ops.coh_delta(al), s_star(x))
-    return [("Dalpha cap s_star(x) = 0", lhs, Element.zero(model, _LOOP))]
-
-
-def _ev_cap_module_axiom(ops, model, args):
-    w1, w2, b = args
-    return [
-        ("(w1 cup w2) cap b = w1 cap (w2 cap b)", ops.cap(w1 * w2, b), ops.cap(w1, ops.cap(w2, b))),
-        ("1 cap b = b", ops.cap(Element.unit(model, _COH), b), b),
-    ]
-
-
-def _ev_cap_is_intersection(ops, model, args):
-    al, b = args
-    a_dual = poincare_dual_inverse(al)
-    return [
-        ("alpha cap b = Dinv(alpha)*b", ops.cap(al, b), ops.product(a_dual, b)),
-        (
-            "(-1)^{|alpha|} Dalpha cap b = {Dinv(alpha),b}",
-            ops.cap(ops.coh_delta(al), b).scale(sign_pow(_hdeg(al))),
-            ops.bracket(a_dual, b),
-        ),
-    ]
-
-
-def _ev_nested_brackets(ops, model, args):
-    w, b = args
-    capped = ops.cap(w, b)
-    expand = lambda forward: nested_brackets(w, b, ops.product, ops.bracket, forward)
-    return [
-        ("cap(w,b) = iterated single caps, canonical order", capped, expand(False)),
-        ("cap(w,b) = iterated single caps, reversed order with Koszul sign", capped, expand(True)),
-    ]
-
-
-def _ev_intertwiner(ops, model, args):
-    al, b = args
-    ext = _ext_view(ops, model)
-    A, B = map(ext.lift, args)
-    a_dual = poincare_dual_inverse(al)
-    return [
-        ("{(alpha,0),(0,b)} = (0,{Dinv(alpha),b})", ext.bracket(A, B), ext.lift(ops.bracket(a_dual, b))),
-        ("(alpha,0)*(0,b) = (0,Dinv(alpha)*b)", ext.product(A, B), ext.lift(ops.product(a_dual, b))),
-    ]
-
-
-def _ev_def_mixed_conventions(ops, model, args):
-    al, b, be = args
-    ext = _ext_view(ops, model)
-    A, B, C = map(ext.lift, args)
-    k, n = _hdeg(al), _hdeg(b)
-    ab = ext.product(A, B)
-    br = ext.bracket(A, B)
-    return [
-        ("alpha.b = alpha cap b", ab, ext.lift(ops.cap(al, b))),
-        (
-            "{alpha,b} = (-1)^{|alpha|} Dalpha cap b",
-            br,
-            ext.lift(ops.cap(ops.coh_delta(al), b).scale(sign_pow(k))),
-        ),
-        ("b.alpha = (-1)^{|alpha||b|} alpha.b", ext.product(B, A), ab.scale(sign_pow(k * n))),
-        (
-            "{b,alpha} = -(-1)^{(|alpha|+1)(|b|+1)} {alpha,b}",
-            ext.bracket(B, A),
-            br.scale(-sign_pow((k + 1) * (n + 1))),
-        ),
-        ("{alpha,beta} = 0", ext.bracket(A, C), ext.zero()),
-    ]
-
-
-def _ev_loop_intersection(ops, model, args):
-    ((ats, frees, family),) = args
-    lhs = loop_intersection(ats, frees, family, ops=ops)
-    # independent assembly: sign and monomial recomputed here, cup folded
-    # right to left
-    sign_exp = -len(frees)
-    pieces = list(ats)
-    for j, w in enumerate(frees, start=1):
-        sign_exp += j * _hdeg(w)
-        pieces.append(ops.coh_delta(w))
-    omega = Element.unit(model, _COH)
-    for piece in reversed(pieces):
-        omega = piece * omega
-    rhs = ops.cap(omega, family).scale(sign_pow(sign_exp))
-    return [("intersection family = sign * cap(assembled class, family)", lhs, rhs)]
 
 
 def _build_catalog() -> dict[str, IdentityCase]:
@@ -616,40 +577,33 @@ def _build_catalog() -> dict[str, IdentityCase]:
         IdentityCase("delta-squared-zero", "Delta o Delta = 0", _LOOP1,
                      _law(_loop_view, _square_zero, "Delta(Delta(b)) = 0")),
         IdentityCase(
-            "delta-constant-loops",
-            "Delta vanishes on constant-loop classes and on the unit",
-            (ArgSpec("exterior"),),
-            _ev_delta_constant,
+            "delta-constant-loops", "Delta vanishes on constant-loop classes and on the unit", (ArgSpec("exterior"),),
+            _law(_loop_view, _delta_constant, "Delta(s_star(x)) = 0", "Delta(1) = 0"),
         ),
         IdentityCase(
-            "operator-commutator-product",
-            "[D_b, M_c] = M_{{b,c}} as graded operator commutators",
-            _LOOP3,
-            _operator_commutator("product", 0, "[D_b, M_c] = M_{{b,c}} on e"),
+            "operator-commutator-product", "[D_b, M_c] = M_{{b,c}} as graded operator commutators", _LOOP3,
+            _law(_loop_view, _derivation(_bracket_by, "product", 0, True), "[D_b, M_c] = M_{{b,c}} on e"),
         ),
         IdentityCase(
-            "operator-commutator-bracket",
-            "[D_b, D_c] = D_{{b,c}} as graded operator commutators",
-            _LOOP3,
-            _operator_commutator("bracket", 1, "[D_b, D_c] = D_{{b,c}} on e"),
+            "operator-commutator-bracket", "[D_b, D_c] = D_{{b,c}} as graded operator commutators", _LOOP3,
+            _law(_loop_view, _derivation(_bracket_by, "bracket", 1, True), "[D_b, D_c] = D_{{b,c}} on e"),
         ),
         IdentityCase(
-            "s-star-ring-map",
-            "s_star is a unital ring map from the intersection ring",
-            (ArgSpec("exterior"), ArgSpec("exterior")),
-            _ev_s_star_ring_map,
+            "s-star-ring-map", "s_star is a unital ring map from the intersection ring", _EXTERIOR2,
+            _law(_loop_view, _s_star_ring_map, "s(x)*s(y) = s(x*y)", "s(1) = 1"),
         ),
         IdentityCase(
-            "dual-multiplicative",
-            "D(x*y) = D(x) cup D(y) and Dinv o D = id on the exterior subring",
-            (ArgSpec("exterior"), ArgSpec("exterior")),
-            _ev_dual_multiplicative,
+            "dual-multiplicative", "D(x*y) = D(x) cup D(y) and Dinv o D = id on the exterior subring", _EXTERIOR2,
+            _law(_loop_view, _dual_multiplicative, "D(x*y) = D(x) cup D(y)", "Dinv(D(x)) = x"),
         ),
         IdentityCase(
             "eq-1.1-base-cap-commutes",
             "alpha cap (x*y) = (alpha cap x)*y = (-1)^{|alpha||x|} x*(alpha cap y) on constant classes",
-            (ArgSpec("base"), ArgSpec("exterior"), ArgSpec("exterior")),
-            _cap_commutes("alpha cap (x*y) = (alpha cap x)*y", "alpha cap (x*y) = (-1)^{|alpha||x|} x*(alpha cap y)"),
+            (ArgSpec("base"),) + _EXTERIOR2,
+            _law(
+                _loop_view, _cap_commutes,
+                "alpha cap (x*y) = (alpha cap x)*y", "alpha cap (x*y) = (-1)^{|alpha||x|} x*(alpha cap y)",
+            ),
         ),
         IdentityCase(
             "eq-4.4-coh-delta-derivation",
@@ -660,68 +614,86 @@ def _build_catalog() -> dict[str, IdentityCase]:
         IdentityCase("coh-delta-squared-zero", "coh_delta o coh_delta = 0", (ArgSpec("coh"),),
                      _law(_coh_view, _square_zero, "coh_delta(coh_delta(x)) = 0")),
         IdentityCase(
-            "eq-4.6-cap-commutes-product",
-            "cap with a base class graded-commutes with the loop product",
-            _BASE_LOOP2,
-            _cap_commutes("alpha cap (b*c) = (alpha cap b)*c", "alpha cap (b*c) = (-1)^{|alpha||b|} b*(alpha cap c)"),
-        ),
-        IdentityCase(
-            "eq-4.7-cap-derivation",
-            "cap with coh_delta(alpha) is a derivation of the loop product",
-            _BASE_LOOP2,
-            _cap_derivation(
-                "product", 0, "Dalpha cap (b*c) = (Dalpha cap b)*c + (-1)^{(|alpha|-1)|b|} b*(Dalpha cap c)"
+            "eq-4.6-cap-commutes-product", "cap with a base class graded-commutes with the loop product", _BASE_LOOP2,
+            _law(
+                _loop_view, _cap_commutes,
+                "alpha cap (b*c) = (alpha cap b)*c", "alpha cap (b*c) = (-1)^{|alpha||b|} b*(alpha cap c)",
             ),
         ),
         IdentityCase(
-            "eq-4.10-cap-bracket-derivation",
-            "cap with coh_delta(alpha) is a derivation of the loop bracket",
+            "eq-4.7-cap-derivation", "cap with coh_delta(alpha) is a derivation of the loop product", _BASE_LOOP2,
+            _law(
+                _loop_view, _derivation(_cap_by_delta, "product", 0),
+                "Dalpha cap (b*c) = (Dalpha cap b)*c + (-1)^{(|alpha|-1)|b|} b*(Dalpha cap c)",
+            ),
+        ),
+        IdentityCase(
+            "eq-4.10-cap-bracket-derivation", "cap with coh_delta(alpha) is a derivation of the loop bracket",
             _BASE_LOOP2,
-            _cap_derivation(
-                "bracket", 1, "Dalpha cap {b,c} = {Dalpha cap b,c} + (-1)^{(|alpha|-1)(|b|+1)} {b,Dalpha cap c}"
+            _law(
+                _loop_view, _derivation(_cap_by_delta, "bracket", 1),
+                "Dalpha cap {b,c} = {Dalpha cap b,c} + (-1)^{(|alpha|-1)(|b|+1)} {b,Dalpha cap c}",
             ),
         ),
         IdentityCase(
             "eq-4.24-delta-cap-derivation",
             "Delta(w cap b) = coh_delta(w) cap b + (-1)^{|w|} w cap Delta(b), any ring class w",
             (ArgSpec("coh"), ArgSpec("loop")),
-            _ev_delta_cap_derivation,
+            _law(
+                _loop_view, _delta_cap_derivation,
+                "Delta(w cap b) = coh_delta(w) cap b + (-1)^{|w|} w cap Delta(b)",
+            ),
         ),
         IdentityCase(
-            "cap-on-constants-trivial",
-            "cap of coh_delta(alpha) with constant-loop classes vanishes",
+            "cap-on-constants-trivial", "cap of coh_delta(alpha) with constant-loop classes vanishes",
             (ArgSpec("base"), ArgSpec("exterior")),
-            _ev_cap_constant_trivial,
+            _law(_loop_view, _cap_constant_trivial, "Dalpha cap s_star(x) = 0"),
         ),
         IdentityCase(
-            "cap-module-axiom",
-            "(w1 cup w2) cap b = w1 cap (w2 cap b) and 1 cap b = b",
+            "cap-module-axiom", "(w1 cup w2) cap b = w1 cap (w2 cap b) and 1 cap b = b",
             (ArgSpec("coh"), ArgSpec("coh"), ArgSpec("loop")),
-            _ev_cap_module_axiom,
+            _law(_coh_view, _cap_module, "(w1 cup w2) cap b = w1 cap (w2 cap b)", "1 cap b = b"),
         ),
         IdentityCase(
             "eq-5.1-cap-is-intersection",
             "alpha cap b = Dinv(alpha)*b and (-1)^{|alpha|} coh_delta(alpha) cap b = {Dinv(alpha),b}",
-            (ArgSpec("base"), ArgSpec("loop")),
-            _ev_cap_is_intersection,
+            _BASE_LOOP,
+            _law(
+                _loop_view, _cap_is_intersection,
+                "alpha cap b = Dinv(alpha)*b", "(-1)^{|alpha|} Dalpha cap b = {Dinv(alpha),b}",
+            ),
         ),
         IdentityCase(
             "eq-5.2-nested-brackets",
             "cap with a monomial equals the signed nested-bracket expansion, any factor order",
             (ArgSpec("coh", max_terms=1), ArgSpec("loop")),
-            _ev_nested_brackets,
+            _law(
+                _loop_view, _cap_expansion,
+                "cap(w,b) = iterated single caps, canonical order",
+                "cap(w,b) = iterated single caps, reversed order with Koszul sign",
+            ),
         ),
         IdentityCase(
             "intertwiner-duality",
             "extended product/bracket against (0,b) realise Dinv: {(alpha,0),(0,b)} = (0,{Dinv(alpha),b})",
-            (ArgSpec("base"), ArgSpec("loop")),
-            _ev_intertwiner,
+            _BASE_LOOP,
+            _law(
+                _ext_view, _intertwiner,
+                "{(alpha,0),(0,b)} = (0,{Dinv(alpha),b})", "(alpha,0)*(0,b) = (0,Dinv(alpha)*b)",
+            ),
         ),
         IdentityCase(
             "mixed-product-conventions",
             "mixed product/bracket conventions between base cohomology and loop classes",
-            (ArgSpec("base"), ArgSpec("loop"), ArgSpec("base")),
-            _ev_def_mixed_conventions,
+            _BASE_LOOP + (ArgSpec("base"),),
+            _law(
+                _ext_view, _mixed_conventions,
+                "alpha.b = alpha cap b",
+                "{alpha,b} = (-1)^{|alpha|} Dalpha cap b",
+                "b.alpha = (-1)^{|alpha||b|} alpha.b",
+                "{b,alpha} = -(-1)^{(|alpha|+1)(|b|+1)} {alpha,b}",
+                "{alpha,beta} = 0",
+            ),
         ),
         IdentityCase(
             "eq-4.11-poisson-extended", "extended Poisson: cohomology, cohomology, loop", _BASE2_LOOP,
@@ -780,10 +752,9 @@ def _build_catalog() -> dict[str, IdentityCase]:
             ),
         ),
         IdentityCase(
-            "loop-intersection-formula",
-            "loop_intersection equals its signed cap-product formula",
+            "loop-intersection-formula", "loop_intersection equals its signed cap-product formula",
             (ArgSpec("intersect-config"),),
-            _ev_loop_intersection,
+            _law(_coh_view, _intersection_formula, "intersection family = sign * cap(assembled class, family)"),
         ),
     ]
     catalog = {}

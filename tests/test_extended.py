@@ -314,6 +314,16 @@ def test_extended_bracket_examples():
         assert extended_bracket(x2, ExtendedClass.from_loop(s_star(cls))).is_zero()
 
 
+def test_a_zero_extended_class_is_falsy_as_a_zero_element_is():
+    zero, one = ExtendedClass.zero(S3), ExtendedClass.unit(S3)
+    assert not zero and zero.is_zero()
+    assert one and not one.is_zero()
+    assert ExtendedClass.from_loop(u(S3, 1)) and ExtendedClass.from_coh(alpha(S3, 1))
+    # two base classes bracket to zero: {alpha, beta} = 0
+    bracket = extended_bracket(ExtendedClass.from_coh(alpha(SU3, 1)), ExtendedClass.from_coh(alpha(SU3, 2)))
+    assert not bracket and bracket.is_zero()
+
+
 def test_extended_delta_examples():
     assert extended_delta(ExtendedClass.from_coh(alpha(S3, 1))).is_zero()
     assert extended_delta(ExtendedClass.from_loop(a(S3, 1) * u(S3, 1))) == ExtendedClass.from_loop(

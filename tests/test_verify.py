@@ -317,11 +317,35 @@ def test_report_json_round_trip():
         CheckReport.from_json(json.dumps({k: x for k, x in data.items() if k != "seed"}))
 
 
-@pytest.mark.parametrize("line, read", [("[1]", "[1]"), ('"x"', "'x'"), ("null", "None"), ("3", "3")])
+def _report_line(**fields):
+    return json.dumps(dict({"identity": "bv-identity", "model": "s3", "trials": 1, "seed": 1, "status": "pass"}, **fields))
+
+
+@pytest.mark.parametrize(
+    "line, read",
+    [("[1]", "[1]"), ('"x"', "'x'"), ("null", "None"), ("3", "3")]
+    # a line that is not JSON, and objects whose fields have the wrong type; `read` is the whole message
+    + [
+        pytest.param(line, message, id=ident)
+        for ident, line, message in [
+            ("not-json", "not json", "check report JSON is unreadable: Expecting value: line 1 column 1 (char 0)"),
+            ("identity-list", _report_line(identity=[1]), "check report: 'identity' must be a string, got [1]"),
+            ("model-int", _report_line(model=3), "check report: 'model' must be a string, got 3"),
+            ("ops-list", _report_line(ops=[1]), "check report: 'ops' must be a string, got [1]"),
+            (
+                "generator-degrees-int", _report_line(generator_degrees=5),
+                "check report: 'generator_degrees' must be a list or null, got 5",
+            ),
+        ]
+    ],
+)
 def test_a_report_line_that_is_not_an_object_is_refused(line, read):
     with pytest.raises(AlgebraError) as info:
         CheckReport.from_json(line)
-    assert str(info.value) == "check report JSON must be an object, got %s" % read
+    if read.startswith("check report"):
+        assert str(info.value) == read
+    else:
+        assert str(info.value) == "check report JSON must be an object, got %s" % read
 
 
 # -- mutation detection ------------------------------------------------------------
@@ -457,6 +481,15 @@ def test_a_failing_trial_is_evaluated_once(monkeypatch):
 
 
 NO_ARG_IDS = [ident for ident, case in CATALOG.items() if not case.args]
+
+
+def test_every_row_that_draws_is_a_law():
+    """One row shape: a row with arguments is `_law(view, law, *labels)`, and
+    `model-structure`, which draws nothing, is the one row with its own `evaluate`."""
+    law = verify._law(verify._loop_view, verify._commutativity).__qualname__
+    assert law == "_law.<locals>.evaluate"
+    own = [ident for ident, case in CATALOG.items() if case.evaluate.__qualname__ != law]
+    assert own == ["model-structure"] == NO_ARG_IDS
 
 
 def test_model_structure_draws_nothing():
