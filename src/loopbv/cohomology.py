@@ -16,8 +16,8 @@ inverse realises base classes as constant-loop homology classes.
 
 from __future__ import annotations
 
-from .kernel import AlgebraError, Element, ModelSpec, Monomial, _COH, _LOOP, _tuple_new
-from .kernel import _add_into, _expect, _is_exterior
+from .kernel import Element, ModelSpec, Monomial, _COH, _LOOP, _tuple_new
+from .kernel import _add_into, _expect, _exterior
 
 
 def alpha(model: ModelSpec, index: int) -> Element:
@@ -46,10 +46,7 @@ def coh_delta(x: Element) -> Element:
 
 def to_base(x: Element, op: str = "to_base") -> Element:
     """Return `x` once it is checked to lie in the base subring; messages name `op`."""
-    _expect(x, op, _COH)
-    if not _is_exterior(x):
-        raise AlgebraError("%s: class has v factors, not in the base subring" % op)
-    return x
+    return _exterior(x, op, _COH)
 
 
 def poincare_dual(x: Element) -> Element:
@@ -58,9 +55,7 @@ def poincare_dual(x: Element) -> Element:
     Multiplicative by construction, D(x*y) = D(x) cup D(y): the Koszul signs
     for reordering the a_i and the alpha_i are identical.
     """
-    _expect(x, "poincare_dual", _LOOP)
-    if not _is_exterior(x):
-        raise AlgebraError("poincare_dual: input is not in the exterior subring (has u factors)")
+    _exterior(x, "poincare_dual", _LOOP)
     return Element._of(x.model, _COH, dict(x.terms))
 
 

@@ -48,7 +48,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .kernel import AlgebraError, Element, ModelSpec, Ring
+from .kernel import AlgebraError, Element, ModelSpec, Ring, _GEN_NAMES
 from .loop import bv_delta, loop_bracket, s_star
 from .cohomology import coh_delta, poincare_dual, poincare_dual_inverse
 from .extended import cap, loop_intersection
@@ -160,13 +160,11 @@ class ClassList:
     pos: tuple[int, int] = field(compare=False, default=(0, 0))
 
 
-# generator family -> (ring, kind), longest prefix first for the parser
-_GEN_FAMILIES = {
-    "alpha": (Ring.COH, "odd"),
-    "a": (Ring.LOOP, "odd"),
-    "u": (Ring.LOOP, "even"),
-    "v": (Ring.COH, "even"),
-}
+# generator family -> (ring, kind), from the kernel's names, longest prefix first for the parser
+_GEN_FAMILIES = dict(sorted(
+    ((name, (ring, kind)) for ring, names in _GEN_NAMES.items() for kind, name in zip(("odd", "even"), names)),
+    key=lambda family: -len(family[0]),
+))
 
 MAX_NESTING = 100  # deeper trees would overflow Python's stack in the parser
 

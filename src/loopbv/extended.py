@@ -37,7 +37,8 @@ homological degrees.  The multiplicative unit is (1, 0), the unit of H^0(M):
 mixed products push cohomology into the loop part (alpha . b = cap(alpha, b)),
 the bracket of two cohomology classes vanishes, and the BV operator is the
 loop Delta on the loop part and zero on the cohomology part.
-`ExtendedClass(...)` checks its parts; pairs built here skip the check (`_of`).
+`ExtendedClass(w, b)`, the one public spelling of a pair, checks its parts;
+pairs built here skip the check (`_of`).
 
 Every operation here takes its loop-homology primitives from a `BVOps`
 bundle so that the verification suite can run the same identities against
@@ -191,18 +192,10 @@ class ExtendedClass:
     def unit(cls, model: ModelSpec) -> "ExtendedClass":
         return cls._of(Element.unit(model, _COH), Element.zero(model, _LOOP))
 
-    @classmethod
-    def from_coh(cls, w: Element) -> "ExtendedClass":
-        return cls(w, Element.zero(w.model, _LOOP))
-
-    @classmethod
-    def from_loop(cls, b: Element) -> "ExtendedClass":
-        return cls(Element.zero(b.model, _COH), b)
-
     # -- structure -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.coh.is_zero() and self.loop.is_zero()
+        return not self
 
     def __bool__(self) -> bool:
         return bool(self.coh) or bool(self.loop)

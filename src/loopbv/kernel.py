@@ -7,7 +7,8 @@ generators, realised in two gradings ("rings"):
 * cohomology    -- odd generator alpha_i of degree d_i, even v_i of degree d_i - 1.
 
 Base cohomology H^*(M) is not a third ring but the exterior subring of
-cohomology on the alpha_i alone; `_is_exterior` checks membership.
+cohomology on the alpha_i alone; `_exterior` is the one membership check,
+for it and for the exterior subring of loop homology on the a_i.
 
 Coefficients are exact rationals: every entry point (`Element(...)`,
 `Element.unit`, `Element.generator`, `Element.scale`) stores an integral value
@@ -221,9 +222,16 @@ def _expect(x: Element, op: str, ring: Ring) -> None:
         raise AlgebraError("%s: expected a %s class, got %s" % (op, ring.value, x.ring.value))
 
 
-def _is_exterior(x: Element) -> bool:
-    """True when no term of `x` has an even generator (u_i or v_i)."""
-    return all(not any(mono.exps) for mono in x.terms)
+_NOT_EXTERIOR = {Ring.LOOP: "%s: input is not in the exterior subring (has u factors)",
+                 Ring.COH: "%s: class has v factors, not in the base subring"}
+
+
+def _exterior(x: Element, op: str, ring: Ring) -> Element:
+    """Return `x` once it lies in `ring` with no even generator (u_i or v_i)."""
+    _expect(x, op, ring)
+    if any(any(mono.exps) for mono in x.terms):
+        raise AlgebraError(_NOT_EXTERIOR[ring] % op)
+    return x
 
 
 def _mono_degree(model: ModelSpec, ring: Ring, m: Monomial) -> int:
@@ -358,7 +366,7 @@ class Element:
     # -- predicates and grading -------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self
 
     def __bool__(self) -> bool:
         return bool(self.terms)

@@ -55,14 +55,13 @@ from __future__ import annotations
 from operator import add
 
 from .kernel import (
-    AlgebraError,
     Element,
     ModelSpec,
     Monomial,
     _LOOP,
     _add_into,
     _expect,
-    _is_exterior,
+    _exterior,
     _merge_odds,
     _same_model,
     _tuple_new,
@@ -152,7 +151,4 @@ def s_star(x: Element) -> Element:
     inclusion is the identity on the stored data; the point of the map is the
     subring check.
     """
-    _expect(x, "s_star", _LOOP)
-    if not _is_exterior(x):
-        raise AlgebraError("s_star: input is not in the exterior subring (has u factors)")
-    return x
+    return _exterior(x, "s_star", _LOOP)

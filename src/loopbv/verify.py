@@ -16,8 +16,10 @@ at cap 6 in (-d-2, 2d), `exterior` loop homology at cap 0 in (-d, 0), `base`
 cohomology at cap 0 in (0, d), `coh` cohomology at cap 6 in (0, 2d).  Each
 draws in its `ArgSpec`'s window if given; `ext` (base and/or loop classes of
 one degree) and `intersect-config` (an `IntersectConfig`) refuse one.
-`run_suite` resolves each spec of a row into a draw plan once per report
-(`_plan`), so a trial makes only its generator calls and monomial lookups.
+`run_suite` resolves each spec of a row into a draw plan (`_plan`) and binds
+the row's check to the bundle and model (``partial(case.evaluate, ops,
+model)``) once per report, so a trial makes only its generator calls,
+monomial lookups and the check; the minimiser calls the same bound check.
 
 Each law is written once against a *view*: one algebra's product, bracket,
 Delta, zero, unit and argument lift, bound to an ops bundle, and the bundle
@@ -32,10 +34,10 @@ labels each generator's checks, has its own ``evaluate(ops, model, args)``.
 `_leibniz` states the Leibniz rule of a degree-k map d over an operation
 once, sign (-1)^{k(|y|+shift)} included.  16 rows run it: the BV identity
 (loop, ext, and coh as eq. 4.4), eq. 4.24, and the twelve rows built by
-`_derivation(by, over, shift)`, whose `by(v, x)` is {x,-} of degree |x|+1 or
-coh_delta(alpha) cap - of degree |alpha|-1: Poisson and Jacobi (loop, ext,
-eqs. 4.11, 4.13, 4.15, 4.16), eqs. 4.7 and 4.10, and the two operator
-commutators.
+`_derivation(by, over)`, whose `by(v, x)` is {x,-} of degree |x|+1 or
+coh_delta(alpha) cap - of degree |alpha|-1, and whose shift is 1 over the
+bracket and 0 over the product: Poisson and Jacobi (loop, ext, eqs. 4.11,
+4.13, 4.15, 4.16), eqs. 4.7 and 4.10, and the two operator commutators.
 
 A registry of deliberately broken primitive bundles ("mutations": one sign
 flipped, one term dropped or added, or the factors swapped without their
@@ -146,9 +148,14 @@ class CheckReport:
         if not isinstance(data, dict):
             raise AlgebraError("check report JSON must be an object, got %r" % (data,))
         report = cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data or f.default is MISSING})
-        for name, kinds, what in (("identity", str, "a string"), ("model", str, "a string"), ("ops", str, "a string"),
-                                  ("generator_degrees", (list, type(None)), "a list or null")):
-            if not isinstance(getattr(report, name), kinds):
+        is_str = lambda value: isinstance(value, str)
+        for name, valid, what in (
+            ("identity", is_str, "a string"), ("model", is_str, "a string"), ("ops", is_str, "a string"),
+            ("status", lambda value: value in ("pass", "fail"), '"pass" or "fail"'),
+            ("witness", lambda value: value is None or isinstance(value, dict), "an object or null"),
+            ("generator_degrees", lambda value: value is None or isinstance(value, list), "a list or null"),
+        ):
+            if not valid(getattr(report, name)):
                 raise AlgebraError("check report: %r must be %s, got %r" % (name, what, getattr(report, name)))
         return report
 
@@ -250,11 +257,6 @@ def _plan(spec: ArgSpec, model: ModelSpec) -> Callable[[random.Random], object]:
         check_count("max_terms", spec.max_terms)
         return partial(_draw_extended, _ext_plan(model), spec.max_terms)
     return partial(_draw_intersect_config, _class_plan("base", model), _class_plan("loop", model))
-
-
-def _draw(spec: ArgSpec, model: ModelSpec, rng: random.Random):
-    """One argument for `spec`; `run_suite` keeps the plan for a whole report instead."""
-    return _plan(spec, model)(rng)
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +365,11 @@ def _cap_by_delta(v, al):
     return (lambda w: v.ops.cap(da, w)), _hdeg(al) - 1
 
 
-def _derivation(by, over, shift, commutator=False):
-    """The law that the map `by(v, x)` returns, with its degree, is a derivation of
-    the view's `over` ("product" with `shift` 0, or "bracket" with `shift` 1) on
-    y and z; as a `commutator`, the check reads [d, over(y, -)](z) = over(d(y), z)."""
+def _derivation(by, over, commutator=False):
+    """The law that the map `by(v, x)` returns, with its degree, is a derivation of the
+    view's `over` on y and z, whose operands shift in degree by 1 for a "bracket";
+    as a `commutator`, the check reads [d, over(y, -)](z) = over(d(y), z)."""
+    shift = int(over == "bracket")
 
     def law(v, x, y, z):
         d, k = by(v, x)
@@ -376,8 +379,8 @@ def _derivation(by, over, shift, commutator=False):
     return law
 
 
-_poisson = _derivation(_bracket_by, "product", 0)
-_jacobi = _derivation(_bracket_by, "bracket", 1)
+_poisson = _derivation(_bracket_by, "product")
+_jacobi = _derivation(_bracket_by, "bracket")
 
 
 def _poisson_product_first(v, x, y, z):
@@ -582,11 +585,11 @@ def _build_catalog() -> dict[str, IdentityCase]:
         ),
         IdentityCase(
             "operator-commutator-product", "[D_b, M_c] = M_{{b,c}} as graded operator commutators", _LOOP3,
-            _law(_loop_view, _derivation(_bracket_by, "product", 0, True), "[D_b, M_c] = M_{{b,c}} on e"),
+            _law(_loop_view, _derivation(_bracket_by, "product", True), "[D_b, M_c] = M_{{b,c}} on e"),
         ),
         IdentityCase(
             "operator-commutator-bracket", "[D_b, D_c] = D_{{b,c}} as graded operator commutators", _LOOP3,
-            _law(_loop_view, _derivation(_bracket_by, "bracket", 1, True), "[D_b, D_c] = D_{{b,c}} on e"),
+            _law(_loop_view, _derivation(_bracket_by, "bracket", True), "[D_b, D_c] = D_{{b,c}} on e"),
         ),
         IdentityCase(
             "s-star-ring-map", "s_star is a unital ring map from the intersection ring", _EXTERIOR2,
@@ -623,7 +626,7 @@ def _build_catalog() -> dict[str, IdentityCase]:
         IdentityCase(
             "eq-4.7-cap-derivation", "cap with coh_delta(alpha) is a derivation of the loop product", _BASE_LOOP2,
             _law(
-                _loop_view, _derivation(_cap_by_delta, "product", 0),
+                _loop_view, _derivation(_cap_by_delta, "product"),
                 "Dalpha cap (b*c) = (Dalpha cap b)*c + (-1)^{(|alpha|-1)|b|} b*(Dalpha cap c)",
             ),
         ),
@@ -631,7 +634,7 @@ def _build_catalog() -> dict[str, IdentityCase]:
             "eq-4.10-cap-bracket-derivation", "cap with coh_delta(alpha) is a derivation of the loop bracket",
             _BASE_LOOP2,
             _law(
-                _loop_view, _derivation(_cap_by_delta, "bracket", 1),
+                _loop_view, _derivation(_cap_by_delta, "bracket"),
                 "Dalpha cap {b,c} = {Dalpha cap b,c} + (-1)^{(|alpha|-1)(|b|+1)} {b,Dalpha cap c}",
             ),
         ),
@@ -820,7 +823,7 @@ def get_ops(name_or_ops) -> BVOps:
     if name_or_ops == "standard":
         return STANDARD_OPS
     muts = mutations()
-    if name_or_ops in muts:
+    if isinstance(name_or_ops, str) and name_or_ops in muts:
         return muts[name_or_ops]
     raise AlgebraError(
         "unknown ops bundle %r (known: standard, %s)" % (name_or_ops, ", ".join(sorted(muts)))
@@ -831,8 +834,8 @@ def get_ops(name_or_ops) -> BVOps:
 # running, witnesses, replay
 
 
-def _failing_checks(case, ops, model, args):
-    return [check for check in case.evaluate(ops, model, args) if check[1] != check[2]]
+def _failing_checks(check, args):
+    return [checked for checked in check(args) if checked[1] != checked[2]]
 
 
 def _render_checks(checks):
@@ -860,23 +863,20 @@ def _drop_one_term(value):
                 yield value._replace(**{name: smaller})
 
 
-def _still_failing(case, ops, model, args) -> list:
-    try:
-        return _failing_checks(case, ops, model, args)
-    except AlgebraError:  # dropping a term made the arguments degenerate
-        return []
-
-
-def _minimize_args(case, ops, model, args, failing):
+def _minimize_args(check, args, failing):
     """Greedily drop monomial terms while the failure persists; return (args, their failing checks)."""
     for smaller in _drop_one_term(list(args)):
-        if still := _still_failing(case, ops, model, smaller):
-            return _minimize_args(case, ops, model, smaller, still)
+        try:
+            still = _failing_checks(check, smaller)
+        except AlgebraError:  # dropping a term made the arguments degenerate
+            continue
+        if still:
+            return _minimize_args(check, smaller, still)
     return args, failing
 
 
-def _build_witness(case, ops, model, trial, args, failing):
-    minimized, minimized_failing = _minimize_args(case, ops, model, args, failing)
+def _build_witness(check, trial, args, failing):
+    minimized, minimized_failing = _minimize_args(check, args, failing)
     return {
         "trial": trial,
         "args": [str(v) for v in args],
@@ -901,7 +901,7 @@ def run_suite(
     """Check identities on seeded random draws; one report per identity.
 
     `selection` is an iterable of identity ids (None means the full catalog);
-    a string, an empty one or an unknown id is an error, not a silent no-op.
+    a string, an empty one or an unknown or non-string id is an error, not a silent no-op.
     Reports come back in catalog order.  `ops` names a primitive bundle from
     the registry, for running the suite against deliberately broken algebra.
     """
@@ -913,7 +913,7 @@ def run_suite(
     if not chosen:
         raise AlgebraError("no identity selected (see the catalog for known ids)")
     for ident in chosen:
-        if ident not in CATALOG:
+        if not isinstance(ident, str) or ident not in CATALOG:
             raise AlgebraError("unknown identity id %r (see the catalog for known ids)" % ident)
     chosen = [ident for ident in CATALOG if ident in chosen]
     # draws index the basis at this cap: refuse an oversized model before any identity runs
@@ -924,13 +924,14 @@ def run_suite(
         case = CATALOG[ident]
         status, witness = "pass", None
         plans = [_plan(spec, model) for spec in case.args]  # one per report; trials only draw
+        check = partial(case.evaluate, ops_obj, model)  # bound once per report
         # a row that draws nothing would check the same classes on every trial
         for trial in range(trials if plans else 1):
             rng = trial_rng(seed, ident, trial)
             args = [draw(rng) for draw in plans]
-            if failing := _failing_checks(case, ops_obj, model, args):
+            if failing := _failing_checks(check, args):
                 status = "fail"
-                witness = _build_witness(case, ops_obj, model, trial, args, failing)
+                witness = _build_witness(check, trial, args, failing)
                 break
         reports.append(
             CheckReport(

@@ -2,8 +2,9 @@
 
 A report is replayed from (model, seed, identity, trial) alone, so the draw
 for a seed is part of the catalog's contract.  This test hashes the printed
-output of `verify._draw` for every catalog `ArgSpec` (and a few with wider
-term bounds or an explicit window) on four models, and of
+output of each catalog `ArgSpec`'s draw plan, `verify._plan(spec, model)(rng)`,
+the function `run_suite` draws through (and of a few specs with wider term
+bounds or an explicit window), on four models, and of
 `kernel.random_element` at exponent caps 0, 6 and 8 in every ring.  The
 `base-cohomology` rows draw base classes, cohomology classes at cap 0,
 whatever cap their line names.
@@ -58,7 +59,7 @@ def draw_lines():
         for spec in _specs():
             for trial in range(DRAWS_PER_SPEC):
                 rng = random.Random("pin|%s|%r|%d" % (name, spec, trial))
-                value = verify._draw(spec, model, rng)
+                value = verify._plan(spec, model)(rng)
                 yield "%s %r %d: %s" % (name, spec, trial, value)
         d = model.dimension
         for label, ring, drawn_cap in RING_ROWS:

@@ -31,7 +31,7 @@ from loopbv.extended import (
 )
 
 from loopbv.models import resolve_model
-from loopbv.verify import CATALOG, ArgSpec, _draw, mutations
+from loopbv.verify import CATALOG, ArgSpec, _plan, mutations
 
 import oracle
 
@@ -153,7 +153,7 @@ def test_nested_brackets_in_both_orders_is_the_cap_on_small_monomials(name):
         ((mono, _),) = w.terms.items()
         for draw in range(2):
             rng = random.Random("nested|%s|%s|%d" % (name, mono, draw))
-            b = _draw(ArgSpec("loop", 2), model, rng)
+            b = _plan(ArgSpec("loop", 2), model)(rng)
             value = cap(w, b)
             for forward in (False, True):
                 assert nested_brackets(w, b, loop_product, loop_bracket, forward) == value
@@ -170,8 +170,8 @@ def test_the_nested_bracket_row_takes_a_multi_term_class_and_zero(name):
         rng = random.Random("nested-multi|%s|%d" % (name, trial))
         w, zero = Element.zero(model, Ring.COH), Element.zero(model, Ring.COH)
         while len(w.terms) < 3:  # one-term draws of any degrees: the cap is linear in w
-            w = w + _draw(ArgSpec("coh", 1), model, rng)
-        b = _draw(ArgSpec("loop", 2), model, rng)
+            w = w + _plan(ArgSpec("coh", 1), model)(rng)
+        b = _plan(ArgSpec("loop", 2), model)(rng)
         checks = evaluate(STANDARD_OPS, model, [w, b])
         assert len(checks) == 2 and all(lhs == rhs for _, lhs, rhs in checks)
         informative += not checks[0][1].is_zero()
@@ -263,7 +263,7 @@ def test_cap_equals_bracket_route():
 def test_extended_class_degree_bookkeeping():
     x = ExtendedClass(to_base(alpha(S3, 1)), Element.zero(S3, Ring.LOOP))
     assert x.degree() == -3
-    y = ExtendedClass.from_loop(u(S3, 1))
+    y = ExtendedClass(Element.zero(S3, Ring.COH), u(S3, 1))
     assert y.degree() == 2
     matched = ExtendedClass(to_base(alpha(S3, 1)), a(S3, 1))  # both degree -3
     assert matched.degree() == -3
@@ -278,16 +278,18 @@ def test_extended_class_degree_bookkeeping():
 
 
 def test_extended_product_examples():
-    a1u = ExtendedClass.from_coh(alpha(S3, 1))
+    coh0, loop0 = Element.zero(S3, Ring.COH), Element.zero(S3, Ring.LOOP)
+    a1u = ExtendedClass(alpha(S3, 1), loop0)
     for k in range(3):
-        against = ExtendedClass.from_loop(u(S3, 1) ** k)
-        assert extended_product(a1u, against) == ExtendedClass.from_loop(a(S3, 1) * u(S3, 1) ** k)
-    x = ExtendedClass.from_coh(alpha(SU3, 1))
-    y = ExtendedClass.from_coh(alpha(SU3, 2))
-    assert extended_product(x, y) == ExtendedClass.from_coh(alpha(SU3, 1) * alpha(SU3, 2))
-    b = ExtendedClass.from_loop(u(SU3, 1))
-    c = ExtendedClass.from_loop(a(SU3, 1) * u(SU3, 2))
-    assert extended_product(b, c) == ExtendedClass.from_loop(u(SU3, 1) * a(SU3, 1) * u(SU3, 2))
+        against = ExtendedClass(coh0, u(S3, 1) ** k)
+        assert extended_product(a1u, against) == ExtendedClass(coh0, a(S3, 1) * u(S3, 1) ** k)
+    coh0, loop0 = Element.zero(SU3, Ring.COH), Element.zero(SU3, Ring.LOOP)
+    x = ExtendedClass(alpha(SU3, 1), loop0)
+    y = ExtendedClass(alpha(SU3, 2), loop0)
+    assert extended_product(x, y) == ExtendedClass(alpha(SU3, 1) * alpha(SU3, 2), loop0)
+    b = ExtendedClass(coh0, u(SU3, 1))
+    c = ExtendedClass(coh0, a(SU3, 1) * u(SU3, 2))
+    assert extended_product(b, c) == ExtendedClass(coh0, u(SU3, 1) * a(SU3, 1) * u(SU3, 2))
 
 
 def test_extended_unit_is_one_in_degree_zero_cohomology():
@@ -304,32 +306,35 @@ def test_extended_unit_is_one_in_degree_zero_cohomology():
 
 
 def test_extended_bracket_examples():
-    x = ExtendedClass.from_coh(alpha(S3, 1))
-    y = ExtendedClass.from_loop(u(S3, 1))
-    assert extended_bracket(x, y) == ExtendedClass.from_loop(-Element.unit(S3, Ring.LOOP))
-    x2 = ExtendedClass.from_coh(alpha(SU3, 1))
-    y2 = ExtendedClass.from_coh(alpha(SU3, 2))
+    coh0, loop0 = Element.zero(S3, Ring.COH), Element.zero(S3, Ring.LOOP)
+    x = ExtendedClass(alpha(S3, 1), loop0)
+    y = ExtendedClass(coh0, u(S3, 1))
+    assert extended_bracket(x, y) == ExtendedClass(coh0, -Element.unit(S3, Ring.LOOP))
+    coh0, loop0 = Element.zero(SU3, Ring.COH), Element.zero(SU3, Ring.LOOP)
+    x2 = ExtendedClass(alpha(SU3, 1), loop0)
+    y2 = ExtendedClass(alpha(SU3, 2), loop0)
     assert extended_bracket(x2, y2).is_zero()
     for cls in (Element.unit(SU3, Ring.LOOP), a(SU3, 1), a(SU3, 1) * a(SU3, 2)):
-        assert extended_bracket(x2, ExtendedClass.from_loop(s_star(cls))).is_zero()
+        assert extended_bracket(x2, ExtendedClass(coh0, s_star(cls))).is_zero()
 
 
 def test_a_zero_extended_class_is_falsy_as_a_zero_element_is():
     zero, one = ExtendedClass.zero(S3), ExtendedClass.unit(S3)
     assert not zero and zero.is_zero()
     assert one and not one.is_zero()
-    assert ExtendedClass.from_loop(u(S3, 1)) and ExtendedClass.from_coh(alpha(S3, 1))
+    assert ExtendedClass(Element.zero(S3, Ring.COH), u(S3, 1))
+    assert ExtendedClass(alpha(S3, 1), Element.zero(S3, Ring.LOOP))
     # two base classes bracket to zero: {alpha, beta} = 0
-    bracket = extended_bracket(ExtendedClass.from_coh(alpha(SU3, 1)), ExtendedClass.from_coh(alpha(SU3, 2)))
+    loop0 = Element.zero(SU3, Ring.LOOP)
+    bracket = extended_bracket(ExtendedClass(alpha(SU3, 1), loop0), ExtendedClass(alpha(SU3, 2), loop0))
     assert not bracket and bracket.is_zero()
 
 
 def test_extended_delta_examples():
-    assert extended_delta(ExtendedClass.from_coh(alpha(S3, 1))).is_zero()
-    assert extended_delta(ExtendedClass.from_loop(a(S3, 1) * u(S3, 1))) == ExtendedClass.from_loop(
-        Element.unit(S3, Ring.LOOP)
-    )
-    assert extended_delta(ExtendedClass.from_loop(u(S3, 1) ** 3)).is_zero()
+    coh0, loop0 = Element.zero(S3, Ring.COH), Element.zero(S3, Ring.LOOP)
+    assert extended_delta(ExtendedClass(alpha(S3, 1), loop0)).is_zero()
+    assert extended_delta(ExtendedClass(coh0, a(S3, 1) * u(S3, 1))) == ExtendedClass(coh0, Element.unit(S3, Ring.LOOP))
+    assert extended_delta(ExtendedClass(coh0, u(S3, 1) ** 3)).is_zero()
     # squares to zero even through mixed classes
     for trial in range(20):
         x = ExtendedClass(
@@ -341,16 +346,14 @@ def test_extended_delta_examples():
 
 def test_extended_intertwines_duality():
     for model in MODELS:
+        coh0, loop0 = Element.zero(model, Ring.COH), Element.zero(model, Ring.LOOP)
         for trial in range(30):
             al = _rand_base(model, "int1", trial)
             b = _rand(model, Ring.LOOP, "int2", trial)
             a_class = poincare_dual_inverse(al)
-            assert extended_bracket(
-                ExtendedClass.from_coh(al), ExtendedClass.from_loop(b)
-            ) == ExtendedClass.from_loop(loop_bracket(a_class, b))
-            assert extended_product(
-                ExtendedClass.from_coh(al), ExtendedClass.from_loop(b)
-            ) == ExtendedClass.from_loop(a_class * b)
+            lifted = ExtendedClass(al, loop0), ExtendedClass(coh0, b)
+            assert extended_bracket(*lifted) == ExtendedClass(coh0, loop_bracket(a_class, b))
+            assert extended_product(*lifted) == ExtendedClass(coh0, a_class * b)
 
 
 def test_extended_model_mismatch():
@@ -406,10 +409,10 @@ def _mixed_parity_classes(model, count=2):
     rng = random.Random("mixed-parity|%s" % model.name)
     exts, bases = {0: [], 1: []}, {0: [], 1: []}
     while min(len(drawn) for drawn in [*exts.values(), *bases.values()]) < 2 * count:
-        x = _draw(ArgSpec("ext", 3), model, rng)
+        x = _plan(ArgSpec("ext", 3), model)(rng)
         exts[x.degree() % 2].append(x)  # an `ext` draw is homogeneous
-        w = _draw(ArgSpec("base", 3), model, rng)
-        bases[w.degree() % 2].append(ExtendedClass.from_coh(w))
+        w = _plan(ArgSpec("base", 3), model)(rng)
+        bases[w.degree() % 2].append(ExtendedClass(w, Element.zero(model, Ring.LOOP)))
     coh0, loop0 = Element.zero(model, Ring.COH), Element.zero(model, Ring.LOOP)
     out = []
     for i in range(count):
@@ -538,8 +541,10 @@ _GUARDS = [
     (lambda: s_star(u(S3, 1)), "s_star: input is not in the exterior subring (has u factors)"),
     (lambda: ExtendedClass(a(S3, 1), u(S3, 1)), "ExtendedClass: coh part must be base cohomology, got loop-homology"),
     (lambda: ExtendedClass(alpha(S3, 1), v(S3, 1)), "ExtendedClass: loop part must be loop homology, got cohomology"),
-    (lambda: ExtendedClass.from_coh(v(S3, 1)), "ExtendedClass: class has v factors, not in the base subring"),
-    (lambda: ExtendedClass.from_coh(u(S3, 1)), "ExtendedClass: coh part must be base cohomology, got loop-homology"),
+    (lambda: ExtendedClass(v(S3, 1), Element.zero(S3, Ring.LOOP)),
+     "ExtendedClass: class has v factors, not in the base subring"),
+    (lambda: ExtendedClass(u(S3, 1), Element.zero(S3, Ring.LOOP)),
+     "ExtendedClass: coh part must be base cohomology, got loop-homology"),
     (lambda: loop_intersection([v(S3, 1)], [], u(S3, 1)), "loop_intersection: at_basepoint[0]: class has v factors, not in the base subring"),
 ]
 

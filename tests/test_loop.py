@@ -174,6 +174,17 @@ def test_public_surface_is_pinned():
     assert sorted(set(namespace) - {"__builtins__"}) == _PUBLIC_NAMES
 
 
+@pytest.mark.parametrize("cls, methods", [
+    (loopbv.Element, ["degree", "generator", "homogeneous_components", "is_zero", "render", "scale", "unit", "zero"]),
+    (loopbv.ExtendedClass, ["degree", "homogeneous_components", "is_zero", "render", "scale", "unit", "zero"]),
+], ids=["Element", "ExtendedClass"])
+def test_public_methods_are_pinned(cls, methods):
+    """Each operation has one public spelling: a method that restates another
+    (such as a second constructor of a pair) is added here on purpose or not at all."""
+    public = {name for name in dir(cls) if not name.startswith("_")} - set(cls.__slots__)
+    assert sorted(public) == methods
+
+
 # -- BV operator ---------------------------------------------------------------
 
 

@@ -10,9 +10,9 @@ from operator import mul
 
 import pytest
 
-from loopbv.kernel import AlgebraError, Element, ModelSpec, Ring, _is_exterior, random_element, sign_pow
+from loopbv.kernel import AlgebraError, Element, ModelSpec, Ring, random_element, sign_pow
 from loopbv.extended import STANDARD_OPS, BVOps, ExtendedClass, cap
-from loopbv.cohomology import coh_delta
+from loopbv.cohomology import coh_delta, to_base
 from loopbv.loop import bv_delta, loop_bracket, loop_product
 from loopbv.models import resolve_model
 from loopbv import verify
@@ -23,7 +23,7 @@ from loopbv.verify import (
     CheckReport,
     DELTA_BRACKET_MUTATIONS,
     MUTATION_BREAKS,
-    _draw,
+    _plan,
     _leibniz,
     get_ops,
     mutations,
@@ -149,6 +149,14 @@ def test_string_selection_is_an_error():
         run_suite(SU3, 1, 0, "bv-identity")
 
 
+@pytest.mark.parametrize("item", [["bv-identity"], {"a": 1}], ids=["list", "dict"])
+def test_a_selection_item_that_is_not_a_string_is_an_error(item):
+    """An unhashable item used to leak `TypeError` from the catalog lookup."""
+    with pytest.raises(AlgebraError) as info:
+        run_suite(S3, 1, 1, [item])
+    assert str(info.value) == "unknown identity id %r (see the catalog for known ids)" % (item,)
+
+
 def test_oversized_model_is_refused_before_any_identity_runs(monkeypatch):
     def ran(*args):
         raise RuntimeError("an identity ran")
@@ -185,6 +193,19 @@ def test_a_fractional_trial_count_is_refused_on_a_row_that_draws():
 def test_unknown_ops_bundle_is_an_error():
     with pytest.raises(AlgebraError, match="unknown ops bundle"):
         get_ops("delta-zero-nonsense")
+
+
+@pytest.mark.parametrize("bundle", [[1], {"a": 1}, 3], ids=["list", "dict", "int"])
+def test_a_bundle_that_is_neither_ops_nor_a_name_is_refused(bundle):
+    """An unhashable bundle used to leak `TypeError` from the registry lookup."""
+    known = "standard, " + ", ".join(sorted(MUTATION_BREAKS))
+    message = "unknown ops bundle %r (known: %s)" % (bundle, known)
+    with pytest.raises(AlgebraError) as info:
+        get_ops(bundle)
+    assert str(info.value) == message
+    with pytest.raises(AlgebraError) as info:
+        run_suite(S3, 1, 1, ["bv-identity"], ops=bundle)
+    assert str(info.value) == message
 
 
 # -- replay --------------------------------------------------------------------
@@ -336,6 +357,12 @@ def _report_line(**fields):
                 "generator-degrees-int", _report_line(generator_degrees=5),
                 "check report: 'generator_degrees' must be a list or null, got 5",
             ),
+            ("status-int", _report_line(status=5), 'check report: \'status\' must be "pass" or "fail", got 5'),
+            ("status-other", _report_line(status="ok"), 'check report: \'status\' must be "pass" or "fail", got \'ok\''),
+            ("status-list", _report_line(status=["pass"]),
+             'check report: \'status\' must be "pass" or "fail", got [\'pass\']'),
+            ("witness-int", _report_line(witness=3), "check report: 'witness' must be an object or null, got 3"),
+            ("witness-list", _report_line(witness=[1]), "check report: 'witness' must be an object or null, got [1]"),
         ]
     ],
 )
@@ -438,7 +465,7 @@ def test_each_delta_bundle_equals_its_oracle_statement(name, bundle):
     rng = random.Random("delta-breaks|%s|%s" % (name, bundle))
     moved = 0
     for _ in range(40):
-        b = _draw(ArgSpec("loop", 4), model, rng)
+        b = _plan(ArgSpec("loop", 4), model)(rng)
         assert broken(b) == DELTA_BREAKS[bundle](b), b
         moved += broken(b) != oracle.delta(b)
     assert moved
@@ -459,25 +486,27 @@ def test_every_mutation_is_detected_with_replayable_witness(name):
 def test_a_failing_trial_is_evaluated_once(monkeypatch):
     """The witness reuses the failing checks `run_suite` found, and the
     minimiser returns those of the arguments it keeps: one failing report
-    calls `_failing_checks` once per trial run, and after that only through
-    `_still_failing`, once per smaller argument list the minimiser tries."""
+    calls `_failing_checks` once per trial run, and after that only from
+    `_minimize_args`, once per smaller argument list the minimiser tries."""
     calls, minimiser_calls = [], []
-    failing_checks, still_failing = verify._failing_checks, verify._still_failing
+    failing_checks, minimize_args = verify._failing_checks, verify._minimize_args
 
     def counted(*args):
         calls.append(args)
         return failing_checks(*args)
 
-    def counted_still(*args):
-        minimiser_calls.append(args)
-        return still_failing(*args)
+    def minimizing(check, args, failing):
+        if not minimiser_calls:  # the first entry: every later call comes from the minimiser
+            minimiser_calls.append(len(calls))
+        return minimize_args(check, args, failing)
 
     monkeypatch.setattr(verify, "_failing_checks", counted)
-    monkeypatch.setattr(verify, "_still_failing", counted_still)
+    monkeypatch.setattr(verify, "_minimize_args", minimizing)
     (report,) = run_suite(SU3, 20, 42, ["ext-poisson"], ops="product-swap-unsigned")
     assert report.failed() and report.witness["trial"] == 11
-    assert minimiser_calls
-    assert len(calls) - len(minimiser_calls) == report.witness["trial"] + 1
+    (trial_calls,) = minimiser_calls
+    assert len(calls) > trial_calls
+    assert trial_calls == report.witness["trial"] + 1
 
 
 NO_ARG_IDS = [ident for ident, case in CATALOG.items() if not case.args]
@@ -524,15 +553,18 @@ def test_a_row_that_draws_nothing_is_evaluated_once_per_report(ident, monkeypatc
 @pytest.mark.parametrize("name", ["s3", "s5", "su3", "exterior:3,5,7", "su7"])
 def test_the_reseeded_generator_draws_what_trial_rng_draws(name, monkeypatch):
     """`run_suite` plans a row's draws once per report and seeds one generator
-    per trial; the arguments each trial evaluates must be the ones `_draw`
-    gives from `trial_rng(seed, identity, trial)`, trial after trial."""
+    per trial; the arguments each trial evaluates must be the ones the row's
+    plans, `_plan(spec, model)`, draw from `trial_rng(seed, identity, trial)`,
+    trial after trial."""
     model = resolve_model(name)
     evaluated = []
     failing_checks = verify._failing_checks
+    row_of = {case.evaluate: ident for ident, case in CATALOG.items()}
 
-    def recorded(case, ops, model, args):
-        evaluated.append((case.identity_id, [str(x) for x in args]))
-        return failing_checks(case, ops, model, args)
+    def recorded(check, args):
+        assert check.args == (STANDARD_OPS, model)
+        evaluated.append((row_of[check.func], [str(x) for x in args]))
+        return failing_checks(check, args)
 
     monkeypatch.setattr(verify, "_failing_checks", recorded)
     assert all(r.status == "pass" for r in run_suite(model, 5, 42))
@@ -540,7 +572,7 @@ def test_the_reseeded_generator_draws_what_trial_rng_draws(name, monkeypatch):
     for ident, case in CATALOG.items():
         for trial in range(5 if case.args else 1):
             rng = trial_rng(42, ident, trial)
-            expected.append((ident, [str(_draw(spec, model, rng)) for spec in case.args]))
+            expected.append((ident, [str(_plan(spec, model)(rng)) for spec in case.args]))
     assert evaluated == expected
 
 
@@ -581,7 +613,7 @@ def test_base_draws_are_exterior_cohomology_classes(name):
     drawn = nonzero = 0
     for spec in sorted(specs, key=repr):
         for trial in range(40):
-            value = _draw(spec, model, random.Random("base|%s|%r|%d" % (name, spec, trial)))
+            value = _plan(spec, model)(random.Random("base|%s|%r|%d" % (name, spec, trial)))
             if spec.kind == "ext":
                 bases = [value.coh]
             elif spec.kind == "intersect-config":
@@ -589,7 +621,7 @@ def test_base_draws_are_exterior_cohomology_classes(name):
             else:
                 bases = [value]
             for w in bases:
-                assert w.ring is Ring.COH and _is_exterior(w), (spec, w)
+                assert to_base(w) is w, (spec, w)
                 drawn += 1
                 nonzero += bool(w)
     assert nonzero > drawn // 4
@@ -601,19 +633,19 @@ def test_one_class_draws_honour_a_window(kind):
     nonzero = 0
     for window in [(5, 5), (-5, -3), (3, 12), (14, 20)]:
         for trial in range(20):
-            x = _draw(ArgSpec(kind, 2, window), SU3, random.Random("window|%r|%d" % (window, trial)))
+            x = _plan(ArgSpec(kind, 2, window), SU3)(random.Random("window|%r|%d" % (window, trial)))
             assert x.is_zero() or window[0] <= x.degree() <= window[1], (kind, window, x)
             nonzero += not x.is_zero()
     assert nonzero >= 20
     if kind == "base":
-        assert _draw(ArgSpec("base", 2, (5, 5)), SU3, random.Random(1)).degree() == 5
+        assert _plan(ArgSpec("base", 2, (5, 5)), SU3)(random.Random(1)).degree() == 5
 
 
 @pytest.mark.parametrize("kind", ["ext", "intersect-config"])
 def test_composite_draws_refuse_a_window(kind):
     """`ext` and `intersect-config` draw each class in its own window, so a spec's window is refused."""
     with pytest.raises(AlgebraError, match=re.escape("%r draws take no window" % kind)):
-        _draw(ArgSpec(kind, 2, (0, 3)), SU3, random.Random(1))
+        _plan(ArgSpec(kind, 2, (0, 3)), SU3)(random.Random(1))
 
 
 @pytest.mark.parametrize("name", ["s3", "s5", "su3", "exterior:3,5,7"])
@@ -671,7 +703,7 @@ LEIBNIZ_MODELS = ["s3", "su3", "exterior:3,5,7"]
 def _draw_pairs(name, kind, count=50):
     model = resolve_model(name)
     rng = random.Random("leibniz|%s|%s" % (name, kind))
-    return model, [(_draw(ArgSpec(kind, 2), model, rng), _draw(ArgSpec(kind, 2), model, rng)) for _ in range(count)]
+    return model, [(_plan(ArgSpec(kind, 2), model)(rng), _plan(ArgSpec(kind, 2), model)(rng)) for _ in range(count)]
 
 
 def _partial_a_failures(name, k):
@@ -723,7 +755,7 @@ def _negation_detects(identity_id: str, trials: int = 200) -> bool:
     case = CATALOG[identity_id]
     for trial in range(trials):
         rng = trial_rng("sensitivity", identity_id, trial)
-        args = [_draw(spec, SU3, rng) for spec in case.args]
+        args = [_plan(spec, SU3)(rng) for spec in case.args]
         checks = case.evaluate(STANDARD_OPS, SU3, list(args))
         for _, lhs, rhs in checks:
             negated = -rhs
