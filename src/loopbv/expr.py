@@ -160,11 +160,10 @@ class ClassList:
     pos: tuple[int, int] = field(compare=False, default=(0, 0))
 
 
-# generator family -> (ring, kind), from the kernel's names, longest prefix first for the parser
-_GEN_FAMILIES = dict(sorted(
-    ((name, (ring, kind)) for ring, names in _GEN_NAMES.items() for kind, name in zip(("odd", "even"), names)),
-    key=lambda family: -len(family[0]),
-))
+# generator family -> (ring, kind), from the kernel's names
+_GEN_FAMILIES = {
+    name: (ring, kind) for ring, names in _GEN_NAMES.items() for kind, name in zip(("odd", "even"), names)
+}
 
 MAX_NESTING = 100  # deeper trees would overflow Python's stack in the parser
 
@@ -196,7 +195,7 @@ def _classify_ident(token: Token):
                 )
             return ("gen", (family, index))
     raise ExpressionError(
-        "unknown identifier %r (generators are a<i>, u<i>, alpha<i>, v<i>)" % name,
+        "unknown identifier %r (generators are %s)" % (name, ", ".join(f + "<i>" for f in _GEN_FAMILIES)),
         token.line,
         token.col,
     )

@@ -914,7 +914,7 @@ def run_suite(
         raise AlgebraError("no identity selected (see the catalog for known ids)")
     for ident in chosen:
         if not isinstance(ident, str) or ident not in CATALOG:
-            raise AlgebraError("unknown identity id %r (see the catalog for known ids)" % ident)
+            raise AlgebraError("unknown identity id %r (see the catalog for known ids)" % (ident,))
     chosen = [ident for ident in CATALOG if ident in chosen]
     # draws index the basis at this cap: refuse an oversized model before any identity runs
     check_index_size(model, SUITE_EVEN_CAP)

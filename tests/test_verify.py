@@ -149,9 +149,15 @@ def test_string_selection_is_an_error():
         run_suite(SU3, 1, 0, "bv-identity")
 
 
-@pytest.mark.parametrize("item", [["bv-identity"], {"a": 1}], ids=["list", "dict"])
+@pytest.mark.parametrize(
+    "item",
+    [["bv-identity"], {"a": 1}, ("bv-identity",), ("a", "b"), ()],
+    ids=["list", "dict", "tuple-known-id", "tuple-pair", "tuple-empty"],
+)
 def test_a_selection_item_that_is_not_a_string_is_an_error(item):
-    """An unhashable item used to leak `TypeError` from the catalog lookup."""
+    """An unhashable item used to leak `TypeError` from the catalog lookup; a
+    tuple, the one hashable container, is named whole, never taken as format
+    arguments."""
     with pytest.raises(AlgebraError) as info:
         run_suite(S3, 1, 1, [item])
     assert str(info.value) == "unknown identity id %r (see the catalog for known ids)" % (item,)
@@ -488,7 +494,7 @@ def test_a_failing_trial_is_evaluated_once(monkeypatch):
     minimiser returns those of the arguments it keeps: one failing report
     calls `_failing_checks` once per trial run, and after that only from
     `_minimize_args`, once per smaller argument list the minimiser tries."""
-    calls, minimiser_calls = [], []
+    calls, depth, inside = [], [0], [0]
     failing_checks, minimize_args = verify._failing_checks, verify._minimize_args
 
     def counted(*args):
@@ -496,17 +502,23 @@ def test_a_failing_trial_is_evaluated_once(monkeypatch):
         return failing_checks(*args)
 
     def minimizing(check, args, failing):
-        if not minimiser_calls:  # the first entry: every later call comes from the minimiser
-            minimiser_calls.append(len(calls))
-        return minimize_args(check, args, failing)
+        # the minimiser recurses through this wrapper: count the calls made
+        # during the outermost entry only, so each one is counted once
+        before = len(calls)
+        depth[0] += 1
+        try:
+            return minimize_args(check, args, failing)
+        finally:
+            depth[0] -= 1
+            if not depth[0]:
+                inside[0] += len(calls) - before
 
     monkeypatch.setattr(verify, "_failing_checks", counted)
     monkeypatch.setattr(verify, "_minimize_args", minimizing)
     (report,) = run_suite(SU3, 20, 42, ["ext-poisson"], ops="product-swap-unsigned")
     assert report.failed() and report.witness["trial"] == 11
-    (trial_calls,) = minimiser_calls
-    assert len(calls) > trial_calls
-    assert trial_calls == report.witness["trial"] + 1
+    assert inside[0] > 0
+    assert len(calls) - inside[0] == report.witness["trial"] + 1
 
 
 NO_ARG_IDS = [ident for ident, case in CATALOG.items() if not case.args]
