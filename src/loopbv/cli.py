@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import mul
 
 from .kernel import AlgebraError, Element, ModelSpec, Ring, basis_index
 from .models import describe_builtins, resolve_model
@@ -73,31 +74,25 @@ def _cmd_check(args) -> int:
 TABLE_LINE_LIMIT = 10 ** 7
 
 
-def _basis_count(model: ModelSpec, ring: Ring, max_degree: int, even_cap: int) -> int:
-    index = basis_index(model, ring, even_cap)
-    return sum(index.count(deg) for deg in index.degrees_in(-max_degree, max_degree))
+#: op -> (engine call, the ring of each argument)
+_TABLE_OPS = {
+    "delta": (bv_delta, (Ring.LOOP,)),
+    "product": (mul, (Ring.LOOP, Ring.LOOP)),
+    "bracket": (loop_bracket, (Ring.LOOP, Ring.LOOP)),
+    "cap": (cap_product, (Ring.COH, Ring.LOOP)),
+}
 
 
-def _table_rings(op: str) -> tuple[Ring, ...]:
-    """The ring of each argument of a `loopbv table` operation."""
-    if op == "delta":
-        return (Ring.LOOP,)
-    return (Ring.COH if op == "cap" else Ring.LOOP, Ring.LOOP)
-
-
-def _table_line_count(model: ModelSpec, op: str, max_degree: int, max_exp: int) -> int:
-    """Number of lines `loopbv table` prints, counted without listing the basis."""
-    lines = 1
-    for ring in _table_rings(op):
-        lines *= _basis_count(model, ring, max_degree, max_exp)
-    return lines
-
-
-def _basis_monomials(model: ModelSpec, ring: Ring, max_degree: int, even_cap: int):
-    index = basis_index(model, ring, even_cap)
-    for deg in index.degrees_in(-max_degree, max_degree):
-        for k in range(index.count(deg)):
-            yield Element._of(model, ring, {index.monomial(deg, k): 1})
+def _table_bases(model: ModelSpec, op: str, max_degree: int, max_exp: int):
+    """Each argument's basis index and populated degrees, and the number of lines
+    `loopbv table` prints, counted without listing the basis."""
+    bases, lines = [], 1
+    for ring in _TABLE_OPS[op][1]:
+        index = basis_index(model, ring, max_exp)
+        degrees = index.degrees_in(-max_degree, max_degree)
+        bases.append((index, degrees))
+        lines *= sum(map(index.count, degrees))
+    return bases, lines
 
 
 def _cmd_table(args) -> int:
@@ -105,29 +100,31 @@ def _cmd_table(args) -> int:
         if value < 0:
             return _fail("%s must be >= 0, got %d" % (flag, value))
     model = resolve_model(args.model)
-    lines = _table_line_count(model, args.op, args.max_degree, args.max_exp)
+    bases, lines = _table_bases(model, args.op, args.max_degree, args.max_exp)
     if lines > TABLE_LINE_LIMIT:
         return _fail(
             "table would print %d lines, more than the limit of %d; lower --max-degree or --max-exp"
             % (lines, TABLE_LINE_LIMIT)
         )
     show = lambda e: e.render(unicode=args.unicode)
+
+    def shown(index, degrees):
+        """The basis as (element, text) pairs, streamed: each argument is rendered once."""
+        for deg in degrees:
+            for k in range(index.count(deg)):
+                x = Element._of(model, index.ring, {index.monomial(deg, k): 1})
+                yield x, show(x)
+
+    call = _TABLE_OPS[args.op][0]
     if args.op == "delta":
-        for b in _basis_monomials(model, Ring.LOOP, args.max_degree, args.max_exp):
-            print("Delta(%s) = %s" % (show(b), show(bv_delta(b))))
+        for b, b_text in shown(*bases[0]):
+            print("Delta(%s) = %s" % (b_text, show(call(b))))
         return 0
-
-    def shown(ring):
-        """The basis as (element, text) pairs: each argument is rendered once."""
-        return [(x, show(x)) for x in _basis_monomials(model, ring, args.max_degree, args.max_exp)]
-
-    apply = {"product": lambda x, y: x * y, "bracket": loop_bracket, "cap": cap_product}[args.op]
-    left_ring, right_ring = _table_rings(args.op)
-    left = shown(left_ring)
-    right = left if right_ring is left_ring else shown(right_ring)
+    left = list(shown(*bases[0]))
+    right = left if bases[1] == bases[0] else list(shown(*bases[1]))
     for x, x_text in left:
         for y, y_text in right:
-            print("%s(%s, %s) = %s" % (args.op, x_text, y_text, show(apply(x, y))))
+            print("%s(%s, %s) = %s" % (args.op, x_text, y_text, show(call(x, y))))
     return 0
 
 

@@ -62,6 +62,7 @@ from .kernel import (
     _COH,
     _LOOP,
     _add_into,
+    _expect,
     _merge_odds,
     _same_model,
     _tuple_new,
@@ -165,11 +166,8 @@ class ExtendedClass:
     __slots__ = ("model", "coh", "loop")
 
     def __init__(self, coh: Element, loop: Element):
-        if coh.ring is not _COH:
-            raise AlgebraError("ExtendedClass: coh part must be base cohomology, got %s" % coh.ring.value)
         to_base(coh, "ExtendedClass")
-        if loop.ring is not _LOOP:
-            raise AlgebraError("ExtendedClass: loop part must be loop homology, got %s" % loop.ring.value)
+        _expect(loop, "ExtendedClass", _LOOP)
         _same_model(coh, loop, "ExtendedClass")
         self.model = coh.model
         self.coh = coh

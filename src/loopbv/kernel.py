@@ -563,10 +563,12 @@ class BasisIndex:
     the odd degree of generator i.  Finding the k-th monomial of degree D walks
     the ascending `Monomial` order: a tuple S comes first with `_even[D -
     odd(S)]`, then, for each j after S's last index, the tuples extending S by j.
+    `draw` picks its monomials by position, so no degree's monomials are listed.
     """
 
     def __init__(self, model: ModelSpec, ring: Ring, even_cap: int):
         check_index_size(model, even_cap)
+        self.model, self.ring = model, ring
         degs = model.generator_degrees
         self._even = _exponent_vectors(tuple(d - 1 for d in degs), even_cap)
         self._odd = (0,) + tuple(-d if ring is _LOOP else d for d in degs)  # 1-based
@@ -583,7 +585,9 @@ class BasisIndex:
         return self._tails[0].get(deg, 0)
 
     def degrees_in(self, lo: int, hi: int) -> tuple[int, ...]:
-        """The populated degrees in [lo, hi], ascending."""
+        """The populated degrees in [lo, hi], ascending; `lo > hi` is refused."""
+        if lo > hi:
+            raise AlgebraError("empty degree window (%r, %r)" % (lo, hi))
         return self.degrees[bisect_left(self.degrees, lo):bisect_right(self.degrees, hi)]
 
     def monomial(self, deg: int, k: int) -> Monomial:
@@ -606,6 +610,21 @@ class BasisIndex:
             odds += (j,)
             deg -= odd[j]
 
+    def draw(self, degrees: tuple[int, ...], max_terms: int, rng: random.Random) -> Element:
+        """A draw of up to `max_terms` terms from `rng` in one of `degrees`, each
+        populated; `max_terms` must be an `int` >= 1.  Empty `degrees` give zero
+        and make no generator call."""
+        if not degrees:
+            return Element._of(self.model, self.ring, {})
+        deg = rng.choice(degrees)
+        n = self.count(deg)
+        # sample positions exactly as sampling the bucket itself would
+        positions = range(n) if max_terms >= n else rng.sample(range(n), max_terms)
+        terms = {}
+        for k in positions:
+            terms[self.monomial(deg, k)] = rng.choice(_COEFFICIENTS)
+        return Element._of(self.model, self.ring, terms)
+
 
 # basis_index(model, ring, even_cap): the `BasisIndex`, built once per arguments
 basis_index = lru_cache(maxsize=None)(BasisIndex)
@@ -621,41 +640,6 @@ def check_count(what: str, n) -> None:
         raise AlgebraError("%s must be an integer, got %r" % (what, n))
     if n < 1:
         raise AlgebraError("%s must be >= 1, got %d" % (what, n))
-
-
-class DrawPlan:
-    """Where `random_element` draws in one degree window, found once.
-
-    `degrees` holds the populated degrees of the window, and `index` lists
-    and counts their monomials at total even exponent <= `even_cap`.  A
-    caller that draws many times in one window makes the plan once and calls
-    `draw`, which makes only its generator calls and one `BasisIndex.monomial`
-    per term.
-    """
-
-    __slots__ = ("model", "ring", "index", "degrees")
-
-    def __init__(self, model: ModelSpec, ring: Ring, degree_window, even_cap: int):
-        lo, hi = degree_window
-        if lo > hi:
-            raise AlgebraError("empty degree window (%r, %r)" % (lo, hi))
-        self.model, self.ring = model, ring
-        self.index = basis_index(model, ring, even_cap)
-        self.degrees = self.index.degrees_in(lo, hi)
-
-    def draw(self, max_terms: int, rng: random.Random) -> Element:
-        """A draw of up to `max_terms` terms from `rng`; `max_terms` must be an `int` >= 1."""
-        if not self.degrees:
-            return Element._of(self.model, self.ring, {})
-        deg = rng.choice(self.degrees)
-        index = self.index
-        n = index.count(deg)
-        # sample positions exactly as sampling the bucket itself would
-        positions = range(n) if max_terms >= n else rng.sample(range(n), max_terms)
-        terms = {}
-        for k in positions:
-            terms[index.monomial(deg, k)] = rng.choice(_COEFFICIENTS)
-        return Element._of(self.model, self.ring, terms)
 
 
 def random_element(
@@ -676,8 +660,10 @@ def random_element(
     `basis_index`, so no bucket is ever listed.  Returns zero only when the
     window admits no monomial.  Passing the same seed twice gives identical
     output; `seed` may also be a `random.Random` to draw from.  This is
-    `DrawPlan(...).draw(...)`, the one draw path.
+    `BasisIndex.draw`, the one draw path.
     """
     check_count("max_terms", max_terms)
-    plan = DrawPlan(model, ring, degree_window, even_cap)
-    return plan.draw(max_terms, seed if isinstance(seed, random.Random) else random.Random(seed))
+    lo, hi = degree_window
+    index = basis_index(model, ring, even_cap)
+    degrees = index.degrees_in(lo, hi)
+    return index.draw(degrees, max_terms, seed if isinstance(seed, random.Random) else random.Random(seed))

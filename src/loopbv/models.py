@@ -16,9 +16,11 @@ import sys
 
 from .kernel import AlgebraError, ModelSpec
 
-_SPHERE = re.compile(r"^s([0-9]+)$")
-_SPECIAL_UNITARY = re.compile(r"^su([0-9]+)$")
-_EXTERIOR = re.compile(r"^exterior:(.+)$")
+# matched whole (`fullmatch`), in ASCII digits only: no sign, space, underscore or trailing newline
+_SPHERE = re.compile(r"s([0-9]+)")
+_SPECIAL_UNITARY = re.compile(r"su([0-9]+)")
+_EXTERIOR = re.compile(r"exterior:(.+)", re.DOTALL)
+_DEGREE_LIST = re.compile(r"[0-9]+(,[0-9]+)*")
 
 
 def _int(digits: str) -> int:
@@ -34,25 +36,23 @@ def _int(digits: str) -> int:
 
 def builtin_model(name: str) -> ModelSpec | None:
     """Resolve a built-in model name, or None when the name is not built in."""
-    m = _SPHERE.match(name)
+    m = _SPHERE.fullmatch(name)
     if m:
         n = _int(m.group(1))
         if n % 2 == 0 or n < 1:
             raise AlgebraError("model %r: sphere degree must be odd and >= 1" % name)
         return ModelSpec(name, (n,))
-    m = _SPECIAL_UNITARY.match(name)
+    m = _SPECIAL_UNITARY.fullmatch(name)
     if m:
         n = _int(m.group(1))
         if n < 2:
             raise AlgebraError("model %r: su<n> needs n >= 2" % name)
         return ModelSpec(name, tuple(range(3, 2 * n, 2)))
-    m = _EXTERIOR.match(name)
+    m = _EXTERIOR.fullmatch(name)
     if m:
-        try:
-            degrees = tuple(int(part) for part in m.group(1).split(","))
-        except ValueError:
-            for digits in re.findall("[0-9]+", m.group(1)):
-                _int(digits)  # a number past the digit limit gets the diagnostic s<n> gets
+        # every digit run first: a number past the digit limit gets the diagnostic s<n> gets
+        degrees = tuple(map(_int, re.findall("[0-9]+", m.group(1))))
+        if not _DEGREE_LIST.fullmatch(m.group(1)):
             raise AlgebraError("model %r: exterior: wants a comma list of odd integers" % name)
         return ModelSpec(name, degrees)
     return None

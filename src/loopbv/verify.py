@@ -58,12 +58,13 @@ from typing import Callable, NamedTuple
 
 from .kernel import (
     AlgebraError,
-    DrawPlan,
+    BasisIndex,
     Element,
     ModelSpec,
     Ring,
     _COH,
     _LOOP,
+    basis_index,
     check_count,
     check_index_size,
     sign_pow,
@@ -139,15 +140,18 @@ class CheckReport:
 
     @classmethod
     def from_json(cls, line: str) -> "CheckReport":
-        """Read `to_json` output: a missing field without a default raises
-        `KeyError`, a missing one with a default takes it, unknown keys are ignored."""
+        """Read `to_json` output: a missing field without a default is refused,
+        a missing one with a default takes it, unknown keys are ignored."""
         try:
             data = json.loads(line)
         except ValueError as exc:  # bad JSON, or a number past the digit limit
             raise AlgebraError("check report JSON is unreadable: %s" % exc) from exc
         if not isinstance(data, dict):
             raise AlgebraError("check report JSON must be an object, got %r" % (data,))
-        report = cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data or f.default is MISSING})
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in data:
+                raise AlgebraError("check report: missing field %r" % f.name)
+        report = cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
         is_str = lambda value: isinstance(value, str)
         for name, valid, what in (
             ("identity", is_str, "a string"), ("model", is_str, "a string"), ("ops", is_str, "a string"),
@@ -184,42 +188,31 @@ _KINDS = {
 
 
 @lru_cache(maxsize=None)
-def _class_plan(kind: str, model: ModelSpec, window=None) -> DrawPlan:
-    """The draw plan of a one-class `kind`, in `window`, else in the kind's default
-    window; one per (kind, model, window), so plans stay as few as the specs."""
+def _class_plan(kind: str, model: ModelSpec, window=None) -> Callable[[int, random.Random], Element]:
+    """The draw of a one-class `kind`, in `window`, else in the kind's default
+    window, as `draw(max_terms, rng)`; one per (kind, model, window)."""
     ring, even_cap, default = _KINDS[kind]
-    return DrawPlan(model, ring, window or default(model.dimension), even_cap)
-
-
-class _ExtPlan(NamedTuple):
-    """Where an `ext` draw lands: its candidate degrees n, and by n the plans of
-    a base class of degree -n and of a loop class of degree n, where populated."""
-
-    model: ModelSpec
-    candidates: tuple[int, ...]
-    coh: dict[int, DrawPlan]
-    loop: dict[int, DrawPlan]
+    index = basis_index(model, ring, even_cap)
+    return partial(index.draw, index.degrees_in(*(window or default(model.dimension))))
 
 
 @lru_cache(maxsize=None)
-def _ext_plan(model: ModelSpec) -> _ExtPlan:
+def _ext_plan(model: ModelSpec) -> tuple[BasisIndex, BasisIndex, tuple[int, ...]]:
+    """Where an `ext` draw lands: the base and loop indexes, and the candidate
+    degrees n, where a base class of degree -n or a loop class of degree n is populated."""
     lo, hi = _KINDS["loop"][2](model.dimension)
-    loop = {n: _class_plan("loop", model, (n, n)) for n in _class_plan("loop", model, (lo, hi)).degrees}
-    coh = {-k: _class_plan("base", model, (k, k)) for k in _class_plan("base", model, (-hi, -lo)).degrees}
-    return _ExtPlan(model, tuple(sorted({*loop, *coh})), coh, loop)
+    base, loop = (basis_index(model, *_KINDS[kind][:2]) for kind in ("base", "loop"))
+    return base, loop, tuple(sorted({*loop.degrees_in(lo, hi), *(-k for k in base.degrees_in(-hi, -lo))}))
 
 
-def _draw_extended(plan: _ExtPlan, max_terms: int, rng: random.Random) -> ExtendedClass:
-    n = rng.choice(plan.candidates)
-    want_coh = n in plan.coh and rng.random() < 0.6
-    want_loop = n in plan.loop and (rng.random() < 0.8 or not want_coh)
-    model = plan.model
-    coh = plan.coh[n].draw(max_terms, rng) if want_coh else Element._of(model, _COH, {})
-    if want_loop or not want_coh:  # a pair with neither part takes a loop class of degree 0
-        loop = plan.loop[n if want_loop else 0].draw(max_terms, rng)
-    else:
-        loop = Element._of(model, _LOOP, {})
-    return ExtendedClass._of(coh, loop)  # a base draw and a loop draw, both over `model`
+def _draw_extended(base: BasisIndex, loop: BasisIndex, candidates, max_terms: int, rng: random.Random) -> ExtendedClass:
+    n = rng.choice(candidates)
+    want_coh = base.count(-n) > 0 and rng.random() < 0.6
+    want_loop = loop.count(n) > 0 and (rng.random() < 0.8 or not want_coh)
+    # a draw in no degree is zero; a pair with neither part takes a loop class of degree 0
+    coh = base.draw((-n,) if want_coh else (), max_terms, rng)
+    b = loop.draw((n,) if want_loop else () if want_coh else (0,), max_terms, rng)
+    return ExtendedClass._of(coh, b)  # a base draw and a loop draw, both over one model
 
 
 class IntersectConfig(NamedTuple):
@@ -234,29 +227,29 @@ class IntersectConfig(NamedTuple):
         return "at=[%s] free=[%s] family=%s" % (ats, frees, self.family)
 
 
-def _draw_intersect_config(base: DrawPlan, loop: DrawPlan, rng: random.Random) -> IntersectConfig:
+def _draw_intersect_config(base: Callable, loop: Callable, rng: random.Random) -> IntersectConfig:
     at_count, free_count = rng.randint(0, 3), rng.randint(0, 3)
     return IntersectConfig(
-        [base.draw(1, rng) for _ in range(at_count)],
-        [base.draw(2, rng) for _ in range(free_count)],
-        loop.draw(2, rng),
+        [base(1, rng) for _ in range(at_count)],
+        [base(2, rng) for _ in range(free_count)],
+        loop(2, rng),
     )
 
 
 def _plan(spec: ArgSpec, model: ModelSpec) -> Callable[[random.Random], object]:
     """Resolve `spec` on `model` once: the returned function draws one argument
     from a generator, making only its generator calls and the monomial lookups."""
-    if spec.kind in _KINDS:
-        check_count("max_terms", spec.max_terms)
-        return partial(_class_plan(spec.kind, model, spec.window).draw, spec.max_terms)
-    if spec.kind not in ("ext", "intersect-config"):
-        raise AlgebraError("unknown draw kind %r" % spec.kind)
-    if spec.window is not None:
-        raise AlgebraError("%r draws take no window: each of their classes has its own" % spec.kind)
+    if spec.kind not in _KINDS:
+        if spec.kind not in ("ext", "intersect-config"):
+            raise AlgebraError("unknown draw kind %r" % spec.kind)
+        if spec.window is not None:
+            raise AlgebraError("%r draws take no window: each of their classes has its own" % spec.kind)
+        if spec.kind == "intersect-config":
+            return partial(_draw_intersect_config, _class_plan("base", model), _class_plan("loop", model))
+    check_count("max_terms", spec.max_terms)
     if spec.kind == "ext":
-        check_count("max_terms", spec.max_terms)
-        return partial(_draw_extended, _ext_plan(model), spec.max_terms)
-    return partial(_draw_intersect_config, _class_plan("base", model), _class_plan("loop", model))
+        return partial(_draw_extended, *_ext_plan(model), spec.max_terms)
+    return partial(_class_plan(spec.kind, model, spec.window), spec.max_terms)
 
 
 # ---------------------------------------------------------------------------

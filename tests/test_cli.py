@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from loopbv.cli import _table_line_count, main
+from loopbv.cli import _table_bases, main
 from loopbv.expr import parse, to_text
 from loopbv.kernel import AlgebraError
 from loopbv.models import builtin_named, resolve_model
@@ -264,7 +264,7 @@ def test_table_size_is_counted_before_printing(capsys):
         code, out, _ = _run(capsys, "table", "--model", "su3", "--op", op,
                             "--max-degree", "8", "--max-exp", "3")
         assert code == 0
-        assert len(out.splitlines()) == _table_line_count(model, op, 8, 3)
+        assert len(out.splitlines()) == _table_bases(model, op, 8, 3)[1]
 
 
 # -- intersect ------------------------------------------------------------------
@@ -448,6 +448,29 @@ def test_model_numbers_past_the_digit_limit_are_a_diagnostic(capsys, model, mess
     with pytest.raises(AlgebraError) as info:
         replay(CheckReport(identity="loop-unit", model=model, trials=1, seed=0, status="pass"))
     assert str(info.value) == message
+
+
+_EXTERIOR_SHAPE = "model %r: exterior: wants a comma list of odd integers"
+_UNKNOWN = "unknown model %r (try s3, su3, exterior:3,5,... or a JSON model file)"
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        ("exterior:1_1", _EXTERIOR_SHAPE),
+        ("exterior:+3", _EXTERIOR_SHAPE),
+        ("exterior: 3", _EXTERIOR_SHAPE),
+        ("exterior:\u0663", _EXTERIOR_SHAPE),
+        ("exterior:3,5\n", _EXTERIOR_SHAPE),
+        ("s3\n", _UNKNOWN),
+        ("su3\n", _UNKNOWN),
+    ],
+    ids=["underscore", "plus", "space", "arabic-indic-digit", "exterior-newline", "s-newline", "su-newline"],
+)
+def test_model_names_match_whole_and_in_ascii_digits(capsys, model, message):
+    code, out, err = _run(capsys, "eval", "--model", model, "a1")
+    assert (code, out, err) == (2, "", "error: %s\n" % (message % model))
+    assert builtin_named(model) is None
 
 
 def test_nesting_up_to_the_limit_evaluates(capsys):

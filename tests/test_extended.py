@@ -539,12 +539,12 @@ _GUARDS = [
      "poincare_dual_inverse: class has v factors, not in the base subring"),
     (lambda: s_star(alpha(S3, 1)), "s_star: expected a loop-homology class, got cohomology"),
     (lambda: s_star(u(S3, 1)), "s_star: input is not in the exterior subring (has u factors)"),
-    (lambda: ExtendedClass(a(S3, 1), u(S3, 1)), "ExtendedClass: coh part must be base cohomology, got loop-homology"),
-    (lambda: ExtendedClass(alpha(S3, 1), v(S3, 1)), "ExtendedClass: loop part must be loop homology, got cohomology"),
+    (lambda: ExtendedClass(a(S3, 1), u(S3, 1)), "ExtendedClass: expected a cohomology class, got loop-homology"),
+    (lambda: ExtendedClass(alpha(S3, 1), v(S3, 1)), "ExtendedClass: expected a loop-homology class, got cohomology"),
     (lambda: ExtendedClass(v(S3, 1), Element.zero(S3, Ring.LOOP)),
      "ExtendedClass: class has v factors, not in the base subring"),
     (lambda: ExtendedClass(u(S3, 1), Element.zero(S3, Ring.LOOP)),
-     "ExtendedClass: coh part must be base cohomology, got loop-homology"),
+     "ExtendedClass: expected a cohomology class, got loop-homology"),
     (lambda: loop_intersection([v(S3, 1)], [], u(S3, 1)), "loop_intersection: at_basepoint[0]: class has v factors, not in the base subring"),
 ]
 

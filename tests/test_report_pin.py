@@ -59,8 +59,9 @@ def test_reports_match_pinned_digest():
 
 
 def test_high_rank_reports_match_pinned_digest():
-    plan = _class_plan("loop", resolve_model("su7"))
-    assert max(map(plan.index.count, plan.degrees)) > 21
+    draw = _class_plan("loop", resolve_model("su7"))  # partial(index.draw, degrees)
+    index, (degrees,) = draw.func.__self__, draw.args
+    assert max(map(index.count, degrees)) > 21
     assert high_rank_digest() == HIGH_RANK_DIGEST
 
 

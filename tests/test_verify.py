@@ -10,7 +10,7 @@ from operator import mul
 
 import pytest
 
-from loopbv.kernel import AlgebraError, Element, ModelSpec, Ring, random_element, sign_pow
+from loopbv.kernel import AlgebraError, Element, ModelSpec, Ring, basis_index, random_element, sign_pow
 from loopbv.extended import STANDARD_OPS, BVOps, ExtendedClass, cap
 from loopbv.cohomology import coh_delta, to_base
 from loopbv.loop import bv_delta, loop_bracket, loop_product
@@ -340,8 +340,9 @@ def test_report_json_round_trip():
     assert CheckReport.from_json(json.dumps(dict(data, extra=1))) == reports[0]
     for optional in ("ops", "catalog"):
         assert CheckReport.from_json(json.dumps({k: x for k, x in data.items() if k != optional})) == reports[0]
-    with pytest.raises(KeyError):
+    with pytest.raises(AlgebraError) as info:
         CheckReport.from_json(json.dumps({k: x for k, x in data.items() if k != "seed"}))
+    assert str(info.value) == "check report: missing field 'seed'"
 
 
 def _report_line(**fields):
@@ -651,6 +652,21 @@ def test_one_class_draws_honour_a_window(kind):
     assert nonzero >= 20
     if kind == "base":
         assert _plan(ArgSpec("base", 2, (5, 5)), SU3)(random.Random(1)).degree() == 5
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: random_element(SU3, Ring.LOOP, (5, 3), 2, 1),
+        lambda: basis_index(SU3, Ring.LOOP, 6).degrees_in(5, 3),
+        lambda: _plan(ArgSpec("loop", 2, (5, 3)), SU3),
+    ],
+    ids=["random_element", "degrees_in", "plan"],
+)
+def test_an_empty_window_is_refused_with_its_bounds(call):
+    with pytest.raises(AlgebraError) as info:
+        call()
+    assert str(info.value) == "empty degree window (5, 3)"
 
 
 @pytest.mark.parametrize("kind", ["ext", "intersect-config"])
