@@ -19,7 +19,7 @@ from .kernel import AlgebraError, ModelSpec
 # matched whole (`fullmatch`), in ASCII digits only: no sign, space, underscore or trailing newline
 _SPHERE = re.compile(r"s([0-9]+)")
 _SPECIAL_UNITARY = re.compile(r"su([0-9]+)")
-_EXTERIOR = re.compile(r"exterior:(.+)", re.DOTALL)
+_EXTERIOR = re.compile(r"exterior:(.*)", re.DOTALL)
 _DEGREE_LIST = re.compile(r"[0-9]+(,[0-9]+)*")
 
 

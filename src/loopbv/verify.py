@@ -2,13 +2,15 @@
 
 Every identity the engine claims is kept in one catalog, keyed by a stable
 id, and checked on random homogeneous draws with exact rational equality.
-Runs are deterministic: the draw for trial t of identity I under seed S
-comes from ``random.Random("S|I|t")``, so a failing report can always be
-replayed bit for bit from (model, seed, identity, trial).  A row that draws
-nothing is evaluated once per report, as every trial would check the same
-classes; its report still records the trials asked for.  A report of a
-model that is not the built-in of its name also stores the model's degrees,
-so it replays from the report alone.
+Runs are deterministic: the report of identity I under seed S draws from
+one generator, ``random.Random("S|I")`` (`report_rng`), and trial t takes
+the t-th draws of that stream, so a report can always be replayed bit for
+bit from (model, seed, identity): `replay` reruns it from trial 0, and a
+witness records its trial.  A row that draws nothing is evaluated once per
+report, as every trial would check the same classes; its report still
+records the trials asked for.  A report of a model that is not the
+built-in of its name also stores the model's degrees, so it replays from
+the report alone.
 
 An argument is drawn by kind.  `_KINDS` gives each one-class kind its ring,
 even cap and default window, d the model dimension: `loop` is loop homology
@@ -92,7 +94,7 @@ from .extended import (
     nested_brackets,
 )
 
-CATALOG_VERSION = "2"
+CATALOG_VERSION = "3"
 
 # windows default to (-d-2, 2d) with this per-argument even-exponent cap:
 # small enough for sub-second trials, large enough to hit all sign branches
@@ -155,6 +157,8 @@ class CheckReport:
         is_str = lambda value: isinstance(value, str)
         for name, valid, what in (
             ("identity", is_str, "a string"), ("model", is_str, "a string"), ("ops", is_str, "a string"),
+            ("trials", lambda value: isinstance(value, int) and not isinstance(value, bool), "an integer"),
+            ("catalog", is_str, "a string"),  # `seed` may be any JSON value: `run_suite` formats it with %s
             ("status", lambda value: value in ("pass", "fail"), '"pass" or "fail"'),
             ("witness", lambda value: value is None or isinstance(value, dict), "an object or null"),
             ("generator_degrees", lambda value: value is None or isinstance(value, list), "a list or null"),
@@ -879,9 +883,9 @@ def _build_witness(check, trial, args, failing):
     }
 
 
-def trial_rng(seed, identity_id: str, trial: int) -> random.Random:
-    """The deterministic generator for one trial; strings seed via sha512."""
-    return random.Random("%s|%s|%d" % (seed, identity_id, trial))
+def report_rng(seed, identity_id: str) -> random.Random:
+    """The deterministic generator of one report; strings seed via sha512."""
+    return random.Random("%s|%s" % (seed, identity_id))
 
 
 def run_suite(
@@ -918,9 +922,9 @@ def run_suite(
         status, witness = "pass", None
         plans = [_plan(spec, model) for spec in case.args]  # one per report; trials only draw
         check = partial(case.evaluate, ops_obj, model)  # bound once per report
+        rng = report_rng(seed, ident)  # trial t makes the t-th draws of the report's stream
         # a row that draws nothing would check the same classes on every trial
         for trial in range(trials if plans else 1):
-            rng = trial_rng(seed, ident, trial)
             args = [draw(rng) for draw in plans]
             if failing := _failing_checks(check, args):
                 status = "fail"

@@ -462,10 +462,12 @@ _UNKNOWN = "unknown model %r (try s3, su3, exterior:3,5,... or a JSON model file
         ("exterior: 3", _EXTERIOR_SHAPE),
         ("exterior:\u0663", _EXTERIOR_SHAPE),
         ("exterior:3,5\n", _EXTERIOR_SHAPE),
+        ("exterior:", _EXTERIOR_SHAPE),
         ("s3\n", _UNKNOWN),
         ("su3\n", _UNKNOWN),
     ],
-    ids=["underscore", "plus", "space", "arabic-indic-digit", "exterior-newline", "s-newline", "su-newline"],
+    ids=["underscore", "plus", "space", "arabic-indic-digit", "exterior-newline", "exterior-empty", "s-newline",
+         "su-newline"],
 )
 def test_model_names_match_whole_and_in_ascii_digits(capsys, model, message):
     code, out, err = _run(capsys, "eval", "--model", model, "a1")

@@ -1,13 +1,15 @@
 """Pinned random draws: the same seeds must keep drawing the same arguments.
 
-A report is replayed from (model, seed, identity, trial) alone, so the draw
-for a seed is part of the catalog's contract.  This test hashes the printed
-output of each catalog `ArgSpec`'s draw plan, `verify._plan(spec, model)(rng)`,
-the function `run_suite` draws through (and of a few specs with wider term
-bounds or an explicit window), on four models, and of
-`kernel.random_element` at exponent caps 0, 6 and 8 in every ring.  The
-`base-cohomology` rows draw base classes, cohomology classes at cap 0,
-whatever cap their line names.
+A report is replayed from (model, seed, identity) alone, its trials drawing
+in turn from one generator, so the draw for a seed is part of the catalog's
+contract.  This test seeds a generator of its own for each line (the order
+of the draws within a report is pinned by `test_report_pin.py`) and hashes
+the printed output of each catalog `ArgSpec`'s draw plan,
+`verify._plan(spec, model)(rng)`, the function `run_suite` draws through
+(and of a few specs with wider term bounds or an explicit window), on four
+models, and of `kernel.random_element` at exponent caps 0, 6 and 8 in every
+ring.  The `base-cohomology` rows draw base classes, cohomology classes at
+cap 0, whatever cap their line names.
 
 Changing `DRAW_DIGEST` means old reports no longer replay: it requires
 bumping `verify.CATALOG_VERSION` in the same change.

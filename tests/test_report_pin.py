@@ -22,8 +22,8 @@ import sys
 from loopbv.models import resolve_model
 from loopbv.verify import _class_plan, mutations, reports_to_jsonl, run_suite
 
-REPORT_DIGEST = "4f92d8e381cbece69b47765059f1b1eb3c42504e804d1f6a895f7fdf4f3a537b"
-HIGH_RANK_DIGEST = "d4be43986960a0ae39a4d3ace2bb162cad4df8a9fd5190c1b31c6f8700627136"
+REPORT_DIGEST = "39c9f1bae222b57163d85888297af4e90a90b998df8c98996a6f29ad0eb0772e"
+HIGH_RANK_DIGEST = "84d8ca07dde0a84836a788b1f274479d99d10cbce4c23f88a79f54278770f3f8"
 
 MODELS = ("s3", "su3", "exterior:3,5,7")
 TRIALS = 6

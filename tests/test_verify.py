@@ -28,9 +28,9 @@ from loopbv.verify import (
     get_ops,
     mutations,
     replay,
+    report_rng,
     reports_to_jsonl,
     run_suite,
-    trial_rng,
 )
 
 import oracle
@@ -262,13 +262,16 @@ def test_replay_detects_catalog_mismatch():
 
 
 def test_replay_refuses_a_catalog_1_report_line():
-    # catalog "1" drew rational coefficients, so its reports no longer replay
-    line = ('{"catalog": "1", "identity": "bv-identity", "model": "su3", "ops": "standard", '
-            '"seed": 7, "status": "pass", "trials": 500}')
-    report = CheckReport.from_json(line)
-    assert report.catalog == "1"
-    with pytest.raises(AlgebraError, match="catalog version mismatch: report has '1', current is '2'"):
-        replay(report)
+    # catalog "1" drew rational coefficients and catalog "2" seeded a generator per
+    # trial, so the reports of neither replay
+    for catalog in ("1", "2"):
+        line = ('{"catalog": "%s", "identity": "bv-identity", "model": "su3", "ops": "standard", '
+                '"seed": 7, "status": "pass", "trials": 500}' % catalog)
+        report = CheckReport.from_json(line)
+        assert report.catalog == catalog
+        with pytest.raises(AlgebraError) as info:
+            replay(report)
+        assert str(info.value) == "catalog version mismatch: report has '%s', current is '3'" % catalog
 
 
 def test_model_file_reusing_a_builtin_name_needs_its_degrees(tmp_path):
@@ -370,6 +373,11 @@ def _report_line(**fields):
              'check report: \'status\' must be "pass" or "fail", got [\'pass\']'),
             ("witness-int", _report_line(witness=3), "check report: 'witness' must be an object or null, got 3"),
             ("witness-list", _report_line(witness=[1]), "check report: 'witness' must be an object or null, got [1]"),
+            ("trials-str", _report_line(trials="x"), "check report: 'trials' must be an integer, got 'x'"),
+            ("trials-bool", _report_line(trials=True), "check report: 'trials' must be an integer, got True"),
+            ("trials-float", _report_line(trials=2.0), "check report: 'trials' must be an integer, got 2.0"),
+            ("catalog-int", _report_line(catalog=5), "check report: 'catalog' must be a string, got 5"),
+            ("catalog-null", _report_line(catalog=None), "check report: 'catalog' must be a string, got None"),
         ]
     ],
 )
@@ -517,7 +525,7 @@ def test_a_failing_trial_is_evaluated_once(monkeypatch):
     monkeypatch.setattr(verify, "_failing_checks", counted)
     monkeypatch.setattr(verify, "_minimize_args", minimizing)
     (report,) = run_suite(SU3, 20, 42, ["ext-poisson"], ops="product-swap-unsigned")
-    assert report.failed() and report.witness["trial"] == 11
+    assert report.failed() and report.witness["trial"] == 17
     assert inside[0] > 0
     assert len(calls) - inside[0] == report.witness["trial"] + 1
 
@@ -564,27 +572,39 @@ def test_a_row_that_draws_nothing_is_evaluated_once_per_report(ident, monkeypatc
 
 
 @pytest.mark.parametrize("name", ["s3", "s5", "su3", "exterior:3,5,7", "su7"])
-def test_the_reseeded_generator_draws_what_trial_rng_draws(name, monkeypatch):
-    """`run_suite` plans a row's draws once per report and seeds one generator
-    per trial; the arguments each trial evaluates must be the ones the row's
-    plans, `_plan(spec, model)`, draw from `trial_rng(seed, identity, trial)`,
-    trial after trial."""
+def test_trial_t_makes_the_t_th_draws_of_the_report_stream(name, monkeypatch):
+    """`run_suite` plans a row's draws and seeds one generator once per report;
+    the arguments trial t evaluates must be the t-th draws of the row's plans,
+    `_plan(spec, model)`, from `report_rng(seed, identity)`, and no trial may
+    seed a generator of its own."""
     model = resolve_model(name)
-    evaluated = []
+    evaluated, seeded, seeded_by_trial = [], [], []
     failing_checks = verify._failing_checks
     row_of = {case.evaluate: ident for ident, case in CATALOG.items()}
+    generator = random.Random
+
+    def counted(*args):
+        seeded.append(args)
+        return generator(*args)
 
     def recorded(check, args):
         assert check.args == (STANDARD_OPS, model)
         evaluated.append((row_of[check.func], [str(x) for x in args]))
+        seeded_by_trial.append((row_of[check.func], len(seeded)))
         return failing_checks(check, args)
 
     monkeypatch.setattr(verify, "_failing_checks", recorded)
-    assert all(r.status == "pass" for r in run_suite(model, 5, 42))
+    with monkeypatch.context() as scope:
+        scope.setattr(random, "Random", counted)
+        reports = run_suite(model, 5, 42)
+    assert all(r.status == "pass" for r in reports)
+    assert 0 < len(seeded) <= len(reports) == len(CATALOG)
+    # the generator count is the same on every trial of a report
+    assert len(set(seeded_by_trial)) == len(CATALOG)
     expected = []
     for ident, case in CATALOG.items():
+        rng = report_rng(42, ident)
         for trial in range(5 if case.args else 1):
-            rng = trial_rng(42, ident, trial)
             expected.append((ident, [str(_plan(spec, model)(rng)) for spec in case.args]))
     assert evaluated == expected
 
@@ -781,8 +801,8 @@ def test_leibniz_fails_for_partial_a_with_the_wrong_parity(name):
 
 def _negation_detects(identity_id: str, trials: int = 200) -> bool:
     case = CATALOG[identity_id]
-    for trial in range(trials):
-        rng = trial_rng("sensitivity", identity_id, trial)
+    rng = report_rng("sensitivity", identity_id)
+    for _ in range(trials):
         args = [_plan(spec, SU3)(rng) for spec in case.args]
         checks = case.evaluate(STANDARD_OPS, SU3, list(args))
         for _, lhs, rhs in checks:
@@ -808,7 +828,7 @@ _NESTED_BRACKET_DETECTORS = {"bracket-drop-term", "bracket-sign-flip", "cap-sign
 
 
 @pytest.mark.parametrize("name, detectors", [
-    ("su3", _NESTED_BRACKET_DETECTORS),
+    ("su3", _NESTED_BRACKET_DETECTORS | {"product-swap-unsigned"}),
     ("exterior:3,5,7", _NESTED_BRACKET_DETECTORS | {"product-swap-unsigned"}),
 ])
 def test_the_bundles_the_nested_bracket_row_detects(name, detectors):
