@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from functools import cache
 from operator import mul
 
 from .kernel import AlgebraError, Element, ModelSpec, Ring, basis_index
@@ -69,17 +71,20 @@ def _cmd_check(args) -> int:
     return 1 if failed else 0
 
 
-# two to three minutes of output: one-term bracket and cap tables on su5 and
-# exterior:3,5,7 print 55,000-80,000 lines/s on a 2-vCPU 2.1 GHz Xeon VM
+# about two minutes of output: written to a file on a 2-vCPU 2.1 GHz Xeon VM,
+# `table --model su5 --op bracket` prints 94,000 lines/s (1.8 min for the limit)
+# and `--model exterior:3,5,7 --op cap` 162,000 lines/s (1.0 min)
 TABLE_LINE_LIMIT = 10 ** 7
 
 
-#: op -> (engine call, the ring of each argument)
+#: op -> (engine call, the ring of each argument).  The lambdas look the call up
+#: among this module's names when a table starts, so a wrapper installed on those
+#: names (bench/tracing.py) sees every line's call, and a line pays no lookup.
 _TABLE_OPS = {
-    "delta": (bv_delta, (Ring.LOOP,)),
-    "product": (mul, (Ring.LOOP, Ring.LOOP)),
-    "bracket": (loop_bracket, (Ring.LOOP, Ring.LOOP)),
-    "cap": (cap_product, (Ring.COH, Ring.LOOP)),
+    "delta": (lambda: bv_delta, (Ring.LOOP,)),
+    "product": (lambda: mul, (Ring.LOOP, Ring.LOOP)),
+    "bracket": (lambda: loop_bracket, (Ring.LOOP, Ring.LOOP)),
+    "cap": (lambda: cap_product, (Ring.COH, Ring.LOOP)),
 }
 
 
@@ -107,6 +112,7 @@ def _cmd_table(args) -> int:
             % (lines, TABLE_LINE_LIMIT)
         )
     show = lambda e: e.render(unicode=args.unicode)
+    write = sys.stdout.write  # one write per line, so the table streams line by line
 
     def shown(index, degrees):
         """The basis as (element, text) pairs, streamed: each argument is rendered once."""
@@ -115,16 +121,16 @@ def _cmd_table(args) -> int:
                 x = Element._of(model, index.ring, {index.monomial(deg, k): 1})
                 yield x, show(x)
 
-    call = _TABLE_OPS[args.op][0]
+    call = _TABLE_OPS[args.op][0]()
     if args.op == "delta":
         for b, b_text in shown(*bases[0]):
-            print("Delta(%s) = %s" % (b_text, show(call(b))))
+            write("Delta(%s) = %s\n" % (b_text, show(call(b))))
         return 0
     left = list(shown(*bases[0]))
     right = left if bases[1] == bases[0] else list(shown(*bases[1]))
     for x, x_text in left:
         for y, y_text in right:
-            print("%s(%s, %s) = %s" % (args.op, x_text, y_text, show(call(x, y))))
+            write("%s(%s, %s) = %s\n" % (args.op, x_text, y_text, show(call(x, y))))
     return 0
 
 
@@ -234,13 +240,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process, built on the first `main` call
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed stdout shows here, not at interpreter exit
+        return code
     except (AlgebraError, ExpressionError) as exc:
         return _fail(str(exc))
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): stop quietly with the status of a
+        # SIGPIPE kill, and point stdout at os.devnull so that the flush at exit
+        # cannot fail again, as the SIGPIPE note of Python's `signal` docs does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except OSError as exc:
         return _fail(str(exc))
 

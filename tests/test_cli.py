@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from loopbv.cli import _table_bases, main
+from loopbv import cli
+from loopbv.cli import _table_bases, build_parser, main
 from loopbv.expr import parse, to_text
 from loopbv.kernel import AlgebraError
+from loopbv.loop import loop_bracket
 from loopbv.models import builtin_named, resolve_model
 from loopbv.verify import CheckReport, replay
 
@@ -549,3 +556,116 @@ def test_models_lists_builtins(capsys):
     code, out, _ = _run(capsys, "models")
     assert code == 0
     assert "s<n>" in out and "su<n>" in out and "exterior:" in out
+
+
+# -- one parser per process, and stdout -------------------------------------------
+
+# a fresh interpreter running `python -m loopbv.cli`, with help text at 80 columns
+_CLI = [sys.executable, "-m", "loopbv.cli"]
+_FRESH_ENV = dict(
+    os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+    PYTHONIOENCODING="utf-8", COLUMNS="80", PYTHONWARNINGS="error",
+)
+
+
+def test_main_builds_one_parser_and_build_parser_a_fresh_one():
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not build_parser()
+
+
+_SEQUENCES = {
+    "check-only": [
+        ["check", "--model", "s3", "--trials", "2", "--only", "bv-identity", "--only", "jacobi-identity"],
+        ["check", "--model", "s3", "--trials", "2", "--only", "poisson-identity"],
+    ],
+    "eval-json": [["eval", "--model", "s3", "--json", "bracket(a1, u1^2)"], ["eval", "--model", "s3", "bracket(a1, u1^2)"]],
+    "table-unicode": [
+        ["table", "--model", "su3", "--op", "cap", "--max-degree", "3", "--max-exp", "1", "--unicode"],
+        ["table", "--model", "su3", "--op", "cap", "--max-degree", "3", "--max-exp", "1"],
+    ],
+    "help": [["--help"], ["models"]],
+}
+
+
+@pytest.mark.parametrize("sequence", _SEQUENCES.values(), ids=_SEQUENCES)
+def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch, sequence):
+    """The one parser carries nothing from one call to the next."""
+    monkeypatch.setenv("COLUMNS", "80")
+    outs = []
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        outs.append(capsys.readouterr().out)
+        fresh = subprocess.run(_CLI + argv, env=_FRESH_ENV, capture_output=True, encoding="utf-8", timeout=60)
+        assert (code, outs[-1]) == (fresh.returncode, fresh.stdout)
+    first, second = outs
+    if sequence[0][0] == "check":
+        assert [line.split()[1] for line in second.splitlines()[:-1]] == ["poisson-identity"]
+    elif sequence[0][0] == "eval":
+        assert json.loads(first)["value"] == second.split(" : ")[0]
+    elif sequence[0][0] == "table":
+        assert not first.isascii() and second.isascii()
+    else:
+        assert first.startswith("usage: loopbv") and "s<n>" in second
+
+
+_TABLE_FOR_HEAD = ["table", "--model", "exterior:3,5,7", "--op", "bracket", "--max-degree", "6", "--max-exp", "2"]
+
+
+def test_a_reader_that_closes_the_pipe_early_ends_the_table_quietly():
+    """As `loopbv table ... | head -n 1`: no traceback, no `error:`, status 128 + SIGPIPE."""
+    with subprocess.Popen(_CLI + _TABLE_FOR_HEAD, env=_FRESH_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert first == b"bracket(a1*a2*u1, a1*a2*u1) = 0\n"
+    assert (code, err) == (141, b"")
+
+
+@pytest.mark.parametrize("argv", [
+    ["models"],
+    ["eval", "--model", "s3", "a1"],
+    ["check", "--model", "s3", "--trials", "1", "--only", "bv-identity"],
+    ["intersect", "--model", "s3", "--family", "u1"],
+    ["table", "--model", "s3", "--op", "delta", "--max-degree", "0", "--max-exp", "0"],
+], ids=lambda argv: argv[0])
+def test_a_stdout_with_no_reader_ends_every_command_quietly(argv):
+    """Even output that fits in stdout's buffer meets the closed pipe inside `main`."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(_CLI + argv, env=_FRESH_ENV, stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
+
+
+class _FullDevice:
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+
+def test_any_other_output_error_is_one_error_line(capsys):
+    with contextlib.redirect_stdout(_FullDevice()):
+        code = main(["models"])
+    assert (code, capsys.readouterr().err) == (2, "error: [Errno %d] %s\n" % (errno.ENOSPC, os.strerror(errno.ENOSPC)))
+
+
+def test_table_calls_its_operator_by_module_name_once_per_line(capsys, monkeypatch):
+    """A wrapper installed on `cli.loop_bracket` (as bench/tracing.py does) sees every line's call."""
+    calls = []
+
+    def counting(x, y):
+        calls.append((x, y))
+        return loop_bracket(x, y)
+
+    monkeypatch.setattr(cli, "loop_bracket", counting)
+    code, out, _ = _run(capsys, "table", "--model", "su3", "--op", "bracket", "--max-degree", "4", "--max-exp", "1")
+    assert code == 0
+    assert len(calls) == len(out.splitlines()) > 0
