@@ -259,6 +259,10 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE
     except OSError as exc:
+        try:
+            sys.stdout.flush()  # a stdout that cannot take its text (a full device) fails again
+        except OSError:  # and goes to os.devnull, as above, so that nothing fails at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return _fail(str(exc))
 
 

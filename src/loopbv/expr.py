@@ -16,6 +16,10 @@ function forms are ``cap(w,b)``, ``bracket(b,c)``, ``product(x,y)``,
 ``intersect([w,...],[w,...],b)``.  ``*`` multiplies inside a single ring;
 cross-ring actions must go through the function forms.
 
+Precedence is stated once, in `_BINARY_PREC`: the parser reads it to climb
+the ``expr`` and ``term`` levels in one rule (``power`` is part of
+``unary``), and the printer reads it to place parentheses.
+
 Tokens and tree nodes are slotted, mutable dataclasses.  Each carries a
 source position, taken from its offset in the text, and all diagnostics are
 ``line:col: message``.  Node equality ignores positions, so printing a parse
@@ -67,16 +71,9 @@ class ExpressionError(Exception):
 # ---------------------------------------------------------------------------
 # tokens
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<NUMBER>[0-9]+(?:/[0-9]+)?)
-  | (?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<SYMBOL>[-+*^()\[\],])
-  | (?P<SPACE>[ \t\r\n]+)
-  | (?P<BAD>.)
-    """,
-    re.VERBOSE,
-)
+# one group per kind, in this order: number, identifier, symbol, whitespace, any
+# other character; every character falls in one, so the matches tile the text
+_TOKEN_RE = re.compile(r"([0-9]+(?:/[0-9]+)?)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()\[\],])|([ \t\r\n]+)|(.)")
 
 
 @dataclass(slots=True)
@@ -89,22 +86,20 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    line, line_start = 1, 0  # line_start: offset of the current line's first character
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        value = match.group()
-        if kind == "SPACE":
-            newline = value.rfind("\n")
+    line, line_start, offset = 1, 0, 0  # line_start: offset of the current line's first character
+    for number, ident, symbol, space, bad in _TOKEN_RE.findall(text):
+        value = number or ident or symbol or space or bad
+        if space:
+            newline = space.rfind("\n")
             if newline >= 0:
-                line += value.count("\n")
-                line_start = match.start() + newline + 1
-            continue
-        col = match.start() - line_start + 1
-        if kind == "BAD":
-            raise ExpressionError("unexpected character %r" % value, line, col)
-        if kind == "SYMBOL":
-            kind = value
-        tokens.append(Token(kind, value, line, col))
+                line += space.count("\n")
+                line_start = offset + newline + 1
+        elif bad:
+            raise ExpressionError("unexpected character %r" % bad, line, offset - line_start + 1)
+        else:
+            kind = "NUMBER" if number else "IDENT" if ident else symbol
+            tokens.append(Token(kind, value, line, offset - line_start + 1))
+        offset += len(value)
     tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
@@ -164,8 +159,24 @@ class ClassList:
 _GEN_FAMILIES = {
     name: (ring, kind) for ring, names in _GEN_NAMES.items() for kind, name in zip(("odd", "even"), names)
 }
+_GEN_RE = re.compile("(%s)([0-9]+)" % "|".join(_GEN_FAMILIES))  # family, then index digits
 
 MAX_NESTING = 100  # deeper trees would overflow Python's stack in the parser
+
+# binary operator -> precedence, read by `_Parser.expr` and by `_print`; unary
+# minus, ``^`` and atoms bind tighter than every binary operator, in that order
+_BINARY_PREC = {"+": 1, "-": 1, "*": 2}
+_PREC_NEG, _PREC_POW, _PREC_ATOM = 3, 4, 5
+
+
+def _shown(token: Token) -> str:
+    """The token as a diagnostic quotes it."""
+    return token.text if token.kind != "EOF" else "end of input"
+
+
+def _fail(token: Token, message: str):
+    """Raise the diagnostic `message` at `token`, in place of any exception being handled."""
+    raise ExpressionError(message, token.line, token.col) from None
 
 
 def _int(digits: str, token: Token) -> int:
@@ -174,31 +185,23 @@ def _int(digits: str, token: Token) -> int:
     try:
         return int(digits)
     except ValueError:  # the only way a run of ASCII digits fails to convert
-        raise ExpressionError(
-            "number of %d digits, more than the interpreter's limit of %d for an integer"
-            % (len(digits), sys.get_int_max_str_digits()),
-            token.line,
-            token.col,
-        ) from None
+        _fail(token, "number of %d digits, more than the interpreter's limit of %d for an integer"
+              % (len(digits), sys.get_int_max_str_digits()))
 
 
 def _classify_ident(token: Token):
     name = token.text
     if name in _FUNCTIONS:
         return ("func", name)
-    for family in _GEN_FAMILIES:
-        if name.startswith(family) and name[len(family) :].isdigit():
-            index = _int(name[len(family) :], token)
-            if index < 1:
-                raise ExpressionError(
-                    "generator index must be >= 1 in %r" % name, token.line, token.col
-                )
-            return ("gen", (family, index))
-    raise ExpressionError(
-        "unknown identifier %r (generators are %s)" % (name, ", ".join(f + "<i>" for f in _GEN_FAMILIES)),
-        token.line,
-        token.col,
-    )
+    match = _GEN_RE.fullmatch(name)
+    if match is None:
+        families = ", ".join(f + "<i>" for f in _GEN_FAMILIES)
+        _fail(token, "unknown identifier %r (generators are %s)" % (name, families))
+    family, digits = match.groups()
+    index = _int(digits, token)
+    if index < 1:
+        _fail(token, "generator index must be >= 1 in %r" % name)
+    return ("gen", (family, index))
 
 
 class _Parser:
@@ -218,42 +221,25 @@ class _Parser:
     def expect(self, kind: str, what: str) -> Token:
         token = self.peek()
         if token.kind != kind:
-            shown = token.text if token.kind != "EOF" else "end of input"
-            raise ExpressionError("expected %s, found %r" % (what, shown), token.line, token.col)
+            _fail(token, "expected %s, found %r" % (what, _shown(token)))
         return self.advance()
 
     def nest(self, token: Token):
         """Open one nesting level at `token`; the caller closes it with depth -= 1."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ExpressionError(
-                "expression nests deeper than %d levels of parentheses, calls and unary minus"
-                % MAX_NESTING,
-                token.line,
-                token.col,
-            )
-
-    def fail_unexpected(self):
-        token = self.peek()
-        shown = token.text if token.kind != "EOF" else "end of input"
-        raise ExpressionError("unexpected %r" % shown, token.line, token.col)
+            _fail(token, "expression nests deeper than %d levels of parentheses, calls and unary minus"
+                  % MAX_NESTING)
 
     # grammar rules ---------------------------------------------------------
 
-    def expr(self):
-        node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            right = self.term()
-            node = BinOp(op.kind, node, right, (op.line, op.col))
-        return node
-
-    def term(self):
+    def expr(self, min_prec: int = 1):
+        """Operators of `min_prec` and above by precedence climbing; a chain is one loop."""
         node = self.unary()
-        while self.peek().kind == "*":
+        while _BINARY_PREC.get(self.peek().kind, 0) >= min_prec:
             op = self.advance()
-            right = self.unary()
-            node = BinOp("*", node, right, (op.line, op.col))
+            right = self.expr(_BINARY_PREC[op.kind] + 1)
+            node = BinOp(op.kind, node, right, (op.line, op.col))
         return node
 
     def unary(self):
@@ -264,21 +250,13 @@ class _Parser:
             node = Neg(self.unary(), (token.line, token.col))
             self.depth -= 1
             return node
-        return self.power()
-
-    def power(self):
         node = self.atom()
         token = self.peek()
         if token.kind == "^":
             self.advance()
             exp_token = self.peek()
             if exp_token.kind != "NUMBER" or "/" in exp_token.text:
-                shown = exp_token.text if exp_token.kind != "EOF" else "end of input"
-                raise ExpressionError(
-                    "exponent must be a nonnegative integer, found %r" % shown,
-                    exp_token.line,
-                    exp_token.col,
-                )
+                _fail(exp_token, "exponent must be a nonnegative integer, found %r" % _shown(exp_token))
             self.advance()
             node = Pow(node, _int(exp_token.text, exp_token), (token.line, token.col))
         return node
@@ -290,7 +268,7 @@ class _Parser:
             if "/" in token.text:
                 num, den = (_int(part, token) for part in token.text.split("/"))
                 if den == 0:
-                    raise ExpressionError("zero denominator in %r" % token.text, token.line, token.col)
+                    _fail(token, "zero denominator in %r" % token.text)
                 value = Fraction(num, den)
             else:
                 value = Fraction(_int(token.text, token))
@@ -309,7 +287,7 @@ class _Parser:
             self.expect(")", "')'")
             self.depth -= 1
             return node
-        self.fail_unexpected()
+        _fail(token, "unexpected %r" % _shown(token))
 
     def call(self, token: Token, func: str):
         self.expect("(", "'(' after %r" % func)
@@ -329,11 +307,7 @@ class _Parser:
         self.depth -= 1
         arity = len(_FUNCTIONS[func][1])
         if len(args) != arity:
-            raise ExpressionError(
-                "%s expects %d argument(s), got %d" % (func, arity, len(args)),
-                token.line,
-                token.col,
-            )
+            _fail(token, "%s expects %d argument(s), got %d" % (func, arity, len(args)))
         return Call(func, tuple(args), (token.line, token.col))
 
     def class_list(self):
@@ -352,15 +326,14 @@ def parse(text: str):
     """Parse an expression; raises ExpressionError with line:col on failure."""
     parser = _Parser(tokenize(text))
     node = parser.expr()
-    if parser.peek().kind != "EOF":
-        parser.fail_unexpected()
+    token = parser.peek()
+    if token.kind != "EOF":
+        _fail(token, "unexpected %r" % _shown(token))
     return node
 
 
 # ---------------------------------------------------------------------------
 # printing (inverse of parse, up to positions)
-
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
 def _print(node, min_prec: int) -> str:
@@ -369,9 +342,9 @@ def _print(node, min_prec: int) -> str:
     if isinstance(node, Gen):
         return "%s%d" % (node.family, node.index)
     if isinstance(node, Call):
-        return "%s(%s)" % (node.func, ", ".join(_print(arg, _PREC_ADD) for arg in node.args))
+        return "%s(%s)" % (node.func, ", ".join(map(to_text, node.args)))
     if isinstance(node, ClassList):
-        return "[%s]" % ", ".join(_print(item, _PREC_ADD) for item in node.items)
+        return "[%s]" % ", ".join(map(to_text, node.items))
     if isinstance(node, Pow):
         text = "%s^%d" % (_print(node.base, _PREC_ATOM), node.exponent)
         prec = _PREC_POW
@@ -380,11 +353,11 @@ def _print(node, min_prec: int) -> str:
         prec = _PREC_NEG
     elif isinstance(node, BinOp):
         # print the left spine in a loop, as the parser builds chains without recursion;
-        # it ends at a sum under a product, which needs parentheses
-        prec = spine_prec = _PREC_MUL if node.op == "*" else _PREC_ADD
+        # it ends at an operator that binds looser than the one above it, which needs parentheses
+        prec = spine_prec = _BINARY_PREC[node.op]
         tail = []
-        while isinstance(node, BinOp) and (node.op == "*" or spine_prec == _PREC_ADD):
-            spine_prec = _PREC_MUL if node.op == "*" else _PREC_ADD
+        while isinstance(node, BinOp) and _BINARY_PREC[node.op] >= spine_prec:
+            spine_prec = _BINARY_PREC[node.op]
             tail.append(" %s %s" % (node.op, _print(node.right, spine_prec + 1)))
             node = node.left
         text = _print(node, spine_prec) + "".join(reversed(tail))
@@ -397,7 +370,7 @@ def _print(node, min_prec: int) -> str:
 
 def to_text(node) -> str:
     """Render a parse tree back to source text; reparsing gives an equal tree."""
-    return _print(node, _PREC_ADD)
+    return _print(node, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -245,11 +245,11 @@ def _mono_degree(model: ModelSpec, ring: Ring, m: Monomial) -> int:
 
 _GEN_NAMES = {Ring.LOOP: ("a", "u"), Ring.COH: ("alpha", "v")}
 _UNICODE_GEN_NAMES = {Ring.LOOP: ("a", "u"), Ring.COH: ("α", "v")}
+# (loop names, cohomology names), ASCII then unicode: `render` picks without hashing a `Ring`
+_RING_NAMES = tuple((names[_LOOP], names[_COH]) for names in (_GEN_NAMES, _UNICODE_GEN_NAMES))
 
 
-def _mono_str(ring: Ring, m: Monomial, unicode: bool = False) -> str:
-    odd_name, even_name = (_UNICODE_GEN_NAMES if unicode else _GEN_NAMES)[ring]
-    sep = "·" if unicode else "*"
+def _mono_str(m: Monomial, odd_name: str, even_name: str, sep: str) -> str:
     parts = [f"{odd_name}{i}" for i in m.odds]
     for i, k in enumerate(m.exps):
         if k == 1:
@@ -485,9 +485,11 @@ class Element:
                 mono, _ = item
                 return (_mono_degree(self.model, self.ring, mono), mono.odds, mono.exps)
             items = sorted(items, key=sort_key)
+        sep = "·" if unicode else "*"
+        odd_name, even_name = _RING_NAMES[1 if unicode else 0][self.ring is _COH]
         pieces = []
         for mono, coeff in items:
-            mstr = _mono_str(self.ring, mono, unicode=unicode)
+            mstr = _mono_str(mono, odd_name, even_name, sep)
             if mstr == "1":
                 body = str(coeff)
             elif coeff == 1:
@@ -495,7 +497,7 @@ class Element:
             elif coeff == -1:
                 body = "-" + mstr
             else:
-                body = "%s%s%s" % (coeff, "·" if unicode else "*", mstr)
+                body = "%s%s%s" % (coeff, sep, mstr)
             if not pieces:
                 pieces.append(body)
             elif body.startswith("-"):

@@ -657,6 +657,17 @@ def test_any_other_output_error_is_one_error_line(capsys):
     assert (code, capsys.readouterr().err) == (2, "error: [Errno %d] %s\n" % (errno.ENOSPC, os.strerror(errno.ENOSPC)))
 
 
+@pytest.mark.parametrize("argv", [["models"], ["eval", "--model", "su3", "a1"]], ids=lambda argv: argv[0])
+def test_a_full_stdout_device_ends_in_one_error_line(argv):
+    """Buffered output that the device refuses fails inside `main`, and not again at interpreter exit."""
+    env = {key: value for key, value in _FRESH_ENV.items() if key != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run(_CLI + argv, env=env, stdout=full, stderr=subprocess.PIPE, timeout=60)
+    assert (done.returncode, done.stderr.decode()) == (
+        2, "error: [Errno %d] %s\n" % (errno.ENOSPC, os.strerror(errno.ENOSPC))
+    )
+
+
 def test_table_calls_its_operator_by_module_name_once_per_line(capsys, monkeypatch):
     """A wrapper installed on `cli.loop_bracket` (as bench/tracing.py does) sees every line's call."""
     calls = []

@@ -190,6 +190,28 @@ def test_token_positions_match_a_length_summing_tokenizer():
         assert _tokens_or_error(spaced) == _reference_tokens(spaced), repr(spaced)
 
 
+_EDGE_CHARACTERS = [chr(code) for code in range(128)] + ["\x85", "\xa0", "\u2028", "\u3000", "²", "٣", "α", "ａ"]
+
+
+def test_every_ascii_character_and_unicode_lookalikes_tokenize_as_the_reference():
+    """Unicode spaces, line breaks, digits and letters are bad characters, as in the reference."""
+    for char in _EDGE_CHARACTERS:
+        for text in (char, "a1" + char + "u1"):
+            assert _tokens_or_error(text) == _reference_tokens(text), repr(text)
+
+
+def test_identifier_edges_are_pinned():
+    assert parse("a01") == Gen("a", 1)
+    unknown = "unknown identifier %r (generators are a<i>, u<i>, alpha<i>, v<i>)"
+    cases = [("alpha0", "generator index must be >= 1 in 'alpha0'")] + [
+        (name, unknown % name) for name in ("alphax1", "aa1", "u1a", "v_1", "A1", "alph1")
+    ]
+    for name, message in cases:
+        with pytest.raises(ExpressionError) as err:
+            parse("1 +\n  " + name)
+        assert str(err.value) == "2:3: " + message
+
+
 # -- tree equality -----------------------------------------------------------------
 
 
