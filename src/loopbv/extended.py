@@ -275,8 +275,8 @@ def extended_product(x: ExtendedClass, y: ExtendedClass, *, ops: BVOps = STANDAR
     mixed = [(1, ops.cap(x.coh, y.loop))] if x.coh.terms and y.loop.terms else []
     if y.coh.terms and x.loop.terms:
         # b . alpha = (-1)^{|alpha||b|} alpha . b, per parity part
-        mixed += [(sign_pow(k * n), ops.cap(w, b))
-                  for k, w in _parity_parts(y.coh) for n, b in _parity_parts(x.loop)]
+        loop_parts = _parity_parts(x.loop)
+        mixed += [(sign_pow(k * n), ops.cap(w, b)) for k, w in _parity_parts(y.coh) for n, b in loop_parts]
     return ExtendedClass._of(coh, _gather(loop, mixed) if mixed else loop)
 
 
@@ -294,8 +294,10 @@ def extended_bracket(x: ExtendedClass, y: ExtendedClass, *, ops: BVOps = STANDAR
         mixed += [(sign_pow(k), ops.cap(ops.coh_delta(w), y.loop)) for k, w in _parity_parts(x.coh)]
     if y.coh.terms and x.loop.terms:
         # (-1)^k times the flip -(-1)^{(k+1)(n+1)} is (-1)^{(k+1)n}
-        mixed += [(sign_pow((k + 1) * n), ops.cap(ops.coh_delta(w), b))
-                  for k, w in _parity_parts(y.coh) for n, b in _parity_parts(x.loop)]
+        loop_parts = _parity_parts(x.loop)
+        for k, w in _parity_parts(y.coh):
+            dw = ops.coh_delta(w)
+            mixed += [(sign_pow((k + 1) * n), ops.cap(dw, b)) for n, b in loop_parts]
     return ExtendedClass._of(Element.zero(x.model, _COH), _gather(loop, mixed) if mixed else loop)
 
 

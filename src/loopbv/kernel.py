@@ -89,14 +89,6 @@ class ModelSpec:
                     % (self.name, pos, deg)
                 )
 
-    def __eq__(self, other):
-        # every Element operation compares models, which are nearly always shared
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.generator_degrees) == (other.name, other.generator_degrees)
-
     @property
     def rank(self) -> int:
         return len(self.generator_degrees)
@@ -155,45 +147,19 @@ def _unit_monomial(model: ModelSpec) -> Monomial:
 def _merge_odds(left: tuple[int, ...], right: tuple[int, ...]):
     """Merge two ascending index tuples; return (sign, merged) or (0, None).
 
-    The sign counts transpositions needed to interleave `right` into `left`:
-    one factor of -1 per pair (i in left, j in right) with i > j.  A shared
-    index squares an odd generator, so the product vanishes.
+    The sign is (-1)^n, n the number of pairs (i in left, j in right) with
+    i > j: each j counts the entries of `left` above it.  A shared index
+    squares an odd generator, so the product vanishes.
     """
-    if not left:
-        return 1, right
-    if not right:
-        return 1, left
-    # tuples that do not interleave: every pair is in order, or every pair is not
-    if left[-1] < right[0]:
+    if not left or not right:
         return 1, left + right
-    if right[-1] < left[0]:
-        return -1 if len(left) * len(right) % 2 else 1, right + left
-    sign = 1
-    merged = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        li, rj = left[i], right[j]
-        if li == rj:
+    n = 0
+    for j in right:
+        k = bisect_right(left, j)
+        if k and left[k - 1] == j:
             return 0, None
-        if li < rj:
-            merged.append(li)
-            i += 1
-        else:
-            merged.append(rj)
-            # rj jumps over everything still ahead in `left`, all odd
-            if (len(left) - i) % 2:
-                sign = -sign
-            j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return sign, tuple(merged)
-
-
-def _mono_mul(a: Monomial, b: Monomial):
-    sign, odds = _merge_odds(a.odds, b.odds)
-    if sign == 0:
-        return 0, None
-    return sign, _tuple_new(Monomial, (odds, tuple(map(add, a.exps, b.exps))))
+        n += len(left) - k
+    return -1 if n & 1 else 1, tuple(sorted(left + right))
 
 
 def _add_into(terms: dict, mono: Monomial, coeff) -> None:
@@ -430,10 +396,11 @@ class Element:
         self._check_compatible(other, "multiply")
         terms = {}
         right = other.terms.items()
-        for m1, c1 in self.terms.items():
-            for m2, c2 in right:
-                sign, mono = _mono_mul(m1, m2)
+        for (odds1, exps1), c1 in self.terms.items():
+            for (odds2, exps2), c2 in right:
+                sign, odds = _merge_odds(odds1, odds2)
                 if sign:
+                    mono = _tuple_new(Monomial, (odds, tuple(map(add, exps1, exps2))))
                     _add_into(terms, mono, c1 * c2 if sign > 0 else -(c1 * c2))
         return Element._of(self.model, self.ring, terms)
 

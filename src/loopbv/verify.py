@@ -242,15 +242,17 @@ def _draw_intersect_config(base: Callable, loop: Callable, rng: random.Random) -
 
 def _plan(spec: ArgSpec, model: ModelSpec) -> Callable[[random.Random], object]:
     """Resolve `spec` on `model` once: the returned function draws one argument
-    from a generator, making only its generator calls and the monomial lookups."""
+    from a generator, making only its generator calls and the monomial lookups.
+    Every kind checks `max_terms`; an `intersect-config` draw takes its classes'
+    term bounds from its own plan."""
     if spec.kind not in _KINDS:
         if spec.kind not in ("ext", "intersect-config"):
             raise AlgebraError("unknown draw kind %r" % spec.kind)
         if spec.window is not None:
             raise AlgebraError("%r draws take no window: each of their classes has its own" % spec.kind)
-        if spec.kind == "intersect-config":
-            return partial(_draw_intersect_config, _class_plan("base", model), _class_plan("loop", model))
     check_count("max_terms", spec.max_terms)
+    if spec.kind == "intersect-config":
+        return partial(_draw_intersect_config, _class_plan("base", model), _class_plan("loop", model))
     if spec.kind == "ext":
         return partial(_draw_extended, *_ext_plan(model), spec.max_terms)
     return partial(_class_plan(spec.kind, model, spec.window), spec.max_terms)

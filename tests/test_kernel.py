@@ -69,6 +69,22 @@ def test_model_json_round_trip():
     assert ModelSpec.from_json(model.to_json()) == model
 
 
+def test_model_specs_compare_by_value():
+    """Equal specs built apart are `==`, hash alike and share one basis index; the
+    engine's model check (`is`, then `==`) lets their elements combine."""
+    listed, tupled = ModelSpec("su3", [3, 5]), ModelSpec("su3", (3, 5))
+    assert listed is not tupled
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert basis_index(listed, Ring.LOOP, 2) is basis_index(tupled, Ring.LOOP, 2)
+    assert listed != ModelSpec("su3-copy", (3, 5))
+    assert listed != ModelSpec("su3", (3, 7))
+    assert (listed == 3) is False
+    x, y = _a(listed, 1) + _u(listed, 2), _a(tupled, 2) + _u(tupled, 1)
+    same_x = _a(tupled, 1) + _u(tupled, 2)
+    assert x == same_x and x + y == same_x + y
+    assert x * y == same_x * y and x * y
+
+
 def test_model_json_rejects_even_degree_with_diagnostic():
     with pytest.raises(AlgebraError, match=r"generator_degrees\[0\] = 2"):
         ModelSpec.from_json('{"name":"x","generator_degrees":[2,3]}')
@@ -273,10 +289,9 @@ def _interleave_sign(left, right) -> int:
 
 
 def test_merge_odds_against_brute_force():
-    """Every pair of ascending subsets of {1,...,5}: a shared index gives (0, None),
-    else the sign of interleaving and the sorted union.  The pairs include both
-    orders of tuples that do not interleave, which `_merge_odds` returns at once."""
-    subsets = [s for size in range(6) for s in itertools.combinations(range(1, 6), size)]
+    """Every pair of ascending subsets of {1,...,7}, which cover su8's odd indices:
+    a shared index gives (0, None), else the sign of interleaving and the sorted union."""
+    subsets = [s for size in range(8) for s in itertools.combinations(range(1, 8), size)]
     pairs = 0
     for left in subsets:
         for right in subsets:
@@ -286,7 +301,7 @@ def test_merge_odds_against_brute_force():
             else:
                 want = (_interleave_sign(left, right), tuple(sorted(left + right)))
                 assert kernel._merge_odds(left, right) == want, (left, right)
-    assert pairs == 1024
+    assert pairs == 16384
 
 
 # -- random_element contract --------------------------------------------------

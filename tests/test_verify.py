@@ -696,6 +696,15 @@ def test_composite_draws_refuse_a_window(kind):
         _plan(ArgSpec(kind, 2, (0, 3)), SU3)(random.Random(1))
 
 
+@pytest.mark.parametrize("bad", [0, True, 1.5])
+@pytest.mark.parametrize("kind", ["loop", "exterior", "base", "coh", "ext", "intersect-config"])
+def test_every_draw_kind_refuses_a_bad_term_bound(kind, bad):
+    """Every kind checks `max_terms`, `intersect-config` too, though its classes
+    take their term bounds from its own plan."""
+    with pytest.raises(AlgebraError, match="^max_terms must be "):
+        _plan(ArgSpec(kind, bad), SU3)
+
+
 @pytest.mark.parametrize("name", ["s3", "s5", "su3", "exterior:3,5,7"])
 def test_trusted_extended_pairs_pass_the_checked_constructor(name, monkeypatch):
     """`ext` draws and `_ext_lift` build their pairs unchecked (`ExtendedClass._of`);
