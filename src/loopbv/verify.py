@@ -23,23 +23,21 @@ the row's check to the bundle and model (``partial(case.evaluate, ops,
 model)``) once per report, so a trial makes only its generator calls,
 monomial lookups and the check; the minimiser calls the same bound check.
 
-Each law is written once against a *view*: one algebra's product, bracket,
-Delta, zero, unit and argument lift, bound to an ops bundle, and the bundle
-itself (`ops`) for the primitives a law applies across algebras: `cap`,
-`coh_delta`, `loop_intersection`, and the loop operations inside an extended
-law.  The views are loop, coh (cup, coh_delta and the zero bracket, as
-coh_delta is a derivation) and ext (H^*(M) (+) H_*(LM)).  Every row that
-draws is ``_law(view, law, *check_labels)``, the law returning one
-(lhs, rhs) pair per label; only `model-structure`, which draws nothing and
-labels each generator's checks, has its own ``evaluate(ops, model, args)``.
-
-`_leibniz` states the Leibniz rule of a degree-k map d over an operation
-once, sign (-1)^{k(|y|+shift)} included.  16 rows run it: the BV identity
-(loop, ext, and coh as eq. 4.4), eq. 4.24, and the twelve rows built by
-`_derivation(by, over)`, whose `by(v, x)` is {x,-} of degree |x|+1 or
-coh_delta(alpha) cap - of degree |alpha|-1, and whose shift is 1 over the
-bracket and 0 over the product: Poisson and Jacobi (loop, ext, eqs. 4.11,
-4.13, 4.15, 4.16), eqs. 4.7 and 4.10, and the two operator commutators.
+A row's law is its check labels, the text its report prints: `_Compiler`
+(whose docstring gives the grammar) compiles them once, in one of three views,
+and a text law can call only the names of its view (`_VIEWS`).  In the loop
+view `*` is the bundle's product, `{x,y}` its bracket and `Delta` its Delta,
+`cup` is the cup product, `cap` and `coh_delta` are the bundle's, `s` is
+`s_star`, and `D` is the Poincare dual and `Dinv` its inverse; the coh view
+has `cup`, `cap` and `coh_delta`; in the ext view `*`, `.` and `cup` are
+`extended_product`, `{x,y}` is `extended_bracket` and `D` is
+`extended_delta`.  So `D` is the dual in loop rows and Delta in ext rows,
+and `Dalpha` is `coh_delta(alpha)` in every view.  Five rows keep a Python
+`evaluate(ops, model, args)`: `model-structure` draws nothing and labels
+each generator's checks; the two operator commutators (``... on e``) run
+`_leibniz`, which states the Leibniz rule once; `eq-5.2-nested-brackets`
+has prose labels and runs `nested_brackets`; and `loop-intersection-formula`
+draws one whole `IntersectConfig`.
 
 A registry of deliberately broken primitive bundles ("mutations": one sign
 flipped, one term dropped or added, or the factors swapped without their
@@ -53,6 +51,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import lru_cache, partial
 from operator import mul
@@ -259,55 +258,44 @@ def _plan(spec: ArgSpec, model: ModelSpec) -> Callable[[random.Random], object]:
 
 
 # ---------------------------------------------------------------------------
-# algebra views and the laws written once against them
+# the laws, compiled from the labels that state them
 
-_LOOP1 = (ArgSpec("loop"),)
-_LOOP2 = _LOOP1 * 2
-_LOOP3 = _LOOP1 * 3
-_EXT1 = (ArgSpec("ext"),)
-_EXT2 = _EXT1 * 2
-_EXT3 = _EXT1 * 3
-_EXTERIOR2 = (ArgSpec("exterior"),) * 2
-_BASE_LOOP = (ArgSpec("base"),) + _LOOP1
-_BASE_LOOP2 = _BASE_LOOP + _LOOP1
-_BASE2_LOOP = (ArgSpec("base"),) + _BASE_LOOP
-
-
-class _View(NamedTuple):
-    """The operations a law uses, bound to one ops bundle and one model."""
-
-    product: Callable
-    bracket: Callable
-    delta: Callable
-    zero: Callable  # () -> the zero class, made only when a law asks
-    unit: Callable  # () -> the unit class, likewise
-    lift: Callable  # a drawn argument -> an element of this algebra
-    ops: BVOps  # the bundle itself, for the primitives a law applies across algebras
-
-
-def _same(x):
-    return x
-
-
-def _loop_view(ops, model) -> _View:
-    return _View(
-        ops.product, ops.bracket, ops.delta,
-        lambda: Element.zero(model, _LOOP), lambda: Element.unit(model, _LOOP), _same, ops,
-    )
+#: Each view's names: the operators `*`, `.`, `cup` and `cap`, the bracket `{}`,
+#: the functions a label calls and the constants 0 and 1.  A label can reach the
+#: algebra only through these.
+_VIEWS = {
+    "loop": {
+        "*": STANDARD_OPS.product, "{}": STANDARD_OPS.bracket, "Delta": STANDARD_OPS.delta,
+        "cup": mul, "cap": STANDARD_OPS.cap, "coh_delta": STANDARD_OPS.coh_delta,
+        "s": s_star, "s_star": s_star, "D": poincare_dual, "Dinv": poincare_dual_inverse,
+        "0": partial(Element.zero, ring=_LOOP), "1": partial(Element.unit, ring=_LOOP),
+    },
+    "coh": {
+        "cup": mul, "cap": STANDARD_OPS.cap, "coh_delta": STANDARD_OPS.coh_delta,
+        "0": partial(Element.zero, ring=_COH), "1": partial(Element.unit, ring=_COH),
+    },
+    "ext": {
+        "*": extended_product, ".": extended_product, "cup": extended_product,
+        "{}": extended_bracket, "D": extended_delta,
+        "cap": STANDARD_OPS.cap, "coh_delta": STANDARD_OPS.coh_delta, "Dinv": poincare_dual_inverse,
+        "0": ExtendedClass.zero, "1": ExtendedClass.unit,
+    },
+}
+#: the operations that take lifted operands and the bundle; every other name takes classes as they are
+_EXTENDED = (extended_product, extended_bracket, extended_delta)
+_TOKENS = re.compile(r"\s*(\(-1\)\^\{|\.\.\.|[A-Za-z_][A-Za-z0-9_]*|[0-9]+|\S)").findall
+_NAME = re.compile("[A-Za-z_][A-Za-z0-9_]*").fullmatch
+_INTEGER = re.compile("[0-9]+").fullmatch
 
 
-def _coh_view(ops, model) -> _View:
-    """Cup product and coh_delta; coh_delta is a derivation, so its bracket is zero."""
-    return _View(
-        mul, lambda x, y: Element.zero(model, _COH), ops.coh_delta,
-        lambda: Element.zero(model, _COH), lambda: Element.unit(model, _COH), _same, ops,
-    )
+def _shown(token: str) -> str:
+    return repr(token) if token else "the end"
 
 
 def _ext_lift(x) -> ExtendedClass:
     """A base class x as (x, 0), a loop class b as (0, b), an extended class as itself.
 
-    Only draws and the loop classes operators return are lifted: no check needed."""
+    Only draws and the classes operators return are lifted: no check needed."""
     if isinstance(x, ExtendedClass):
         return x
     if x.ring is _LOOP:
@@ -315,30 +303,247 @@ def _ext_lift(x) -> ExtendedClass:
     return ExtendedClass._of(x, Element.zero(x.model, _LOOP))
 
 
-def _ext_view(ops, model) -> _View:
-    return _View(
-        lambda x, y: extended_product(x, y, ops=ops),
-        lambda x, y: extended_bracket(x, y, ops=ops),
-        lambda x: extended_delta(x, ops=ops),
-        lambda: ExtendedClass.zero(model), lambda: ExtendedClass.unit(model), _ext_lift, ops,
-    )
+#: How a law's source names a function: a `STANDARD_OPS` slot as the bundle's, and a
+#: function of this module by its name here, which the law looks up when it runs.
+_SOURCE_NAMES = {
+    **{fn: name for name, fn in globals().items() if callable(fn)},
+    **{getattr(STANDARD_OPS, f.name): "ops." + f.name for f in fields(BVOps) if f.name != "name"},
+}
 
 
-def _commutativity(v, x, y):
-    return [(v.product(x, y), v.product(y, x).scale(sign_pow(_hdeg(x) * _hdeg(y))))]
+class _Compiler:
+    """One row's check labels, read in one view, compiled into the source of its law,
+    ``law(ops, model, a0, a1, ...)``, which computes each distinct subterm once.
+
+    A label is ``lhs = rhs``; a left side of ``...`` is the previous check's right
+    side.  A side is a sum of terms joined by ``+`` and ``-``.  A term is ``-term``,
+    ``(-1)^{n} term``, or a chain of atoms joined by ``*``, ``.``, ``cup`` or ``cap``,
+    read left to right.  An atom is ``{x,y}``, ``(x)``, a pair ``(x,0)`` or ``(0,x)``
+    (ext view only: x read in the coh or the loop view, and lifted), a call
+    ``f(x)``, ``0`` or ``1``, an argument, or ``D<arg>``, which is ``coh_delta(<arg>)``.
+    An exponent n is a sum of juxtaposed products of ``|x|`` (the degree of the drawn
+    class x), integers and ``(n)``.  Arguments are named in order of first use, and
+    there must be as many as the row draws.  Every name a label calls comes from its
+    view in `_VIEWS`: a bundle slot is called as ``ops.<slot>``, a function of this
+    module by its name here, looked up when the law runs, and a view's 0 and 1 are
+    bound into the law.  In the ext view the extended operations lift their operands,
+    and both sides of a check are lifted before they are compared.  A label outside
+    this grammar or its view is refused with an `AlgebraError` that names it.
+    """
+
+    def __init__(self, view: str, specs: tuple[ArgSpec, ...], labels: tuple[str, ...]):
+        self.view, self.specs = view, specs
+        self.names, self.lines, self.locals, self.bound = [], [], {}, {}
+        checks, rhs = [], None
+        for label in labels:
+            self.label, self.tokens, self.pos = label, _TOKENS(label), 0
+            lhs = rhs if rhs is not None and self.accept("...") else self.side()
+            self.expect("=")
+            rhs = self.side()
+            self.expect("")
+            checks.append("(%r, %s, %s)" % (label, self.compared(lhs), self.compared(rhs)))
+        if len(self.names) != len(specs):
+            raise AlgebraError("labels %s name %d arguments, and the row draws %d"
+                               % (", ".join(map(repr, labels)), len(self.names), len(specs)))
+        params = ["a%d" % i for i in range(len(specs))] + ["%s=%s" % (k, k) for k in self.bound]
+        self.source = "def law(ops, model, %s):\n%s    return [%s]\n" % (
+            ", ".join(params), "".join(self.lines), ", ".join(checks))
+
+    # -- tokens
+
+    def peek(self, ahead: int = 0) -> str:
+        pos = self.pos + ahead
+        return self.tokens[pos] if pos < len(self.tokens) else ""
+
+    def take(self) -> str:
+        self.pos += 1
+        return self.peek(-1)
+
+    def accept(self, token: str) -> bool:
+        if self.peek() != token:
+            return False
+        self.pos += 1
+        return True
+
+    def expect(self, token: str) -> None:
+        if not self.accept(token):
+            self.fail("expected %s" % _shown(token), self.peek())
+
+    def fail(self, message: str, got=None):
+        got = "" if got is None else ", got " + _shown(got)
+        raise AlgebraError("label %r: %s%s" % (self.label, message, got))
+
+    # -- source
+
+    def local(self, code: str) -> str:
+        """The name of a local that holds `code`'s value, assigned once per law."""
+        if code not in self.locals:
+            self.locals[code] = "t%d" % len(self.locals)
+            self.lines.append("    %s = %s\n" % (self.locals[code], code))
+        return self.locals[code]
+
+    def callee(self, fn) -> str:
+        """`fn` as the law's source names it; a value with no name here (a view's 0 or 1) is bound into the law."""
+        if fn in _SOURCE_NAMES:
+            return _SOURCE_NAMES[fn]
+        for name, value in self.bound.items():
+            if value is fn:
+                return name
+        name = "k%d" % len(self.bound)
+        self.bound[name] = fn
+        return name
+
+    def lifted(self, code: str, ext: bool) -> str:
+        return code if ext else self.local("%s(%s)" % (self.callee(_ext_lift), code))
+
+    def compared(self, value) -> str:
+        return self.lifted(*value) if self.view == "ext" else value[0]
+
+    def apply(self, name: str, *operands):
+        fn = _VIEWS[self.view].get(name)
+        if fn is None:
+            self.fail("%r is not a name of the %s view" % (name, self.view))
+        if fn in _EXTENDED:
+            args = [self.lifted(*x) for x in operands] + ["ops=ops"]
+        else:
+            args = [code for code, _ in operands]
+        return self.local("%s(%s)" % (self.callee(fn), ", ".join(args))), fn in _EXTENDED
+
+    def argument(self, name: str):
+        if not _NAME(name):
+            self.fail("expected a class", name)
+        if name not in self.names:
+            if len(self.names) == len(self.specs):
+                self.fail("names more arguments than the row draws (%d)" % len(self.specs))
+            self.names.append(name)
+        index = self.names.index(name)
+        return "a%d" % index, self.specs[index].kind == "ext"
+
+    # -- grammar: each returns (code, whether the value is an extended class)
+
+    def side(self):
+        code, ext = self.term()
+        while self.peek() in ("+", "-"):
+            sign = self.take()
+            term, term_ext = self.term()
+            if term_ext != ext:
+                code, term, ext = self.lifted(code, ext), self.lifted(term, term_ext), True
+            code = self.local("%s %s %s" % (code, sign, term))
+        return code, ext
+
+    def term(self):
+        negative, exponents = False, []
+        while True:
+            if self.accept("-"):
+                negative = not negative
+            elif self.accept("(-1)^{"):
+                exponents.append(self.exponent())
+                self.expect("}")
+            else:
+                break
+        code, ext = self.chain()
+        if exponents:
+            sign = "-" * negative + self.callee(sign_pow)
+            return self.local("%s.scale(%s(%s))" % (code, sign, " + ".join(exponents))), ext
+        return (self.local("-" + code) if negative else code), ext
+
+    def chain(self):
+        value = self.atom()
+        while self.peek() in ("*", ".", "cup", "cap"):
+            value = self.apply(self.take(), value, self.atom())
+        return value
+
+    def atom(self):
+        token = self.take()
+        if token == "{":
+            x = self.side()
+            self.expect(",")
+            y = self.side()
+            self.expect("}")
+            return self.apply("{}", x, y)
+        if token == "(":
+            slot = self.pair_slot()
+            if slot is None:
+                value = self.side()
+            else:
+                outer, self.view = self.view, slot
+                value = self.lifted(*self.side()), True
+                self.view = outer
+                if slot == "coh":
+                    self.expect(",")
+                    self.expect("0")
+            self.expect(")")
+            return value
+        if token in ("0", "1"):
+            return self.local("%s(model)" % self.callee(_VIEWS[self.view][token])), self.view == "ext"
+        if self.peek() == "(" and _NAME(token):
+            self.take()
+            value = self.side()
+            self.expect(")")
+            return self.apply(token, value)
+        if token in _VIEWS[self.view]:
+            self.fail("%r is not a class" % token)
+        if token[:1] == "D" and len(token) > 1:
+            return self.apply("coh_delta", self.argument(token[1:]))
+        return self.argument(token)
+
+    def pair_slot(self):
+        """After an ext view's "(": "loop" for (0,x), "coh" for (x,0), else None."""
+        if self.view != "ext":
+            return None
+        if self.peek() == "0" and self.peek(1) == ",":
+            self.pos += 2
+            return "loop"
+        depth = 1
+        for index in range(self.pos, len(self.tokens)):
+            depth += (self.tokens[index] in ("(", "{", "(-1)^{")) - (self.tokens[index] in (")", "}"))
+            if not depth:
+                return "coh" if self.tokens[index - 2:index] == [",", "0"] else None
+        return None
+
+    def exponent(self) -> str:
+        code = self.product()
+        while self.peek() in ("+", "-"):
+            code += " %s %s" % (self.take(), self.product())
+        return code
+
+    def product(self) -> str:
+        factors = [self.factor()]
+        while self.peek() in ("|", "(") or _INTEGER(self.peek()):
+            factors.append(self.factor())
+        return " * ".join(factors)
+
+    def factor(self) -> str:
+        token = self.take()
+        if token == "|":
+            code = self.local("%s(%s)" % (self.callee(_hdeg), self.argument(self.take())[0]))
+            self.expect("|")
+            return code
+        if token == "(":
+            code = self.exponent()
+            self.expect(")")
+            return "(%s)" % code
+        if not _INTEGER(token):
+            self.fail("expected a degree", token)
+        return token
 
 
-def _associativity(v, x, y, z):
-    return [(v.product(v.product(x, y), z), v.product(x, v.product(y, z)))]
+def _law(view: str, specs: tuple[ArgSpec, ...], *labels: str) -> Callable:
+    """The `evaluate` of a row whose `labels`, read in `view`, state its checks: compiled when
+    the catalog is built, and exec'd on its first call, which `table` and `eval` never make."""
+    compiled = _Compiler(view, specs, labels)
+    source, bound = compiled.source, compiled.bound
+    law = None
 
+    def evaluate(ops, model, args):
+        nonlocal law
+        if law is None:
+            namespace = dict(bound)
+            exec(source, globals(), namespace)
+            law = namespace["law"]
+        return law(ops, model, *args)
 
-def _unit(v, x):
-    one = v.unit()
-    return [(v.product(one, x), x), (v.product(x, one), x)]
-
-
-def _antisymmetry(v, x, y):
-    return [(v.bracket(x, y), v.bracket(y, x).scale(-sign_pow((_hdeg(x) + 1) * (_hdeg(y) + 1))))]
+    return evaluate
 
 
 def _leibniz(d, k, op, shift, y, z):
@@ -347,170 +552,45 @@ def _leibniz(d, k, op, shift, y, z):
     return d(op(y, z)), op(d(y), z), op(y, d(z)).scale(sign_pow(k * (_hdeg(y) + shift)))
 
 
-def _bv_identity(v, x, y):
-    """Delta fails to be a derivation of the product by exactly (-1)^{|x|} {x,y}."""
-    whole, left, right = _leibniz(v.delta, 1, v.product, 0, x, y)
-    return [(whole, left + right + v.bracket(x, y).scale(sign_pow(_hdeg(x))))]
+def _commutator(over: str, label: str) -> Callable:
+    """`[D_b, op_c] = op_{{b,c}}` on e, for the bundle's `over` ("product" or "bracket"):
+    the Leibniz rule of {b,-}, of degree |b|+1, with its right-hand term moved across."""
+
+    def evaluate(ops, model, args):
+        b, c, e = args
+        whole, left, right = _leibniz(
+            partial(ops.bracket, b), _hdeg(b) + 1, getattr(ops, over), int(over == "bracket"), c, e
+        )
+        return [(label, whole - right, left)]
+
+    return evaluate
 
 
-def _bracket_by(v, x):
-    """{x,-}, of degree |x|+1."""
-    return (lambda w: v.bracket(x, w)), _hdeg(x) + 1
-
-
-def _cap_by_delta(v, al):
-    """coh_delta(alpha) cap -, of degree |alpha|-1."""
-    da = v.ops.coh_delta(al)
-    return (lambda w: v.ops.cap(da, w)), _hdeg(al) - 1
-
-
-def _derivation(by, over, commutator=False):
-    """The law that the map `by(v, x)` returns, with its degree, is a derivation of the
-    view's `over` on y and z, whose operands shift in degree by 1 for a "bracket";
-    as a `commutator`, the check reads [d, over(y, -)](z) = over(d(y), z)."""
-    shift = int(over == "bracket")
-
-    def law(v, x, y, z):
-        d, k = by(v, x)
-        whole, left, right = _leibniz(d, k, getattr(v, over), shift, y, z)
-        return [(whole - right, left) if commutator else (whole, left + right)]
-
-    return law
-
-
-_poisson = _derivation(_bracket_by, "product")
-_jacobi = _derivation(_bracket_by, "bracket")
-
-
-def _poisson_product_first(v, x, y, z):
-    """Poisson with the product in the first slot: {x.y,z} = x.{y,z} + (-1)^{|x||y|} y.{x,z}."""
-    lhs = v.bracket(v.product(x, y), z)
-    rhs = v.product(x, v.bracket(y, z)) + v.product(y, v.bracket(x, z)).scale(
-        sign_pow(_hdeg(x) * _hdeg(y))
-    )
-    return [(lhs, rhs)]
-
-
-def _square_zero(v, x):
-    return [(v.delta(v.delta(x)), v.zero())]
-
-
-def _curious(v, x, y, z):
-    """Eq. 4.19: three sums of products and brackets of x, y, z agree.
-
-    The signs read only degree parities, so a base class alpha and its lift
-    (alpha, 0), of degree -|alpha|, give the same signs."""
-    k, n = _hdeg(x), _hdeg(y)
-    sn = sign_pow(n)
-    t1 = v.bracket(x, v.product(y, z)) + v.product(x, v.bracket(y, z)).scale(sn)
-    t2 = v.product(v.bracket(x, y), z) + v.bracket(v.product(x, y), z).scale(sn)
-    t3 = (
-        v.product(y, v.bracket(x, z)) + v.bracket(y, v.product(x, z)).scale(sign_pow(k))
-    ).scale(sign_pow((k + 1) * n))
-    return [(t1, t2), (t2, t3)]
-
-
-def _delta_constant(v, x):
-    return [(v.delta(s_star(x)), v.zero()), (v.delta(v.unit()), v.zero())]
-
-
-def _s_star_ring_map(v, x, y):
-    return [(v.product(s_star(x), s_star(y)), s_star(v.product(x, y))), (s_star(v.unit()), v.unit())]
-
-
-def _dual_multiplicative(v, x, y):
-    return [
-        (poincare_dual(v.product(x, y)), poincare_dual(x) * poincare_dual(y)),
-        (poincare_dual_inverse(poincare_dual(x)), x),
-    ]
-
-
-def _cap_commutes(v, al, x, y):
-    """alpha cap (x*y) = (alpha cap x)*y = (-1)^{|alpha||x|} x*(alpha cap y)."""
-    lhs = v.ops.cap(al, v.product(x, y))
-    return [
-        (lhs, v.product(v.ops.cap(al, x), y)),
-        (lhs, v.product(x, v.ops.cap(al, y)).scale(sign_pow(_hdeg(al) * _hdeg(x)))),
-    ]
-
-
-def _delta_cap_derivation(v, w, b):
-    """Eq. 4.24: Delta on loop classes, coh_delta on cohomology, is an odd derivation of the cap."""
-    odd = {_LOOP: v.delta, _COH: v.ops.coh_delta}
-    whole, left, right = _leibniz(lambda x: odd[x.ring](x), 1, v.ops.cap, 0, w, b)
-    return [(whole, left + right)]
-
-
-def _cap_constant_trivial(v, al, x):
-    return [(v.ops.cap(v.ops.coh_delta(al), s_star(x)), v.zero())]
-
-
-def _cap_module(v, w1, w2, b):
-    """The cap makes loop homology a module over the view's product, the cup product."""
-    return [(v.ops.cap(v.product(w1, w2), b), v.ops.cap(w1, v.ops.cap(w2, b))), (v.ops.cap(v.unit(), b), b)]
-
-
-def _cap_is_intersection(v, al, b):
-    a_dual = poincare_dual_inverse(al)
-    return [
-        (v.ops.cap(al, b), v.product(a_dual, b)),
-        (v.ops.cap(v.ops.coh_delta(al), b).scale(sign_pow(_hdeg(al))), v.bracket(a_dual, b)),
-    ]
-
-
-def _cap_expansion(v, w, b):
+def _cap_expansion(ops, model, args):
     """The cap against eq. 5.2's nested brackets, in canonical then reversed factor order."""
-    capped = v.ops.cap(w, b)
-    return [(capped, nested_brackets(w, b, v.product, v.bracket, forward)) for forward in (False, True)]
-
-
-def _intertwiner(v, A, B):
-    """The extended operations on (alpha, 0) and (0, b) against the loop ones on Dinv(alpha) and b."""
-    a_dual, b = poincare_dual_inverse(A.coh), B.loop
+    w, b = args
+    capped = ops.cap(w, b)
     return [
-        (v.bracket(A, B), v.lift(v.ops.bracket(a_dual, b))),
-        (v.product(A, B), v.lift(v.ops.product(a_dual, b))),
+        ("cap(w,b) = iterated single caps, " + order, capped, nested_brackets(w, b, ops.product, ops.bracket, forward))
+        for order, forward in (("canonical order", False), ("reversed order with Koszul sign", True))
     ]
 
 
-def _mixed_conventions(v, A, B, C):
-    al, b = A.coh, B.loop
-    k, n = _hdeg(al), _hdeg(b)
-    ab, br = v.product(A, B), v.bracket(A, B)
-    return [
-        (ab, v.lift(v.ops.cap(al, b))),
-        (br, v.lift(v.ops.cap(v.ops.coh_delta(al), b).scale(sign_pow(k)))),
-        (v.product(B, A), ab.scale(sign_pow(k * n))),
-        (v.bracket(B, A), br.scale(-sign_pow((k + 1) * (n + 1)))),
-        (v.bracket(A, C), v.zero()),
-    ]
-
-
-def _intersection_formula(v, config):
-    """`loop_intersection` against an independent assembly in the coh view: sign
-    and monomial recomputed here, the cup product folded right to left."""
-    ats, frees, family = config
-    lhs = loop_intersection(ats, frees, family, ops=v.ops)
+def _intersection_formula(ops, model, args):
+    """`loop_intersection` against an independent assembly: sign and monomial
+    recomputed here, the cup product folded right to left."""
+    ats, frees, family = args[0]
+    lhs = loop_intersection(ats, frees, family, ops=ops)
     sign_exp = -len(frees)
     pieces = list(ats)
     for j, w in enumerate(frees, start=1):
         sign_exp += j * _hdeg(w)
-        pieces.append(v.delta(w))
-    omega = v.unit()
+        pieces.append(ops.coh_delta(w))
+    omega = Element.unit(model, _COH)
     for piece in reversed(pieces):
-        omega = v.product(piece, omega)
-    return [(lhs, v.ops.cap(omega, family).scale(sign_pow(sign_exp)))]
-
-
-def _law(view, law, *labels):
-    """The `evaluate` of a catalog row: `law` on the arguments lifted into `view`, one label per check."""
-
-    def evaluate(ops, model, args):
-        v = view(ops, model)
-        sides = law(v, *map(v.lift, args))
-        return [(label, lhs, rhs) for label, (lhs, rhs) in zip(labels, sides, strict=True)]
-
-    return evaluate
+        omega = piece * omega
+    rhs = ops.cap(omega, family).scale(sign_pow(sign_exp))
+    return [("intersection family = sign * cap(assembled class, family)", lhs, rhs)]
 
 
 # ---------------------------------------------------------------------------
@@ -546,218 +626,113 @@ def _ev_model_structure(ops, model, args):
     return checks
 
 
+def _row(ident: str, statement: str, view: str, kinds: str, *labels: str) -> IdentityCase:
+    """A catalog row that draws one argument of each of `kinds` and checks its `labels`, read in `view`."""
+    args = tuple(map(ArgSpec, kinds.split()))
+    return IdentityCase(ident, statement, args, _law(view, args, *labels))
+
+
 def _build_catalog() -> dict[str, IdentityCase]:
     entries = [
+        # own evaluate: draws nothing, and labels each generator's checks
         IdentityCase(
             "model-structure",
             "generator relations: odd squares vanish, evens commute, Delta(a_i u_j) = delta_ij, coh_delta(alpha_i) = v_i",
             (),
             _ev_model_structure,
         ),
-        IdentityCase("loop-commutativity", "b*c = (-1)^{|b||c|} c*b", _LOOP2,
-                     _law(_loop_view, _commutativity, "b*c = (-1)^{|b||c|} c*b")),
-        IdentityCase("loop-associativity", "(b*c)*e = b*(c*e)", _LOOP3,
-                     _law(_loop_view, _associativity, "(b*c)*e = b*(c*e)")),
-        IdentityCase("loop-unit", "s_star[M] is a two-sided unit", _LOOP1,
-                     _law(_loop_view, _unit, "1*b = b", "b*1 = b")),
-        IdentityCase(
-            "bracket-antisymmetry", "{b,c} = -(-1)^{(|b|+1)(|c|+1)} {c,b}", _LOOP2,
-            _law(_loop_view, _antisymmetry, "{b,c} = -(-1)^{(|b|+1)(|c|+1)} {c,b}"),
-        ),
-        IdentityCase(
-            "bv-identity", "Delta(b*c) = Delta(b)*c + (-1)^{|b|} b*Delta(c) + (-1)^{|b|} {b,c}", _LOOP2,
-            _law(_loop_view, _bv_identity, "Delta(b*c) = Delta(b)*c + (-1)^{|b|}(b*Delta(c) + {b,c})"),
-        ),
-        IdentityCase(
-            "poisson-identity", "{b,c*e} = {b,c}*e + (-1)^{|c|(|b|+1)} c*{b,e}", _LOOP3,
-            _law(_loop_view, _poisson, "{b,c*e} = {b,c}*e + (-1)^{|c|(|b|+1)} c*{b,e}"),
-        ),
-        IdentityCase(
-            "jacobi-identity", "{b,{c,e}} = {{b,c},e} + (-1)^{(|b|+1)(|c|+1)} {c,{b,e}}", _LOOP3,
-            _law(_loop_view, _jacobi, "{b,{c,e}} = {{b,c},e} + (-1)^{(|b|+1)(|c|+1)} {c,{b,e}}"),
-        ),
-        IdentityCase("delta-squared-zero", "Delta o Delta = 0", _LOOP1,
-                     _law(_loop_view, _square_zero, "Delta(Delta(b)) = 0")),
-        IdentityCase(
-            "delta-constant-loops", "Delta vanishes on constant-loop classes and on the unit", (ArgSpec("exterior"),),
-            _law(_loop_view, _delta_constant, "Delta(s_star(x)) = 0", "Delta(1) = 0"),
-        ),
-        IdentityCase(
-            "operator-commutator-product", "[D_b, M_c] = M_{{b,c}} as graded operator commutators", _LOOP3,
-            _law(_loop_view, _derivation(_bracket_by, "product", True), "[D_b, M_c] = M_{{b,c}} on e"),
-        ),
-        IdentityCase(
-            "operator-commutator-bracket", "[D_b, D_c] = D_{{b,c}} as graded operator commutators", _LOOP3,
-            _law(_loop_view, _derivation(_bracket_by, "bracket", True), "[D_b, D_c] = D_{{b,c}} on e"),
-        ),
-        IdentityCase(
-            "s-star-ring-map", "s_star is a unital ring map from the intersection ring", _EXTERIOR2,
-            _law(_loop_view, _s_star_ring_map, "s(x)*s(y) = s(x*y)", "s(1) = 1"),
-        ),
-        IdentityCase(
-            "dual-multiplicative", "D(x*y) = D(x) cup D(y) and Dinv o D = id on the exterior subring", _EXTERIOR2,
-            _law(_loop_view, _dual_multiplicative, "D(x*y) = D(x) cup D(y)", "Dinv(D(x)) = x"),
-        ),
-        IdentityCase(
-            "eq-1.1-base-cap-commutes",
-            "alpha cap (x*y) = (alpha cap x)*y = (-1)^{|alpha||x|} x*(alpha cap y) on constant classes",
-            (ArgSpec("base"),) + _EXTERIOR2,
-            _law(
-                _loop_view, _cap_commutes,
-                "alpha cap (x*y) = (alpha cap x)*y", "alpha cap (x*y) = (-1)^{|alpha||x|} x*(alpha cap y)",
-            ),
-        ),
-        IdentityCase(
-            "eq-4.4-coh-delta-derivation",
-            "coh_delta is an odd derivation for the cup product",
-            (ArgSpec("coh"), ArgSpec("coh")),
-            _law(_coh_view, _bv_identity, "coh_delta(x cup y) = coh_delta(x) cup y + (-1)^{|x|} x cup coh_delta(y)"),
-        ),
-        IdentityCase("coh-delta-squared-zero", "coh_delta o coh_delta = 0", (ArgSpec("coh"),),
-                     _law(_coh_view, _square_zero, "coh_delta(coh_delta(x)) = 0")),
-        IdentityCase(
-            "eq-4.6-cap-commutes-product", "cap with a base class graded-commutes with the loop product", _BASE_LOOP2,
-            _law(
-                _loop_view, _cap_commutes,
-                "alpha cap (b*c) = (alpha cap b)*c", "alpha cap (b*c) = (-1)^{|alpha||b|} b*(alpha cap c)",
-            ),
-        ),
-        IdentityCase(
-            "eq-4.7-cap-derivation", "cap with coh_delta(alpha) is a derivation of the loop product", _BASE_LOOP2,
-            _law(
-                _loop_view, _derivation(_cap_by_delta, "product"),
-                "Dalpha cap (b*c) = (Dalpha cap b)*c + (-1)^{(|alpha|-1)|b|} b*(Dalpha cap c)",
-            ),
-        ),
-        IdentityCase(
-            "eq-4.10-cap-bracket-derivation", "cap with coh_delta(alpha) is a derivation of the loop bracket",
-            _BASE_LOOP2,
-            _law(
-                _loop_view, _derivation(_cap_by_delta, "bracket"),
-                "Dalpha cap {b,c} = {Dalpha cap b,c} + (-1)^{(|alpha|-1)(|b|+1)} {b,Dalpha cap c}",
-            ),
-        ),
-        IdentityCase(
-            "eq-4.24-delta-cap-derivation",
-            "Delta(w cap b) = coh_delta(w) cap b + (-1)^{|w|} w cap Delta(b), any ring class w",
-            (ArgSpec("coh"), ArgSpec("loop")),
-            _law(
-                _loop_view, _delta_cap_derivation,
-                "Delta(w cap b) = coh_delta(w) cap b + (-1)^{|w|} w cap Delta(b)",
-            ),
-        ),
-        IdentityCase(
-            "cap-on-constants-trivial", "cap of coh_delta(alpha) with constant-loop classes vanishes",
-            (ArgSpec("base"), ArgSpec("exterior")),
-            _law(_loop_view, _cap_constant_trivial, "Dalpha cap s_star(x) = 0"),
-        ),
-        IdentityCase(
-            "cap-module-axiom", "(w1 cup w2) cap b = w1 cap (w2 cap b) and 1 cap b = b",
-            (ArgSpec("coh"), ArgSpec("coh"), ArgSpec("loop")),
-            _law(_coh_view, _cap_module, "(w1 cup w2) cap b = w1 cap (w2 cap b)", "1 cap b = b"),
-        ),
-        IdentityCase(
-            "eq-5.1-cap-is-intersection",
-            "alpha cap b = Dinv(alpha)*b and (-1)^{|alpha|} coh_delta(alpha) cap b = {Dinv(alpha),b}",
-            _BASE_LOOP,
-            _law(
-                _loop_view, _cap_is_intersection,
-                "alpha cap b = Dinv(alpha)*b", "(-1)^{|alpha|} Dalpha cap b = {Dinv(alpha),b}",
-            ),
-        ),
-        IdentityCase(
-            "eq-5.2-nested-brackets",
-            "cap with a monomial equals the signed nested-bracket expansion, any factor order",
-            (ArgSpec("coh", max_terms=1), ArgSpec("loop")),
-            _law(
-                _loop_view, _cap_expansion,
-                "cap(w,b) = iterated single caps, canonical order",
-                "cap(w,b) = iterated single caps, reversed order with Koszul sign",
-            ),
-        ),
-        IdentityCase(
-            "intertwiner-duality",
-            "extended product/bracket against (0,b) realise Dinv: {(alpha,0),(0,b)} = (0,{Dinv(alpha),b})",
-            _BASE_LOOP,
-            _law(
-                _ext_view, _intertwiner,
-                "{(alpha,0),(0,b)} = (0,{Dinv(alpha),b})", "(alpha,0)*(0,b) = (0,Dinv(alpha)*b)",
-            ),
-        ),
-        IdentityCase(
-            "mixed-product-conventions",
-            "mixed product/bracket conventions between base cohomology and loop classes",
-            _BASE_LOOP + (ArgSpec("base"),),
-            _law(
-                _ext_view, _mixed_conventions,
-                "alpha.b = alpha cap b",
-                "{alpha,b} = (-1)^{|alpha|} Dalpha cap b",
-                "b.alpha = (-1)^{|alpha||b|} alpha.b",
-                "{b,alpha} = -(-1)^{(|alpha|+1)(|b|+1)} {alpha,b}",
-                "{alpha,beta} = 0",
-            ),
-        ),
-        IdentityCase(
-            "eq-4.11-poisson-extended", "extended Poisson: cohomology, cohomology, loop", _BASE2_LOOP,
-            _law(_ext_view, _poisson, "{alpha,beta.c} = {alpha,beta}.c + (-1)^{|beta|(|alpha|+1)} beta.{alpha,c}"),
-        ),
-        IdentityCase(
-            "eq-4.12-poisson-extended", "extended Poisson for a cup product in the first slot", _BASE2_LOOP,
-            _law(
-                _ext_view, _poisson_product_first,
-                "{alpha cup beta,c} = alpha.{beta,c} + (-1)^{|alpha||beta|} beta.{alpha,c}",
-            ),
-        ),
-        IdentityCase(
-            "eq-4.13-poisson-extended", "extended Poisson: cohomology, loop, loop", _BASE_LOOP2,
-            _law(_ext_view, _poisson, "{alpha,b*c} = {alpha,b}*c + (-1)^{|b|(|alpha|+1)} b*{alpha,c}"),
-        ),
-        IdentityCase(
-            "eq-4.14-poisson-extended", "extended Poisson for a mixed product in the first slot", _BASE_LOOP2,
-            _law(_ext_view, _poisson_product_first, "{alpha.b,c} = alpha.{b,c} + (-1)^{|alpha||b|} b.{alpha,c}"),
-        ),
-        IdentityCase(
-            "eq-4.15-jacobi-extended", "extended Jacobi: cohomology, cohomology, loop", _BASE2_LOOP,
-            _law(
-                _ext_view, _jacobi,
-                "{alpha,{beta,c}} = {{alpha,beta},c} + (-1)^{(|alpha|+1)(|beta|+1)} {beta,{alpha,c}}",
-            ),
-        ),
-        IdentityCase(
-            "eq-4.16-jacobi-extended", "extended Jacobi: cohomology, loop, loop", _BASE_LOOP2,
-            _law(_ext_view, _jacobi, "{alpha,{b,c}} = {{alpha,b},c} + (-1)^{(|alpha|+1)(|b|+1)} {b,{alpha,c}}"),
-        ),
-        IdentityCase("ext-commutativity", "extended product graded commutativity", _EXT2,
-                     _law(_ext_view, _commutativity, "x.y = (-1)^{|x||y|} y.x")),
-        IdentityCase("ext-associativity", "extended product associativity", _EXT3,
-                     _law(_ext_view, _associativity, "(x.y).z = x.(y.z)")),
-        IdentityCase("ext-unit", "(1,0) is the extended unit", _EXT1,
-                     _law(_ext_view, _unit, "(1,0).x = x", "x.(1,0) = x")),
-        IdentityCase("ext-bv-identity", "extended BV identity", _EXT2,
-                     _law(_ext_view, _bv_identity, "D(x.y) = D(x).y + (-1)^{|x|}(x.D(y) + {x,y})")),
-        IdentityCase("ext-poisson", "extended Poisson identity on general classes", _EXT3,
-                     _law(_ext_view, _poisson, "{x,y.z} = {x,y}.z + (-1)^{|y|(|x|+1)} y.{x,z}")),
-        IdentityCase("ext-jacobi", "extended Jacobi identity on general classes", _EXT3,
-                     _law(_ext_view, _jacobi, "{x,{y,z}} = {{x,y},z} + (-1)^{(|x|+1)(|y|+1)} {y,{x,z}}")),
-        IdentityCase("ext-bracket-antisymmetry", "extended bracket antisymmetry", _EXT2,
-                     _law(_ext_view, _antisymmetry, "{x,y} = -(-1)^{(|x|+1)(|y|+1)} {y,x}")),
-        IdentityCase("ext-delta-squared-zero", "extended BV operator squares to zero", _EXT1,
-                     _law(_ext_view, _square_zero, "D(D(x)) = 0")),
-        IdentityCase(
-            "eq-4.19-curious-identity",
-            "three-way symmetric bracket/product identity in extended arithmetic",
-            _BASE_LOOP2,
-            _law(
-                _ext_view, _curious,
-                "{alpha,b.c} + (-1)^{|b|}alpha.{b,c} = {alpha,b}.c + (-1)^{|b|}{alpha.b,c}",
-                "... = (-1)^{(|alpha|+1)|b|}(b.{alpha,c} + (-1)^{|alpha|}{b,alpha.c})",
-            ),
-        ),
-        IdentityCase(
-            "loop-intersection-formula", "loop_intersection equals its signed cap-product formula",
-            (ArgSpec("intersect-config"),),
-            _law(_coh_view, _intersection_formula, "intersection family = sign * cap(assembled class, family)"),
-        ),
+        _row("loop-commutativity", "b*c = (-1)^{|b||c|} c*b", "loop", "loop loop", "b*c = (-1)^{|b||c|} c*b"),
+        _row("loop-associativity", "(b*c)*e = b*(c*e)", "loop", "loop loop loop", "(b*c)*e = b*(c*e)"),
+        _row("loop-unit", "s_star[M] is a two-sided unit", "loop", "loop", "1*b = b", "b*1 = b"),
+        _row("bracket-antisymmetry", "{b,c} = -(-1)^{(|b|+1)(|c|+1)} {c,b}", "loop", "loop loop",
+             "{b,c} = -(-1)^{(|b|+1)(|c|+1)} {c,b}"),
+        _row("bv-identity", "Delta(b*c) = Delta(b)*c + (-1)^{|b|} b*Delta(c) + (-1)^{|b|} {b,c}", "loop", "loop loop",
+             "Delta(b*c) = Delta(b)*c + (-1)^{|b|}(b*Delta(c) + {b,c})"),
+        _row("poisson-identity", "{b,c*e} = {b,c}*e + (-1)^{|c|(|b|+1)} c*{b,e}", "loop", "loop loop loop",
+             "{b,c*e} = {b,c}*e + (-1)^{|c|(|b|+1)} c*{b,e}"),
+        _row("jacobi-identity", "{b,{c,e}} = {{b,c},e} + (-1)^{(|b|+1)(|c|+1)} {c,{b,e}}", "loop", "loop loop loop",
+             "{b,{c,e}} = {{b,c},e} + (-1)^{(|b|+1)(|c|+1)} {c,{b,e}}"),
+        _row("delta-squared-zero", "Delta o Delta = 0", "loop", "loop", "Delta(Delta(b)) = 0"),
+        _row("delta-constant-loops", "Delta vanishes on constant-loop classes and on the unit", "loop", "exterior",
+             "Delta(s_star(x)) = 0", "Delta(1) = 0"),
+        # own evaluate: "... on e" states an operator identity, not a formula
+        IdentityCase("operator-commutator-product", "[D_b, M_c] = M_{{b,c}} as graded operator commutators",
+                     (ArgSpec("loop"),) * 3, _commutator("product", "[D_b, M_c] = M_{{b,c}} on e")),
+        # own evaluate: as the row above
+        IdentityCase("operator-commutator-bracket", "[D_b, D_c] = D_{{b,c}} as graded operator commutators",
+                     (ArgSpec("loop"),) * 3, _commutator("bracket", "[D_b, D_c] = D_{{b,c}} on e")),
+        _row("s-star-ring-map", "s_star is a unital ring map from the intersection ring", "loop", "exterior exterior",
+             "s(x)*s(y) = s(x*y)", "s(1) = 1"),
+        _row("dual-multiplicative", "D(x*y) = D(x) cup D(y) and Dinv o D = id on the exterior subring", "loop",
+             "exterior exterior", "D(x*y) = D(x) cup D(y)", "Dinv(D(x)) = x"),
+        _row("eq-1.1-base-cap-commutes",
+             "alpha cap (x*y) = (alpha cap x)*y = (-1)^{|alpha||x|} x*(alpha cap y) on constant classes", "loop",
+             "base exterior exterior",
+             "alpha cap (x*y) = (alpha cap x)*y", "alpha cap (x*y) = (-1)^{|alpha||x|} x*(alpha cap y)"),
+        _row("eq-4.4-coh-delta-derivation", "coh_delta is an odd derivation for the cup product", "coh", "coh coh",
+             "coh_delta(x cup y) = coh_delta(x) cup y + (-1)^{|x|} x cup coh_delta(y)"),
+        _row("coh-delta-squared-zero", "coh_delta o coh_delta = 0", "coh", "coh", "coh_delta(coh_delta(x)) = 0"),
+        _row("eq-4.6-cap-commutes-product", "cap with a base class graded-commutes with the loop product", "loop",
+             "base loop loop",
+             "alpha cap (b*c) = (alpha cap b)*c", "alpha cap (b*c) = (-1)^{|alpha||b|} b*(alpha cap c)"),
+        _row("eq-4.7-cap-derivation", "cap with coh_delta(alpha) is a derivation of the loop product", "loop",
+             "base loop loop", "Dalpha cap (b*c) = (Dalpha cap b)*c + (-1)^{(|alpha|-1)|b|} b*(Dalpha cap c)"),
+        _row("eq-4.10-cap-bracket-derivation", "cap with coh_delta(alpha) is a derivation of the loop bracket", "loop",
+             "base loop loop", "Dalpha cap {b,c} = {Dalpha cap b,c} + (-1)^{(|alpha|-1)(|b|+1)} {b,Dalpha cap c}"),
+        _row("eq-4.24-delta-cap-derivation",
+             "Delta(w cap b) = coh_delta(w) cap b + (-1)^{|w|} w cap Delta(b), any ring class w", "loop", "coh loop",
+             "Delta(w cap b) = coh_delta(w) cap b + (-1)^{|w|} w cap Delta(b)"),
+        _row("cap-on-constants-trivial", "cap of coh_delta(alpha) with constant-loop classes vanishes", "loop",
+             "base exterior", "Dalpha cap s_star(x) = 0"),
+        _row("cap-module-axiom", "(w1 cup w2) cap b = w1 cap (w2 cap b) and 1 cap b = b", "coh", "coh coh loop",
+             "(w1 cup w2) cap b = w1 cap (w2 cap b)", "1 cap b = b"),
+        _row("eq-5.1-cap-is-intersection",
+             "alpha cap b = Dinv(alpha)*b and (-1)^{|alpha|} coh_delta(alpha) cap b = {Dinv(alpha),b}", "loop",
+             "base loop", "alpha cap b = Dinv(alpha)*b", "(-1)^{|alpha|} Dalpha cap b = {Dinv(alpha),b}"),
+        # own evaluate: its labels are prose, and it runs the eq. 5.2 expansion itself
+        IdentityCase("eq-5.2-nested-brackets",
+                     "cap with a monomial equals the signed nested-bracket expansion, any factor order",
+                     (ArgSpec("coh", max_terms=1), ArgSpec("loop")), _cap_expansion),
+        _row("intertwiner-duality",
+             "extended product/bracket against (0,b) realise Dinv: {(alpha,0),(0,b)} = (0,{Dinv(alpha),b})", "ext",
+             "base loop", "{(alpha,0),(0,b)} = (0,{Dinv(alpha),b})", "(alpha,0)*(0,b) = (0,Dinv(alpha)*b)"),
+        _row("mixed-product-conventions", "mixed product/bracket conventions between base cohomology and loop classes",
+             "ext", "base loop base",
+             "alpha.b = alpha cap b", "{alpha,b} = (-1)^{|alpha|} Dalpha cap b", "b.alpha = (-1)^{|alpha||b|} alpha.b",
+             "{b,alpha} = -(-1)^{(|alpha|+1)(|b|+1)} {alpha,b}", "{alpha,beta} = 0"),
+        _row("eq-4.11-poisson-extended", "extended Poisson: cohomology, cohomology, loop", "ext", "base base loop",
+             "{alpha,beta.c} = {alpha,beta}.c + (-1)^{|beta|(|alpha|+1)} beta.{alpha,c}"),
+        _row("eq-4.12-poisson-extended", "extended Poisson for a cup product in the first slot", "ext",
+             "base base loop",
+             "{alpha cup beta,c} = alpha.{beta,c} + (-1)^{|alpha||beta|} beta.{alpha,c}"),
+        _row("eq-4.13-poisson-extended", "extended Poisson: cohomology, loop, loop", "ext", "base loop loop",
+             "{alpha,b*c} = {alpha,b}*c + (-1)^{|b|(|alpha|+1)} b*{alpha,c}"),
+        _row("eq-4.14-poisson-extended", "extended Poisson for a mixed product in the first slot", "ext",
+             "base loop loop",
+             "{alpha.b,c} = alpha.{b,c} + (-1)^{|alpha||b|} b.{alpha,c}"),
+        _row("eq-4.15-jacobi-extended", "extended Jacobi: cohomology, cohomology, loop", "ext", "base base loop",
+             "{alpha,{beta,c}} = {{alpha,beta},c} + (-1)^{(|alpha|+1)(|beta|+1)} {beta,{alpha,c}}"),
+        _row("eq-4.16-jacobi-extended", "extended Jacobi: cohomology, loop, loop", "ext", "base loop loop",
+             "{alpha,{b,c}} = {{alpha,b},c} + (-1)^{(|alpha|+1)(|b|+1)} {b,{alpha,c}}"),
+        _row("ext-commutativity", "extended product graded commutativity", "ext", "ext ext", "x.y = (-1)^{|x||y|} y.x"),
+        _row("ext-associativity", "extended product associativity", "ext", "ext ext ext", "(x.y).z = x.(y.z)"),
+        _row("ext-unit", "(1,0) is the extended unit", "ext", "ext", "(1,0).x = x", "x.(1,0) = x"),
+        _row("ext-bv-identity", "extended BV identity", "ext", "ext ext",
+             "D(x.y) = D(x).y + (-1)^{|x|}(x.D(y) + {x,y})"),
+        _row("ext-poisson", "extended Poisson identity on general classes", "ext", "ext ext ext",
+             "{x,y.z} = {x,y}.z + (-1)^{|y|(|x|+1)} y.{x,z}"),
+        _row("ext-jacobi", "extended Jacobi identity on general classes", "ext", "ext ext ext",
+             "{x,{y,z}} = {{x,y},z} + (-1)^{(|x|+1)(|y|+1)} {y,{x,z}}"),
+        _row("ext-bracket-antisymmetry", "extended bracket antisymmetry", "ext", "ext ext",
+             "{x,y} = -(-1)^{(|x|+1)(|y|+1)} {y,x}"),
+        _row("ext-delta-squared-zero", "extended BV operator squares to zero", "ext", "ext", "D(D(x)) = 0"),
+        _row("eq-4.19-curious-identity", "three-way symmetric bracket/product identity in extended arithmetic", "ext",
+             "base loop loop",
+             "{alpha,b.c} + (-1)^{|b|}alpha.{b,c} = {alpha,b}.c + (-1)^{|b|}{alpha.b,c}",
+             "... = (-1)^{(|alpha|+1)|b|}(b.{alpha,c} + (-1)^{|alpha|}{b,alpha.c})"),
+        # own evaluate: its one argument is a whole `IntersectConfig`
+        IdentityCase("loop-intersection-formula", "loop_intersection equals its signed cap-product formula",
+                     (ArgSpec("intersect-config"),), _intersection_formula),
     ]
     catalog = {}
     for case in entries:

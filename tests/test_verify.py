@@ -11,8 +11,8 @@ from operator import mul
 import pytest
 
 from loopbv.kernel import AlgebraError, Element, ModelSpec, Ring, basis_index, random_element, sign_pow
-from loopbv.extended import STANDARD_OPS, BVOps, ExtendedClass, cap
-from loopbv.cohomology import coh_delta, to_base
+from loopbv.extended import STANDARD_OPS, BVOps, ExtendedClass, cap, extended_bracket, extended_product
+from loopbv.cohomology import coh_delta, poincare_dual, poincare_dual_inverse, to_base
 from loopbv.loop import bv_delta, loop_bracket, loop_product
 from loopbv.models import resolve_model
 from loopbv import verify
@@ -534,12 +534,32 @@ NO_ARG_IDS = [ident for ident, case in CATALOG.items() if not case.args]
 
 
 def test_every_row_that_draws_is_a_law():
-    """One row shape: a row with arguments is `_law(view, law, *labels)`, and
-    `model-structure`, which draws nothing, is the one row with its own `evaluate`."""
-    law = verify._law(verify._loop_view, verify._commutativity).__qualname__
-    assert law == "_law.<locals>.evaluate"
-    own = [ident for ident, case in CATALOG.items() if case.evaluate.__qualname__ != law]
-    assert own == ["model-structure"] == NO_ARG_IDS
+    """A row's law is its labels: every row is compiled from its check labels by
+    `_law`, 38 rows with 53 labels, except the five whose catalog entries give the
+    reason for their own `evaluate`, and no hand-written law of a compiled row is left."""
+    compiled = verify._law("loop", (ArgSpec("loop"),), "b = b").__qualname__
+    assert compiled == "_law.<locals>.evaluate"
+    own = [ident for ident, case in CATALOG.items() if case.evaluate.__qualname__ != compiled]
+    assert own == [
+        "model-structure", "operator-commutator-product", "operator-commutator-bracket",
+        "eq-5.2-nested-brackets", "loop-intersection-formula",
+    ]
+    assert NO_ARG_IDS == ["model-structure"]
+    rng = report_rng(42, "labels")
+    labels = [
+        label
+        for ident, case in CATALOG.items() if ident not in own
+        for label, _, _ in case.evaluate(STANDARD_OPS, SU3, [_plan(spec, SU3)(rng) for spec in case.args])
+    ]
+    assert len(CATALOG) - len(own) == 38 and len(labels) == 53
+    deleted = [
+        "_View", "_loop_view", "_coh_view", "_ext_view", "_commutativity", "_associativity", "_unit",
+        "_antisymmetry", "_bv_identity", "_bracket_by", "_cap_by_delta", "_derivation", "_poisson", "_jacobi",
+        "_poisson_product_first", "_square_zero", "_curious", "_delta_constant", "_s_star_ring_map",
+        "_dual_multiplicative", "_cap_commutes", "_delta_cap_derivation", "_cap_constant_trivial", "_cap_module",
+        "_cap_is_intersection", "_intertwiner", "_mixed_conventions",
+    ]
+    assert [name for name in deleted if hasattr(verify, name)] == []
 
 
 def test_model_structure_draws_nothing():
@@ -848,3 +868,67 @@ def test_the_bundles_the_nested_bracket_row_detects(name, detectors):
                if run_suite(model, 20, 42, ["eq-5.2-nested-brackets"], ops=ops)[0].failed()}
     assert failing == detectors
     assert not run_suite(model, 20, 42, ["eq-5.2-nested-brackets"])[0].failed()
+
+
+def _sides(view, kinds, label, *args):
+    """The two sides of one label compiled in `view`, on `args` drawn as `kinds`."""
+    specs = tuple(map(ArgSpec, kinds.split()))
+    ((printed, lhs, rhs),) = verify._law(view, specs, label)(STANDARD_OPS, SU3, list(args))
+    assert printed == label
+    return lhs, rhs
+
+
+def test_each_view_reads_its_notation():
+    """The names of each view: `D` is the dual in the loop view and Delta in the ext
+    view, `Dalpha` is `coh_delta(alpha)`, 0 and 1 are the view's own, and a pair reads
+    its slot in the coh or the loop view and lifts it."""
+    rng = report_rng(42, "notation")
+    al, b, c = (_plan(ArgSpec(kind), SU3)(rng) for kind in ("base", "loop", "loop"))
+    x = _plan(ArgSpec("exterior"), SU3)(rng)
+    w = _plan(ArgSpec("coh"), SU3)(rng)
+    lift = verify._ext_lift
+    assert _sides("loop", "loop loop", "{b,c} = b*c", b, c) == (loop_bracket(b, c), b * c)
+    assert _sides("loop", "loop", "Delta(b) = 1", b) == (bv_delta(b), Element.unit(SU3, Ring.LOOP))
+    assert _sides("loop", "exterior", "D(x) = Dinv(D(x))", x) == (poincare_dual(x), x)
+    assert _sides("loop", "base loop", "Dalpha cap b = 0", al, b) == (
+        cap(coh_delta(al), b), Element.zero(SU3, Ring.LOOP))
+    assert _sides("coh", "coh loop", "w cup 1 = 1 cap b", w, b) == (w, cap(Element.unit(SU3, Ring.COH), b))
+    assert _sides("ext", "loop loop", "D(b) = b.c", b, c) == (
+        ExtendedClass(Element.zero(SU3, Ring.COH), bv_delta(b)), extended_product(lift(b), lift(c)))
+    assert _sides("ext", "base loop", "(0,{Dinv(alpha),b}) = {alpha,b}", al, b) == (
+        lift(loop_bracket(poincare_dual_inverse(al), b)), extended_bracket(lift(al), lift(b)))
+    assert _sides("ext", "base loop", "(alpha cup 1,0) = alpha cap b", al, b) == (lift(al), lift(cap(al, b)))
+    assert _sides("ext", "", "(1,0) = 1 + 0") == (ExtendedClass.unit(SU3),) * 2
+
+
+@pytest.mark.parametrize("ident, view, wrong", [
+    ("loop-commutativity", "loop", "b*c = -(-1)^{|b||c|} c*b"),
+    ("eq-4.4-coh-delta-derivation", "coh", "coh_delta(x cup y) = coh_delta(x) cup y - (-1)^{|x|} x cup coh_delta(y)"),
+    ("ext-poisson", "ext", "{x,y.z} = {x,y}.z + (-1)^{|y||x|} y.{x,z}"),
+])
+def test_a_label_is_evaluated_not_only_printed(ident, view, wrong, monkeypatch):
+    """A wrong-sign copy of a catalog label fails on seeded draws where the catalog's label
+    passes, and its witness prints the label that was checked."""
+    case = CATALOG[ident]
+    assert not run_suite(SU3, 20, 42, [ident])[0].failed()
+    monkeypatch.setitem(CATALOG, ident, replace(case, evaluate=verify._law(view, case.args, wrong)))
+    (report,) = run_suite(SU3, 20, 42, [ident])
+    assert report.failed()
+    assert {check["check"] for check in report.witness["failing"]} == {wrong}
+
+
+@pytest.mark.parametrize("view, kinds, labels, message", [
+    ("coh", "coh", ["D(x) = x"], "'D' is not a name of the coh view"),
+    ("loop", "loop loop", ["{b,c = b"], "expected '}', got '='"),
+    ("loop", "loop loop loop", ["b*c = c*b"], "name 2 arguments, and the row draws 3"),
+    ("loop", "loop", ["1*b = b", "b*c = c*b"], "names more arguments than the row draws (1)"),
+    ("loop", "loop", ["... = b"], "expected a class, got '...'"),
+    ("loop", "loop", ["b = (-1)^{|b|+} b"], "expected a degree, got '}'"),
+    ("loop", "loop", ["Delta = b"], "'Delta' is not a class"),
+    ("loop", "loop", ["b = (0,b)"], "expected ')', got ','"),
+    ("loop", "loop", ["b = b b"], "expected the end, got 'b'"),
+])
+def test_a_malformed_label_is_refused_when_its_row_is_built(view, kinds, labels, message):
+    with pytest.raises(AlgebraError, match=re.escape(message)) as refused:
+        verify._row("malformed", "a malformed row", view, kinds, *labels)
+    assert repr(labels[-1]) in str(refused.value)
