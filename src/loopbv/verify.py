@@ -260,26 +260,27 @@ def _plan(spec: ArgSpec, model: ModelSpec) -> Callable[[random.Random], object]:
 # ---------------------------------------------------------------------------
 # the laws, compiled from the labels that state them
 
-#: Each view's names: the operators `*`, `.`, `cup` and `cap`, the bracket `{}`,
-#: the functions a label calls and the constants 0 and 1.  A label can reach the
-#: algebra only through these.
+#: Each view's names: the operators `*`, `.`, `cup`, `cap`, the bracket `{}` and the functions
+#: a label calls, its one way to the algebra.  A law's source names ``ops.<slot>``, ``model``,
+#: its arguments and this module's names, and each view's 0 and 1 are written into it.
 _VIEWS = {
     "loop": {
         "*": STANDARD_OPS.product, "{}": STANDARD_OPS.bracket, "Delta": STANDARD_OPS.delta,
         "cup": mul, "cap": STANDARD_OPS.cap, "coh_delta": STANDARD_OPS.coh_delta,
         "s": s_star, "s_star": s_star, "D": poincare_dual, "Dinv": poincare_dual_inverse,
-        "0": partial(Element.zero, ring=_LOOP), "1": partial(Element.unit, ring=_LOOP),
     },
-    "coh": {
-        "cup": mul, "cap": STANDARD_OPS.cap, "coh_delta": STANDARD_OPS.coh_delta,
-        "0": partial(Element.zero, ring=_COH), "1": partial(Element.unit, ring=_COH),
-    },
+    "coh": {"cup": mul, "cap": STANDARD_OPS.cap, "coh_delta": STANDARD_OPS.coh_delta},
     "ext": {
         "*": extended_product, ".": extended_product, "cup": extended_product,
         "{}": extended_bracket, "D": extended_delta,
         "cap": STANDARD_OPS.cap, "coh_delta": STANDARD_OPS.coh_delta, "Dinv": poincare_dual_inverse,
-        "0": ExtendedClass.zero, "1": ExtendedClass.unit,
     },
+}
+#: each view's 0 and 1, as a law's source writes them
+_CONSTANTS = {
+    "loop": ("Element.zero(model, _LOOP)", "Element.unit(model, _LOOP)"),
+    "coh": ("Element.zero(model, _COH)", "Element.unit(model, _COH)"),
+    "ext": ("ExtendedClass.zero(model)", "ExtendedClass.unit(model)"),
 }
 #: the operations that take lifted operands and the bundle; every other name takes classes as they are
 _EXTENDED = (extended_product, extended_bracket, extended_delta)
@@ -293,11 +294,9 @@ def _shown(token: str) -> str:
 
 
 def _ext_lift(x) -> ExtendedClass:
-    """A base class x as (x, 0), a loop class b as (0, b), an extended class as itself.
+    """A base class x as (x, 0), a loop class b as (0, b).
 
     Only draws and the classes operators return are lifted: no check needed."""
-    if isinstance(x, ExtendedClass):
-        return x
     if x.ring is _LOOP:
         return ExtendedClass._of(Element.zero(x.model, _COH), x)
     return ExtendedClass._of(x, Element.zero(x.model, _LOOP))
@@ -323,17 +322,17 @@ class _Compiler:
     ``f(x)``, ``0`` or ``1``, an argument, or ``D<arg>``, which is ``coh_delta(<arg>)``.
     An exponent n is a sum of juxtaposed products of ``|x|`` (the degree of the drawn
     class x), integers and ``(n)``.  Arguments are named in order of first use, and
-    there must be as many as the row draws.  Every name a label calls comes from its
-    view in `_VIEWS`: a bundle slot is called as ``ops.<slot>``, a function of this
-    module by its name here, looked up when the law runs, and a view's 0 and 1 are
-    bound into the law.  In the ext view the extended operations lift their operands,
-    and both sides of a check are lifted before they are compared.  A label outside
-    this grammar or its view is refused with an `AlgebraError` that names it.
+    there must be as many as the row draws.  A label calls only its view's names (`_VIEWS`),
+    and the law's source names only ``ops.<slot>`` for a bundle slot, ``model``, its arguments
+    and this module's names, looked up when the law runs: a view's 0 and 1 are written into it
+    as calls (`_CONSTANTS`).  In the ext view the extended operations lift their operands, and
+    both sides of a check are lifted before they are compared.  A label outside this grammar
+    or its view is refused with an `AlgebraError` that names it.
     """
 
     def __init__(self, view: str, specs: tuple[ArgSpec, ...], labels: tuple[str, ...]):
         self.view, self.specs = view, specs
-        self.names, self.lines, self.locals, self.bound = [], [], {}, {}
+        self.names, self.lines, self.locals = [], [], {}
         checks, rhs = [], None
         for label in labels:
             self.label, self.tokens, self.pos = label, _TOKENS(label), 0
@@ -345,9 +344,8 @@ class _Compiler:
         if len(self.names) != len(specs):
             raise AlgebraError("labels %s name %d arguments, and the row draws %d"
                                % (", ".join(map(repr, labels)), len(self.names), len(specs)))
-        params = ["a%d" % i for i in range(len(specs))] + ["%s=%s" % (k, k) for k in self.bound]
         self.source = "def law(ops, model, %s):\n%s    return [%s]\n" % (
-            ", ".join(params), "".join(self.lines), ", ".join(checks))
+            ", ".join("a%d" % i for i in range(len(specs))), "".join(self.lines), ", ".join(checks))
 
     # -- tokens
 
@@ -382,19 +380,8 @@ class _Compiler:
             self.lines.append("    %s = %s\n" % (self.locals[code], code))
         return self.locals[code]
 
-    def callee(self, fn) -> str:
-        """`fn` as the law's source names it; a value with no name here (a view's 0 or 1) is bound into the law."""
-        if fn in _SOURCE_NAMES:
-            return _SOURCE_NAMES[fn]
-        for name, value in self.bound.items():
-            if value is fn:
-                return name
-        name = "k%d" % len(self.bound)
-        self.bound[name] = fn
-        return name
-
     def lifted(self, code: str, ext: bool) -> str:
-        return code if ext else self.local("%s(%s)" % (self.callee(_ext_lift), code))
+        return code if ext else self.local("_ext_lift(%s)" % code)
 
     def compared(self, value) -> str:
         return self.lifted(*value) if self.view == "ext" else value[0]
@@ -407,7 +394,7 @@ class _Compiler:
             args = [self.lifted(*x) for x in operands] + ["ops=ops"]
         else:
             args = [code for code, _ in operands]
-        return self.local("%s(%s)" % (self.callee(fn), ", ".join(args))), fn in _EXTENDED
+        return self.local("%s(%s)" % (_SOURCE_NAMES[fn], ", ".join(args))), fn in _EXTENDED
 
     def argument(self, name: str):
         if not _NAME(name):
@@ -443,8 +430,7 @@ class _Compiler:
                 break
         code, ext = self.chain()
         if exponents:
-            sign = "-" * negative + self.callee(sign_pow)
-            return self.local("%s.scale(%s(%s))" % (code, sign, " + ".join(exponents))), ext
+            return self.local("%s.scale(%ssign_pow(%s))" % (code, "-" * negative, " + ".join(exponents))), ext
         return (self.local("-" + code) if negative else code), ext
 
     def chain(self):
@@ -475,7 +461,7 @@ class _Compiler:
             self.expect(")")
             return value
         if token in ("0", "1"):
-            return self.local("%s(model)" % self.callee(_VIEWS[self.view][token])), self.view == "ext"
+            return self.local(_CONSTANTS[self.view][token == "1"]), self.view == "ext"
         if self.peek() == "(" and _NAME(token):
             self.take()
             value = self.side()
@@ -516,7 +502,7 @@ class _Compiler:
     def factor(self) -> str:
         token = self.take()
         if token == "|":
-            code = self.local("%s(%s)" % (self.callee(_hdeg), self.argument(self.take())[0]))
+            code = self.local("_hdeg(%s)" % self.argument(self.take())[0])
             self.expect("|")
             return code
         if token == "(":
@@ -531,14 +517,13 @@ class _Compiler:
 def _law(view: str, specs: tuple[ArgSpec, ...], *labels: str) -> Callable:
     """The `evaluate` of a row whose `labels`, read in `view`, state its checks: compiled when
     the catalog is built, and exec'd on its first call, which `table` and `eval` never make."""
-    compiled = _Compiler(view, specs, labels)
-    source, bound = compiled.source, compiled.bound
+    source = _Compiler(view, specs, labels).source
     law = None
 
     def evaluate(ops, model, args):
         nonlocal law
         if law is None:
-            namespace = dict(bound)
+            namespace = {}
             exec(source, globals(), namespace)
             law = namespace["law"]
         return law(ops, model, *args)

@@ -329,6 +329,13 @@ def test_evaluate_unknown_generator_for_model():
         evaluate("cap(alpha9, u1)", SU3)
 
 
+def test_evaluate_refuses_a_hand_built_call_of_an_unknown_function():
+    """The parser never builds one; `evaluate` refuses it all the same."""
+    with pytest.raises(ExpressionError) as err:
+        evaluate(Call("nope", (Gen("a", 1),)), S3)
+    assert err.value.message == "unknown function 'nope'"
+
+
 def test_evaluate_subring_guards():
     with pytest.raises(ExpressionError, match="exterior"):
         evaluate("s(u1)", S3)

@@ -129,7 +129,7 @@ def test_closed_form_cap_matches_bracket_expansion_and_oracle(model):
         w = Element(model, Ring.COH, w_terms)
         b = Element(model, Ring.LOOP, b_terms)
         value = cap(w, b)
-        assert value == cap(w, b, bracket=loop_bracket)
+        assert value == nested_brackets(w, b, loop_product, loop_bracket)
         assert value == oracle.cap(w, b)
         nonzero += not value.is_zero()
     assert nonzero >= 20

@@ -24,6 +24,7 @@ from loopbv.kernel import (
     random_element,
     sign_pow,
 )
+from loopbv.models import builtin_model
 
 S3 = ModelSpec("s3", (3,))
 SU3 = ModelSpec("su3", (3, 5))
@@ -83,6 +84,22 @@ def test_model_specs_compare_by_value():
     same_x = _a(tupled, 1) + _u(tupled, 2)
     assert x == same_x and x + y == same_x + y
     assert x * y == same_x * y and x * y
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ModelSpec("x", (3.0,)), "model 'x': generator_degrees[0] = 3.0 is not an integer"),
+    (lambda: ModelSpec.from_json("[3]"), "model JSON must be an object with 'name' and 'generator_degrees'"),
+    (lambda: ModelSpec.from_json('{"name": 3, "generator_degrees": [3]}'), "model JSON: 'name' must be a string"),
+    (lambda: ModelSpec.from_json('{"name": "x", "generator_degrees": "3"}'),
+     "model JSON: 'generator_degrees' must be a list of odd integers"),
+    (lambda: Element.generator(SU3, Ring.LOOP, "odd", 3), "generator index 3 out of range: model 'su3' has generators 1..2"),
+    (lambda: Element.generator(SU3, Ring.LOOP, "middle", 1), "generator kind must be 'odd' or 'even', got 'middle'"),
+    (lambda: builtin_model("su1"), "model 'su1': su<n> needs n >= 2"),
+], ids=["float-degree", "json-not-object", "json-name", "json-degrees", "generator-index", "generator-kind", "su1"])
+def test_a_malformed_model_or_generator_is_refused_with_its_message(call, message):
+    with pytest.raises(AlgebraError) as refused:
+        call()
+    assert str(refused.value) == message
 
 
 def test_model_json_rejects_even_degree_with_diagnostic():

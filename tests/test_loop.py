@@ -156,6 +156,23 @@ def test_engine_function_bodies_read_the_bound_ring_constants(name):
     assert list(_ring_member_reads(tree)) == []
 
 
+def _cap_calls_passing_bracket(tree):
+    """Line of each call that passes `bracket=` to `cap`, called by name or attribute, or through `partial`."""
+    is_cap = lambda node: getattr(node, "id", getattr(node, "attr", None)) == "cap"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and any(keyword.arg == "bracket" for keyword in node.keywords):
+            if is_cap(node.func) or (node.args and is_cap(node.args[0])):
+                yield node.lineno
+
+
+def test_no_package_or_test_code_passes_bracket_to_cap():
+    """`cap(bracket=)` is kept for the benchmark tracer alone: the package and its tests
+    expand eq. 5.2 with `nested_brackets`, so deleting the parameter edits `bench/` only."""
+    paths = sorted(Path(loopbv.__file__).parent.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    calls = [(path.name, line) for path in paths for line in _cap_calls_passing_bracket(ast.parse(path.read_text(encoding="utf-8")))]
+    assert calls == []
+
+
 _PUBLIC_NAMES = [
     "ANY_DEGREE", "AlgebraError", "BVOps", "CATALOG", "CATALOG_VERSION", "CheckReport", "Element",
     "ExpressionError", "ExtendedClass", "INHOMOGENEOUS", "IdentityCase", "ModelSpec", "Monomial", "Ring",

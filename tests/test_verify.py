@@ -11,7 +11,7 @@ from operator import mul
 import pytest
 
 from loopbv.kernel import AlgebraError, Element, ModelSpec, Ring, basis_index, random_element, sign_pow
-from loopbv.extended import STANDARD_OPS, BVOps, ExtendedClass, cap, extended_bracket, extended_product
+from loopbv.extended import STANDARD_OPS, BVOps, ExtendedClass, cap, extended_bracket, extended_product, nested_brackets
 from loopbv.cohomology import coh_delta, poincare_dual, poincare_dual_inverse, to_base
 from loopbv.loop import bv_delta, loop_bracket, loop_product
 from loopbv.models import resolve_model
@@ -458,7 +458,7 @@ def test_mutations_that_keep_the_standard_bracket_and_cap(name):
             assert whole == left + right
         value = cap(w, b)
         caps += not value.is_zero()
-        assert cap(w, b, bracket=loop_bracket) == value
+        assert nested_brackets(w, b, loop_product, loop_bracket) == value
         assert old_drop_term(b, c) == loop_bracket(b, c) + b * bv_delta(c) == drop_term(b, c)
     assert parities == {0, 1} and delta_moved and caps
 
@@ -709,6 +709,12 @@ def test_an_empty_window_is_refused_with_its_bounds(call):
     assert str(info.value) == "empty degree window (5, 3)"
 
 
+def test_an_unknown_draw_kind_is_refused():
+    with pytest.raises(AlgebraError) as refused:
+        _plan(ArgSpec("nope"), SU3)
+    assert str(refused.value) == "unknown draw kind 'nope'"
+
+
 @pytest.mark.parametrize("kind", ["ext", "intersect-config"])
 def test_composite_draws_refuse_a_window(kind):
     """`ext` and `intersect-config` draw each class in its own window, so a spec's window is refused."""
@@ -880,8 +886,8 @@ def _sides(view, kinds, label, *args):
 
 def test_each_view_reads_its_notation():
     """The names of each view: `D` is the dual in the loop view and Delta in the ext
-    view, `Dalpha` is `coh_delta(alpha)`, 0 and 1 are the view's own, and a pair reads
-    its slot in the coh or the loop view and lifts it."""
+    view, `Dalpha` is `coh_delta(alpha)`, 0 and 1 are the view's own, a pair reads
+    its slot in the coh or the loop view and lifts it, and a class summed with a pair is lifted."""
     rng = report_rng(42, "notation")
     al, b, c = (_plan(ArgSpec(kind), SU3)(rng) for kind in ("base", "loop", "loop"))
     x = _plan(ArgSpec("exterior"), SU3)(rng)
@@ -898,6 +904,8 @@ def test_each_view_reads_its_notation():
     assert _sides("ext", "base loop", "(0,{Dinv(alpha),b}) = {alpha,b}", al, b) == (
         lift(loop_bracket(poincare_dual_inverse(al), b)), extended_bracket(lift(al), lift(b)))
     assert _sides("ext", "base loop", "(alpha cup 1,0) = alpha cap b", al, b) == (lift(al), lift(cap(al, b)))
+    assert _sides("ext", "base loop", "(alpha,0) + alpha cap b = alpha.b", al, b) == (
+        lift(al) + lift(cap(al, b)), extended_product(lift(al), lift(b)))
     assert _sides("ext", "", "(1,0) = 1 + 0") == (ExtendedClass.unit(SU3),) * 2
 
 
@@ -927,6 +935,7 @@ def test_a_label_is_evaluated_not_only_printed(ident, view, wrong, monkeypatch):
     ("loop", "loop", ["Delta = b"], "'Delta' is not a class"),
     ("loop", "loop", ["b = (0,b)"], "expected ')', got ','"),
     ("loop", "loop", ["b = b b"], "expected the end, got 'b'"),
+    ("ext", "base", ["(alpha,0 = alpha"], "expected ')', got ','"),
 ])
 def test_a_malformed_label_is_refused_when_its_row_is_built(view, kinds, labels, message):
     with pytest.raises(AlgebraError, match=re.escape(message)) as refused:
