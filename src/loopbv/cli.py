@@ -71,9 +71,10 @@ def _cmd_check(args) -> int:
     return 1 if failed else 0
 
 
-# about two minutes of output: written to a file on a 2-vCPU 2.1 GHz Xeon VM,
-# `table --model su5 --op bracket` prints 94,000 lines/s (1.8 min for the limit)
-# and `--model exterior:3,5,7 --op cap` 162,000 lines/s (1.0 min)
+# about a minute of output: written to a file on a shared 2-vCPU Xeon VM (Python
+# 3.11.7), `table --model su5 --op bracket --max-degree 12 --max-exp 3` prints
+# 208,000 lines/s (48 s for the limit) and `--model exterior:3,5,7 --op cap
+# --max-degree 24 --max-exp 6` 359,000 lines/s (28 s)
 TABLE_LINE_LIMIT = 10 ** 7
 
 

@@ -16,8 +16,8 @@ inverse realises base classes as constant-loop homology classes.
 
 from __future__ import annotations
 
-from .kernel import Element, ModelSpec, Monomial, _COH, _LOOP, _tuple_new
-from .kernel import _add_into, _expect, _exterior
+from .kernel import Element, ModelSpec, _COH, _LOOP
+from .kernel import _clean, _expect, _exterior, _overflow
 
 
 def alpha(model: ModelSpec, index: int) -> Element:
@@ -31,17 +31,23 @@ def v(model: ModelSpec, index: int) -> Element:
 def coh_delta(x: Element) -> Element:
     """The odd derivation with coh_delta(alpha_i) = v_i; squares to zero."""
     _expect(x, "coh_delta", _COH)
+    packing = x.model._packing
+    odd, shifts, guard = packing.odd, packing.shifts, packing.guard
     out = {}
-    for mono, coeff in x.terms.items():
-        for pos, i in enumerate(mono.odds):
-            odds = mono.odds[:pos] + mono.odds[pos + 1:]
-            exps = list(mono.exps)
-            exps[i - 1] += 1
-            new = _tuple_new(Monomial, (odds, tuple(exps)))
+    get = out.get
+    for mono, coeff in x._terms.items():
+        odds, pos = mono & odd, 0
+        while odds:
+            bit = odds & -odds
+            odds ^= bit
+            new = mono - bit + (1 << shifts[bit.bit_length() - 1])
+            if new & guard:
+                raise _overflow(x.model, new)
             # the derivation passes over `pos` odd generators; v_i is even,
             # so sliding it into the exponent block costs nothing
-            _add_into(out, new, -coeff if pos % 2 else coeff)
-    return Element._of(x.model, _COH, out)
+            out[new] = get(new, 0) + (-coeff if pos & 1 else coeff)
+            pos += 1
+    return Element._of(x.model, _COH, _clean(out))
 
 
 def to_base(x: Element, op: str = "to_base") -> Element:
@@ -56,10 +62,10 @@ def poincare_dual(x: Element) -> Element:
     for reordering the a_i and the alpha_i are identical.
     """
     _exterior(x, "poincare_dual", _LOOP)
-    return Element._of(x.model, _COH, dict(x.terms))
+    return Element._of(x.model, _COH, dict(x._terms))
 
 
 def poincare_dual_inverse(w: Element) -> Element:
     """D^{-1}: base cohomology back to constant-loop homology classes."""
     to_base(w, "poincare_dual_inverse")
-    return Element._of(w.model, _LOOP, dict(w.terms))
+    return Element._of(w.model, _LOOP, dict(w._terms))

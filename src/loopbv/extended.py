@@ -58,14 +58,15 @@ from .kernel import (
     AlgebraError,
     Element,
     ModelSpec,
-    Monomial,
     _COH,
+    _FIELD,
+    _FIELD_MASK,
     _LOOP,
-    _add_into,
+    _below,
+    _clean,
     _expect,
-    _merge_odds,
     _same_model,
-    _tuple_new,
+    _unpack,
     sign_pow,
 )
 from .kernel import ANY_DEGREE, INHOMOGENEOUS, _mono_degree
@@ -103,30 +104,37 @@ def cap(omega: Element, b: Element, *, bracket=None) -> Element:
     _same_model(omega, b, "cap")
     if bracket is not None:
         return nested_brackets(omega, b, loop_product, bracket)
+    if not omega._terms or not b._terms:
+        return Element._of(omega.model, _LOOP, {})
+    packing = omega.model._packing
+    odd, shifts = packing.odd, packing.shifts
     terms = {}
-    b_items = b.terms.items()
-    for (odds_w, exps_w), coeff_w in omega.terms.items():
-        powers = [(j, k) for j, k in enumerate(exps_w) if k]
-        for (odds_b, exps_b), coeff_b in b_items:
-            factor = 1
-            for j, k in powers:
-                e = exps_b[j]
+    get, b_items = terms.get, b._terms.items()
+    for m_w, coeff_w in omega._terms.items():
+        odds_w = m_w & odd
+        powers, fields, i = [], m_w >> packing.rank, 0  # (field offset, K_i) for each K_i > 0
+        while fields:
+            if k := fields & _FIELD_MASK:
+                powers.append((shifts[i], k))
+            fields >>= _FIELD
+            i += 1
+        for m_b, coeff_b in b_items:
+            odds_b = m_b & odd
+            if odds_w & odds_b:
+                continue
+            coeff = coeff_w * coeff_b
+            for shift, k in powers:
+                e = m_b >> shift & _FIELD_MASK
                 if e < k:
                     break
-                factor *= perm(e, k)
+                coeff *= perm(e, k)
             else:
-                sign, odds = _merge_odds(odds_w, odds_b)
-                if not sign:
-                    continue
-                exps = exps_b
-                if powers:
-                    exps = list(exps_b)
-                    for j, k in powers:
-                        exps[j] -= k
-                    exps = tuple(exps)
-                mono = _tuple_new(Monomial, (odds, exps))
-                _add_into(terms, mono, coeff_w * coeff_b * (factor if sign > 0 else -factor))
-    return Element._of(omega.model, _LOOP, terms)
+                if odds_w and odds_b and (odds_w & _below(odds_b)).bit_count() & 1:
+                    coeff = -coeff
+                # a_T a_S u^{E-K}: omega's odd mask joins, its exponents leave
+                mono = m_b + odds_w - (m_w - odds_w)
+                terms[mono] = get(mono, 0) + coeff
+    return Element._of(omega.model, _LOOP, _clean(terms))
 
 
 def nested_brackets(omega: Element, b: Element, product, bracket, forward: bool = False) -> Element:
@@ -135,7 +143,8 @@ def nested_brackets(omega: Element, b: Element, product, bracket, forward: bool 
     `forward`, first factor first times the Koszul sign (-1)^{|T|(|T|-1)/2}.  The operators
     are linear, so a term stops at a zero partial result."""
     model, result = omega.model, Element.zero(omega.model, _LOOP)
-    for mono, coeff in omega.terms.items():
+    for m, coeff in omega._terms.items():
+        mono = _unpack(model, m)
         factors = [(i, False) for i in mono.odds] + [(i, True) for i, k in enumerate(mono.exps, 1) for _ in range(k)]
         if forward:
             coeff *= sign_pow(len(mono.odds) * (len(mono.odds) - 1) // 2)
@@ -200,8 +209,8 @@ class ExtendedClass:
 
     def degree(self):
         """Homological degree; cohomological degree k counts as -k."""
-        degs = {-_mono_degree(self.model, _COH, m) for m in self.coh.terms}
-        degs.update([_mono_degree(self.model, _LOOP, m) for m in self.loop.terms])
+        degs = {-_mono_degree(self.model, _COH, m) for m in self.coh._terms}
+        degs.update([_mono_degree(self.model, _LOOP, m) for m in self.loop._terms])
         if not degs:
             return ANY_DEGREE
         return degs.pop() if len(degs) == 1 else INHOMOGENEOUS
@@ -252,19 +261,20 @@ class ExtendedClass:
 
 def _parity_parts(x: Element) -> list[tuple[int, Element]]:
     """The nonzero parts of `x` of even and of odd degree, as (parity, part)."""
-    parts = ({}, {})
-    for mono, coeff in x.terms.items():
-        parts[len(mono.odds) & 1][mono] = coeff
+    parts, odd = ({}, {}), x.model._packing.odd
+    for mono, coeff in x._terms.items():
+        parts[(mono & odd).bit_count() & 1][mono] = coeff
     return [(p, Element._of(x.model, x.ring, terms)) for p, terms in enumerate(parts) if terms]
 
 
 def _gather(loop: Element, mixed: list) -> Element:
     """`loop` plus sign * c for each (sign, c) in `mixed`, in one term dict."""
-    terms = dict(loop.terms)
+    terms = dict(loop._terms)
+    get = terms.get
     for sign, c in mixed:
-        for mono, coeff in c.terms.items():
-            _add_into(terms, mono, coeff if sign > 0 else -coeff)
-    return Element._of(loop.model, _LOOP, terms)
+        for mono, coeff in c._terms.items():
+            terms[mono] = get(mono, 0) + (coeff if sign > 0 else -coeff)
+    return Element._of(loop.model, _LOOP, _clean(terms))
 
 
 def extended_product(x: ExtendedClass, y: ExtendedClass, *, ops: BVOps = STANDARD_OPS) -> ExtendedClass:
@@ -272,8 +282,8 @@ def extended_product(x: ExtendedClass, y: ExtendedClass, *, ops: BVOps = STANDAR
     _same_model(x, y, "extended_product")
     coh = x.coh * y.coh
     loop = ops.product(x.loop, y.loop)
-    mixed = [(1, ops.cap(x.coh, y.loop))] if x.coh.terms and y.loop.terms else []
-    if y.coh.terms and x.loop.terms:
+    mixed = [(1, ops.cap(x.coh, y.loop))] if x.coh._terms and y.loop._terms else []
+    if y.coh._terms and x.loop._terms:
         # b . alpha = (-1)^{|alpha||b|} alpha . b, per parity part
         loop_parts = _parity_parts(x.loop)
         mixed += [(sign_pow(k * n), ops.cap(w, b)) for k, w in _parity_parts(y.coh) for n, b in loop_parts]
@@ -290,9 +300,9 @@ def extended_bracket(x: ExtendedClass, y: ExtendedClass, *, ops: BVOps = STANDAR
     _same_model(x, y, "extended_bracket")
     loop = ops.bracket(x.loop, y.loop)
     mixed = []
-    if x.coh.terms and y.loop.terms:
+    if x.coh._terms and y.loop._terms:
         mixed += [(sign_pow(k), ops.cap(ops.coh_delta(w), y.loop)) for k, w in _parity_parts(x.coh)]
-    if y.coh.terms and x.loop.terms:
+    if y.coh._terms and x.loop._terms:
         # (-1)^k times the flip -(-1)^{(k+1)(n+1)} is (-1)^{(k+1)n}
         loop_parts = _parity_parts(x.loop)
         for k, w in _parity_parts(y.coh):

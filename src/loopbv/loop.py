@@ -42,29 +42,29 @@ ascending index tuple S and a_S the product of the a_i, i in S, in order,
 
 where a product a_A a_B carries the Koszul sign of merging A and B.  This
 is the sum over i above term by term: both products of the i-th summand
-land on u^{E+F-e_i}.  `loop_bracket` merges S and T once.  When they are
-disjoint, a_i at position q of the merged tuple gives both sums the sign
-(-1)^{q+|S|} times the sign of the merge.  When they share one index j,
-only i = j survives, and its two summands add up to
+land on u^{E+F-e_i}, and its packed monomial (see `kernel`) is the sum of
+the two packed monomials less the bit of a_i and the unit of u_i's field.
+When S and T are disjoint, a_i at position q of the merged tuple gives both
+sums the sign (-1)^{q+|S|} times the sign of the merge; the parity of q is
+bit i of `_below(S | T)`, which is `_below(S) ^ _below(T)`.  When they share
+one index j, only i = j survives, and its two summands add up to
 (-1)^{pos_S(j)+|S|} (F_j - E_j) a_{S-j} a_T u^{E+F-e_j}; two shared indices
 leave nothing.
 """
 
 from __future__ import annotations
 
-from operator import add
-
 from .kernel import (
     Element,
     ModelSpec,
-    Monomial,
+    _FIELD_MASK,
     _LOOP,
-    _add_into,
+    _below,
+    _clean,
     _expect,
     _exterior,
-    _merge_odds,
+    _overflow,
     _same_model,
-    _tuple_new,
 )
 
 
@@ -85,19 +85,25 @@ def loop_product(b: Element, c: Element) -> Element:
 def bv_delta(b: Element) -> Element:
     _expect(b, "bv_delta", _LOOP)
     # one pass over the terms, d/du_i o d/da_i on each
+    packing = b.model._packing
+    odd, shifts = packing.odd, packing.shifts
     terms = {}
-    for mono, coeff in b.terms.items():
-        for pos, i in enumerate(mono.odds):
-            k = mono.exps[i - 1]
-            if k == 0:
-                continue
-            odds = mono.odds[:pos] + mono.odds[pos + 1:]
-            exps = list(mono.exps)
-            exps[i - 1] = k - 1
-            new = _tuple_new(Monomial, (odds, tuple(exps)))
-            # d/da_i passes over `pos` odd generators; d/du_i brings down k
-            _add_into(terms, new, -(coeff * k) if pos % 2 else coeff * k)
-    return Element._of(b.model, _LOOP, terms)
+    get = terms.get
+    for mono, coeff in b._terms.items():
+        if mono <= odd:  # no u factor
+            continue
+        odds, pos = mono & odd, 0
+        while odds:
+            bit = odds & -odds
+            odds ^= bit
+            shift = shifts[bit.bit_length() - 1]
+            k = mono >> shift & _FIELD_MASK
+            if k:
+                # d/da_i passes over `pos` odd generators; d/du_i brings down k
+                new = mono - bit - (1 << shift)
+                terms[new] = get(new, 0) + (-(coeff * k) if pos & 1 else coeff * k)
+            pos += 1
+    return Element._of(b.model, _LOOP, _clean(terms))
 
 
 def loop_bracket(b: Element, c: Element) -> Element:
@@ -105,43 +111,54 @@ def loop_bracket(b: Element, c: Element) -> Element:
     _expect(b, "loop_bracket", _LOOP)
     _expect(c, "loop_bracket", _LOOP)
     _same_model(b, c, "loop_bracket")
+    model = b.model
+    if not b._terms or not c._terms:
+        return Element._of(model, _LOOP, {})
+    packing = model._packing
+    odd, shifts, guard = packing.odd, packing.shifts, packing.guard
     terms = {}
-    c_items = c.terms.items()
-    for (odds_b, exps_b), coeff_b in b.terms.items():
-        size_b = len(odds_b)
-        for (odds_c, exps_c), coeff_c in c_items:
-            sign, odds = _merge_odds(odds_b, odds_c)
-            if sign:
-                # disjoint: a_i at position q of the merge has sign (-1)^{q+|S|} times the merge's
-                if size_b % 2:
-                    sign = -sign
-                hits = []  # (i, signed factor, odd indices of the result)
-                for q, i in enumerate(odds):
-                    k = exps_c[i - 1] if i in odds_b else exps_b[i - 1]
-                    if k:
-                        hits.append((i, k if q % 2 == (sign < 0) else -k, odds[:q] + odds[q + 1:]))
+    get, right = terms.get, c._terms.items()
+    for m_b, coeff_b in b._terms.items():
+        odds_b = m_b & odd
+        below_b = _below(odds_b)
+        size_b = odds_b.bit_count() & 1
+        for m_c, coeff_c in right:
+            odds_c = m_c & odd
+            shared = odds_b & odds_c
+            if not shared:
+                # a_i of S needs F_i > 0 and a_i of T needs E_i > 0: no u factor, no term
+                hits = (odds_b if m_c > odd else 0) | (odds_c if m_b > odd else 0)
                 if not hits:
                     continue
-            else:
+                below_c = _below(odds_c)
+                # a_i at position q of the merge: (-1)^{q+|S|} times the merge's sign
+                flip = size_b ^ (odds_b & below_c).bit_count() & 1
+                position = below_b ^ below_c
+                while hits:
+                    bit = hits & -hits
+                    hits ^= bit
+                    shift = shifts[bit.bit_length() - 1]
+                    k = (m_c if bit & odds_b else m_b) >> shift & _FIELD_MASK  # the other factor's exponent
+                    if k:
+                        mono = m_b + m_c - bit - (1 << shift)
+                        if mono & guard:
+                            raise _overflow(model, mono)
+                        coeff = coeff_b * coeff_c * k
+                        terms[mono] = get(mono, 0) + (-coeff if bool(position & bit) ^ flip else coeff)
+            elif not shared & (shared - 1):
                 # one shared a_j: only i = j survives, with the factor F_j - E_j
-                shared = [i for i in odds_b if i in odds_c]
-                if len(shared) > 1:
-                    continue
-                j = shared[0]
-                k = exps_c[j - 1] - exps_b[j - 1]
-                if not k:
-                    continue
-                pos = odds_b.index(j)
-                sign, odds = _merge_odds(odds_b[:pos] + odds_b[pos + 1:], odds_c)
-                hits = [(j, k if (pos + size_b) % 2 == (sign < 0) else -k, odds)]
-            coeff = coeff_b * coeff_c
-            summed = list(map(add, exps_b, exps_c))
-            for i, k, odds in hits:
-                summed[i - 1] -= 1
-                mono = _tuple_new(Monomial, (odds, tuple(summed)))
-                summed[i - 1] += 1
-                _add_into(terms, mono, coeff * k)
-    return Element._of(b.model, _LOOP, terms)
+                shift = shifts[shared.bit_length() - 1]
+                k = (m_c >> shift & _FIELD_MASK) - (m_b >> shift & _FIELD_MASK)
+                if k:
+                    mono = m_b + m_c - shared - (1 << shift)
+                    if mono & guard:
+                        raise _overflow(model, mono)
+                    # pos_S(j) + |S| + the sign of merging S - j and T
+                    flip = ((odds_b & (shared - 1)).bit_count() + size_b
+                            + ((odds_b ^ shared) & _below(odds_c)).bit_count()) & 1
+                    coeff = coeff_b * coeff_c * k
+                    terms[mono] = get(mono, 0) + (-coeff if flip else coeff)
+    return Element._of(model, _LOOP, _clean(terms))
 
 
 def s_star(x: Element) -> Element:

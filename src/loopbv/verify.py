@@ -65,6 +65,7 @@ from .kernel import (
     Ring,
     _COH,
     _LOOP,
+    _unpack,
     basis_index,
     check_count,
     check_index_size,
@@ -805,8 +806,8 @@ def _drop_one_term(value):
     """Yield copies of `value` with a single monomial term removed: from a class,
     from one part of a pair or an `IntersectConfig`, or from one item of a list."""
     if isinstance(value, Element):
-        for mono in sorted(value.terms):
-            yield Element._of(value.model, value.ring, {m: c for m, c in value.terms.items() if m != mono})
+        for mono in sorted(value._terms, key=partial(_unpack, value.model)):  # in `Monomial` order
+            yield Element._of(value.model, value.ring, {m: c for m, c in value._terms.items() if m != mono})
     elif isinstance(value, ExtendedClass):
         for coh in _drop_one_term(value.coh):
             yield ExtendedClass._of(coh, value.loop)

@@ -306,18 +306,26 @@ def _interleave_sign(left, right) -> int:
 
 
 def test_merge_odds_against_brute_force():
-    """Every pair of ascending subsets of {1,...,7}, which cover su8's odd indices:
-    a shared index gives (0, None), else the sign of interleaving and the sorted union."""
+    """Every pair of ascending subsets of {1,...,7}, which cover su8's odd indices, as
+    packed masks S and T: a shared index gives a zero product; else the sign is the
+    parity of `S & _below(T)`, and the product of a_S and a_T is that sign times the
+    monomial of the union, S | T."""
     subsets = [s for size in range(8) for s in itertools.combinations(range(1, 8), size)]
+    su8, zeros = _su(8), (0,) * 7
+    classes = [Element(su8, Ring.LOOP, {Monomial(s, zeros): 1}) for s in subsets]
+    masks = [sum(1 << (i - 1) for i in s) for s in subsets]
     pairs = 0
-    for left in subsets:
-        for right in subsets:
+    for left, x, mask_l in zip(subsets, classes, masks):
+        for right, y, mask_r in zip(subsets, classes, masks):
             pairs += 1
+            product = (x * y).terms
             if set(left) & set(right):
-                assert kernel._merge_odds(left, right) == (0, None), (left, right)
+                assert mask_l & mask_r and product == {}, (left, right)
             else:
-                want = (_interleave_sign(left, right), tuple(sorted(left + right)))
-                assert kernel._merge_odds(left, right) == want, (left, right)
+                sign = _interleave_sign(left, right)
+                assert (-1) ** (mask_l & kernel._below(mask_r)).bit_count() == sign, (left, right)
+                assert product == {Monomial(tuple(sorted(left + right)), zeros): sign}, (left, right)
+                assert kernel._unpack(su8, mask_l | mask_r).odds == tuple(sorted(left + right))
     assert pairs == 16384
 
 
@@ -406,7 +414,7 @@ def test_basis_index_matches_enumeration(degrees, ring):
         assert index.degrees == tuple(sorted(reference))
         for deg, monos in reference.items():
             assert index.count(deg) == len(monos)
-            assert [index.monomial(deg, k) for k in range(len(monos))] == monos
+            assert [kernel._unpack(model, index.monomial(deg, k)) for k in range(len(monos))] == monos
         assert index.count(max(reference) + 1) == 0
 
 
@@ -429,7 +437,7 @@ def test_basis_index_counts_rank_12_without_enumerating(cap):
     if cap == 6:
         assert total == 76_038_144
     last = index.degrees[-1]
-    assert index.monomial(last, index.count(last) - 1) == Monomial((), (0,) * 11 + (cap,))
+    assert kernel._unpack(RANK12, index.monomial(last, index.count(last) - 1)) == Monomial((), (0,) * 11 + (cap,))
 
 
 def _exterior_ones(rank):
@@ -480,7 +488,7 @@ def test_rank_24_index_counts_without_listing_odd_tuples(monkeypatch):
     middle = index.degrees[len(index.degrees) // 2]
     n = index.count(middle)
     assert n > 10 ** 6
-    ends = [index.monomial(middle, k) for k in (*range(20), *range(n - 20, n))]
+    ends = [kernel._unpack(model, index.monomial(middle, k)) for k in (*range(20), *range(n - 20, n))]
     assert ends == sorted(set(ends))
     for mono in ends:
         assert Element(model, Ring.LOOP, {mono: 1}).degree() == middle

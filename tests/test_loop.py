@@ -192,7 +192,8 @@ def test_public_surface_is_pinned():
 
 
 @pytest.mark.parametrize("cls, methods", [
-    (loopbv.Element, ["degree", "generator", "homogeneous_components", "is_zero", "render", "scale", "unit", "zero"]),
+    (loopbv.Element, ["degree", "generator", "homogeneous_components", "is_zero", "render", "scale", "terms", "unit",
+                      "zero"]),
     (loopbv.ExtendedClass, ["degree", "homogeneous_components", "is_zero", "render", "scale", "unit", "zero"]),
 ], ids=["Element", "ExtendedClass"])
 def test_public_methods_are_pinned(cls, methods):
