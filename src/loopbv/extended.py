@@ -59,17 +59,15 @@ from .kernel import (
     Element,
     ModelSpec,
     _COH,
-    _FIELD,
     _FIELD_MASK,
     _LOOP,
     _below,
     _clean,
     _expect,
     _same_model,
-    _unpack,
     sign_pow,
 )
-from .kernel import ANY_DEGREE, INHOMOGENEOUS, _mono_degree
+from .kernel import ANY_DEGREE, INHOMOGENEOUS
 from .loop import bv_delta, loop_bracket, loop_product
 from .loop import a as loop_a
 from .cohomology import coh_delta, to_base
@@ -112,12 +110,12 @@ def cap(omega: Element, b: Element, *, bracket=None) -> Element:
     get, b_items = terms.get, b._terms.items()
     for m_w, coeff_w in omega._terms.items():
         odds_w = m_w & odd
-        powers, fields, i = [], m_w >> packing.rank, 0  # (field offset, K_i) for each K_i > 0
-        while fields:
+        powers = []  # (field offset, K_i) for each K_i > 0
+        for shift in shifts:
+            if not (fields := m_w >> shift):
+                break
             if k := fields & _FIELD_MASK:
-                powers.append((shifts[i], k))
-            fields >>= _FIELD
-            i += 1
+                powers.append((shift, k))
         for m_b, coeff_b in b_items:
             odds_b = m_b & odd
             if odds_w & odds_b:
@@ -143,8 +141,7 @@ def nested_brackets(omega: Element, b: Element, product, bracket, forward: bool 
     `forward`, first factor first times the Koszul sign (-1)^{|T|(|T|-1)/2}.  The operators
     are linear, so a term stops at a zero partial result."""
     model, result = omega.model, Element.zero(omega.model, _LOOP)
-    for m, coeff in omega._terms.items():
-        mono = _unpack(model, m)
+    for mono, coeff in omega.terms.items():
         factors = [(i, False) for i in mono.odds] + [(i, True) for i, k in enumerate(mono.exps, 1) for _ in range(k)]
         if forward:
             coeff *= sign_pow(len(mono.odds) * (len(mono.odds) - 1) // 2)
@@ -209,11 +206,11 @@ class ExtendedClass:
 
     def degree(self):
         """Homological degree; cohomological degree k counts as -k."""
-        degs = {-_mono_degree(self.model, _COH, m) for m in self.coh._terms}
-        degs.update([_mono_degree(self.model, _LOOP, m) for m in self.loop._terms])
-        if not degs:
-            return ANY_DEGREE
-        return degs.pop() if len(degs) == 1 else INHOMOGENEOUS
+        coh, loop = self.coh.degree(), self.loop.degree()
+        if coh is ANY_DEGREE:
+            return loop
+        coh = coh if coh is INHOMOGENEOUS else -coh
+        return coh if loop is ANY_DEGREE or loop == coh else INHOMOGENEOUS
 
     def homogeneous_components(self) -> dict[int, "ExtendedClass"]:
         cohs = {-k: w for k, w in self.coh.homogeneous_components().items()}

@@ -40,7 +40,9 @@ T, is (-1)^n with n the number of pairs (i in S, j in T) with i > j; it is
 the parity of one population count, n = popcount(S & _below(T)) mod 2,
 where bit k of `_below(T)` is the parity of the bits of T below k (Knuth,
 TAOCP 4A, 7.1.3).  `Monomial` is the public spelling of a key: the checked
-`Element(...)` packs its keys and `Element.terms` decodes them.
+`Element(...)` packs its keys and `Element.terms` decodes them.  `_Packing`
+is the one derivation of a model's field offsets, even weights and signed
+odd degrees; every reader of the layout or the grading takes them from it.
 
 The engine reads the two rings as the module constants `_LOOP` and `_COH`,
 bound once to `Ring.LOOP` and `Ring.COH`; `Ring.LOOP` stays the public
@@ -89,7 +91,7 @@ class _Packing:
     odd mask `odd`, the bit offset of each exponent field, the guard bits of all
     fields, and the degrees the fields and bits weigh."""
 
-    __slots__ = ("rank", "odd", "shifts", "guard", "zeros", "degrees", "weights")
+    __slots__ = ("rank", "odd", "shifts", "guard", "zeros", "odd_degrees", "weights")
 
     def __init__(self, degrees: tuple[int, ...]):
         rank = len(degrees)
@@ -99,8 +101,8 @@ class _Packing:
         # one bit per field: (2^(64r) - 1) / (2^64 - 1) is 1 in every field
         self.guard = ((1 << _FIELD * rank) - 1) // _FIELD_MASK << (rank + _FIELD - 1)
         self.zeros = (0,) * rank
-        self.degrees = degrees  # of the odd generators
-        self.weights = tuple(d - 1 for d in degrees)  # of the even generators
+        self.odd_degrees = (tuple(-d for d in degrees), degrees)  # [ring is _COH]: -d_i in loop homology
+        self.weights = tuple(d - 1 for d in degrees)  # of the even generators, in both rings
 
 
 _packing = lru_cache(maxsize=None)(_Packing)
@@ -251,37 +253,37 @@ def _exterior(x: Element, op: str, ring: Ring) -> Element:
 def _mono_degree(model: ModelSpec, ring: Ring, m: int) -> int:
     """The degree of the packed monomial `m` in `ring`."""
     packing = model._packing
-    odd_part, bits = 0, m & packing.odd
+    odd_degrees, deg, bits = packing.odd_degrees[ring is _COH], 0, m & packing.odd
     while bits:
         low = bits & -bits
-        odd_part += packing.degrees[low.bit_length() - 1]
+        deg += odd_degrees[low.bit_length() - 1]
         bits ^= low
-    even_part, e = 0, m >> packing.rank
+    e = m >> packing.rank
     for w in packing.weights:  # sum of k_i * (d_i - 1)
         if not e:
             break
-        even_part += (e & _FIELD_MASK) * w
+        deg += (e & _FIELD_MASK) * w
         e >>= _FIELD
-    return even_part - odd_part if ring is _LOOP else even_part + odd_part
+    return deg
 
 
 def _render_key(model: ModelSpec, ring: Ring, m: int) -> tuple:
     """(degree, odds, exps) of the packed monomial `m`, decoded: `render` lists
     terms in this order, and (odds, exps) is its `Monomial`."""
     packing = model._packing
-    odds, bits, odd_part = [], m & packing.odd, 0
+    odd_degrees, odds, bits, deg = packing.odd_degrees[ring is _COH], [], m & packing.odd, 0
     while bits:
         low = bits & -bits
         i = low.bit_length()
         odds.append(i)
-        odd_part += packing.degrees[i - 1]
+        deg += odd_degrees[i - 1]
         bits ^= low
     if m > packing.odd:
         exps = tuple([m >> shift & _FIELD_MASK for shift in packing.shifts])
-        even_part = sum(map(mul, exps, packing.weights))
+        deg += sum(map(mul, exps, packing.weights))
     else:
-        exps, even_part = packing.zeros, 0
-    return (even_part - odd_part if ring is _LOOP else even_part + odd_part), tuple(odds), exps
+        exps = packing.zeros
+    return deg, tuple(odds), exps
 
 
 _GEN_NAMES = {Ring.LOOP: ("a", "u"), Ring.COH: ("alpha", "v")}
@@ -525,6 +527,13 @@ class Element:
                     raise _exponent_error(top)
             # below the limit no field carries into the next, so n*m multiplies each exponent by n
             return Element._of(self.model, self.ring, {mono * n: coeff ** n})
+        # The terms with no odd generator expand in Q[u_1..u_r], which has no zero divisors and
+        # in which the u_i-degrees add, and no term holding an odd generator lands on one of
+        # them: x^n holds exactly n times their largest exponent, refused here before expanding.
+        odd = self.model._packing.odd
+        top = n * max((max(_unpack(self.model, m).exps) for m in self._terms if not m & odd), default=0)
+        if top > MAX_EXPONENT:
+            raise _exponent_error(top)
         result = Element.unit(self.model, self.ring)
         square = self
         while n:  # square and multiply: about 2*log2(n) products, equal by associativity
@@ -611,10 +620,10 @@ def check_index_size(model: ModelSpec, even_cap: int) -> None:
             )
 
 
-def _exponent_vectors(weights: tuple[int, ...], cap: int) -> dict[int, list[int]]:
+def _exponent_vectors(packing: _Packing, cap: int) -> dict[int, list[int]]:
     """The packed exponent vectors of total <= cap by weighted degree, each list
     in ascending order of the exponent tuples."""
-    shifts = range(len(weights), len(weights) * (_FIELD + 1), _FIELD)
+    weights, shifts = packing.weights, packing.shifts
     even, stack = {}, [(0, 0, cap, 0)]
     while stack:  # depth first, smallest entry first: ascending tuple order
         prefix, pos, rest, deg = stack.pop()
@@ -647,9 +656,8 @@ class BasisIndex:
     def __init__(self, model: ModelSpec, ring: Ring, even_cap: int):
         check_index_size(model, even_cap)
         self.model, self.ring = model, ring
-        degs = model.generator_degrees
-        self._even = _exponent_vectors(tuple(d - 1 for d in degs), even_cap)
-        self._odd = (0,) + tuple(-d if ring is _LOOP else d for d in degs)  # 1-based
+        self._even = _exponent_vectors(model._packing, even_cap)
+        self._odd = (0,) + model._packing.odd_degrees[ring is _COH]  # 1-based
         self._tails = [{deg: len(vs) for deg, vs in self._even.items()}]
         for shift in reversed(self._odd[1:]):
             step = dict(self._tails[0])

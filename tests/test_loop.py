@@ -156,6 +156,16 @@ def test_engine_function_bodies_read_the_bound_ring_constants(name):
     assert list(_ring_member_reads(tree)) == []
 
 
+@pytest.mark.parametrize("path", sorted(Path(loopbv.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_kernel_names_the_packed_field_width_and_degree_readers(path):
+    """The packed layout and the grading are derived once, in `kernel._Packing`; every other
+    module reads them from there or through `Element`, never by the field width or the decoders."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set(_imported_names(tree))
+    names |= {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
+    assert path.stem == "kernel" or not names & {"_FIELD", "_mono_degree", "_render_key"}
+
+
 def _cap_calls_passing_bracket(tree):
     """Line of each call that passes `bracket=` to `cap`, called by name or attribute, or through `partial`."""
     is_cap = lambda node: getattr(node, "id", getattr(node, "attr", None)) == "cap"

@@ -56,6 +56,7 @@ def test_render_and_witness_orders_are_the_monomial_orders(name, cap, ring):
     assert [kernel._unpack(model, m) for m in by_witness] == sorted(monos)
     for m, mono in zip(packed, monos):
         assert kernel._render_key(model, ring, m) == (oracle._degree(model, ring, mono), *mono)
+        assert kernel._mono_degree(model, ring, m) == oracle._degree(model, ring, mono)
 
 
 def _one_terms(model, ring, cap):
@@ -111,6 +112,24 @@ def test_one_term_power_takes_the_limit_and_refuses_one_more():
     for base, n in ((u1, MAX_EXPONENT + 1), (u1 ** 2, MAX_EXPONENT // 2 + 1), (u1 ** MAX_EXPONENT, 2)):
         with pytest.raises(AlgebraError, match=LIMIT_MESSAGE):
             base ** n
+
+
+def test_many_term_power_is_refused_before_it_is_expanded():
+    """The terms with no odd generator expand in a polynomial ring, so x^n holds n times
+    their largest exponent exactly: a power past the limit is refused before any product,
+    and terms that each hold an odd generator are never refused."""
+    huge = 10 ** 23
+    s3 = resolve_model("s3")
+    with pytest.raises(AlgebraError, match="exponent %d exceeds the %s" % (huge, LIMIT_MESSAGE)):
+        (Element.generator(s3, Ring.LOOP, "even", 1) + Element.unit(s3, Ring.LOOP)) ** huge
+    su3 = resolve_model("su3")
+    a1, a2 = (Element.generator(su3, Ring.LOOP, "odd", i) for i in (1, 2))
+    u1, u2 = (Element.generator(su3, Ring.LOOP, "even", i) for i in (1, 2))
+    assert (a1 * u1 + a2 * u1) ** huge == Element.zero(su3, Ring.LOOP)
+    assert ((a1 * u1 + Element.unit(su3, Ring.LOOP)) ** huge).terms == {
+        Monomial((1,), (1, 0)): huge, Monomial((), (0, 0)): 1}
+    with pytest.raises(AlgebraError, match="exponent %d exceeds the %s" % (MAX_EXPONENT + 1, LIMIT_MESSAGE)):
+        (u1 + u2 ** 2) ** (MAX_EXPONENT // 2 + 1)
 
 
 def test_product_takes_the_limit_and_refuses_one_more():
