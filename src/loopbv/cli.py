@@ -253,6 +253,8 @@ def main(argv=None) -> int:
         return code
     except (AlgebraError, ExpressionError) as exc:
         return _fail(str(exc))
+    except MemoryError:
+        return _fail("out of memory")
     except BrokenPipeError:
         # the reader closed stdout (`| head`): stop quietly with the status of a
         # SIGPIPE kill, and point stdout at os.devnull so that the flush at exit

@@ -346,7 +346,7 @@ def loop_intersection(
     omega = Element.unit(model, _COH)
     for pos, w in enumerate(at_basepoint):
         omega = omega * _intersection_class(w, "at_basepoint", pos, model)
-    frees = []
+    sign_exp = -len(free_time)
     for pos, w in enumerate(free_time):
         w = _intersection_class(w, "free_time", pos, model)
         if w and not isinstance(w.degree(), int):
@@ -354,11 +354,6 @@ def loop_intersection(
                 "loop_intersection: free_time[%d] is inhomogeneous; "
                 "its position-dependent sign needs a single degree" % pos
             )
-        frees.append(w)
-    if not all(frees):  # every entry is checked before a zero class ends the product
-        return Element.zero(model, _LOOP)
-    sign_exp = -len(frees)
-    for pos, w in enumerate(frees):
-        sign_exp += (pos + 1) * w.degree()
+        sign_exp += (pos + 1) * w.degree() if w else 0  # a zero class zeroes omega
         omega = omega * ops.coh_delta(w)
     return ops.cap(omega, family).scale(sign_pow(sign_exp))

@@ -515,25 +515,22 @@ class Element:
     def __pow__(self, n: int) -> "Element":
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise AlgebraError("powers must be nonnegative integers, got %r" % (n,))
+        # The terms with no odd generator expand in Q[u_1..u_r], which has no zero divisors and
+        # in which the u_i-degrees add, and no term holding an odd generator lands on one of
+        # them: x^n holds exactly n times their largest exponent, refused here before expanding.
+        packing = self.model._packing
+        top = n * max((m >> shift & _FIELD_MASK for m in self._terms if not m & packing.odd
+                       for shift in packing.shifts), default=0)
+        if top > MAX_EXPONENT:
+            raise _exponent_error(top)
         if len(self._terms) == 1:  # c*m: one step, as m^n is m with its exponents times n
             if n == 0:
                 return Element.unit(self.model, self.ring)
             [(mono, coeff)] = self._terms.items()
-            if n >= 2:
-                if mono & self.model._packing.odd:  # an odd generator squares to zero
-                    return Element.zero(self.model, self.ring)
-                top = max(_unpack(self.model, mono).exps) * n
-                if top > MAX_EXPONENT:
-                    raise _exponent_error(top)
+            if n >= 2 and mono & packing.odd:  # an odd generator squares to zero
+                return Element.zero(self.model, self.ring)
             # below the limit no field carries into the next, so n*m multiplies each exponent by n
             return Element._of(self.model, self.ring, {mono * n: coeff ** n})
-        # The terms with no odd generator expand in Q[u_1..u_r], which has no zero divisors and
-        # in which the u_i-degrees add, and no term holding an odd generator lands on one of
-        # them: x^n holds exactly n times their largest exponent, refused here before expanding.
-        odd = self.model._packing.odd
-        top = n * max((max(_unpack(self.model, m).exps) for m in self._terms if not m & odd), default=0)
-        if top > MAX_EXPONENT:
-            raise _exponent_error(top)
         result = Element.unit(self.model, self.ring)
         square = self
         while n:  # square and multiply: about 2*log2(n) products, equal by associativity

@@ -319,7 +319,7 @@ class _Compiler:
     side.  A side is a sum of terms joined by ``+`` and ``-``.  A term is ``-term``,
     ``(-1)^{n} term``, or a chain of atoms joined by ``*``, ``.``, ``cup`` or ``cap``,
     read left to right.  An atom is ``{x,y}``, ``(x)``, a pair ``(x,0)`` or ``(0,x)``
-    (ext view only: x read in the coh or the loop view, and lifted), a call
+    (ext view only: x read in the ext view, like the rest of the label, and lifted), a call
     ``f(x)``, ``0`` or ``1``, an argument, or ``D<arg>``, which is ``coh_delta(<arg>)``.
     An exponent n is a sum of juxtaposed products of ``|x|`` (the degree of the drawn
     class x), integers and ``(n)``.  Arguments are named in order of first use, and
@@ -449,18 +449,15 @@ class _Compiler:
             self.expect("}")
             return self.apply("{}", x, y)
         if token == "(":
-            slot = self.pair_slot()
-            if slot is None:
-                value = self.side()
-            else:
-                outer, self.view = self.view, slot
-                value = self.lifted(*self.side()), True
-                self.view = outer
-                if slot == "coh":
-                    self.expect(",")
-                    self.expect("0")
+            pair = self.view == "ext" and self.peek() == "0" and self.peek(1) == ","
+            if pair:
+                self.pos += 2
+            value = self.side()
+            if self.view == "ext" and not pair and self.accept(","):
+                self.expect("0")
+                pair = True
             self.expect(")")
-            return value
+            return (self.lifted(*value), True) if pair else value
         if token in ("0", "1"):
             return self.local(_CONSTANTS[self.view][token == "1"]), self.view == "ext"
         if self.peek() == "(" and _NAME(token):
@@ -473,20 +470,6 @@ class _Compiler:
         if token[:1] == "D" and len(token) > 1:
             return self.apply("coh_delta", self.argument(token[1:]))
         return self.argument(token)
-
-    def pair_slot(self):
-        """After an ext view's "(": "loop" for (0,x), "coh" for (x,0), else None."""
-        if self.view != "ext":
-            return None
-        if self.peek() == "0" and self.peek(1) == ",":
-            self.pos += 2
-            return "loop"
-        depth = 1
-        for index in range(self.pos, len(self.tokens)):
-            depth += (self.tokens[index] in ("(", "{", "(-1)^{")) - (self.tokens[index] in (")", "}"))
-            if not depth:
-                return "coh" if self.tokens[index - 2:index] == [",", "0"] else None
-        return None
 
     def exponent(self) -> str:
         code = self.product()

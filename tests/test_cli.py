@@ -657,6 +657,14 @@ def test_any_other_output_error_is_one_error_line(capsys):
     assert (code, capsys.readouterr().err) == (2, "error: [Errno %d] %s\n" % (errno.ENOSPC, os.strerror(errno.ENOSPC)))
 
 
+def test_running_out_of_memory_is_one_error_line(capsys, monkeypatch):
+    def exhausted(text, model):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "evaluate", exhausted)
+    assert _run(capsys, "eval", "--model", "s3", "(2*u1)^1000000000000000000") == (2, "", "error: out of memory\n")
+
+
 @pytest.mark.parametrize("argv", [["models"], ["eval", "--model", "su3", "a1"]], ids=lambda argv: argv[0])
 def test_a_full_stdout_device_ends_in_one_error_line(argv):
     """Buffered output that the device refuses fails inside `main`, and not again at interpreter exit."""

@@ -886,8 +886,9 @@ def _sides(view, kinds, label, *args):
 
 def test_each_view_reads_its_notation():
     """The names of each view: `D` is the dual in the loop view and Delta in the ext
-    view, `Dalpha` is `coh_delta(alpha)`, 0 and 1 are the view's own, a pair reads
-    its slot in the coh or the loop view and lifts it, and a class summed with a pair is lifted."""
+    view, `Dalpha` is `coh_delta(alpha)`, 0 and 1 are the view's own, a pair reads its
+    slot in the ext view, like the rest of its label, and lifts it, and a class summed with
+    a pair is lifted."""
     rng = report_rng(42, "notation")
     al, b, c = (_plan(ArgSpec(kind), SU3)(rng) for kind in ("base", "loop", "loop"))
     x = _plan(ArgSpec("exterior"), SU3)(rng)
@@ -907,6 +908,8 @@ def test_each_view_reads_its_notation():
     assert _sides("ext", "base loop", "(alpha,0) + alpha cap b = alpha.b", al, b) == (
         lift(al) + lift(cap(al, b)), extended_product(lift(al), lift(b)))
     assert _sides("ext", "", "(1,0) = 1 + 0") == (ExtendedClass.unit(SU3),) * 2
+    looped = evaluate("a1*u1^2", SU3)  # a u factor: no Poincare dual, and a nonzero Delta
+    assert _sides("ext", "loop", "(0,D(b)) = D(b)", looped) == (lift(bv_delta(looped)),) * 2
 
 
 @pytest.mark.parametrize("ident, view, wrong", [
@@ -935,7 +938,7 @@ def test_a_label_is_evaluated_not_only_printed(ident, view, wrong, monkeypatch):
     ("loop", "loop", ["Delta = b"], "'Delta' is not a class"),
     ("loop", "loop", ["b = (0,b)"], "expected ')', got ','"),
     ("loop", "loop", ["b = b b"], "expected the end, got 'b'"),
-    ("ext", "base", ["(alpha,0 = alpha"], "expected ')', got ','"),
+    ("ext", "base", ["(alpha,0 = alpha"], "expected ')', got '='"),
 ])
 def test_a_malformed_label_is_refused_when_its_row_is_built(view, kinds, labels, message):
     with pytest.raises(AlgebraError, match=re.escape(message)) as refused:
