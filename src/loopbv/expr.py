@@ -1,44 +1,50 @@
-"""Expression language for the CLI: parse, print, evaluate.
+"""Expression language: one tokenizer and one parser for ``eval`` text and
+catalog labels; printing and evaluation of ``eval`` text.
 
-Grammar (precedence ``^`` > unary ``-`` > ``*`` > ``+``/``-``, binary
-operators left associative)::
+One Pratt parser (Pratt, "Top down operator precedence", POPL 1973) reads
+both into one tree.  A reader is a `_Grammar`: the symbols its tokenizer
+accepts and the prefix and infix productions its parser has, each with its
+binding power.  `parse` reads ``eval`` text in `_EVAL`; `parse_label` reads
+a label in `_LABEL`, whose signs read their exponent in `_DEGREE`.  The one
+grammar, by binding power (higher binds tighter)::
 
-    expr   := term (('+' | '-') term)*
-    term   := unary ('*' unary)*
-    unary  := '-' unary | power
-    power  := atom ('^' INT)?
-    atom   := NUMBER | GENERATOR | FUNC '(' arguments ')' | '(' expr ')'
+    x = y                    label 1; does not chain
+    x + y, x - y             eval 1, label 2
+    x * y                    eval 2, label 3
+    x . y, x cup y, x cap y  label 3
+    -x                       eval 3, so -a1*u1 is (-a1)*u1; label 2, so -b*c is -(b*c)
+    (-1)^{n} x               label 2, n a degree
+    x ^ INT                  eval 4, x an atom and INT >= 0; does not chain
+    atom   := NUMBER | (x)   eval and label
+            | GENERATOR | FUNC(x, ...)                 eval
+            | NAME | NAME(x) | ... | {x, y} | (x, y, ...)   label
+    degree := n + n | n - n (1) | n n, juxtaposed (2) | |NAME| | INT | (n)
 
-NUMBER is a nonnegative rational literal (``3`` or ``3/2``); GENERATOR is
-``a<i>``/``u<i>`` (loop homology) or ``alpha<i>``/``v<i>`` (cohomology); the
-function forms are ``cap(w,b)``, ``bracket(b,c)``, ``product(x,y)``,
-``s(x)``, ``Delta(x)``, ``D(x)``, ``Dinv(x)`` and
-``intersect([w,...],[w,...],b)``.  ``*`` multiplies inside a single ring;
-cross-ring actions must go through the function forms.
-
-Precedence is stated once, in `_BINARY_PREC`: the parser reads it to climb
-the ``expr`` and ``term`` levels in one rule (``power`` is part of
-``unary``), and the printer reads it to place parentheses.
-
-Tokens and tree nodes are slotted, mutable dataclasses.  Each carries a
-source position, taken from its offset in the text, and all diagnostics are
-``line:col: message``.  Node equality ignores positions, so printing a parse
-tree and reparsing the text yields an equal tree.  Parentheses, function
-calls and unary minus may nest `MAX_NESTING` levels deep; one more is a
-diagnostic at the token that opens it, not a Python stack overflow.  Sums
-and products of any length evaluate and print.
+Binary operators are left associative.  NUMBER is ``3`` or ``3/2``;
+GENERATOR is ``a<i>``/``u<i>`` (loop homology) or ``alpha<i>``/``v<i>``
+(cohomology); FUNC is a name of `_FUNCTIONS`.  ``*`` multiplies inside a
+single ring; cross-ring actions go through the functions.  ``eval`` refuses
+the label-only characters ``{ } | . =`` as it tokenizes, before any parse
+error.  What a label means is `verify._Compiler`'s.  The binding powers are
+stated once, in the grammars: the parser reads them, and the printer reads
+`_EVAL`'s to place parentheses.  Tokens and tree nodes are slotted, mutable
+dataclasses.  Each carries a source position,
+taken from its offset in the text, and all diagnostics are ``line:col:
+message``.  Node equality ignores positions, so printing a parse tree and
+reparsing the text yields an equal tree.  Parentheses, brackets, calls and
+prefix signs may nest `MAX_NESTING` levels deep; one more is a diagnostic
+at the token that opens it, not a Python stack overflow.  Sums and products
+of any length evaluate and print.
 
 To add a function, give it one `_FUNCTIONS` entry: the engine call and the
-ring and diagnostic label of each argument.  The parser takes the arity
-from the entry and `_eval` coerces the arguments (a scalar becomes that
-multiple of the unit; ring None passes any value) before the call, whose
-`AlgebraError` becomes a diagnostic at the call.  A function of one
-argument sends a scalar c to c*f(1), which `_eval` returns before any
-coercion: c for ``s``, ``D`` and ``Dinv``, 0 for ``Delta``.  ``intersect``
-is the one function whose arguments are not all plain expressions: its
-two class lists are parsed by `_Parser.call` and coerced item by item.
-``loopbv intersect`` evaluates the text ``intersect([AT], [FREE], FAMILY)``
-built from its options, so it shares every check and message with ``eval``.
+ring and diagnostic label of each argument.  The parser takes the arity from
+it, and `_eval` coerces the arguments by it (a scalar becomes that multiple
+of the unit; ring None passes any value) before the call, whose
+`AlgebraError` becomes a diagnostic at the call.  A function of one argument
+sends a scalar c to c*f(1): c for ``s``, ``D`` and ``Dinv``, 0 for
+``Delta``.  ``intersect`` takes two class lists, coerced item by item, and
+``loopbv intersect`` evaluates ``intersect([AT], [FREE], FAMILY)`` built from
+its options, so it shares every check and message with ``eval``.
 
 The interpreter's limit on the digits of an integer converted to or from
 text (`sys.get_int_max_str_digits`) is left as it is: a longer number literal
@@ -51,6 +57,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .kernel import AlgebraError, Element, ModelSpec, Ring, _GEN_NAMES
 from .loop import bv_delta, loop_bracket, s_star
@@ -71,37 +78,19 @@ class ExpressionError(Exception):
 # ---------------------------------------------------------------------------
 # tokens
 
-# one group per kind, in this order: number, identifier, symbol, whitespace, any
-# other character; every character falls in one, so the matches tile the text
-_TOKEN_RE = re.compile(r"([0-9]+(?:/[0-9]+)?)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()\[\],])|([ \t\r\n]+)|(.)")
+
+# a tokenizer's pattern, given the pattern of its grammar's symbols: one group per kind, in this order:
+# number, identifier, symbol, whitespace, any other character; every character falls in one, so the
+# matches tile the text
+_TOKENS = r"([0-9]+(?:/[0-9]+)?)|([A-Za-z_][A-Za-z_0-9]*)|(%s)|([ \t\r\n]+)|(.)"
 
 
 @dataclass(slots=True)
 class Token:
-    kind: str  # NUMBER, IDENT, one of the symbol characters, or EOF
+    kind: str  # NUMBER, IDENT, EOF, a symbol, or an identifier that keys an infix production
     text: str
     line: int
     col: int
-
-
-def tokenize(text: str) -> list[Token]:
-    tokens = []
-    line, line_start, offset = 1, 0, 0  # line_start: offset of the current line's first character
-    for number, ident, symbol, space, bad in _TOKEN_RE.findall(text):
-        value = number or ident or symbol or space or bad
-        if space:
-            newline = space.rfind("\n")
-            if newline >= 0:
-                line += space.count("\n")
-                line_start = offset + newline + 1
-        elif bad:
-            raise ExpressionError("unexpected character %r" % bad, line, offset - line_start + 1)
-        else:
-            kind = "NUMBER" if number else "IDENT" if ident else symbol
-            tokens.append(Token(kind, value, line, offset - line_start + 1))
-        offset += len(value)
-    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
-    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +111,20 @@ class Gen:
 
 
 @dataclass(slots=True)
+class Name:  # in a label: an argument, a function named without a call, or ``...``
+    text: str
+    pos: tuple[int, int] = field(compare=False, default=(0, 0))
+
+
+@dataclass(slots=True)
 class Neg:
+    operand: object
+    pos: tuple[int, int] = field(compare=False, default=(0, 0))
+
+
+@dataclass(slots=True)
+class Sign:  # in a label: ``(-1)^{exponent} operand``, a Name in the exponent standing for its degree
+    exponent: object
     operand: object
     pos: tuple[int, int] = field(compare=False, default=(0, 0))
 
@@ -136,7 +138,7 @@ class Pow:
 
 @dataclass(slots=True)
 class BinOp:
-    op: str  # "+", "-", "*"
+    op: str  # "+", "-", "*"; in a label also ".", "cup", "cap" and "="
     left: object
     right: object
     pos: tuple[int, int] = field(compare=False, default=(0, 0))
@@ -144,13 +146,13 @@ class BinOp:
 
 @dataclass(slots=True)
 class Call:
-    func: str
+    func: str  # a function name; in a label also "{}", the bracket {x,y}
     args: tuple
     pos: tuple[int, int] = field(compare=False, default=(0, 0))
 
 
 @dataclass(slots=True)
-class ClassList:
+class ClassList:  # ``[w, ...]`` in ``intersect``; in a label, a tuple ``(x, y, ...)``
     items: tuple
     pos: tuple[int, int] = field(compare=False, default=(0, 0))
 
@@ -162,11 +164,6 @@ _GEN_FAMILIES = {
 _GEN_RE = re.compile("(%s)([0-9]+)" % "|".join(_GEN_FAMILIES))  # family, then index digits
 
 MAX_NESTING = 100  # deeper trees would overflow Python's stack in the parser
-
-# binary operator -> precedence, read by `_Parser.expr` and by `_print`; unary
-# minus, ``^`` and atoms bind tighter than every binary operator, in that order
-_BINARY_PREC = {"+": 1, "-": 1, "*": 2}
-_PREC_NEG, _PREC_POW, _PREC_ATOM = 3, 4, 5
 
 
 def _shown(token: Token) -> str:
@@ -189,107 +186,102 @@ def _int(digits: str, token: Token) -> int:
               % (len(digits), sys.get_int_max_str_digits()))
 
 
-def _classify_ident(token: Token):
-    name = token.text
-    if name in _FUNCTIONS:
-        return ("func", name)
-    match = _GEN_RE.fullmatch(name)
-    if match is None:
-        families = ", ".join(f + "<i>" for f in _GEN_FAMILIES)
-        _fail(token, "unknown identifier %r (generators are %s)" % (name, families))
-    family, digits = match.groups()
-    index = _int(digits, token)
-    if index < 1:
-        _fail(token, "generator index must be >= 1 in %r" % name)
-    return ("gen", (family, index))
-
-
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """One text's tokens, read by the productions of `grammar`: a prefix one is called as (token,
+    power) after its token, an infix one as (token, left, power), `power` its binding power."""
+
+    def __init__(self, grammar: _Grammar, text: str):
+        self.grammar = grammar
+        self.tokens = grammar.tokenize(text)
         self.index = 0
-        self.depth = 0  # open parentheses, calls and unary minus signs
+        self.depth = 0  # open parentheses, brackets, calls and prefix signs
 
-    def peek(self) -> Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> Token:
+    def expect(self, kind: str, what: str) -> Token:
         token = self.tokens[self.index]
+        if token.kind != kind:
+            _fail(token, "expected %s, found %r" % (what, _shown(token)))
         self.index += 1
         return token
 
-    def expect(self, kind: str, what: str) -> Token:
-        token = self.peek()
-        if token.kind != kind:
-            _fail(token, "expected %s, found %r" % (what, _shown(token)))
-        return self.advance()
-
     def nest(self, token: Token):
-        """Open one nesting level at `token`; the caller closes it with depth -= 1."""
+        """Open one nesting level at `token`; `close` closes it."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             _fail(token, "expression nests deeper than %d levels of parentheses, calls and unary minus"
                   % MAX_NESTING)
 
-    # grammar rules ---------------------------------------------------------
-
-    def expr(self, min_prec: int = 1):
-        """Operators of `min_prec` and above by precedence climbing; a chain is one loop."""
-        node = self.unary()
-        while _BINARY_PREC.get(self.peek().kind, 0) >= min_prec:
-            op = self.advance()
-            right = self.expr(_BINARY_PREC[op.kind] + 1)
-            node = BinOp(op.kind, node, right, (op.line, op.col))
+    def close(self, kind: str, node):
+        self.expect(kind, repr(kind))
+        self.depth -= 1
         return node
 
-    def unary(self):
-        token = self.peek()
-        if token.kind == "-":
-            self.advance()
-            self.nest(token)
-            node = Neg(self.unary(), (token.line, token.col))
-            self.depth -= 1
-            return node
-        node = self.atom()
-        token = self.peek()
-        if token.kind == "^":
-            self.advance()
-            exp_token = self.peek()
-            if exp_token.kind != "NUMBER" or "/" in exp_token.text:
-                _fail(exp_token, "exponent must be a nonnegative integer, found %r" % _shown(exp_token))
-            self.advance()
-            node = Pow(node, _int(exp_token.text, exp_token), (token.line, token.col))
+    def expression(self, context: int):
+        """The expression at the next token, taking every infix operator that binds tighter
+        than `context` and whose left operand binds at least as tight as it asks."""
+        token, infix = self.tokens[self.index], self.grammar.infix
+        entry = self.grammar.prefix.get(token.kind)
+        if entry is None:
+            _fail(token, self.grammar.operand % _shown(token))
+        self.index += 1
+        power, production = entry
+        node = production(self, token, power)
+        while True:
+            token = self.tokens[self.index]
+            entry = infix.get(token.kind)
+            if entry is None or entry[0] <= context or power < entry[1]:
+                return node
+            self.index += 1
+            power, _, production = entry
+            node = production(self, token, node, power)
+
+    def items(self, context: int) -> list:
+        """One or more expressions separated by commas."""
+        items = [self.expression(context)]
+        while self.tokens[self.index].kind == ",":
+            self.index += 1
+            items.append(self.expression(context))
+        return items
+
+    # -- productions of more than one grammar
+
+    def number(self, token: Token, power: int) -> Num:
+        if "/" not in token.text:
+            return Num(Fraction(_int(token.text, token)), (token.line, token.col))
+        num, den = (_int(part, token) for part in token.text.split("/"))
+        if den == 0:
+            _fail(token, "zero denominator in %r" % token.text)
+        return Num(Fraction(num, den), (token.line, token.col))
+
+    def negation(self, token: Token, power: int) -> Neg:  # -x
+        self.nest(token)
+        node = Neg(self.expression(power), (token.line, token.col))
+        self.depth -= 1
         return node
 
-    def atom(self):
-        token = self.peek()
-        if token.kind == "NUMBER":
-            self.advance()
-            if "/" in token.text:
-                num, den = (_int(part, token) for part in token.text.split("/"))
-                if den == 0:
-                    _fail(token, "zero denominator in %r" % token.text)
-                value = Fraction(num, den)
-            else:
-                value = Fraction(_int(token.text, token))
-            return Num(value, (token.line, token.col))
-        if token.kind == "IDENT":
-            role, info = _classify_ident(token)
-            self.advance()
-            if role == "gen":
-                family, index = info
-                return Gen(family, index, (token.line, token.col))
-            return self.call(token, info)
-        if token.kind == "(":
-            self.advance()
-            self.nest(token)
-            node = self.expr()
-            self.expect(")", "')'")
-            self.depth -= 1
-            return node
-        _fail(token, "unexpected %r" % _shown(token))
+    def binary(self, token: Token, left, power: int) -> BinOp:  # x op y
+        return BinOp(token.kind, left, self.expression(power), (token.line, token.col))
 
-    def call(self, token: Token, func: str):
+    def group(self, token: Token, power: int):  # (x)
+        self.nest(token)
+        return self.close(")", self.expression(0))
+
+    # -- eval's
+
+    def generator_or_call(self, token: Token, power: int):
+        name = token.text
+        if name in _FUNCTIONS:
+            return self.call(token, name)
+        match = _GEN_RE.fullmatch(name)
+        if match is None:
+            families = ", ".join(f + "<i>" for f in _GEN_FAMILIES)
+            _fail(token, "unknown identifier %r (generators are %s)" % (name, families))
+        family, digits = match.groups()
+        index = _int(digits, token)
+        if index < 1:
+            _fail(token, "generator index must be >= 1 in %r" % name)
+        return Gen(family, index, (token.line, token.col))
+
+    def call(self, token: Token, func: str) -> Call:
         self.expect("(", "'(' after %r" % func)
         self.nest(token)
         if func == "intersect":
@@ -297,39 +289,134 @@ class _Parser:
             self.expect(",", "','")
             second = self.class_list()
             self.expect(",", "','")
-            args = [first, second, self.expr()]
+            args = self.close(")", [first, second, self.expression(0)])
         else:
-            args = [self.expr()]
-            while self.peek().kind == ",":
-                self.advance()
-                args.append(self.expr())
-        self.expect(")", "')'")
-        self.depth -= 1
+            args = self.close(")", self.items(0))
         arity = len(_FUNCTIONS[func][1])
         if len(args) != arity:
             _fail(token, "%s expects %d argument(s), got %d" % (func, arity, len(args)))
         return Call(func, tuple(args), (token.line, token.col))
 
-    def class_list(self):
+    def class_list(self) -> ClassList:
         opening = self.expect("[", "'['")
-        items = []
-        if self.peek().kind != "]":
-            items.append(self.expr())
-            while self.peek().kind == ",":
-                self.advance()
-                items.append(self.expr())
+        items = self.items(0) if self.tokens[self.index].kind != "]" else []
         self.expect("]", "']'")
         return ClassList(tuple(items), (opening.line, opening.col))
 
+    def raised(self, token: Token, base, power: int) -> Pow:  # x ^ INT
+        exponent = self.tokens[self.index]
+        if exponent.kind != "NUMBER" or "/" in exponent.text:
+            _fail(exponent, "exponent must be a nonnegative integer, found %r" % _shown(exponent))
+        self.index += 1
+        return Pow(base, _int(exponent.text, exponent), (token.line, token.col))
+
+    # -- a label's, whose brackets hold operands that bind tighter than `=` (_SIDE)
+
+    def name(self, token: Token, power: int):  # NAME, NAME(x) or ...
+        if self.tokens[self.index].kind != "(":
+            return Name(token.text, (token.line, token.col))
+        self.index += 1
+        self.nest(token)
+        return self.close(")", Call(token.text, (self.expression(_SIDE),), (token.line, token.col)))
+
+    def group_or_pair(self, token: Token, power: int):  # (x), or a tuple (x, y, ...)
+        self.nest(token)
+        items = self.close(")", self.items(_SIDE))
+        return items[0] if len(items) == 1 else ClassList(tuple(items), (token.line, token.col))
+
+    def bracket(self, token: Token, power: int) -> Call:  # {x, y}
+        self.nest(token)
+        x = self.expression(_SIDE)
+        self.expect(",", "','")
+        return self.close("}", Call("{}", (x, self.expression(_SIDE)), (token.line, token.col)))
+
+    def sign(self, token: Token, power: int) -> Sign:  # (-1)^{n} x
+        self.nest(token)
+        self.grammar = _DEGREE
+        exponent = self.expression(0)
+        self.grammar = _LABEL
+        self.expect("}", "'}'")
+        node = Sign(exponent, self.expression(power), (token.line, token.col))
+        self.depth -= 1
+        return node
+
+    def degree(self, token: Token, power: int) -> Name:  # |x|
+        name = self.expect("IDENT", "a class")
+        self.expect("|", "'|'")
+        return Name(name.text, (name.line, name.col))
+
+    def juxtaposed(self, token: Token, left, power: int) -> BinOp:  # n m: a degree factor after another
+        self.index -= 1  # `token` starts the factor
+        return BinOp("*", left, self.expression(power), (token.line, token.col))
+
+
+class _Grammar(NamedTuple):
+    lexicon: re.Pattern  # the tokenizer's pattern (`_TOKENS`)
+    prefix: dict  # token kind -> (binding power, production)
+    infix: dict  # token kind -> (binding power, least binding power of its left operand, production);
+    # an identifier that is a key here, as ``cup`` in a label, is its own token kind
+    operand: str  # the diagnostic, with the token's %r, at a token that starts no operand
+    end: str  # the diagnostic, with the token's %r, at a token after a whole text
+
+    def tokenize(self, text: str) -> list[Token]:
+        """The tokens of `text`, ending in EOF."""
+        tokens = []
+        line, line_start, offset = 1, 0, 0  # line_start: offset of the current line's first character
+        for number, ident, symbol, space, bad in self.lexicon.findall(text):
+            value = number or ident or symbol or space or bad
+            if space:
+                newline = space.rfind("\n")
+                if newline >= 0:
+                    line += space.count("\n")
+                    line_start = offset + newline + 1
+            elif bad:
+                raise ExpressionError("unexpected character %r" % bad, line, offset - line_start + 1)
+            else:
+                kind = "NUMBER" if number else (ident if ident in self.infix else "IDENT") if ident else symbol
+                tokens.append(Token(kind, value, line, offset - line_start + 1))
+            offset += len(value)
+        tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
+        return tokens
+
+    def parse(self, text: str):
+        """The tree of `text`; raises ExpressionError with line:col on failure."""
+        parser = _Parser(self, text)
+        node = parser.expression(0)
+        token = parser.tokens[parser.index]
+        if token.kind != "EOF":
+            _fail(token, self.end % _shown(token))
+        return node
+
+
+_PREC_NEG, _PREC_POW, _PREC_ATOM = 3, 4, 5  # eval's, read by `_print`
+_SIDE = 1  # a label's `=`
+_EVAL = _Grammar(
+    re.compile(_TOKENS % r"[-+*^()\[\],]"),
+    {"NUMBER": (_PREC_ATOM, _Parser.number), "IDENT": (_PREC_ATOM, _Parser.generator_or_call),
+     "(": (_PREC_ATOM, _Parser.group), "-": (_PREC_NEG, _Parser.negation)},
+    {"+": (1, 1, _Parser.binary), "-": (1, 1, _Parser.binary), "*": (2, 2, _Parser.binary),
+     "^": (_PREC_POW, _PREC_ATOM, _Parser.raised)}, "unexpected %r", "unexpected %r")
+_LABEL = _Grammar(
+    re.compile(_TOKENS % r"\(-1\)\^\{|\.\.\.|[-+*.(){}|,=]"),
+    {"NUMBER": (_PREC_ATOM, _Parser.number), "IDENT": (_PREC_ATOM, _Parser.name), "...": (_PREC_ATOM, _Parser.name),
+     "(": (_PREC_ATOM, _Parser.group_or_pair), "{": (_PREC_ATOM, _Parser.bracket),
+     "-": (2, _Parser.negation), "(-1)^{": (2, _Parser.sign)},
+    {"=": (_SIDE, 2, _Parser.binary), "+": (2, 2, _Parser.binary), "-": (2, 2, _Parser.binary),
+     **dict.fromkeys(("*", ".", "cup", "cap"), (3, 3, _Parser.binary))},
+    "expected a class, found %r", "expected the end, found %r")
+_DEGREE = _LABEL._replace(
+    prefix={"NUMBER": (_PREC_ATOM, _Parser.number), "|": (_PREC_ATOM, _Parser.degree),
+            "(": (_PREC_ATOM, _Parser.group)},
+    infix={"+": (1, 1, _Parser.binary), "-": (1, 1, _Parser.binary),
+           **dict.fromkeys(("|", "(", "NUMBER"), (2, 2, _Parser.juxtaposed))}, operand="expected a degree, found %r")
+
 
 def parse(text: str):
-    """Parse an expression; raises ExpressionError with line:col on failure."""
-    parser = _Parser(tokenize(text))
-    node = parser.expr()
-    token = parser.peek()
-    if token.kind != "EOF":
-        _fail(token, "unexpected %r" % _shown(token))
-    return node
+    """Parse ``eval`` text; raises ExpressionError with line:col on failure."""
+    return _EVAL.parse(text)
+
+
+tokenize, parse_label = _EVAL.tokenize, _LABEL.parse  # eval's tokens; a catalog label, ``lhs = rhs``
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +441,10 @@ def _print(node, min_prec: int) -> str:
     elif isinstance(node, BinOp):
         # print the left spine in a loop, as the parser builds chains without recursion;
         # it ends at an operator that binds looser than the one above it, which needs parentheses
-        prec = spine_prec = _BINARY_PREC[node.op]
+        prec = spine_prec = _EVAL.infix[node.op][0]
         tail = []
-        while isinstance(node, BinOp) and _BINARY_PREC[node.op] >= spine_prec:
-            spine_prec = _BINARY_PREC[node.op]
+        while isinstance(node, BinOp) and _EVAL.infix[node.op][0] >= spine_prec:
+            spine_prec = _EVAL.infix[node.op][0]
             tail.append(" %s %s" % (node.op, _print(node.right, spine_prec + 1)))
             node = node.left
         text = _print(node, spine_prec) + "".join(reversed(tail))

@@ -24,20 +24,10 @@ model)``) once per report, so a trial makes only its generator calls,
 monomial lookups and the check; the minimiser calls the same bound check.
 
 A row's law is its check labels, the text its report prints: `_Compiler`
-(whose docstring gives the grammar) compiles them once, in one of three views,
-and a text law can call only the names of its view (`_VIEWS`).  In the loop
-view `*` is the bundle's product, `{x,y}` its bracket and `Delta` its Delta,
-`cup` is the cup product, `cap` and `coh_delta` are the bundle's, `s` is
-`s_star`, and `D` is the Poincare dual and `Dinv` its inverse; the coh view
-has `cup`, `cap` and `coh_delta`; in the ext view `*`, `.` and `cup` are
-`extended_product`, `{x,y}` is `extended_bracket` and `D` is
-`extended_delta`.  So `D` is the dual in loop rows and Delta in ext rows,
-and `Dalpha` is `coh_delta(alpha)` in every view.  Five rows keep a Python
-`evaluate(ops, model, args)`: `model-structure` draws nothing and labels
-each generator's checks; the two operator commutators (``... on e``) run
-`_leibniz`, which states the Leibniz rule once; `eq-5.2-nested-brackets`
-has prose labels and runs `nested_brackets`; and `loop-intersection-formula`
-draws one whole `IntersectConfig`.
+compiles the trees `expr.parse_label` reads from them once, in one of three
+views whose names are `_VIEWS`.  Five rows keep a Python `evaluate(ops,
+model, args)`, each for the reason its catalog comment gives; the two
+operator commutators run `_leibniz`, which states the Leibniz rule once.
 
 A registry of deliberately broken primitive bundles ("mutations": one sign
 flipped, one term dropped or added, or the factors swapped without their
@@ -51,7 +41,7 @@ from __future__ import annotations
 
 import json
 import random
-import re
+from collections.abc import Iterable
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import lru_cache, partial
 from operator import mul
@@ -82,6 +72,7 @@ from .cohomology import (
     v,
 )
 from .models import builtin_named, resolve_model
+from .expr import BinOp, Call, ClassList, ExpressionError, Name, Neg, Num, Sign, _err, parse_label
 from .extended import (
     BVOps,
     STANDARD_OPS,
@@ -261,9 +252,8 @@ def _plan(spec: ArgSpec, model: ModelSpec) -> Callable[[random.Random], object]:
 # ---------------------------------------------------------------------------
 # the laws, compiled from the labels that state them
 
-#: Each view's names: the operators `*`, `.`, `cup`, `cap`, the bracket `{}` and the functions
-#: a label calls, its one way to the algebra.  A law's source names ``ops.<slot>``, ``model``,
-#: its arguments and this module's names, and each view's 0 and 1 are written into it.
+#: Each view's names: the operators `*`, `.`, `cup`, `cap`, the bracket `{}` and the functions a label
+#: calls.  A law's source names only ``ops.<slot>``, ``model``, its arguments and this module's names.
 _VIEWS = {
     "loop": {
         "*": STANDARD_OPS.product, "{}": STANDARD_OPS.bracket, "Delta": STANDARD_OPS.delta,
@@ -285,13 +275,6 @@ _CONSTANTS = {
 }
 #: the operations that take lifted operands and the bundle; every other name takes classes as they are
 _EXTENDED = (extended_product, extended_bracket, extended_delta)
-_TOKENS = re.compile(r"\s*(\(-1\)\^\{|\.\.\.|[A-Za-z_][A-Za-z0-9_]*|[0-9]+|\S)").findall
-_NAME = re.compile("[A-Za-z_][A-Za-z0-9_]*").fullmatch
-_INTEGER = re.compile("[0-9]+").fullmatch
-
-
-def _shown(token: str) -> str:
-    return repr(token) if token else "the end"
 
 
 def _ext_lift(x) -> ExtendedClass:
@@ -315,20 +298,13 @@ class _Compiler:
     """One row's check labels, read in one view, compiled into the source of its law,
     ``law(ops, model, a0, a1, ...)``, which computes each distinct subterm once.
 
-    A label is ``lhs = rhs``; a left side of ``...`` is the previous check's right
-    side.  A side is a sum of terms joined by ``+`` and ``-``.  A term is ``-term``,
-    ``(-1)^{n} term``, or a chain of atoms joined by ``*``, ``.``, ``cup`` or ``cap``,
-    read left to right.  An atom is ``{x,y}``, ``(x)``, a pair ``(x,0)`` or ``(0,x)``
-    (ext view only: x read in the ext view, like the rest of the label, and lifted), a call
-    ``f(x)``, ``0`` or ``1``, an argument, or ``D<arg>``, which is ``coh_delta(<arg>)``.
-    An exponent n is a sum of juxtaposed products of ``|x|`` (the degree of the drawn
-    class x), integers and ``(n)``.  Arguments are named in order of first use, and
-    there must be as many as the row draws.  A label calls only its view's names (`_VIEWS`),
-    and the law's source names only ``ops.<slot>`` for a bundle slot, ``model``, its arguments
-    and this module's names, looked up when the law runs: a view's 0 and 1 are written into it
-    as calls (`_CONSTANTS`).  In the ext view the extended operations lift their operands, and
-    both sides of a check are lifted before they are compared.  A label outside this grammar
-    or its view is refused with an `AlgebraError` that names it.
+    A pass over the trees of `expr.parse_label`, whose docstring states the grammar.  ``...`` is
+    the previous check's right side, ``0`` and ``1`` the view's (`_CONSTANTS`), a pair ``(x,0)``
+    or ``(0,x)`` (ext view only) x lifted, ``D<arg>`` ``coh_delta(<arg>)`` and ``|x|`` the degree
+    of the drawn class x; arguments are named in order of first use.  The source calls only the
+    view's names (`_VIEWS`).  In the ext view the extended operations lift their operands, and
+    both sides of a check are lifted before they are compared.  A label outside the grammar or
+    its view is an `AlgebraError` that names it and the position.
     """
 
     def __init__(self, view: str, specs: tuple[ArgSpec, ...], labels: tuple[str, ...]):
@@ -336,43 +312,21 @@ class _Compiler:
         self.names, self.lines, self.locals = [], [], {}
         checks, rhs = [], None
         for label in labels:
-            self.label, self.tokens, self.pos = label, _TOKENS(label), 0
-            lhs = rhs if rhs is not None and self.accept("...") else self.side()
-            self.expect("=")
-            rhs = self.side()
-            self.expect("")
-            checks.append("(%r, %s, %s)" % (label, self.compared(lhs), self.compared(rhs)))
+            try:
+                tree = parse_label(label)
+                if not (isinstance(tree, BinOp) and tree.op == "="):
+                    raise _err(tree, "expected a check, lhs = rhs")
+                lhs = rhs if rhs is not None and tree.left == Name("...") else self.value(tree.left)
+                rhs = self.value(tree.right)
+            except ExpressionError as exc:
+                raise AlgebraError("label %r: %s" % (label, exc)) from None
+            sides = [self.lifted(*side) if self.view == "ext" else side[0] for side in (lhs, rhs)]
+            checks.append("(%r, %s, %s)" % (label, *sides))
         if len(self.names) != len(specs):
             raise AlgebraError("labels %s name %d arguments, and the row draws %d"
                                % (", ".join(map(repr, labels)), len(self.names), len(specs)))
         self.source = "def law(ops, model, %s):\n%s    return [%s]\n" % (
             ", ".join("a%d" % i for i in range(len(specs))), "".join(self.lines), ", ".join(checks))
-
-    # -- tokens
-
-    def peek(self, ahead: int = 0) -> str:
-        pos = self.pos + ahead
-        return self.tokens[pos] if pos < len(self.tokens) else ""
-
-    def take(self) -> str:
-        self.pos += 1
-        return self.peek(-1)
-
-    def accept(self, token: str) -> bool:
-        if self.peek() != token:
-            return False
-        self.pos += 1
-        return True
-
-    def expect(self, token: str) -> None:
-        if not self.accept(token):
-            self.fail("expected %s" % _shown(token), self.peek())
-
-    def fail(self, message: str, got=None):
-        got = "" if got is None else ", got " + _shown(got)
-        raise AlgebraError("label %r: %s%s" % (self.label, message, got))
-
-    # -- source
 
     def local(self, code: str) -> str:
         """The name of a local that holds `code`'s value, assigned once per law."""
@@ -384,118 +338,71 @@ class _Compiler:
     def lifted(self, code: str, ext: bool) -> str:
         return code if ext else self.local("_ext_lift(%s)" % code)
 
-    def compared(self, value) -> str:
-        return self.lifted(*value) if self.view == "ext" else value[0]
-
-    def apply(self, name: str, *operands):
+    def apply(self, node, name: str, *operands):
         fn = _VIEWS[self.view].get(name)
         if fn is None:
-            self.fail("%r is not a name of the %s view" % (name, self.view))
-        if fn in _EXTENDED:
-            args = [self.lifted(*x) for x in operands] + ["ops=ops"]
-        else:
-            args = [code for code, _ in operands]
+            raise _err(node, "%r is not a name of the %s view" % (name, self.view))
+        args = [self.lifted(*x) for x in operands] + ["ops=ops"] if fn in _EXTENDED else [x[0] for x in operands]
         return self.local("%s(%s)" % (_SOURCE_NAMES[fn], ", ".join(args))), fn in _EXTENDED
 
-    def argument(self, name: str):
-        if not _NAME(name):
-            self.fail("expected a class", name)
+    def argument(self, node, name: str):
+        if not name.isidentifier():
+            raise _err(node, "expected a class, found %r" % name)
         if name not in self.names:
             if len(self.names) == len(self.specs):
-                self.fail("names more arguments than the row draws (%d)" % len(self.specs))
+                raise _err(node, "names more arguments than the row draws (%d)" % len(self.specs))
             self.names.append(name)
         index = self.names.index(name)
         return "a%d" % index, self.specs[index].kind == "ext"
 
-    # -- grammar: each returns (code, whether the value is an extended class)
+    def value(self, node):
+        """The source of `node`'s value, and whether it is an extended class."""
+        kind = type(node)
+        if kind is BinOp and node.op in ("+", "-"):
+            (left, left_ext), (right, right_ext) = self.value(node.left), self.value(node.right)
+            if left_ext != right_ext:
+                left, right = self.lifted(left, left_ext), self.lifted(right, right_ext)
+            return self.local("%s %s %s" % (left, node.op, right)), left_ext or right_ext
+        if kind is BinOp:
+            return self.apply(node, node.op, self.value(node.left), self.value(node.right))
+        if kind is Call:
+            return self.apply(node, node.func, *map(self.value, node.args))
+        if kind is Neg or kind is Sign:
+            negative, exponents = False, []
+            while type(node) is Neg or type(node) is Sign:
+                if type(node) is Sign:
+                    exponents.append(self.degree(node.exponent, 0))
+                negative ^= type(node) is Neg
+                node = node.operand
+            code, ext = self.value(node)
+            if exponents:
+                return self.local("%s.scale(%ssign_pow(%s))" % (code, "-" * negative, " + ".join(exponents))), ext
+            return (self.local("-" + code) if negative else code), ext
+        if kind is ClassList:  # (0,x) or (x,0): x lifted
+            if self.view != "ext" or len(node.items) != 2 or Num(0) not in node.items:
+                raise _err(node, "expected a class, found a tuple: only the ext view reads one, as (x,0) or (0,x)")
+            return self.lifted(*self.value(node.items[node.items[0] == Num(0)])), True
+        if kind is Num:
+            if node.value not in (0, 1):
+                raise _err(node, "expected a class, found %r" % str(node.value))
+            return self.local(_CONSTANTS[self.view][node.value == 1]), self.view == "ext"
+        if node.text in _VIEWS[self.view]:
+            raise _err(node, "%r is not a class" % node.text)
+        if node.text[:1] == "D" and len(node.text) > 1:
+            return self.apply(node, "coh_delta", self.argument(node, node.text[1:]))
+        return self.argument(node, node.text)
 
-    def side(self):
-        code, ext = self.term()
-        while self.peek() in ("+", "-"):
-            sign = self.take()
-            term, term_ext = self.term()
-            if term_ext != ext:
-                code, term, ext = self.lifted(code, ext), self.lifted(term, term_ext), True
-            code = self.local("%s %s %s" % (code, sign, term))
-        return code, ext
-
-    def term(self):
-        negative, exponents = False, []
-        while True:
-            if self.accept("-"):
-                negative = not negative
-            elif self.accept("(-1)^{"):
-                exponents.append(self.exponent())
-                self.expect("}")
-            else:
-                break
-        code, ext = self.chain()
-        if exponents:
-            return self.local("%s.scale(%ssign_pow(%s))" % (code, "-" * negative, " + ".join(exponents))), ext
-        return (self.local("-" + code) if negative else code), ext
-
-    def chain(self):
-        value = self.atom()
-        while self.peek() in ("*", ".", "cup", "cap"):
-            value = self.apply(self.take(), value, self.atom())
-        return value
-
-    def atom(self):
-        token = self.take()
-        if token == "{":
-            x = self.side()
-            self.expect(",")
-            y = self.side()
-            self.expect("}")
-            return self.apply("{}", x, y)
-        if token == "(":
-            pair = self.view == "ext" and self.peek() == "0" and self.peek(1) == ","
-            if pair:
-                self.pos += 2
-            value = self.side()
-            if self.view == "ext" and not pair and self.accept(","):
-                self.expect("0")
-                pair = True
-            self.expect(")")
-            return (self.lifted(*value), True) if pair else value
-        if token in ("0", "1"):
-            return self.local(_CONSTANTS[self.view][token == "1"]), self.view == "ext"
-        if self.peek() == "(" and _NAME(token):
-            self.take()
-            value = self.side()
-            self.expect(")")
-            return self.apply(token, value)
-        if token in _VIEWS[self.view]:
-            self.fail("%r is not a class" % token)
-        if token[:1] == "D" and len(token) > 1:
-            return self.apply("coh_delta", self.argument(token[1:]))
-        return self.argument(token)
-
-    def exponent(self) -> str:
-        code = self.product()
-        while self.peek() in ("+", "-"):
-            code += " %s %s" % (self.take(), self.product())
-        return code
-
-    def product(self) -> str:
-        factors = [self.factor()]
-        while self.peek() in ("|", "(") or _INTEGER(self.peek()):
-            factors.append(self.factor())
-        return " * ".join(factors)
-
-    def factor(self) -> str:
-        token = self.take()
-        if token == "|":
-            code = self.local("_hdeg(%s)" % self.argument(self.take())[0])
-            self.expect("|")
-            return code
-        if token == "(":
-            code = self.exponent()
-            self.expect(")")
-            return "(%s)" % code
-        if not _INTEGER(token):
-            self.fail("expected a degree", token)
-        return token
+    def degree(self, node, context: int) -> str:
+        """The source of the degree `node`, in parentheses when it binds looser than `context`."""
+        if type(node) is Name:
+            return self.local("_hdeg(%s)" % self.argument(node, node.text)[0])
+        if type(node) is Num:
+            if node.value.denominator != 1:
+                raise _err(node, "expected a degree, found %r" % str(node.value))
+            return str(node.value)
+        power = 2 if node.op == "*" else 1
+        text = "%s %s %s" % (self.degree(node.left, power), node.op, self.degree(node.right, power + 1))
+        return text if power >= context else "(%s)" % text
 
 
 def _law(view: str, specs: tuple[ArgSpec, ...], *labels: str) -> Callable:
@@ -843,8 +750,9 @@ def run_suite(
 ) -> list[CheckReport]:
     """Check identities on seeded random draws; one report per identity.
 
-    `selection` is an iterable of identity ids (None means the full catalog);
-    a string, an empty one or an unknown or non-string id is an error, not a silent no-op.
+    `selection` is an iterable of identity ids (None means the full catalog); a
+    string, a non-iterable, an empty one or an unknown or non-string id is an error,
+    not a silent no-op.
     Reports come back in catalog order.  `ops` names a primitive bundle from
     the registry, for running the suite against deliberately broken algebra.
     """
@@ -852,6 +760,8 @@ def run_suite(
     ops_obj = get_ops(ops)
     if isinstance(selection, str):
         raise AlgebraError("selection must be a list of identity ids, not the string %r" % selection)
+    if not isinstance(selection, (Iterable, type(None))):
+        raise AlgebraError("selection must be a list of identity ids, not %r" % (selection,))
     chosen = list(CATALOG if selection is None else selection)
     if not chosen:
         raise AlgebraError("no identity selected (see the catalog for known ids)")

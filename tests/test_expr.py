@@ -113,6 +113,30 @@ def test_parse_intersect_lists():
     assert family == Gen("u", 1)
 
 
+#: every label-only form, and what `eval` says of it: the characters ``{ } | . =`` are refused
+#: when the text is tokenized, before any parse error
+LABEL_FORMS_IN_EVAL = [
+    ("{a1,u1}", "1:1: unexpected character '{'"),
+    ("|a1|", "1:1: unexpected character '|'"),
+    ("a1 . u1", "1:4: unexpected character '.'"),
+    ("a1 = a1", "1:4: unexpected character '='"),
+    ("... = a1", "1:1: unexpected character '.'"),
+    ("v1 cap u1", "1:4: unexpected 'cap'"),
+    ("alpha1 cup alpha1", "1:8: unexpected 'cup'"),
+    ("(a1, 0)", "1:4: expected ')', found ','"),
+    ("(-1)^{1} a1", "1:6: unexpected character '{'"),
+    ("Da1", "1:1: unknown identifier 'Da1' (generators are a<i>, u<i>, alpha<i>, v<i>)"),
+    ("a1 u1 {", "1:7: unexpected character '{'"),
+]
+
+
+@pytest.mark.parametrize("text, message", LABEL_FORMS_IN_EVAL)
+def test_eval_refuses_every_label_only_form(text, message):
+    with pytest.raises(ExpressionError) as err:
+        evaluate(text, SU3)
+    assert str(err.value) == message
+
+
 # -- token positions ------------------------------------------------------------
 
 

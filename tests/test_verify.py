@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import re
@@ -144,9 +145,12 @@ def test_empty_selection_is_an_error(selection):
 
 
 def test_string_selection_is_an_error():
-    """A string is an iterable of its characters, never of identity ids."""
+    """A string is an iterable of its characters, never of identity ids; a selection that is
+    no iterable is refused as well, not left to leak `TypeError`."""
     with pytest.raises(AlgebraError, match="selection must be a list of identity ids, not the string 'bv-identity'"):
         run_suite(SU3, 1, 0, "bv-identity")
+    with pytest.raises(AlgebraError, match="^selection must be a list of identity ids, not 5$"):
+        run_suite(SU3, 1, 1, 5)
 
 
 @pytest.mark.parametrize(
@@ -884,6 +888,24 @@ def _sides(view, kinds, label, *args):
     return lhs, rhs
 
 
+#: sha256 of the source of every `_law` row, each after a ``# <id>`` line, in catalog order
+LAW_SOURCES_DIGEST = "f90804c62609e4ec4dab71b241c5c9e35ac7ef347679fcf7f5f247c2d2a8eb21"
+
+
+def test_the_compiled_law_sources_are_pinned():
+    """The text of the 38 compiled laws, read from each `evaluate` closure's ``source`` cell: a
+    change to the label reader or the compiler that changes any law's source shows up here."""
+    sources = []
+    for ident, case in CATALOG.items():
+        evaluate_law = case.evaluate
+        if evaluate_law.__qualname__ == "_law.<locals>.evaluate":
+            cell = evaluate_law.__closure__[evaluate_law.__code__.co_freevars.index("source")]
+            sources.append("# %s\n%s" % (ident, cell.cell_contents))
+    text = "\n".join(sources)
+    assert (len(sources), len(text)) == (38, 15373)
+    assert hashlib.sha256(text.encode()).hexdigest() == LAW_SOURCES_DIGEST
+
+
 def test_each_view_reads_its_notation():
     """The names of each view: `D` is the dual in the loop view and Delta in the ext
     view, `Dalpha` is `coh_delta(alpha)`, 0 and 1 are the view's own, a pair reads its
@@ -930,15 +952,16 @@ def test_a_label_is_evaluated_not_only_printed(ident, view, wrong, monkeypatch):
 
 @pytest.mark.parametrize("view, kinds, labels, message", [
     ("coh", "coh", ["D(x) = x"], "'D' is not a name of the coh view"),
-    ("loop", "loop loop", ["{b,c = b"], "expected '}', got '='"),
+    ("loop", "loop loop", ["{b,c = b"], "expected '}', found '='"),
     ("loop", "loop loop loop", ["b*c = c*b"], "name 2 arguments, and the row draws 3"),
     ("loop", "loop", ["1*b = b", "b*c = c*b"], "names more arguments than the row draws (1)"),
-    ("loop", "loop", ["... = b"], "expected a class, got '...'"),
-    ("loop", "loop", ["b = (-1)^{|b|+} b"], "expected a degree, got '}'"),
+    ("loop", "loop", ["... = b"], "expected a class, found '...'"),
+    ("loop", "loop", ["b = (-1)^{|b|+} b"], "expected a degree, found '}'"),
     ("loop", "loop", ["Delta = b"], "'Delta' is not a class"),
-    ("loop", "loop", ["b = (0,b)"], "expected ')', got ','"),
-    ("loop", "loop", ["b = b b"], "expected the end, got 'b'"),
-    ("ext", "base", ["(alpha,0 = alpha"], "expected ')', got '='"),
+    ("loop", "loop", ["b = (0,b)"], "expected a class, found a tuple: only the ext view reads one"),
+    ("loop", "loop", ["b = b b"], "expected the end, found 'b'"),
+    ("ext", "base", ["(alpha,0 = alpha"], "expected ')', found '='"),
+    ("loop", "loop", ["b = " + "(" * 3000 + "b" + ")" * 3000], "1:105: expression nests deeper than 100 levels"),
 ])
 def test_a_malformed_label_is_refused_when_its_row_is_built(view, kinds, labels, message):
     with pytest.raises(AlgebraError, match=re.escape(message)) as refused:
