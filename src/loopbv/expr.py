@@ -27,24 +27,29 @@ single ring; cross-ring actions go through the functions.  ``eval`` refuses
 the label-only characters ``{ } | . =`` as it tokenizes, before any parse
 error.  What a label means is `verify._Compiler`'s.  The binding powers are
 stated once, in the grammars: the parser reads them, and the printer reads
-`_EVAL`'s to place parentheses.  Tokens and tree nodes are slotted, mutable
-dataclasses.  Each carries a source position,
-taken from its offset in the text, and all diagnostics are ``line:col:
-message``.  Node equality ignores positions, so printing a parse tree and
-reparsing the text yields an equal tree.  Parentheses, brackets, calls and
-prefix signs may nest `MAX_NESTING` levels deep; one more is a diagnostic
-at the token that opens it, not a Python stack overflow.  Sums and products
-of any length evaluate and print.
+`_EVAL`'s to place parentheses.  The lexer, `_Grammar.lex`, yields each
+token as a plain tuple ``(kind, text, pos)``, pos its ``(line, col)``, built
+once from its offset in the text; a tree node built at a token shares that
+pos, and `tokenize` wraps the same tuples in `Token`s, whose fields have
+names.  Tree nodes are slotted, mutable dataclasses, and all diagnostics are
+``line:col: message``; the parser formats one only when it raises it.  Node
+equality ignores positions, so printing a parse tree and reparsing the text
+yields an equal tree.  Parentheses, brackets, calls and prefix signs may
+nest `MAX_NESTING` levels deep; one more is a diagnostic at the token that
+opens it, not a Python stack overflow.  Sums and products of any length
+evaluate and print.
 
 To add a function, give it one `_FUNCTIONS` entry: the engine call and the
 ring and diagnostic label of each argument.  The parser takes the arity from
-it, and `_eval` coerces the arguments by it (a scalar becomes that multiple
-of the unit; ring None passes any value) before the call, whose
-`AlgebraError` becomes a diagnostic at the call.  A function of one argument
-sends a scalar c to c*f(1): c for ``s``, ``D`` and ``Dinv``, 0 for
+it, and so does `_eval`, which refuses a hand-built call of another arity
+with the parser's message; `_eval` coerces the arguments by it (a scalar
+becomes that multiple of the unit; ring None passes any value) before the
+call.  An `AlgebraError` of a call, a sum, a product or a power becomes a
+diagnostic at its node: the call's name or the operator.  A function of one
+argument sends a scalar c to c*f(1): c for ``s``, ``D`` and ``Dinv``, 0 for
 ``Delta``.  ``intersect`` takes two class lists, coerced item by item, and
-``loopbv intersect`` evaluates ``intersect([AT], [FREE], FAMILY)`` built from
-its options, so it shares every check and message with ``eval``.
+``loopbv intersect`` evaluates ``intersect([AT], [FREE], FAMILY)`` built
+from its options, so it shares every check and message with ``eval``.
 
 The interpreter's limit on the digits of an integer converted to or from
 text (`sys.get_int_max_str_digits`) is left as it is: a longer number literal
@@ -86,7 +91,7 @@ _TOKENS = r"([0-9]+(?:/[0-9]+)?)|([A-Za-z_][A-Za-z_0-9]*)|(%s)|([ \t\r\n]+)|(.)"
 
 
 @dataclass(slots=True)
-class Token:
+class Token:  # `tokenize`'s: one lexer tuple (kind, text, (line, col)) with named fields
     kind: str  # NUMBER, IDENT, EOF, a symbol, or an identifier that keys an infix production
     text: str
     line: int
@@ -166,17 +171,17 @@ _GEN_RE = re.compile("(%s)([0-9]+)" % "|".join(_GEN_FAMILIES))  # family, then i
 MAX_NESTING = 100  # deeper trees would overflow Python's stack in the parser
 
 
-def _shown(token: Token) -> str:
+def _shown(token: tuple) -> str:
     """The token as a diagnostic quotes it."""
-    return token.text if token.kind != "EOF" else "end of input"
+    return token[1] if token[0] != "EOF" else "end of input"
 
 
-def _fail(token: Token, message: str):
+def _fail(token: tuple, message: str):
     """Raise the diagnostic `message` at `token`, in place of any exception being handled."""
-    raise ExpressionError(message, token.line, token.col) from None
+    raise ExpressionError(message, *token[2]) from None
 
 
-def _int(digits: str, token: Token) -> int:
+def _int(digits: str, token: tuple) -> int:
     """The value of a run of ASCII digits in `token`, which must convert under
     the interpreter's limit on the digits of an integer read from text."""
     try:
@@ -186,24 +191,29 @@ def _int(digits: str, token: Token) -> int:
               % (len(digits), sys.get_int_max_str_digits()))
 
 
+_ARITY = "%s expects %d argument(s), got %d"  # a call with the wrong number of arguments, parsed or built
+
+
 class _Parser:
     """One text's tokens, read by the productions of `grammar`: a prefix one is called as (token,
-    power) after its token, an infix one as (token, left, power), `power` its binding power."""
+    power) after its token, an infix one as (token, left, power), `power` its binding power.  A
+    token is `_Grammar.lex`'s (kind, text, pos), and a node built at it takes its pos."""
 
     def __init__(self, grammar: _Grammar, text: str):
         self.grammar = grammar
-        self.tokens = grammar.tokenize(text)
+        self.tokens = grammar.lex(text)
         self.index = 0
         self.depth = 0  # open parentheses, brackets, calls and prefix signs
 
-    def expect(self, kind: str, what: str) -> Token:
+    def expect(self, kind: str, what: str, *args) -> tuple:
+        """The next token, which must be of `kind`; else a diagnostic that expects ``what % args``."""
         token = self.tokens[self.index]
-        if token.kind != kind:
-            _fail(token, "expected %s, found %r" % (what, _shown(token)))
+        if token[0] != kind:
+            _fail(token, "expected %s, found %r" % (what % args, _shown(token)))
         self.index += 1
         return token
 
-    def nest(self, token: Token):
+    def nest(self, token: tuple):
         """Open one nesting level at `token`; `close` closes it."""
         self.depth += 1
         if self.depth > MAX_NESTING:
@@ -211,7 +221,7 @@ class _Parser:
                   % MAX_NESTING)
 
     def close(self, kind: str, node):
-        self.expect(kind, repr(kind))
+        self.expect(kind, "%r", kind)
         self.depth -= 1
         return node
 
@@ -219,7 +229,7 @@ class _Parser:
         """The expression at the next token, taking every infix operator that binds tighter
         than `context` and whose left operand binds at least as tight as it asks."""
         token, infix = self.tokens[self.index], self.grammar.infix
-        entry = self.grammar.prefix.get(token.kind)
+        entry = self.grammar.prefix.get(token[0])
         if entry is None:
             _fail(token, self.grammar.operand % _shown(token))
         self.index += 1
@@ -227,7 +237,7 @@ class _Parser:
         node = production(self, token, power)
         while True:
             token = self.tokens[self.index]
-            entry = infix.get(token.kind)
+            entry = infix.get(token[0])
             if entry is None or entry[0] <= context or power < entry[1]:
                 return node
             self.index += 1
@@ -237,38 +247,39 @@ class _Parser:
     def items(self, context: int) -> list:
         """One or more expressions separated by commas."""
         items = [self.expression(context)]
-        while self.tokens[self.index].kind == ",":
+        while self.tokens[self.index][0] == ",":
             self.index += 1
             items.append(self.expression(context))
         return items
 
     # -- productions of more than one grammar
 
-    def number(self, token: Token, power: int) -> Num:
-        if "/" not in token.text:
-            return Num(Fraction(_int(token.text, token)), (token.line, token.col))
-        num, den = (_int(part, token) for part in token.text.split("/"))
+    def number(self, token: tuple, power: int) -> Num:
+        text = token[1]
+        if "/" not in text:
+            return Num(Fraction(_int(text, token)), token[2])
+        num, den = (_int(part, token) for part in text.split("/"))
         if den == 0:
-            _fail(token, "zero denominator in %r" % token.text)
-        return Num(Fraction(num, den), (token.line, token.col))
+            _fail(token, "zero denominator in %r" % text)
+        return Num(Fraction(num, den), token[2])
 
-    def negation(self, token: Token, power: int) -> Neg:  # -x
+    def negation(self, token: tuple, power: int) -> Neg:  # -x
         self.nest(token)
-        node = Neg(self.expression(power), (token.line, token.col))
+        node = Neg(self.expression(power), token[2])
         self.depth -= 1
         return node
 
-    def binary(self, token: Token, left, power: int) -> BinOp:  # x op y
-        return BinOp(token.kind, left, self.expression(power), (token.line, token.col))
+    def binary(self, token: tuple, left, power: int) -> BinOp:  # x op y
+        return BinOp(token[0], left, self.expression(power), token[2])
 
-    def group(self, token: Token, power: int):  # (x)
+    def group(self, token: tuple, power: int):  # (x)
         self.nest(token)
         return self.close(")", self.expression(0))
 
     # -- eval's
 
-    def generator_or_call(self, token: Token, power: int):
-        name = token.text
+    def generator_or_call(self, token: tuple, power: int):
+        name = token[1]
         if name in _FUNCTIONS:
             return self.call(token, name)
         match = _GEN_RE.fullmatch(name)
@@ -279,10 +290,10 @@ class _Parser:
         index = _int(digits, token)
         if index < 1:
             _fail(token, "generator index must be >= 1 in %r" % name)
-        return Gen(family, index, (token.line, token.col))
+        return Gen(family, index, token[2])
 
-    def call(self, token: Token, func: str) -> Call:
-        self.expect("(", "'(' after %r" % func)
+    def call(self, token: tuple, func: str) -> Call:
+        self.expect("(", "'(' after %r", func)
         self.nest(token)
         if func == "intersect":
             first = self.class_list()
@@ -294,60 +305,60 @@ class _Parser:
             args = self.close(")", self.items(0))
         arity = len(_FUNCTIONS[func][1])
         if len(args) != arity:
-            _fail(token, "%s expects %d argument(s), got %d" % (func, arity, len(args)))
-        return Call(func, tuple(args), (token.line, token.col))
+            _fail(token, _ARITY % (func, arity, len(args)))
+        return Call(func, tuple(args), token[2])
 
     def class_list(self) -> ClassList:
         opening = self.expect("[", "'['")
-        items = self.items(0) if self.tokens[self.index].kind != "]" else []
+        items = self.items(0) if self.tokens[self.index][0] != "]" else []
         self.expect("]", "']'")
-        return ClassList(tuple(items), (opening.line, opening.col))
+        return ClassList(tuple(items), opening[2])
 
-    def raised(self, token: Token, base, power: int) -> Pow:  # x ^ INT
+    def raised(self, token: tuple, base, power: int) -> Pow:  # x ^ INT
         exponent = self.tokens[self.index]
-        if exponent.kind != "NUMBER" or "/" in exponent.text:
+        if exponent[0] != "NUMBER" or "/" in exponent[1]:
             _fail(exponent, "exponent must be a nonnegative integer, found %r" % _shown(exponent))
         self.index += 1
-        return Pow(base, _int(exponent.text, exponent), (token.line, token.col))
+        return Pow(base, _int(exponent[1], exponent), token[2])
 
     # -- a label's, whose brackets hold operands that bind tighter than `=` (_SIDE)
 
-    def name(self, token: Token, power: int):  # NAME, NAME(x) or ...
-        if self.tokens[self.index].kind != "(":
-            return Name(token.text, (token.line, token.col))
+    def name(self, token: tuple, power: int):  # NAME, NAME(x) or ...
+        if self.tokens[self.index][0] != "(":
+            return Name(token[1], token[2])
         self.index += 1
         self.nest(token)
-        return self.close(")", Call(token.text, (self.expression(_SIDE),), (token.line, token.col)))
+        return self.close(")", Call(token[1], (self.expression(_SIDE),), token[2]))
 
-    def group_or_pair(self, token: Token, power: int):  # (x), or a tuple (x, y, ...)
+    def group_or_pair(self, token: tuple, power: int):  # (x), or a tuple (x, y, ...)
         self.nest(token)
         items = self.close(")", self.items(_SIDE))
-        return items[0] if len(items) == 1 else ClassList(tuple(items), (token.line, token.col))
+        return items[0] if len(items) == 1 else ClassList(tuple(items), token[2])
 
-    def bracket(self, token: Token, power: int) -> Call:  # {x, y}
+    def bracket(self, token: tuple, power: int) -> Call:  # {x, y}
         self.nest(token)
         x = self.expression(_SIDE)
         self.expect(",", "','")
-        return self.close("}", Call("{}", (x, self.expression(_SIDE)), (token.line, token.col)))
+        return self.close("}", Call("{}", (x, self.expression(_SIDE)), token[2]))
 
-    def sign(self, token: Token, power: int) -> Sign:  # (-1)^{n} x
+    def sign(self, token: tuple, power: int) -> Sign:  # (-1)^{n} x
         self.nest(token)
         self.grammar = _DEGREE
         exponent = self.expression(0)
         self.grammar = _LABEL
         self.expect("}", "'}'")
-        node = Sign(exponent, self.expression(power), (token.line, token.col))
+        node = Sign(exponent, self.expression(power), token[2])
         self.depth -= 1
         return node
 
-    def degree(self, token: Token, power: int) -> Name:  # |x|
+    def degree(self, token: tuple, power: int) -> Name:  # |x|
         name = self.expect("IDENT", "a class")
         self.expect("|", "'|'")
-        return Name(name.text, (name.line, name.col))
+        return Name(name[1], name[2])
 
-    def juxtaposed(self, token: Token, left, power: int) -> BinOp:  # n m: a degree factor after another
+    def juxtaposed(self, token: tuple, left, power: int) -> BinOp:  # n m: a degree factor after another
         self.index -= 1  # `token` starts the factor
-        return BinOp("*", left, self.expression(power), (token.line, token.col))
+        return BinOp("*", left, self.expression(power), token[2])
 
 
 class _Grammar(NamedTuple):
@@ -358,32 +369,38 @@ class _Grammar(NamedTuple):
     operand: str  # the diagnostic, with the token's %r, at a token that starts no operand
     end: str  # the diagnostic, with the token's %r, at a token after a whole text
 
-    def tokenize(self, text: str) -> list[Token]:
-        """The tokens of `text`, ending in EOF."""
-        tokens = []
-        line, line_start, offset = 1, 0, 0  # line_start: offset of the current line's first character
+    def lex(self, text: str) -> list[tuple]:
+        """The tokens of `text`, ending in EOF, each a tuple (kind, text, pos) with pos its
+        (line, col)."""
+        tokens, infix = [], self.infix
+        line, start, offset = 1, -1, 0  # start: the offset just before the current line's first character
         for number, ident, symbol, space, bad in self.lexicon.findall(text):
-            value = number or ident or symbol or space or bad
             if space:
                 newline = space.rfind("\n")
                 if newline >= 0:
                     line += space.count("\n")
-                    line_start = offset + newline + 1
+                    start = offset + newline
+                offset += len(space)
             elif bad:
-                raise ExpressionError("unexpected character %r" % bad, line, offset - line_start + 1)
+                raise ExpressionError("unexpected character %r" % bad, line, offset - start)
             else:
-                kind = "NUMBER" if number else (ident if ident in self.infix else "IDENT") if ident else symbol
-                tokens.append(Token(kind, value, line, offset - line_start + 1))
-            offset += len(value)
-        tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
+                value = symbol or ident or number
+                kind = symbol or ("NUMBER" if number else ident if ident in infix else "IDENT")
+                tokens.append((kind, value, (line, offset - start)))
+                offset += len(value)
+        tokens.append(("EOF", "", (line, len(text) - start)))
         return tokens
+
+    def tokenize(self, text: str) -> list[Token]:
+        """`lex`'s tokens of `text` as `Token`s."""
+        return [Token(kind, value, *pos) for kind, value, pos in self.lex(text)]
 
     def parse(self, text: str):
         """The tree of `text`; raises ExpressionError with line:col on failure."""
         parser = _Parser(self, text)
         node = parser.expression(0)
         token = parser.tokens[parser.index]
-        if token.kind != "EOF":
+        if token[0] != "EOF":
             _fail(token, self.end % _shown(token))
         return node
 
@@ -465,8 +482,7 @@ def to_text(node) -> str:
 
 
 def _err(node, message: str) -> ExpressionError:
-    line, col = node.pos
-    return ExpressionError(message, line, col)
+    return ExpressionError(message, *node.pos)
 
 
 def _as_class(value, model: ModelSpec, ring: Ring):
@@ -542,24 +558,24 @@ _FUNCTIONS = {
 
 
 def _eval(node, model: ModelSpec):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Gen):
-        if node.index > model.rank:
+    kind = type(node)
+    if kind is Gen:
+        if node.family not in _GEN_FAMILIES:
+            raise _err(node, "unknown generator family %r" % node.family)
+        ring, parity = _GEN_FAMILIES[node.family]
+        try:
+            return Element.generator(model, ring, parity, node.index)
+        except AlgebraError:  # an index outside 1..rank
             raise _err(
                 node,
                 "unknown identifier for model %r: %s%d (generators are indexed 1..%d)"
                 % (model.name, node.family, node.index, model.rank),
-            )
-        ring, kind = _GEN_FAMILIES[node.family]
-        return Element.generator(model, ring, kind, node.index)
-    if isinstance(node, Neg):
-        return -_eval(node.operand, model)
-    if isinstance(node, Pow):
-        return _eval(node.base, model) ** node.exponent
-    if isinstance(node, BinOp):
+            ) from None
+    if kind is Num:
+        return node.value
+    if kind is BinOp:
         spine = []  # evaluated in a loop, as the parser builds chains without recursion
-        while isinstance(node, BinOp):
+        while type(node) is BinOp:
             spine.append(node)
             node = node.left
         value = _eval(node, model)
@@ -570,13 +586,17 @@ def _eval(node, model: ModelSpec):
             except AlgebraError as exc:
                 raise _err(step, str(exc)) from exc
         return value
-    if isinstance(node, Call):
+    if kind is Call:
         entry = _FUNCTIONS.get(node.func)
         if entry is None:
             raise _err(node, "unknown function %r" % node.func)
         call, specs = entry
+        if len(node.args) != len(specs):
+            raise _err(node, _ARITY % (node.func, len(specs), len(node.args)))
         if node.func == "intersect":  # each class is coerced as it is evaluated, at its position
             ats, frees, family = node.args
+            if type(ats) is not ClassList or type(frees) is not ClassList:
+                raise _err(node, "intersect expects two class lists [...] and a family")
             values = [
                 [_as_ring(item, _eval(item, model), model, *specs[0]) for item in ats.items],
                 [_as_ring(item, _eval(item, model), model, *specs[1]) for item in frees.items],
@@ -593,6 +613,16 @@ def _eval(node, model: ModelSpec):
             return call(*values)
         except AlgebraError as exc:
             raise _err(node, str(exc)) from exc
+    if kind is Pow:
+        base = _eval(node.base, model)
+        try:
+            return base ** node.exponent
+        except AlgebraError as exc:
+            raise _err(node, str(exc)) from exc
+    if kind is Neg:
+        return -_eval(node.operand, model)
+    if kind is ClassList or kind is Name or kind is Sign:  # a list outside intersect, or a label's node
+        raise _err(node, "expected an expression, found a %s" % kind.__name__)
     raise TypeError("not an expression node: %r" % (node,))
 
 

@@ -15,7 +15,7 @@ import pytest
 from loopbv import cli
 from loopbv.cli import _table_bases, build_parser, main
 from loopbv.expr import parse, to_text
-from loopbv.kernel import AlgebraError
+from loopbv.kernel import AlgebraError, Element
 from loopbv.loop import loop_bracket
 from loopbv.models import builtin_named, resolve_model
 from loopbv.verify import CheckReport, replay
@@ -663,6 +663,30 @@ def test_running_out_of_memory_is_one_error_line(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "evaluate", exhausted)
     assert _run(capsys, "eval", "--model", "s3", "(2*u1)^1000000000000000000") == (2, "", "error: out of memory\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("u1^9223372036854775808", "1:3: exponent 9223372036854775808 exceeds the limit of 9223372036854775807"),
+        ("(u1+1)^100000000000000000000000",
+         "1:7: exponent 100000000000000000000000 exceeds the limit of 9223372036854775807"),
+        ("u1^9223372036854775807*u1", "1:23: exponent 9223372036854775808 exceeds the limit of 9223372036854775807"),
+    ],
+    ids=("power", "many-term-power", "product"),
+)
+def test_a_refused_power_names_its_position(capsys, text, message):
+    """A power is refused at its ``^``, as a product is at its ``*``."""
+    assert _run(capsys, "eval", "--model", "s3", text) == (2, "", "error: %s (2^63 - 1)\n" % message)
+
+
+def test_running_out_of_memory_in_a_power_is_one_error_line(capsys, monkeypatch):
+    """Evaluation names the position of an `AlgebraError` only; a `MemoryError` passes through."""
+    def exhausted(self, exponent):
+        raise MemoryError
+
+    monkeypatch.setattr(Element, "__pow__", exhausted)
+    assert _run(capsys, "eval", "--model", "s3", "u1^2") == (2, "", "error: out of memory\n")
 
 
 @pytest.mark.parametrize("argv", [["models"], ["eval", "--model", "su3", "a1"]], ids=lambda argv: argv[0])

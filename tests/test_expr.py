@@ -9,12 +9,15 @@ from fractions import Fraction
 
 import pytest
 
+from loopbv import expr
 from loopbv.expr import (
+    _EVAL,
     BinOp,
     Call,
     ClassList,
     ExpressionError,
     Gen,
+    Name,
     Neg,
     Num,
     Pow,
@@ -26,8 +29,9 @@ from loopbv.expr import (
 from loopbv.kernel import Element, ModelSpec, Ring
 from loopbv.loop import a, u
 from loopbv.cohomology import alpha, v
+from loopbv.verify import _build_catalog
 
-from exprgen import corpus, random_node
+from exprgen import corpus, evaluable_corpus, random_node
 
 S3 = ModelSpec("s3", (3,))
 SU3 = ModelSpec("su3", (3, 5))
@@ -199,7 +203,9 @@ def _tokens_or_error(text):
         return (exc.line, exc.col)
 
 
-def test_token_positions_match_a_length_summing_tokenizer():
+def _spaced_corpus():
+    """Generated texts with their tokens split by random runs of spaces and line breaks, a fifth
+    of them with a bad character inserted."""
     rng = random.Random("token-positions")
     runs = (" ", "\t", "\n", "\r\n")
     for text in corpus(300, seed="token-positions", rank=3):
@@ -210,8 +216,47 @@ def test_token_positions_match_a_length_summing_tokenizer():
             "".join(rng.choice(runs) for _ in range(rng.randint(0, 3))) + piece + " "
             for piece in pieces
         )
-        spaced += "".join(rng.choice(runs) for _ in range(rng.randint(0, 3)))
+        yield spaced + "".join(rng.choice(runs) for _ in range(rng.randint(0, 3)))
+
+
+def test_token_positions_match_a_length_summing_tokenizer():
+    for spaced in _spaced_corpus():
         assert _tokens_or_error(spaced) == _reference_tokens(spaced), repr(spaced)
+
+
+def _lexed_or_error(text):
+    try:
+        return _EVAL.lex(text)
+    except ExpressionError as exc:
+        return str(exc)
+
+
+def test_tokenize_wraps_the_lexer_tuples():
+    """`tokenize` is the lexer's (kind, text, (line, col)) tuples with named fields, nothing more."""
+    for spaced in _spaced_corpus():
+        try:
+            wrapped = [(t.kind, t.text, (t.line, t.col)) for t in tokenize(spaced)]
+        except ExpressionError as exc:
+            wrapped = str(exc)
+        assert wrapped == _lexed_or_error(spaced), repr(spaced)
+
+
+def test_no_token_is_built_off_the_tokenize_path(monkeypatch):
+    """Parsing, evaluating and compiling the catalog's labels read the lexer's tuples alone."""
+    class Refused:
+        def __init__(self, *args):
+            raise AssertionError("a Token was built")
+
+    monkeypatch.setattr(expr, "Token", Refused)
+    with pytest.raises(AssertionError, match="a Token was built"):
+        tokenize("a1")
+    texts = corpus(100, seed="no-tokens") + evaluable_corpus(100, seed="no-tokens")
+    for text in texts + ["bracket(a1, u1^2", "a1 $", "cap(v1, a1)"]:
+        try:
+            evaluate(parse(text), SU3)
+        except ExpressionError:
+            pass
+    _build_catalog()
 
 
 _EDGE_CHARACTERS = [chr(code) for code in range(128)] + ["\x85", "\xa0", "\u2028", "\u3000", "²", "٣", "α", "ａ"]
@@ -353,11 +398,27 @@ def test_evaluate_unknown_generator_for_model():
         evaluate("cap(alpha9, u1)", SU3)
 
 
-def test_evaluate_refuses_a_hand_built_call_of_an_unknown_function():
-    """The parser never builds one; `evaluate` refuses it all the same."""
-    with pytest.raises(ExpressionError) as err:
-        evaluate(Call("nope", (Gen("a", 1),)), S3)
-    assert err.value.message == "unknown function 'nope'"
+#: trees the parser never builds, each at (2, 7), and what `evaluate` says of each on su3
+MALFORMED_TREES = [
+    (Call("nope", (Gen("a", 1),), (2, 7)), "unknown function 'nope'"),
+    (Call("bracket", (Gen("a", 1),), (2, 7)), "bracket expects 2 argument(s), got 1"),
+    (Call("Delta", (Gen("a", 1), Gen("a", 1)), (2, 7)), "Delta expects 1 argument(s), got 2"),
+    (Call("intersect", (Gen("a", 1),), (2, 7)), "intersect expects 3 argument(s), got 1"),
+    (Call("intersect", (Gen("alpha", 1), ClassList(()), Gen("u", 1)), (2, 7)),
+     "intersect expects two class lists [...] and a family"),
+    (Gen("x", 1, (2, 7)), "unknown generator family 'x'"),
+    (Gen("a", 0, (2, 7)), "unknown identifier for model 'su3': a0 (generators are indexed 1..2)"),
+    (ClassList((Gen("a", 1),), (2, 7)), "expected an expression, found a ClassList"),
+    (Name("b", (2, 7)), "expected an expression, found a Name"),
+]
+
+
+def test_evaluate_refuses_a_malformed_hand_built_tree():
+    """Each is an `ExpressionError` at the node, not an exception of the evaluator's own."""
+    for tree, message in MALFORMED_TREES:
+        with pytest.raises(ExpressionError) as err:
+            evaluate(tree, SU3)
+        assert (err.value.message, err.value.line, err.value.col) == (message, 2, 7), tree
 
 
 def test_evaluate_subring_guards():
