@@ -15,7 +15,12 @@ Coefficients are exact rationals: every entry point (`Element(...)`,
 as an `int` and any other as a `fractions.Fraction`, so the integer
 structure constants of the operators stay in `int` arithmetic.
 `random_element` draws integer coefficients in -3..-1 and 1..3 only, so a
-seeded draw never leaves `int` arithmetic.
+seeded draw never leaves `int` arithmetic.  A draw reads its generator only
+through `getrandbits`, and makes exactly the calls that `random.Random`'s
+`choice` and `sample(range(n), k)` would make (`_randbelow`, `_sample`): the
+draws of a seed are those of the standard library's Mersenne Twister
+(Matsumoto and Nishimura, 1998), and do not depend on the Python code of
+`random.py`.
 Arithmetic on non-integral coefficients may leave a `Fraction` with
 denominator 1; it compares, hashes and prints exactly as the `int` does, so
 equality and rendering do not depend on the type.
@@ -65,7 +70,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb
+from math import ceil, comb, log
 from operator import mul
 from typing import Mapping, NamedTuple
 
@@ -430,10 +435,14 @@ class Element:
         """Common degree of all terms, ANY_DEGREE for zero, else INHOMOGENEOUS."""
         if not self._terms:
             return ANY_DEGREE
-        degs = {_mono_degree(self.model, self.ring, m) for m in self._terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return INHOMOGENEOUS
+        model, ring, deg = self.model, self.ring, None
+        for m in self._terms:  # stops at the first term of another degree
+            d = _mono_degree(model, ring, m)
+            if deg is None:
+                deg = d
+            elif d != deg:
+                return INHOMOGENEOUS
+        return deg
 
     def homogeneous_components(self) -> dict[int, "Element"]:
         buckets: dict[int, dict[int, int | Fraction]] = {}
@@ -634,6 +643,39 @@ def _exponent_vectors(packing: _Packing, cap: int) -> dict[int, list[int]]:
     return even
 
 
+def _randbelow(getrandbits, n: int) -> int:
+    """A uniform int in [0, n), n >= 1, from the `getrandbits` calls that
+    `random.Random._randbelow_with_getrandbits(n)` makes: `choice` of an n-long
+    sequence and `randint(0, n - 1)` read the same stream."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _sample(getrandbits, n: int, k: int) -> list[int]:
+    """`random.Random.sample(range(n), k)`, 0 <= k <= n, from the same `getrandbits`
+    calls in the same order: a pool of the n positions when it is smaller than a
+    k-element set, else redraws until an unseen one.  It takes n past 2^63 too,
+    where `len(range(n))` overflows and `sample` raises."""
+    setsize = 21  # the sizes `random.py` compares: of a small set minus an empty list
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))  # and of a big set's table
+    if n <= setsize:
+        pool = list(range(n))
+        result = []
+        for i in range(k):
+            j = _randbelow(getrandbits, n - i)
+            result.append(pool[j])
+            pool[j] = pool[n - i - 1]  # the last unpicked position fills the vacancy
+        return result
+    selected = {}  # a dict keeps the selection order
+    while len(selected) < k:
+        selected[_randbelow(getrandbits, n)] = None
+    return list(selected)
+
+
 class BasisIndex:
     """The monomials of one ring with total even exponent <= a cap, by degree.
 
@@ -699,12 +741,18 @@ class BasisIndex:
         and make no generator call."""
         if not degrees:
             return Element._of(self.model, self.ring, {})
-        deg = rng.choice(degrees)
+        # the calls of rng.choice(degrees), rng.sample(range(n), max_terms) and one
+        # rng.choice(_COEFFICIENTS) per term, made straight to `getrandbits`
+        getrandbits = rng.getrandbits
+        deg = degrees[_randbelow(getrandbits, len(degrees))]
         n = self.count(deg)
-        # sample positions exactly as sampling the bucket itself would
-        positions = range(n) if max_terms >= n else rng.sample(range(n), max_terms)
-        monomial, choice = self.monomial, rng.choice
-        terms = {monomial(deg, k): choice(_COEFFICIENTS) for k in positions}
+        positions = range(n) if max_terms >= n else _sample(getrandbits, n, max_terms)
+        monomial, terms = self.monomial, {}
+        for k in positions:
+            r = getrandbits(3)  # _randbelow(getrandbits, 6), inline
+            while r >= 6:
+                r = getrandbits(3)
+            terms[monomial(deg, k)] = _COEFFICIENTS[r]
         return Element._of(self.model, self.ring, terms)
 
 
@@ -741,8 +789,9 @@ def random_element(
     picked by their position in the degree's ascending order through
     `basis_index`, so no bucket is ever listed.  Returns zero only when the
     window admits no monomial.  Passing the same seed twice gives identical
-    output; `seed` may also be a `random.Random` to draw from.  This is
-    `BasisIndex.draw`, the one draw path.
+    output.  `seed` may also be any `random.Random` to draw from, of which
+    only `getrandbits` is read: the draw makes the calls that `choice` and
+    `sample` would make.  This is `BasisIndex.draw`, the one draw path.
     """
     check_count("max_terms", max_terms)
     lo, hi = degree_window

@@ -55,6 +55,7 @@ from .kernel import (
     Ring,
     _COH,
     _LOOP,
+    _randbelow,
     _unpack,
     basis_index,
     check_count,
@@ -201,7 +202,7 @@ def _ext_plan(model: ModelSpec) -> tuple[BasisIndex, BasisIndex, tuple[int, ...]
 
 
 def _draw_extended(base: BasisIndex, loop: BasisIndex, candidates, max_terms: int, rng: random.Random) -> ExtendedClass:
-    n = rng.choice(candidates)
+    n = candidates[_randbelow(rng.getrandbits, len(candidates))]  # rng.choice(candidates)
     want_coh = base.count(-n) > 0 and rng.random() < 0.6
     want_loop = loop.count(n) > 0 and (rng.random() < 0.8 or not want_coh)
     # a draw in no degree is zero; a pair with neither part takes a loop class of degree 0
@@ -223,7 +224,8 @@ class IntersectConfig(NamedTuple):
 
 
 def _draw_intersect_config(base: Callable, loop: Callable, rng: random.Random) -> IntersectConfig:
-    at_count, free_count = rng.randint(0, 3), rng.randint(0, 3)
+    # rng.randint(0, 3) twice
+    at_count, free_count = _randbelow(rng.getrandbits, 4), _randbelow(rng.getrandbits, 4)
     return IntersectConfig(
         [base(1, rng) for _ in range(at_count)],
         [base(2, rng) for _ in range(free_count)],
@@ -619,6 +621,8 @@ def _build_catalog() -> dict[str, IdentityCase]:
 
 
 CATALOG: dict[str, IdentityCase] = _build_catalog()
+#: each identity's position in the catalog, the order of `run_suite`'s reports
+_CATALOG_ORDER = {ident: pos for pos, ident in enumerate(CATALOG)}
 
 
 # ---------------------------------------------------------------------------
@@ -736,6 +740,15 @@ def _build_witness(check, trial, args, failing):
     }
 
 
+@lru_cache(maxsize=None)
+def _report_degrees(model: ModelSpec) -> tuple[int, ...] | None:
+    """The degrees a report of `model` stores: None for the built-in model of its
+    name.  Draws index the basis at the suite's cap, so an oversized model is
+    refused first; a refusal is not cached, so it raises on every call."""
+    check_index_size(model, SUITE_EVEN_CAP)
+    return None if model == builtin_named(model.name) else model.generator_degrees
+
+
 def report_rng(seed, identity_id: str) -> random.Random:
     """The deterministic generator of one report; strings seed via sha512."""
     return random.Random("%s|%s" % (seed, identity_id))
@@ -768,10 +781,9 @@ def run_suite(
     for ident in chosen:
         if not isinstance(ident, str) or ident not in CATALOG:
             raise AlgebraError("unknown identity id %r (see the catalog for known ids)" % (ident,))
-    chosen = [ident for ident in CATALOG if ident in chosen]
-    # draws index the basis at this cap: refuse an oversized model before any identity runs
-    check_index_size(model, SUITE_EVEN_CAP)
-    degrees = None if model == builtin_named(model.name) else list(model.generator_degrees)
+    chosen = sorted(set(chosen), key=_CATALOG_ORDER.__getitem__)
+    stored = _report_degrees(model)  # refuses an oversized model before any identity runs
+    degrees = None if stored is None else list(stored)
     reports = []
     for ident in chosen:
         case = CATALOG[ident]

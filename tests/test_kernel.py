@@ -383,6 +383,64 @@ def test_random_element_refuses_a_term_count_that_is_not_an_int(model, window, m
         random_element(model, Ring.LOOP, window, max_terms, 7)
 
 
+# -- the sampler: the standard library's calls, made straight to getrandbits --
+
+# n = 1..80 runs `_sample`'s pool branch for every k <= 12 (its set size is 21 for k <= 5 and 85
+# for 6 <= k <= 12) and its redraw branch from n = 22 at k <= 5; 100, 1000 and 2^31 redraw
+SAMPLER_NS = tuple(range(1, 81)) + (100, 1000, 2 ** 31)
+
+
+@pytest.mark.parametrize("n", SAMPLER_NS)
+def test_sampler_makes_the_standard_library_calls(n):
+    """For each k <= min(n, 12) and ten string seeds, `_sample` and `_randbelow` on one
+    generator return what `sample`, `choice` and `randint` return on a twin, and leave
+    both in the same state."""
+    for k in range(1, min(n, 12) + 1):
+        for i in range(10):
+            seed = "sampler|%d|%d|%d" % (n, k, i)
+            a, b = random.Random(seed), random.Random(seed)
+            assert kernel._sample(b.getrandbits, n, k) == a.sample(range(n), k)
+            assert kernel._randbelow(b.getrandbits, n) == a.choice(range(n))
+            assert kernel._randbelow(b.getrandbits, 4) == a.randint(0, 3)
+            assert a.getstate() == b.getstate()
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 6, 12])
+def test_sampler_takes_a_population_past_2_to_the_63(k):
+    """There `sample(range(n), k)` overflows; `_sample` redraws, which at this size
+    means k draws below n in a row."""
+    n = 2 ** 70
+    with pytest.raises(OverflowError):
+        random.Random("huge|%d" % k).sample(range(n), k)
+    a, b = random.Random("huge|%d" % k), random.Random("huge|%d" % k)
+    positions = kernel._sample(b.getrandbits, n, k)
+    assert len(set(positions)) == k and all(0 <= p < n for p in positions)
+    assert positions == [a.randrange(n) for _ in range(k)]
+    assert a.getstate() == b.getstate()
+
+
+def test_draws_read_only_getrandbits():
+    """A generator whose other methods raise draws what a plain one of its seed draws."""
+
+    class OnlyBits(random.Random):
+        def _refuse(self, *args, **kwargs):
+            raise AssertionError("a draw read more than getrandbits")
+
+        random = choice = sample = randint = randrange = _randbelow = _refuse
+
+    for trial in range(20):
+        seed = "bits|%d" % trial
+        assert random_element(SU3, Ring.COH, (0, 20), 3, OnlyBits(seed)) == random_element(SU3, Ring.COH, (0, 20), 3, seed)
+
+
+def test_a_draw_in_an_unpopulated_degree_is_zero():
+    index = basis_index(SU3, Ring.LOOP, 6)
+    empty = index.degrees[-1] + 1
+    assert index.count(empty) == 0
+    for trial in range(5):
+        assert not index.draw((empty,), 2, random.Random("empty|%d" % trial))
+
+
 # -- basis index against brute-force enumeration ----------------------------
 
 RANK12 = ModelSpec("rank12", tuple(range(3, 26, 2)))

@@ -7,8 +7,8 @@ bundle and every mutation bundle on `s3`, `su3` and `exterior:3,5,7`, so a
 refactor of the evaluators that changes a label, a sign convention, a draw
 or which mutation a check detects shows up here.  `HIGH_RANK_DIGEST` pins
 the standard bundle on `su7` at 3 trials: there a degree holds more than 21
-monomials, so `random.sample` picks positions by its set path, which the
-low-rank models never reach.
+monomials, so `kernel._sample` picks positions by its redraw branch, which
+the low-rank models never reach.
 
 Run ``PYTHONPATH=src python tests/test_report_pin.py`` to print both digests
 without pytest; it exits 1 when either differs from its pin.

@@ -129,7 +129,7 @@ def test_selection_returns_single_report_in_catalog_order():
     assert report.identity == "eq-4.15-jacobi-extended"
     assert report.status == "pass"
     assert report.trials == 200 and report.seed == 42
-    several = run_suite(SU3, 5, 1, selection=["ext-unit", "bv-identity"])
+    several = run_suite(SU3, 5, 1, selection=["ext-unit", "bv-identity", "ext-unit"])
     assert [r.identity for r in several] == ["bv-identity", "ext-unit"]
 
 
@@ -326,6 +326,8 @@ def test_builtin_model_reports_store_no_degrees():
     # a model under a built-in name with other degrees is not that built-in
     odd = run_suite(ModelSpec("su3", (3, 7)), 3, 1, ["loop-unit"])[0]
     assert odd.generator_degrees == [3, 7] and replay(odd) == odd
+    odd.generator_degrees.append(9)  # each call's reports hold a list of their own
+    assert run_suite(ModelSpec("su3", (3, 7)), 3, 1, ["loop-unit"])[0] == replace(odd, generator_degrees=[3, 7])
 
 
 # -- report serialization ---------------------------------------------------------
